@@ -170,6 +170,59 @@ fn resolve_jobs(jobs: usize, work: usize) -> usize {
     ExecConfig::with_jobs(jobs).effective_jobs(work)
 }
 
+/// Maps `f` over `items` on `jobs` workers of a fresh [`ShardRuntime`] —
+/// each worker owning one reusable evaluation arena — and returns the
+/// results in input order. The drivers fork no shards, so this is the
+/// runtime's plain ordered parallel map.
+fn map_on_runtime<T: Sync, R: Send>(
+    items: &[T],
+    jobs: usize,
+    f: impl Fn(&T, &mut lpo_tv::prelude::EvalArena) -> R + Sync,
+) -> Vec<R> {
+    ShardRuntime::new(jobs, Arc::default()).run_cases(items.len(), |index, arena| f(&items[index], arena))
+}
+
+/// Wall-clock cap of one benchmark measurement loop. A loop that needs
+/// longer measures a workload that stopped doing work (or a host too slow
+/// to measure on), so it fails instead of spinning.
+const MEASURE_CAP: Duration = Duration::from_secs(60);
+
+/// Repeats `round` until it has run at least twice and the timed wall time
+/// it reports adds up to `min_time`. Each call runs one interleaved round of
+/// every measured variant (interleaving makes slow drift in host load hit
+/// all variants equally) and returns `(work, timed)`: the smallest amount
+/// of work any variant's timed section did, and the round's timed wall time.
+///
+/// Fails — instead of yielding a throughput — when a round's timed work is
+/// zero (the throughput would measure nothing, and a round of zero-time
+/// work never fills the window) or when the loop runs past [`MEASURE_CAP`].
+fn measure_rounds(
+    bench: &str,
+    min_time: Duration,
+    mut round: impl FnMut() -> (usize, Duration),
+) -> Result<(), String> {
+    let start = Instant::now();
+    let mut rounds = 0usize;
+    let mut timed = Duration::ZERO;
+    while rounds < 2 || timed < min_time {
+        if start.elapsed() > MEASURE_CAP {
+            return Err(format!(
+                "{bench}: measurement loop hit its {}s cap after {rounds} rounds ({:.2}s of {:.2}s timed)",
+                MEASURE_CAP.as_secs(),
+                timed.as_secs_f64(),
+                min_time.as_secs_f64()
+            ));
+        }
+        let (work, wall) = round();
+        if work == 0 {
+            return Err(format!("{bench}: a timed round did no work, so its throughput would measure nothing"));
+        }
+        rounds += 1;
+        timed += wall;
+    }
+    Ok(())
+}
+
 /// Renders Table 1: the selected LLMs.
 pub fn table1() -> String {
     let mut out = String::from("Table 1: Selected LLMs\n");
@@ -374,7 +427,7 @@ pub fn rq1_experiment_with_store(
     // so each inner run is serial — but its Stage 3 sweeps still go through
     // the shard engine at the requested shard size.
     let detect_config = ExecConfig { shard_size, ..ExecConfig::serial() };
-    let cells = parallel_map_ordered(&suite, jobs, |_, case| {
+    let cells = map_on_runtime(&suite, jobs, |case, _| {
         let (souper_default, souper_enum) = souper_detects_shared(case);
         let mut row = Rq1Row {
             issue: case.issue_id,
@@ -528,7 +581,7 @@ pub fn rq2_experiment_with_store(jobs: usize, store: Option<&StoreOptions>) -> R
     let suite = rq2_suite();
     let jobs = resolve_jobs(jobs, suite.len());
     let store_before = store.map(|opts| opts.store.stats()).unwrap_or_default();
-    let rows = parallel_map_ordered(&suite, jobs, |_, case| {
+    let rows = map_on_runtime(&suite, jobs, |case, _| {
         let key = format!("issue{}", case.issue_id);
         if let Some(opts) = store.filter(|opts| opts.resume) {
             if let Some((d, e, m)) =
@@ -804,7 +857,7 @@ pub fn table5_experiment_with_store(
     });
     let patches = all_patches();
     let jobs = resolve_jobs(jobs, patches.len());
-    let rows = parallel_map_ordered(&patches, jobs, |_, &patch| {
+    let rows = map_on_runtime(&patches, jobs, |&patch, _| {
         if let Some(opts) = store.filter(|opts| opts.resume) {
             if let Some(row) =
                 opts.store.case("table5", patch.id).and_then(|blob| decode_patch_row(patch.id, &blob))
@@ -952,7 +1005,7 @@ pub fn figure5_experiment(jobs: usize) -> Vec<SpeedupPoint> {
         .collect();
     configs.push(("Yearly".to_string(), all_patches()));
     let jobs = resolve_jobs(jobs, configs.len());
-    parallel_map_ordered(&configs, jobs, |_, (label, patches)| {
+    map_on_runtime(&configs, jobs, |(label, patches), _| {
         let pipeline = Pipeline::new(OptLevel::O2).with_patches(patches.clone());
         let mut ratios = Vec::new();
         for ((_, module), base_cycles) in benches.iter().zip(&baseline_cycles) {
@@ -986,8 +1039,8 @@ pub struct InterpBenchRun {
 ///
 /// This is the workload behind `repro bench-interp` and the CI `bench-smoke`
 /// regression gate; measure with `--jobs 1` when comparing across builds.
-pub fn bench_interp(jobs: usize) -> InterpBenchRun {
-    use lpo_interp::prelude::{evaluate_reference, CompiledFunction, EvalArena};
+pub fn bench_interp(jobs: usize) -> Result<InterpBenchRun, String> {
+    use lpo_interp::prelude::{evaluate_reference, CompiledFunction};
     use lpo_tv::prelude::{generate_inputs, InputConfig, TestInput};
 
     const STEP_LIMIT: usize = 1 << 14;
@@ -1013,17 +1066,20 @@ pub fn bench_interp(jobs: usize) -> InterpBenchRun {
     }
 
     impl Tally {
-        fn add(&mut self, pass: &dyn Fn() -> (usize, u64)) {
+        /// Runs one pass and returns its `(evaluations, wall)`.
+        fn add(&mut self, pass: &dyn Fn() -> (usize, u64)) -> (usize, Duration) {
             let start = Instant::now();
             let (e, s) = pass();
-            self.wall += start.elapsed();
+            let wall = start.elapsed();
+            self.wall += wall;
             self.evals += e;
             self.steps += s;
+            (e, wall)
         }
     }
 
     let compiled_pass = || -> (usize, u64) {
-        parallel_map_ordered_with(&workloads, jobs, EvalArena::new, |arena, _, (func, inputs)| {
+        map_on_runtime(&workloads, jobs, |(func, inputs), arena| {
             // Compile once per case per pass: the same amortization shape as
             // the TV hot path (one compile per candidate, reused across all
             // of its inputs).
@@ -1043,7 +1099,7 @@ pub fn bench_interp(jobs: usize) -> InterpBenchRun {
     };
 
     let reference_pass = || -> (usize, u64) {
-        parallel_map_ordered(&workloads, jobs, |_, (func, inputs)| {
+        map_on_runtime(&workloads, jobs, |(func, inputs), _| {
             let mut steps = 0u64;
             for input in inputs {
                 if let Ok(out) =
@@ -1058,17 +1114,15 @@ pub fn bench_interp(jobs: usize) -> InterpBenchRun {
         .fold((0, 0), |(e, s), (pe, ps)| (e + pe, s + ps))
     };
 
-    // Interleave the two evaluators' passes so slow drift in host load hits
-    // both sides equally — the reported speedup is then stable even on noisy
-    // shared machines.
+    // Interleave the two evaluators' passes so the reported speedup is
+    // stable even on noisy shared machines.
     let mut fast = Tally::default();
     let mut slow = Tally::default();
-    let mut passes = 0usize;
-    while passes < 2 || fast.wall + slow.wall < MIN_TIME * 2 {
-        fast.add(&compiled_pass);
-        slow.add(&reference_pass);
-        passes += 1;
-    }
+    measure_rounds("bench-interp", MIN_TIME * 2, || {
+        let (fast_evals, fast_wall) = fast.add(&compiled_pass);
+        let (slow_evals, slow_wall) = slow.add(&reference_pass);
+        (fast_evals.min(slow_evals), fast_wall + slow_wall)
+    })?;
 
     let (fast_evals, fast_steps, fast_wall) = (fast.evals, fast.steps, fast.wall);
     let (ref_evals, ref_wall) = (slow.evals, slow.wall);
@@ -1103,7 +1157,7 @@ pub fn bench_interp(jobs: usize) -> InterpBenchRun {
     );
     let _ = writeln!(text, "  reference evaluator:     {reference_evals_per_second:>12.0} evals/s");
     let _ = writeln!(text, "  speedup:                 {speedup:>11.2}x");
-    InterpBenchRun { text, entry }
+    Ok(InterpBenchRun { text, entry })
 }
 
 /// One canonicalization-throughput measurement: the rendered report plus the
@@ -1205,7 +1259,7 @@ const COMPOSE_COPIES: usize = 8;
 ///
 /// This is the workload behind `repro bench-opt` and the CI `bench-smoke`
 /// regression gate; measure with `--jobs 1` when comparing across builds.
-pub fn bench_opt(jobs: usize) -> OptBenchRun {
+pub fn bench_opt(jobs: usize) -> Result<OptBenchRun, String> {
     use lpo_ir::function::Function;
     use lpo_opt::pipeline::{OptLevel, Pipeline};
 
@@ -1227,15 +1281,19 @@ pub fn bench_opt(jobs: usize) -> OptBenchRun {
     }
 
     impl Tally {
-        fn add(&mut self, pass: &dyn Fn() -> usize) {
+        /// Runs one pass and returns its `(canonicalizations, wall)`.
+        fn add(&mut self, pass: &dyn Fn() -> usize) -> (usize, Duration) {
             let start = Instant::now();
-            self.canon += pass();
-            self.wall += start.elapsed();
+            let canon = pass();
+            let wall = start.elapsed();
+            self.canon += canon;
+            self.wall += wall;
+            (canon, wall)
         }
     }
 
     let run_pass = |functions: &[Function], reference: bool| -> usize {
-        parallel_map_ordered(functions, jobs, |_, func| {
+        map_on_runtime(functions, jobs, |func, _| {
             let mut scratch = func.clone();
             if reference {
                 pipeline.optimize_reference(&mut scratch);
@@ -1246,22 +1304,19 @@ pub fn bench_opt(jobs: usize) -> OptBenchRun {
         .len()
     };
 
-    let measure = |functions: &[Function]| -> (Tally, Tally) {
+    let measure = |functions: &[Function]| -> Result<(Tally, Tally), String> {
         let mut fast = Tally::default();
         let mut slow = Tally::default();
-        let mut passes = 0usize;
-        // Interleave the two engines' passes so slow drift in host load hits
-        // both sides equally.
-        while passes < 2 || fast.wall + slow.wall < MIN_TIME * 2 {
-            fast.add(&|| run_pass(functions, false));
-            slow.add(&|| run_pass(functions, true));
-            passes += 1;
-        }
-        (fast, slow)
+        measure_rounds("bench-opt", MIN_TIME * 2, || {
+            let (fast_canon, fast_wall) = fast.add(&|| run_pass(functions, false));
+            let (slow_canon, slow_wall) = slow.add(&|| run_pass(functions, true));
+            (fast_canon.min(slow_canon), fast_wall + slow_wall)
+        })?;
+        Ok((fast, slow))
     };
 
-    let (case_fast, case_slow) = measure(&cases);
-    let (module_fast, module_slow) = measure(&composed);
+    let (case_fast, case_slow) = measure(&cases)?;
+    let (module_fast, module_slow) = measure(&composed)?;
 
     let per_second = |tally: &Tally| tally.canon as f64 / tally.wall.as_secs_f64();
     let canon_per_second = per_second(&module_fast);
@@ -1295,7 +1350,7 @@ pub fn bench_opt(jobs: usize) -> OptBenchRun {
         "  per-candidate  worklist: {:>9.0} canon/s   reference: {:>9.0} canon/s   speedup: {:.2}x",
         case_canon_per_second, case_reference_canon_per_second, entry.case_speedup
     );
-    OptBenchRun { text, entry }
+    Ok(OptBenchRun { text, entry })
 }
 
 /// One translation-validation throughput measurement: the rendered report
@@ -1438,7 +1493,7 @@ pub fn pin_return_bit(
 /// All checkers' passes are interleaved so host noise cancels. This is the
 /// workload behind `repro bench-tv` and the CI `bench-smoke` regression
 /// gate; measure with `--jobs 1` when comparing across builds.
-pub fn bench_tv(jobs: usize) -> TvBenchRun {
+pub fn bench_tv(jobs: usize) -> Result<TvBenchRun, String> {
     use lpo_ir::function::Function;
     use lpo_tv::prelude::{EvalArena, SourceCache, TvConfig, VerdictTier};
 
@@ -1465,14 +1520,11 @@ pub fn bench_tv(jobs: usize) -> TvBenchRun {
                 .map(|_| (case.function.clone(), wrong))
         })
         .collect();
-    // An empty workload would make the MIN_TIME measurement loop below spin
-    // forever (passes of zero work accumulate zero wall time) and record
-    // NaN throughputs — fail loudly instead; the rq1 suite always has
-    // twistable scalar-int cases.
-    assert!(
-        !workloads.is_empty(),
-        "bench-tv workload is empty: no rq1 case has a twistable, refutable return"
-    );
+    // An empty workload would record NaN throughputs — fail loudly
+    // instead; the rq1 suite always has twistable scalar-int cases.
+    if workloads.is_empty() {
+        return Err("bench-tv workload is empty: no rq1 case has a twistable, refutable return".into());
+    }
     // The concrete shapes run with the abstract tier off: with it on, the
     // self-verification survivors below would be proved structurally and
     // the sweep being measured would never run.
@@ -1491,10 +1543,9 @@ pub fn bench_tv(jobs: usize) -> TvBenchRun {
                 .then_some((src, tgt))
         })
         .collect();
-    assert!(
-        !absint_workloads.is_empty(),
-        "bench-tv absint workload is empty: no rq1 case yields an abstractly refutable pair"
-    );
+    if absint_workloads.is_empty() {
+        return Err("bench-tv absint workload is empty: no rq1 case yields an abstractly refutable pair".into());
+    }
     // How many cases the type-specialized plane tier covers: the survivor
     // pass verifies the source against itself, so eligibility is the
     // source's own compiled form carrying a plane plan.
@@ -1516,10 +1567,12 @@ pub fn bench_tv(jobs: usize) -> TvBenchRun {
     }
 
     impl Tally {
-        fn add(&mut self, pass: &dyn Fn() -> (usize, Duration)) {
+        /// Runs one pass and returns its `(checks, timed wall)`.
+        fn add(&mut self, pass: &dyn Fn() -> (usize, Duration)) -> (usize, Duration) {
             let (checks, wall) = pass();
             self.checks += checks;
             self.wall += wall;
+            (checks, wall)
         }
     }
 
@@ -1531,7 +1584,7 @@ pub fn bench_tv(jobs: usize) -> TvBenchRun {
     // an unconditional compile, a serial sweep, and a rendered
     // counterexample.
     let refuted_pass = |staged: bool| -> (usize, Duration) {
-        parallel_map_ordered_with(&workloads, jobs, EvalArena::new, |arena, _, (src, wrong)| {
+        map_on_runtime(&workloads, jobs, |(src, wrong), arena| {
             let case = SourceCache::new(src, concrete_tv.clone());
             // Warm the per-case state (inputs + the source outcomes the
             // refutation reaches) untimed.
@@ -1552,7 +1605,7 @@ pub fn bench_tv(jobs: usize) -> TvBenchRun {
     };
 
     let survivor_pass = |staged: bool| -> (usize, Duration) {
-        parallel_map_ordered_with(&workloads, jobs, EvalArena::new, |arena, _, (src, _)| {
+        map_on_runtime(&workloads, jobs, |(src, _), arena| {
             let case = SourceCache::new(src, concrete_tv.clone());
             // Warm inputs and the full source-outcome sweep untimed: the
             // timed loop then measures the candidate-side cost, which is
@@ -1580,7 +1633,7 @@ pub fn bench_tv(jobs: usize) -> TvBenchRun {
     // machine-independent speedup.
     let absint_pass = |abstract_on: bool| -> (usize, Duration) {
         let config = if abstract_on { TvConfig::default() } else { concrete_tv.clone() };
-        parallel_map_ordered_with(&absint_workloads, jobs, EvalArena::new, |arena, _, (src, tgt)| {
+        map_on_runtime(&absint_workloads, jobs, |(src, tgt), arena| {
             let case = SourceCache::new(src, config.clone());
             // Warm the per-case state (the memoized source analysis on the
             // abstract side; inputs + source outcomes on the concrete side)
@@ -1596,23 +1649,20 @@ pub fn bench_tv(jobs: usize) -> TvBenchRun {
         .fold((0, Duration::ZERO), |(c, w), (pc, pw)| (c + pc, w + pw))
     };
 
-    let measure = |pass: &dyn Fn(bool) -> (usize, Duration)| -> (Tally, Tally) {
+    let measure = |pass: &dyn Fn(bool) -> (usize, Duration)| -> Result<(Tally, Tally), String> {
         let mut fast = Tally::default();
         let mut slow = Tally::default();
-        let mut passes = 0usize;
-        // Interleave the two checkers' passes so slow drift in host load
-        // hits both sides equally.
-        while passes < 2 || fast.wall + slow.wall < MIN_TIME * 2 {
-            fast.add(&|| pass(true));
-            slow.add(&|| pass(false));
-            passes += 1;
-        }
-        (fast, slow)
+        measure_rounds("bench-tv", MIN_TIME * 2, || {
+            let (fast_checks, fast_wall) = fast.add(&|| pass(true));
+            let (slow_checks, slow_wall) = slow.add(&|| pass(false));
+            (fast_checks.min(slow_checks), fast_wall + slow_wall)
+        })?;
+        Ok((fast, slow))
     };
 
-    let (refuted_fast, refuted_slow) = measure(&refuted_pass);
-    let (survivor_fast, survivor_slow) = measure(&survivor_pass);
-    let (absint_fast, absint_slow) = measure(&absint_pass);
+    let (refuted_fast, refuted_slow) = measure(&refuted_pass)?;
+    let (survivor_fast, survivor_slow) = measure(&survivor_pass)?;
+    let (absint_fast, absint_slow) = measure(&absint_pass)?;
 
     // Proved survivors: how many self-verifications the abstract tier
     // settles structurally, skipping the full concrete sweep. Deterministic
@@ -1685,7 +1735,7 @@ pub fn bench_tv(jobs: usize) -> TvBenchRun {
         entry.cases,
         proved_fraction * 100.0
     );
-    TvBenchRun { text, entry }
+    Ok(TvBenchRun { text, entry })
 }
 
 /// One sharded-execution measurement: the rendered report plus the entry
@@ -1699,43 +1749,39 @@ pub struct ExecBenchRun {
 }
 
 /// Measures the shard engine's reason to exist: **single-case** scaling.
-/// Case-granular scheduling cannot use more workers than cases, so both
-/// workloads here are one case whose internal work is the whole batch:
+/// The whole batch is one survivor verification over a 65,536-input
+/// exhaustive sweep (`i16` argument), split into [`SweepShard`]s of
+/// `shard_size` inputs. It is measured on the serial
+/// [`SourceCache::verify_with`](lpo_tv::prelude::SourceCache::verify_with)
+/// walk (the reference), on the sharded walk at one worker (the
+/// machine-independent overhead ratio — the shard machinery must stay
+/// within a few percent of free), and on the sharded walk at `jobs` workers
+/// (the speedup an idle machine gets on one huge case).
 ///
-/// * **input sweep** — one survivor verification over a 65,536-input
-///   exhaustive sweep (`i16` argument), split into [`SweepShard`]s of
-///   `shard_size` inputs. Measured on the case-granular checker (the
-///   `shard_inputs = false` path), on the sharded path at one worker (the
-///   machine-independent overhead ratio — the shard machinery must stay
-///   within a few percent of free), and on the sharded path at `jobs`
-///   workers (the speedup an idle machine gets on one huge case).
-/// * **enumeration** — one Souper `Enum=2` search over a 1,500-candidate
-///   budget, its frontier split into `shard_size`-candidate chunks
-///   ([`lpo_souper::superoptimize_batch_sharded`]), against the serial walk.
+/// The workload runs with the abstract tier off, like `bench-tv`'s concrete
+/// shapes: the tier proves this self-verification outright, and a proved
+/// candidate never reaches the sweep being measured. A timed round that
+/// evaluates nothing fails the bench instead of yielding a number.
 ///
 /// Parallel speedups are wall-clock and only meaningful on multi-core hosts;
 /// the `repro bench-exec --check-baseline` gate applies the scaling check
 /// only when the host has ≥ 4 cores, and gates the (machine-independent)
-/// overhead ratios everywhere. This is the workload behind the CI
+/// overhead ratio everywhere. This is the workload behind the CI
 /// `shard-smoke` job; measure with `--jobs 1` when comparing across builds.
 ///
 /// [`SweepShard`]: lpo_tv::frozen::SweepShard
-pub fn bench_exec(jobs: usize, shard_size: usize) -> ExecBenchRun {
+pub fn bench_exec(jobs: usize, shard_size: usize) -> Result<ExecBenchRun, String> {
     use lpo_ir::parser::parse_function;
-    use lpo_tv::prelude::{EvalArena, SourceCache, TvConfig};
-    use std::sync::Arc;
+    use lpo_tv::prelude::{input_count, EvalArena, SourceCache, TvConfig};
 
-    /// Minimum measurement time per variant per shape.
+    /// Minimum measurement time per variant.
     const MIN_TIME: Duration = Duration::from_millis(300);
     /// Survivor sweeps per pass.
     const SWEEP_REPEATS: usize = 4;
 
     let shard_size = shard_size.max(1);
-    let parallel_jobs = if jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        jobs
-    };
+    // Not bounded by the single case: the extra workers steal its shards.
+    let parallel_jobs = ExecConfig::with_jobs(jobs).effective_jobs(usize::MAX);
 
     // One survivor case with a 65,536-input exhaustive sweep: wide enough
     // that shard-granular stealing matters, cheap enough per input that the
@@ -1745,144 +1791,113 @@ pub fn bench_exec(jobs: usize, shard_size: usize) -> ExecBenchRun {
     )
     .expect("bench-exec sweep function parses");
     let sweep_tv = {
-        let mut config = TvConfig::default();
+        let mut config = TvConfig { absint: false, ..TvConfig::default() };
         config.inputs.exhaustive_bits = 16;
         config
     };
+    // Every input of a survivor is evaluated on the target (probe + sweep).
+    let inputs = input_count(&sweep_src, &sweep_tv.inputs);
 
-    // (verifications, wall) on the case-granular checker — the
-    // `shard_inputs = false` reference.
-    let sweep_reference_pass = || -> (usize, Duration) {
-        let mut arena = EvalArena::new();
-        let case = SourceCache::new(&sweep_src, sweep_tv.clone());
-        // Warm the source-side sweep untimed (amortized per case in
-        // production); the timed loop is the candidate-side cost.
-        std::hint::black_box(case.verify_with(&sweep_src, &mut arena).is_correct());
-        let start = Instant::now();
-        for _ in 0..SWEEP_REPEATS {
-            std::hint::black_box(case.verify_with(&sweep_src, &mut arena).is_correct());
-        }
-        (SWEEP_REPEATS, start.elapsed())
-    };
-
-    // (verifications, wall, shard accounting) on the sharded checker. A
-    // fresh runtime per pass: `run_cases` shuts its helpers down when the
-    // case list drains, so runtimes are per-batch, as in the engine.
-    let sweep_sharded_pass = |pass_jobs: usize| -> (usize, Duration, ShardStats) {
-        let runtime = ShardRuntime::new(pass_jobs, Arc::new(ShardCounters::new()));
-        let driver = RuntimeSweepDriver::new(runtime.clone());
-        let timed = runtime.run_cases(1, |_, arena| {
-            let case = SourceCache::new(&sweep_src, sweep_tv.clone());
-            std::hint::black_box(
-                case.verify_with_driver(&sweep_src, arena, &driver, shard_size).is_correct(),
-            );
-            let start = Instant::now();
-            for _ in 0..SWEEP_REPEATS {
-                std::hint::black_box(
-                    case.verify_with_driver(&sweep_src, arena, &driver, shard_size).is_correct(),
-                );
-            }
-            start.elapsed()
-        });
-        (SWEEP_REPEATS, timed[0], runtime.stats())
-    };
-
-    // One enumeration case that exhausts its 1,500-candidate budget without
-    // finding a replacement, so every run verifies the same frontier.
-    let enum_func = parse_function(
-        "define i32 @walk(i32 %x, i32 %y) {\n %a = mul i32 %x, %y\n %b = xor i32 %a, %x\n %r = add i32 %b, %y\n ret i32 %r\n}",
-    )
-    .expect("bench-exec enumeration function parses");
-    let enum_config = {
-        let mut config = SouperConfig::with_enum(2);
-        config.candidate_budget = 1_500;
-        config
-    };
-
-    let enum_reference_pass = || -> (usize, Duration) {
-        let start = Instant::now();
-        let results = souper_batch(std::slice::from_ref(&enum_func), &enum_config, 1);
-        (results[0].candidates_tried, start.elapsed())
-    };
-
-    let enum_sharded_pass = |pass_jobs: usize| -> (usize, Duration, ShardStats) {
-        let start = Instant::now();
-        let (results, stats) = lpo_souper::superoptimize_batch_sharded(
-            std::slice::from_ref(&enum_func),
-            &enum_config,
-            pass_jobs,
-            shard_size,
-        );
-        (results[0].candidates_tried, start.elapsed(), stats)
-    };
-
-    /// Accumulated (work items, wall, shard accounting) of one variant.
+    /// One variant's accumulated survivor sweeps, timed wall and shard
+    /// accounting.
     #[derive(Default)]
     struct Tally {
-        items: usize,
+        sweeps: usize,
         wall: Duration,
         shards: ShardStats,
     }
 
     impl Tally {
-        fn add(&mut self, (items, wall, shards): (usize, Duration, ShardStats)) {
-            self.items += items;
+        /// Folds in one pass `(survivor sweeps, timed wall, shards)` and
+        /// returns its `(sweeps, timed wall)`.
+        fn add(&mut self, (sweeps, wall, shards): (usize, Duration, ShardStats)) -> (usize, Duration) {
+            self.sweeps += sweeps;
             self.wall += wall;
             self.shards.absorb(shards);
+            (sweeps, wall)
         }
 
         fn per_second(&self) -> f64 {
             let secs = self.wall.as_secs_f64();
             if secs > 0.0 {
-                self.items as f64 / secs
+                self.sweeps as f64 / secs
             } else {
                 0.0
             }
         }
     }
 
-    let flat = |(items, wall): (usize, Duration)| (items, wall, ShardStats::default());
-
-    // Interleave the three variants' passes so slow drift in host load hits
-    // all of them equally.
-    let measure = |reference_pass: &dyn Fn() -> (usize, Duration),
-                   sharded_pass: &dyn Fn(usize) -> (usize, Duration, ShardStats)|
-     -> (Tally, Tally, Tally) {
-        let mut reference = Tally::default();
-        let mut serial = Tally::default();
-        let mut parallel = Tally::default();
-        let mut passes = 0usize;
-        while passes < 2 || reference.wall + serial.wall + parallel.wall < MIN_TIME * 3 {
-            reference.add(flat(reference_pass()));
-            serial.add(sharded_pass(1));
-            parallel.add(sharded_pass(parallel_jobs));
-            passes += 1;
+    /// Times `SWEEP_REPEATS` calls of `verify` against `case`, returning
+    /// `(survivor sweeps, wall)`. A survivor sweep is a verification that
+    /// got past the probe, counted off the case's survivor counter, so a
+    /// verdict settled without sweeping (a proof, a probe reject) is no work.
+    fn timed_sweeps(case: &SourceCache<'_>, mut verify: impl FnMut()) -> (usize, Duration) {
+        let survivors = case.survivors();
+        let start = Instant::now();
+        for _ in 0..SWEEP_REPEATS {
+            verify();
         }
-        (reference, serial, parallel)
+        (case.survivors() - survivors, start.elapsed())
+    }
+
+    // The serial walk, the reference.
+    let reference_pass = || -> (usize, Duration, ShardStats) {
+        let mut arena = EvalArena::new();
+        let case = SourceCache::new(&sweep_src, sweep_tv.clone());
+        // Warm the source-side sweep untimed (amortized per case in
+        // production); the timed loop is the candidate-side cost.
+        std::hint::black_box(case.verify_with(&sweep_src, &mut arena).is_correct());
+        let (sweeps, wall) = timed_sweeps(&case, || {
+            std::hint::black_box(case.verify_with(&sweep_src, &mut arena).is_correct());
+        });
+        (sweeps, wall, ShardStats::default())
     };
 
-    let (sweep_reference, sweep_serial, sweep_parallel) =
-        measure(&sweep_reference_pass, &sweep_sharded_pass);
-    let (enum_reference, enum_serial, enum_parallel) =
-        measure(&enum_reference_pass, &enum_sharded_pass);
+    // The sharded walk. A fresh runtime per pass: `run_cases` shuts its
+    // helpers down when the case list drains, so runtimes are per-batch, as
+    // in the engine.
+    let sharded_pass = |pass_jobs: usize| -> (usize, Duration, ShardStats) {
+        let runtime = ShardRuntime::new(pass_jobs, Arc::default());
+        let driver = RuntimeSweepDriver::new(runtime.clone());
+        let timed = runtime.run_cases(1, |_, arena| {
+            let case = SourceCache::new(&sweep_src, sweep_tv.clone());
+            std::hint::black_box(
+                case.verify_with_driver(&sweep_src, arena, &driver, shard_size).is_correct(),
+            );
+            timed_sweeps(&case, || {
+                std::hint::black_box(
+                    case.verify_with_driver(&sweep_src, arena, &driver, shard_size).is_correct(),
+                );
+            })
+        });
+        let (sweeps, wall) = timed[0];
+        (sweeps, wall, runtime.stats())
+    };
+
+    let mut reference = Tally::default();
+    let mut serial = Tally::default();
+    let mut parallel = Tally::default();
+    measure_rounds("bench-exec", MIN_TIME * 3, || {
+        let (reference_sweeps, reference_wall) = reference.add(reference_pass());
+        let (serial_sweeps, serial_wall) = serial.add(sharded_pass(1));
+        let (parallel_sweeps, parallel_wall) = parallel.add(sharded_pass(parallel_jobs));
+        (
+            reference_sweeps.min(serial_sweeps).min(parallel_sweeps) * inputs,
+            reference_wall + serial_wall + parallel_wall,
+        )
+    })?;
 
     let ratio = |fast: f64, slow: f64| if slow > 0.0 { fast / slow } else { 0.0 };
     // The counters come from the parallel runs only — the serial runs would
     // double-count `executed` without ever being able to steal.
-    let mut shards = sweep_parallel.shards;
-    shards.absorb(enum_parallel.shards);
+    let shards = parallel.shards;
 
     let entry = results::ExecEntry {
-        sweep_reference_per_second: sweep_reference.per_second(),
-        sweep_serial_per_second: sweep_serial.per_second(),
-        sweep_overhead_ratio: ratio(sweep_serial.per_second(), sweep_reference.per_second()),
-        sweep_parallel_per_second: sweep_parallel.per_second(),
-        sweep_speedup: ratio(sweep_parallel.per_second(), sweep_serial.per_second()),
-        enum_reference_per_second: enum_reference.per_second(),
-        enum_serial_per_second: enum_serial.per_second(),
-        enum_overhead_ratio: ratio(enum_serial.per_second(), enum_reference.per_second()),
-        enum_parallel_per_second: enum_parallel.per_second(),
-        enum_speedup: ratio(enum_parallel.per_second(), enum_serial.per_second()),
+        sweep_reference_per_second: reference.per_second(),
+        sweep_serial_per_second: serial.per_second(),
+        sweep_overhead_ratio: ratio(serial.per_second(), reference.per_second()),
+        sweep_parallel_per_second: parallel.per_second(),
+        sweep_speedup: ratio(parallel.per_second(), serial.per_second()),
         shards_executed: shards.executed,
         shards_stolen: shards.stolen,
         shard_cancellations: shards.cancellations,
@@ -1890,33 +1905,25 @@ pub fn bench_exec(jobs: usize, shard_size: usize) -> ExecBenchRun {
         shard_size,
     };
     let mut text = format!(
-        "Sharded-execution throughput: one 65,536-input survivor sweep + one {}-candidate enumeration (shard size {shard_size}, jobs {parallel_jobs})\n",
-        enum_config.candidate_budget
+        "Sharded-execution throughput: one {inputs}-input survivor sweep (shard size {shard_size}, jobs {parallel_jobs})\n"
     );
     let _ = writeln!(
         text,
-        "  input sweep   case-granular: {:>7.1} sweeps/s   sharded @1: {:>7.1} (overhead {:.2}x)   sharded @{parallel_jobs}: {:>7.1} (speedup {:.2}x)",
+        "  input sweep   serial walk: {:>7.1} sweeps/s   sharded @1: {:>7.1} (overhead {:.2}x)   sharded @{parallel_jobs}: {:>7.1} (speedup {:.2}x)",
         entry.sweep_reference_per_second,
         entry.sweep_serial_per_second,
         entry.sweep_overhead_ratio,
         entry.sweep_parallel_per_second,
         entry.sweep_speedup
     );
-    let _ = writeln!(
-        text,
-        "  enumeration   serial walk:   {:>7.0} cand/s    sharded @1: {:>7.0} (overhead {:.2}x)   sharded @{parallel_jobs}: {:>7.0} (speedup {:.2}x)",
-        entry.enum_reference_per_second,
-        entry.enum_serial_per_second,
-        entry.enum_overhead_ratio,
-        entry.enum_parallel_per_second,
-        entry.enum_speedup
-    );
+    let evals = (reference.sweeps + serial.sweeps + parallel.sweeps) * inputs;
+    let _ = writeln!(text, "  timed target evaluations: {evals}");
     let _ = writeln!(
         text,
         "  [shards] executed: {}  stolen: {}  cancelled: {}  (parallel runs; scheduling-dependent)",
         entry.shards_executed, entry.shards_stolen, entry.shard_cancellations
     );
-    ExecBenchRun { text, entry }
+    Ok(ExecBenchRun { text, entry })
 }
 
 /// Renders Figure 5 as text.
@@ -1951,7 +1958,7 @@ pub struct ServeBenchRun {
 /// This is the workload behind `repro bench-serve` and the CI `serve-smoke`
 /// gate. The cache-hit rates come from store counter deltas, not timings, so
 /// they are exact: the `serve_cache_hit_rate` baseline key is a hard floor.
-pub fn bench_serve(jobs: usize) -> ServeBenchRun {
+pub fn bench_serve(jobs: usize) -> Result<ServeBenchRun, String> {
     use lpo_serve::prelude::{ServeClient, ServeConfig, Server, SubmitOptions};
 
     /// Minimum time spent on warm submissions.
@@ -1986,14 +1993,16 @@ pub fn bench_serve(jobs: usize) -> ServeBenchRun {
     let mut warm_jobs = 0usize;
     let mut warm_wall = Duration::ZERO;
     let mut warm_hit_rate_sum = 0.0;
-    while warm_jobs < 2 || warm_wall < MIN_TIME {
+    let warm = measure_rounds("bench-serve", MIN_TIME, || {
         let pass_start = Instant::now();
         let warm = client.submit(&submit).expect("warm submission");
-        warm_wall += pass_start.elapsed();
+        let wall = pass_start.elapsed();
+        warm_wall += wall;
         requests += 1;
         warm_jobs += 1;
         warm_hit_rate_sum += hit_rate(&warm);
-    }
+        (warm.cases().len(), wall)
+    });
     let cache_hit_rate = warm_hit_rate_sum / warm_jobs as f64;
     let warm_jobs_per_second =
         if warm_wall.as_secs_f64() > 0.0 { warm_jobs as f64 / warm_wall.as_secs_f64() } else { 0.0 };
@@ -2006,6 +2015,8 @@ pub fn bench_serve(jobs: usize) -> ServeBenchRun {
     requests += 1;
     let session_seconds = session_start.elapsed().as_secs_f64();
     server_thread.join().expect("server thread").expect("server run");
+    // Only now, with the server shut down, may a failed measurement return.
+    warm?;
 
     let entry = results::ServeEntry {
         requests_per_second: if session_seconds > 0.0 { requests as f64 / session_seconds } else { 0.0 },
@@ -2037,7 +2048,7 @@ pub fn bench_serve(jobs: usize) -> ServeBenchRun {
         "  session: {} requests at {:.2} req/s end to end",
         entry.requests, entry.requests_per_second
     );
-    ServeBenchRun { text, entry }
+    Ok(ServeBenchRun { text, entry })
 }
 
 #[cfg(test)]

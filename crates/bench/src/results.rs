@@ -310,17 +310,15 @@ impl TvEntry {
 /// The sharded-execution microbenchmark section (`repro bench-exec`).
 ///
 /// `sweep_*` measures one survivor case whose input sweep is split into
-/// shards (the single-case scaling the shard engine exists for);
-/// `enum_*` measures one enumeration case whose candidate frontier is
-/// split into shards. For each shape the reference is the case-granular
-/// engine at one worker, `serial` is the sharded path at one worker (the
-/// overhead the sharding machinery itself costs), and `parallel` is the
-/// sharded path at [`ExecEntry::jobs`] workers. The shard counters are
-/// scheduling-dependent (especially `shards_stolen`) — report them, never
-/// compare them across runs.
+/// shards (the single-case scaling the shard engine exists for). The
+/// reference is the serial `SourceCache::verify_with` walk, `serial` is the
+/// sharded walk at one worker (the overhead the sharding machinery itself
+/// costs), and `parallel` is the sharded walk at [`ExecEntry::jobs`]
+/// workers. The shard counters are scheduling-dependent (especially
+/// `shards_stolen`) — report them, never compare them across runs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExecEntry {
-    /// Survivor sweeps per second, case-granular engine, one worker.
+    /// Survivor sweeps per second, serial walk.
     pub sweep_reference_per_second: f64,
     /// Survivor sweeps per second, sharded engine, one worker.
     pub sweep_serial_per_second: f64,
@@ -331,16 +329,6 @@ pub struct ExecEntry {
     pub sweep_parallel_per_second: f64,
     /// `sweep_parallel / sweep_serial` — single-case scaling at `jobs`.
     pub sweep_speedup: f64,
-    /// Enumeration candidates per second, serial walk, one worker.
-    pub enum_reference_per_second: f64,
-    /// Enumeration candidates per second, sharded frontier, one worker.
-    pub enum_serial_per_second: f64,
-    /// `enum_serial / enum_reference` (machine-independent overhead).
-    pub enum_overhead_ratio: f64,
-    /// Enumeration candidates per second, sharded frontier, `jobs` workers.
-    pub enum_parallel_per_second: f64,
-    /// `enum_parallel / enum_serial` — single-case scaling at `jobs`.
-    pub enum_speedup: f64,
     /// Shards executed across the parallel runs.
     pub shards_executed: usize,
     /// Shards executed by a worker other than the case's owner.
@@ -349,7 +337,7 @@ pub struct ExecEntry {
     pub shard_cancellations: usize,
     /// Worker threads of the parallel measurements.
     pub jobs: usize,
-    /// Inputs (or candidates) per shard.
+    /// Inputs per shard.
     pub shard_size: usize,
 }
 
@@ -361,11 +349,6 @@ impl ExecEntry {
             ("sweep_overhead_ratio".into(), Json::Num(self.sweep_overhead_ratio)),
             ("sweep_parallel_per_second".into(), Json::Num(self.sweep_parallel_per_second)),
             ("sweep_speedup".into(), Json::Num(self.sweep_speedup)),
-            ("enum_reference_per_second".into(), Json::Num(self.enum_reference_per_second)),
-            ("enum_serial_per_second".into(), Json::Num(self.enum_serial_per_second)),
-            ("enum_overhead_ratio".into(), Json::Num(self.enum_overhead_ratio)),
-            ("enum_parallel_per_second".into(), Json::Num(self.enum_parallel_per_second)),
-            ("enum_speedup".into(), Json::Num(self.enum_speedup)),
             ("shards_executed".into(), Json::Num(self.shards_executed as f64)),
             ("shards_stolen".into(), Json::Num(self.shards_stolen as f64)),
             ("shard_cancellations".into(), Json::Num(self.shard_cancellations as f64)),
@@ -381,11 +364,6 @@ impl ExecEntry {
             sweep_overhead_ratio: value.get("sweep_overhead_ratio")?.as_num()?,
             sweep_parallel_per_second: value.get("sweep_parallel_per_second")?.as_num()?,
             sweep_speedup: value.get("sweep_speedup")?.as_num()?,
-            enum_reference_per_second: value.get("enum_reference_per_second")?.as_num()?,
-            enum_serial_per_second: value.get("enum_serial_per_second")?.as_num()?,
-            enum_overhead_ratio: value.get("enum_overhead_ratio")?.as_num()?,
-            enum_parallel_per_second: value.get("enum_parallel_per_second")?.as_num()?,
-            enum_speedup: value.get("enum_speedup")?.as_num()?,
             shards_executed: value.get("shards_executed")?.as_num()? as usize,
             shards_stolen: value.get("shards_stolen")?.as_num()? as usize,
             shard_cancellations: value.get("shard_cancellations")?.as_num()? as usize,
@@ -812,11 +790,6 @@ mod tests {
             sweep_overhead_ratio: 0.976,
             sweep_parallel_per_second: 640.0,
             sweep_speedup: 3.12,
-            enum_reference_per_second: 9_000.0,
-            enum_serial_per_second: 8_800.0,
-            enum_overhead_ratio: 0.978,
-            enum_parallel_per_second: 26_000.0,
-            enum_speedup: 2.95,
             shards_executed: 4_096,
             shards_stolen: 1_201,
             shard_cancellations: 0,

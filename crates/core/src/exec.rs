@@ -4,14 +4,12 @@
 //! sequence pays an LLM round-trip plus `opt`/`llvm-mca`/Alive2 verification.
 //! These cases are embarrassingly parallel, so this module provides:
 //!
-//! * a [`std::thread::scope`]-based worker pool ([`parallel_map_ordered`])
-//!   that fans work items out over a chunked queue and reassembles results in
-//!   input order — no extra dependencies, no unsafe code;
-//! * shard-granular scheduling ([`ExecConfig::shard_inputs`], on by
-//!   default): each case decomposes into stealable Stage-3 sweep shards of
-//!   [`ExecConfig::shard_size`] inputs on the work-stealing
-//!   [`crate::shard::ShardRuntime`], so a batch dominated by one huge case
-//!   still scales with `--jobs` (idle workers steal that case's shards);
+//! * shard-granular scheduling on the work-stealing
+//!   [`crate::shard::ShardRuntime`] — the one worker pool of the workspace:
+//!   workers pull whole cases off a cursor, each case decomposes into
+//!   stealable Stage-3 sweep shards of [`ExecConfig::shard_size`] inputs, so
+//!   a batch dominated by one huge case still scales with `--jobs` (idle
+//!   workers steal that case's shards), and results come back in input order;
 //! * a structural-hash dedup cache ([`DedupPlan`], keyed on
 //!   [`lpo_ir::hash::hash_function`]) so a sequence that appears several times
 //!   in a corpus is prompted and verified exactly once, with every duplicate
@@ -44,12 +42,11 @@ use lpo_ir::function::Function;
 use lpo_ir::hash::{hash_function, Digest};
 use lpo_llm::model::ModelFactory;
 use lpo_store::{StoreStats, VerdictStore};
-use lpo_tv::prelude::{input_count, EvalArena};
+use lpo_tv::prelude::input_count;
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// The default Stage-3 sweep shard size, in inputs. Matches the plane
@@ -64,10 +61,6 @@ pub struct ExecConfig {
     /// Whether structurally identical sequences are collapsed into one
     /// prompted/verified case plus cache replays. On by default.
     pub dedup: bool,
-    /// Whether cases decompose into stealable input-sweep shards (the
-    /// work-stealing scheduler of [`crate::shard`]). On by default; off
-    /// reverts to the case-granular chunked pool.
-    pub shard_inputs: bool,
     /// Inputs per Stage-3 sweep shard ([`usize::MAX`] = one shard per
     /// survivor, i.e. sharding without splitting). Clamped to at least 1.
     pub shard_size: usize,
@@ -75,7 +68,7 @@ pub struct ExecConfig {
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        Self { jobs: 0, dedup: true, shard_inputs: true, shard_size: DEFAULT_SHARD_SIZE }
+        Self { jobs: 0, dedup: true, shard_size: DEFAULT_SHARD_SIZE }
     }
 }
 
@@ -90,12 +83,14 @@ impl ExecConfig {
         Self { jobs, ..Self::default() }
     }
 
-    /// Resolves `jobs` to a concrete worker count for `work` items.
+    /// Resolves `jobs` to a concrete worker count for `work` items — the one
+    /// place `0` (= auto) becomes a core count, for the engine and for every
+    /// other caller of [`ShardRuntime::run_cases`].
     ///
-    /// The engine counts *work units*, not cases: with sharding on, a case
-    /// contributes its estimated shard count ([`shard_work_units`]), so a
-    /// batch of one huge case still resolves to a full pool whose extra
-    /// workers steal that case's shards.
+    /// The engine counts *work units*, not cases: a case contributes its
+    /// estimated shard count ([`shard_work_units`]), so a batch of one huge
+    /// case still resolves to a full pool whose extra workers steal that
+    /// case's shards.
     pub fn effective_jobs(&self, work: usize) -> usize {
         let requested = if self.jobs == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -218,79 +213,6 @@ impl DedupPlan {
     }
 }
 
-/// Runs `f` over every item of `items` on a scoped worker pool and returns
-/// the results in input order.
-///
-/// `f` receives `(index, item)` and must be a pure function of them for the
-/// ordered output to be deterministic. Work is handed out in chunks from an
-/// atomic cursor; `jobs == 1` short-circuits to a plain serial map.
-pub fn parallel_map_ordered<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_ordered_with(items, jobs, || (), |(), index, item| f(index, item))
-}
-
-/// [`parallel_map_ordered`] with per-worker scratch state.
-///
-/// `init` runs once on each worker thread (and once for the serial
-/// short-circuit); the resulting context is passed mutably to every `f` call
-/// that worker executes. This is how each worker owns exactly one reusable
-/// [`lpo_tv::prelude::EvalArena`] for the verification hot path — the scratch
-/// state must not influence results (it is reset per use), or determinism
-/// across `--jobs` values breaks.
-pub fn parallel_map_ordered_with<T, R, C, I, F>(items: &[T], jobs: usize, init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, usize, &T) -> R + Sync,
-{
-    let jobs = jobs.min(items.len()).max(1);
-    if jobs == 1 {
-        let mut context = init();
-        return items.iter().enumerate().map(|(i, item)| f(&mut context, i, item)).collect();
-    }
-
-    // Hand out contiguous chunks so neighbouring (usually similar-sized)
-    // cases share a grab, amortizing the atomic and lock traffic: workers
-    // buffer a chunk's results locally and store them under one short lock.
-    let chunk = (items.len() / (jobs * 8)).max(1);
-    let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut context = init();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    let end = (start + chunk).min(items.len());
-                    let buffered: Vec<R> = (start..end)
-                        .map(|index| f(&mut context, index, &items[index]))
-                        .collect();
-                    let mut locked = slots.lock().expect("result store poisoned");
-                    for (index, result) in (start..end).zip(buffered) {
-                        locked[index] = Some(result);
-                    }
-                }
-            });
-        }
-    });
-
-    slots
-        .into_inner()
-        .expect("result store poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("worker pool filled every slot"))
-        .collect()
-}
-
 /// The outcome of one engine batch: per-case reports in input order, their
 /// aggregate summary, and the execution statistics.
 #[derive(Clone, Debug)]
@@ -363,10 +285,10 @@ pub const CANCELLED_ERROR: &str = "job cancelled before this case started";
 ///
 /// Each unique sequence gets a fresh session from `factory` (seeded by
 /// `(round, first_occurrence_index)`); duplicates are replayed from the dedup
-/// cache. With [`ExecConfig::shard_inputs`] on, the unit of scheduling is a
-/// *shard*: workers pull whole cases off a cursor, each case's survivor
-/// sweeps fork into stealable input-range shards, and workers out of cases
-/// drain the shard deque for the cases still in flight (see [`crate::shard`]).
+/// cache. The unit of scheduling is a *shard*: workers pull whole cases off
+/// a cursor, each case's survivor sweeps fork into stealable input-range
+/// shards, and workers out of cases drain the shard deque for the cases
+/// still in flight (see [`crate::shard`]).
 pub fn run_batch(
     lpo: &Lpo,
     factory: &dyn ModelFactory,
@@ -441,21 +363,21 @@ pub fn run_batch_hooked(
         .filter(|(_, loaded)| loaded.is_none())
         .map(|(&case_index, _)| case_index)
         .collect();
-    let work = if config.shard_inputs {
-        shard_work_units(lpo, sequences, &pending, shard_size)
-    } else {
-        pending.len()
-    };
-    let jobs = config.effective_jobs(work);
+    let jobs = config.effective_jobs(shard_work_units(lpo, sequences, &pending, shard_size));
     let tv_before = lpo.tv_snapshot();
 
-    // One computed case, fault-isolated: the session spawn and the whole
-    // optimize–verify loop run under `catch_unwind`, and the finished report
-    // is checkpointed before the slot is filled.
-    let run_case = |slot: usize, arena: &mut EvalArena, report_fn: &dyn Fn(&mut EvalArena) -> CaseReport| -> CaseReport {
+    // One computed case per slot, fault-isolated: the session spawn and the
+    // whole optimize–verify loop run under `catch_unwind`, and the finished
+    // report is checkpointed before the slot is filled. Each worker thread
+    // owns one reusable evaluation arena: the register file behind every
+    // concrete evaluation that case's verification runs.
+    let runtime = ShardRuntime::new(jobs, lpo.shard_counters().clone());
+    let driver = RuntimeSweepDriver::new(runtime.clone());
+    let computed: Vec<CaseReport> = runtime.run_cases(unique.len(), |slot, arena| {
+        let case_index = unique[slot];
         if let Some(report) = &loaded[slot] {
             if let Some(observer) = hooks.observer {
-                observer(unique[slot], report, true);
+                observer(case_index, report, true);
             }
             return report.clone();
         }
@@ -466,7 +388,17 @@ pub fn run_batch_hooked(
         let report = if hooks.cancelled() {
             CaseReport::failed(CANCELLED_ERROR.to_string(), 0, case_start.elapsed())
         } else {
-            match catch_unwind(AssertUnwindSafe(|| report_fn(arena))) {
+            let compute = || {
+                let mut session = factory.session(round, case_index as u64);
+                lpo.optimize_sequence_sharded(
+                    session.as_mut(),
+                    &sequences[case_index],
+                    arena,
+                    &driver,
+                    shard_size,
+                )
+            };
+            match catch_unwind(AssertUnwindSafe(compute)) {
                 Ok(report) => report,
                 Err(payload) => CaseReport::failed(
                     format!("case panicked: {}", panic_message(payload.as_ref())),
@@ -477,7 +409,6 @@ pub fn run_batch_hooked(
         };
         if let Some(p) = persist {
             if !report.outcome.is_failed() {
-                let case_index = unique[slot];
                 let digest = hash_function(&sequences[case_index]).0;
                 p.store.record_case(
                     p.run_key,
@@ -487,37 +418,10 @@ pub fn run_batch_hooked(
             }
         }
         if let Some(observer) = hooks.observer {
-            observer(unique[slot], &report, false);
+            observer(case_index, &report, false);
         }
         report
-    };
-
-    // Each worker thread owns one reusable evaluation arena: the register
-    // file behind every concrete evaluation that case's verification runs.
-    let computed: Vec<CaseReport> = if config.shard_inputs {
-        let runtime = ShardRuntime::new(jobs, lpo.shard_counters().clone());
-        let driver = RuntimeSweepDriver::new(runtime.clone());
-        runtime.run_cases(unique.len(), |slot, arena| {
-            run_case(slot, arena, &|arena| {
-                let case_index = unique[slot];
-                let mut session = factory.session(round, case_index as u64);
-                lpo.optimize_sequence_sharded(
-                    session.as_mut(),
-                    &sequences[case_index],
-                    arena,
-                    &driver,
-                    shard_size,
-                )
-            })
-        })
-    } else {
-        parallel_map_ordered_with(unique, jobs, EvalArena::new, |arena, slot, &case_index| {
-            run_case(slot, arena, &|arena| {
-                let mut session = factory.session(round, case_index as u64);
-                lpo.optimize_sequence_in(session.as_mut(), &sequences[case_index], arena)
-            })
-        })
-    };
+    });
 
     // Replay: map each input index to its representative's report. The
     // representative set is exactly `plan.unique_indices()`, in order.
@@ -561,6 +465,8 @@ mod tests {
     use lpo_ir::parser::parse_function;
     use lpo_llm::model::ModelSession;
     use lpo_llm::prelude::{gemini2_0t, SimulatedModelFactory};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
     const CLAMP: &str = "define i8 @src(i32 %0) {\n\
         %2 = icmp slt i32 %0, 0\n\
@@ -596,20 +502,6 @@ mod tests {
             self.sessions.fetch_add(1, Ordering::Relaxed);
             self.inner.session(round, case_index)
         }
-    }
-
-    #[test]
-    fn parallel_map_preserves_input_order() {
-        let items: Vec<usize> = (0..257).collect();
-        for jobs in [1, 3, 8] {
-            let out = parallel_map_ordered(&items, jobs, |i, &x| {
-                assert_eq!(i, x);
-                x * 2
-            });
-            assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        }
-        let empty: Vec<usize> = Vec::new();
-        assert!(parallel_map_ordered(&empty, 4, |_, &x| x).is_empty());
     }
 
     #[test]
@@ -713,13 +605,27 @@ mod tests {
         let lpo = Lpo::new(LpoConfig::default());
         let factory = SimulatedModelFactory::new(gemini2_0t(), 42);
 
+        // The independent oracle: the plain serial walk (`optimize_sequence`,
+        // the unsharded `verify_with` sweep) over each unique case under its
+        // first-occurrence session, duplicates replayed — no engine involved.
+        let plan = DedupPlan::new(&suite, true);
+        let oracle: HashMap<usize, String> = plan
+            .unique_indices()
+            .iter()
+            .map(|&index| {
+                let mut session = factory.session(1, index as u64);
+                (index, lpo.optimize_sequence(session.as_mut(), &suite[index]).fingerprint())
+            })
+            .collect();
+        let oracle_prints: Vec<String> =
+            (0..suite.len()).map(|index| oracle[&plan.representative(index)].clone()).collect();
+
         let serial = run_batch(&lpo, &factory, 1, &suite, &ExecConfig::serial());
         let parallel = run_batch(&lpo, &factory, 1, &suite, &ExecConfig::with_jobs(4));
-        let serial_prints: Vec<String> =
-            serial.reports.iter().map(CaseReport::fingerprint).collect();
-        let parallel_prints: Vec<String> =
-            parallel.reports.iter().map(CaseReport::fingerprint).collect();
-        assert_eq!(serial_prints, parallel_prints);
+        for batch in [&serial, &parallel] {
+            let prints: Vec<String> = batch.reports.iter().map(CaseReport::fingerprint).collect();
+            assert_eq!(prints, oracle_prints);
+        }
         assert_eq!(serial.summary.fingerprint(), parallel.summary.fingerprint());
         assert_eq!(serial.stats.cache_hits, parallel.stats.cache_hits);
         // Jobs resolve against shard work units, not unique cases: the two
@@ -727,14 +633,6 @@ mod tests {
         // workers schedulable.
         assert!(parallel.stats.jobs > parallel.stats.unique_cases.min(4));
         assert_eq!(parallel.stats.jobs, 4);
-
-        // The case-granular engine (sharding off) stays bit-identical too.
-        let unsharded = ExecConfig { shard_inputs: false, ..ExecConfig::with_jobs(4) };
-        let legacy = run_batch(&lpo, &factory, 1, &suite, &unsharded);
-        let legacy_prints: Vec<String> =
-            legacy.reports.iter().map(CaseReport::fingerprint).collect();
-        assert_eq!(legacy_prints, parallel_prints);
-        assert_eq!(legacy.stats.jobs, 2, "2 unique cases bound the case-granular pool");
     }
 
     #[test]
@@ -756,7 +654,7 @@ mod tests {
         let units = shard_work_units(&lpo, &suite, plan.unique_indices(), 256);
         assert_eq!(units, 1 + (65536usize - 16).div_ceil(256));
         assert_eq!(ExecConfig::with_jobs(8).effective_jobs(units), 8);
-        // Sharding off: the same batch is a single work unit.
+        // Counting cases instead would pin the batch to a single worker.
         assert_eq!(ExecConfig::with_jobs(8).effective_jobs(plan.unique_indices().len()), 1);
         // An ∞ shard size degenerates to one spine + one sweep unit per case.
         assert_eq!(shard_work_units(&lpo, &suite, plan.unique_indices(), usize::MAX), 2);

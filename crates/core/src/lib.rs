@@ -38,7 +38,7 @@ pub mod pipeline;
 pub mod report;
 pub mod shard;
 
-pub use exec::{parallel_map_ordered, parallel_map_ordered_with, shard_work_units, BatchHooks, BatchResult, DedupPlan, ExecConfig, ExecStats, Persist, CANCELLED_ERROR, DEFAULT_SHARD_SIZE};
+pub use exec::{shard_work_units, BatchHooks, BatchResult, DedupPlan, ExecConfig, ExecStats, Persist, CANCELLED_ERROR, DEFAULT_SHARD_SIZE};
 pub use interestingness::{is_interesting, InterestVerdict};
 pub use persist::{case_key, store_version, PIPELINE_REVISION};
 pub use pipeline::{Lpo, LpoConfig, TvSnapshot};
@@ -48,7 +48,7 @@ pub use lpo_store::{StoreError, StoreStats, VerdictStore};
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::exec::{parallel_map_ordered, parallel_map_ordered_with, shard_work_units, BatchHooks, BatchResult, DedupPlan, ExecConfig, ExecStats, Persist, CANCELLED_ERROR, DEFAULT_SHARD_SIZE};
+    pub use crate::exec::{shard_work_units, BatchHooks, BatchResult, DedupPlan, ExecConfig, ExecStats, Persist, CANCELLED_ERROR, DEFAULT_SHARD_SIZE};
     pub use crate::interestingness::{is_interesting, InterestVerdict};
     pub use crate::persist::{case_key, store_version, PIPELINE_REVISION};
     pub use crate::pipeline::{Lpo, LpoConfig, TvSnapshot};

@@ -135,7 +135,7 @@ pub struct TvSnapshot {
     pub compile_cache_hits: usize,
     /// Compiles performed (cache misses).
     pub compiles: usize,
-    /// Sweep/enumeration shards executed by the work-stealing scheduler.
+    /// Sweep shards executed by the work-stealing scheduler.
     pub shards_executed: usize,
     /// Executed shards that ran on a worker other than their forker.
     pub shards_stolen: usize,
@@ -272,36 +272,23 @@ impl Lpo {
     }
 
     /// Runs Algorithm 1's inner loop on one wrapped instruction sequence,
-    /// driving one per-case model session.
-    ///
-    /// Convenience wrapper over [`optimize_sequence_in`](Self::optimize_sequence_in)
-    /// with a throwaway evaluation arena; the execution engine gives each
-    /// worker thread one long-lived arena instead.
-    pub fn optimize_sequence(&self, model: &mut dyn ModelSession, source: &Function) -> CaseReport {
-        self.optimize_sequence_in(model, source, &mut EvalArena::new())
-    }
-
-    /// [`optimize_sequence`](Self::optimize_sequence) with an explicit
-    /// evaluation arena (the reusable register file every concrete
-    /// evaluation of this case runs on).
+    /// driving one per-case model session, with a throwaway evaluation arena
+    /// and the serial Stage-3 sweep — the walk the engine's determinism
+    /// tests use as their oracle.
     ///
     /// The translation-validation stage keeps one [`SourceCache`] for the
     /// whole case: test inputs are generated once per signature and the
     /// source function is evaluated once per input, no matter how many
     /// candidate rewrites the feedback loop verifies.
-    pub fn optimize_sequence_in(
-        &self,
-        model: &mut dyn ModelSession,
-        source: &Function,
-        arena: &mut EvalArena,
-    ) -> CaseReport {
-        self.optimize_sequence_impl(model, source, arena, None)
+    pub fn optimize_sequence(&self, model: &mut dyn ModelSession, source: &Function) -> CaseReport {
+        self.optimize_sequence_impl(model, source, &mut EvalArena::new(), None)
     }
 
-    /// [`optimize_sequence_in`](Self::optimize_sequence_in) with the Stage-3
-    /// survivor sweep decomposed into shards of `shard_size` inputs driven
-    /// through `driver` (the execution engine passes a
-    /// [`crate::shard::RuntimeSweepDriver`] so idle workers steal them).
+    /// [`optimize_sequence`](Self::optimize_sequence) on the worker's
+    /// long-lived evaluation `arena`, with the Stage-3 survivor sweep
+    /// decomposed into shards of `shard_size` inputs driven through `driver`
+    /// (the execution engine passes a [`crate::shard::RuntimeSweepDriver`]
+    /// so idle workers steal them).
     ///
     /// Verdicts, counterexamples and the per-case TV counters other than
     /// `plane_sweeps` are identical to the unsharded path for every driver

@@ -1,14 +1,15 @@
-//! The work-stealing shard scheduler: intra-case parallelism for the
-//! execution engine.
+//! The work-stealing shard scheduler: the workspace's one worker pool, with
+//! intra-case parallelism for the execution engine.
 //!
-//! [`crate::exec`]'s original unit of scheduling was a *case* — one extracted
-//! sequence, optimized and verified end-to-end on one worker. That leaves a
-//! big machine idle whenever the batch is dominated by one huge case (a
-//! 10k-input survivor sweep, a 1500-candidate enumeration). This module makes
+//! Scheduling whole *cases* — one extracted sequence, optimized and verified
+//! end-to-end on one worker — leaves a big machine idle whenever the batch is
+//! dominated by one huge case (a 10k-input survivor sweep). This module makes
 //! the unit of scheduling a **shard**: a case decomposes into an ordered list
-//! of independent work units (Stage-3 input-range [`SweepShard`]s, or
-//! enumeration-frontier chunks), and idle workers steal them from a shared
-//! deque instead of waiting on the per-case cursor.
+//! of independent work units (Stage-3 input-range [`SweepShard`]s), and idle
+//! workers steal them from a shared deque instead of waiting on the per-case
+//! cursor. Callers whose cases fork no shards (the Souper/Minotaur batches,
+//! the benchmark drivers) use [`ShardRuntime::run_cases`] as a plain ordered
+//! parallel map.
 //!
 //! # Topology
 //!
@@ -103,8 +104,8 @@ impl ShardCounters {
     }
 }
 
-/// A queued shard task: type-erased so one deque serves every group (sweep
-/// shards of different candidates, enumeration chunks, …). Tasks are
+/// A queued shard task: type-erased so one deque serves every group (the
+/// sweep shards of different candidates and cases). Tasks are
 /// *leaves*: they never enqueue more work and never block, which is what
 /// makes the owner's help-loop deadlock-free.
 type Task = Box<dyn FnOnce(&mut EvalArena) + Send>;

@@ -11,15 +11,14 @@
 //! See `ARCHITECTURE.md` at the repository root for the workspace crate
 //! graph and where this crate sits in the three-stage verification flow.
 
-use lpo::shard::{ShardCounters, ShardRuntime, ShardSlot, ShardStats};
+use lpo::exec::ExecConfig;
+use lpo::shard::ShardRuntime;
 use lpo_ir::function::Function;
 use lpo_ir::instruction::InstKind;
 use lpo_llm::strategies::{apply_strategy, Strategy};
-use lpo_tv::frozen::FrozenCase;
 use lpo_tv::inputs::InputConfig;
 use lpo_tv::prelude::EvalArena;
 use lpo_tv::refine::{CompileCache, SourceCache, TvConfig};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The result category of one Minotaur run.
@@ -87,56 +86,30 @@ fn crashes_on(func: &Function) -> Option<String> {
 /// Runs the Minotaur baseline over a batch of sequences on `jobs` worker
 /// threads (`0` = available parallelism), returning results in input order.
 ///
-/// Each case is a pure function of `func`, so the output is bit-identical
-/// for every worker count — the same contract as the session engine in
-/// `lpo-core`.
+/// The cases run on the engine's [`ShardRuntime`], each worker reusing one
+/// evaluation arena. Each case is a pure function of `func`, so the output
+/// is bit-identical for every worker count — the same contract as the
+/// session engine in `lpo-core`.
 pub fn superoptimize_batch(functions: &[Function], jobs: usize) -> Vec<MinotaurResult> {
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        jobs
-    }
-    .min(functions.len())
-    .max(1);
+    let jobs = ExecConfig::with_jobs(jobs).effective_jobs(functions.len());
     // One compiled-function cache per batch (template instantiations repeat
     // structurally across similar cases); hits only save wall-clock time,
     // never change outcomes, so jobs-invariance holds.
     let cache = CompileCache::new();
-    if jobs == 1 {
-        return functions.iter().map(|f| superoptimize_with_cache(f, &cache)).collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let slots: std::sync::Mutex<Vec<Option<MinotaurResult>>> =
-        std::sync::Mutex::new(vec![None; functions.len()]);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if index >= functions.len() {
-                    break;
-                }
-                let result = superoptimize_with_cache(&functions[index], &cache);
-                slots.lock().expect("result store poisoned")[index] = Some(result);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("result store poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("worker pool filled every slot"))
-        .collect()
+    ShardRuntime::new(jobs, Default::default()).run_cases(functions.len(), |index, arena| {
+        scan(&functions[index], &cache, arena)
+    })
 }
 
 /// Runs the Minotaur baseline on one wrapped instruction sequence.
 pub fn superoptimize(func: &Function) -> MinotaurResult {
-    superoptimize_with_cache(func, &CompileCache::new())
+    scan(func, &CompileCache::new(), &mut EvalArena::new())
 }
 
-/// [`superoptimize`] with an explicit compiled-function cache, shared across
-/// a batch by [`superoptimize_batch`]. The cache only affects wall-clock
-/// time, never outcomes.
-pub fn superoptimize_with_cache(func: &Function, compile_cache: &CompileCache) -> MinotaurResult {
+/// The template scan of one case, evaluating on `arena`. The
+/// compiled-function cache is shared across a batch by
+/// [`superoptimize_batch`]; it only affects wall-clock time, never outcomes.
+fn scan(func: &Function, compile_cache: &CompileCache, arena: &mut EvalArena) -> MinotaurResult {
     let start = Instant::now();
     if let Some(reason) = crashes_on(func) {
         return MinotaurResult {
@@ -155,13 +128,12 @@ pub fn superoptimize_with_cache(func: &Function, compile_cache: &CompileCache) -
     // All templates verify against the same source: cache its per-input
     // outcomes and reuse one evaluation arena across the whole scan.
     let case = SourceCache::new(func, minotaur_tv()).with_compile_cache(compile_cache);
-    let mut arena = EvalArena::new();
     let mut templates_tried = 0usize;
     for template in templates() {
         templates_tried += 1;
         if let Some(candidate) = apply_strategy(&template, func) {
             if candidate.instruction_count() <= func.instruction_count()
-                && case.verify_outcome_only(&candidate, &mut arena)
+                && case.verify_outcome_only(&candidate, arena)
             {
                 return MinotaurResult {
                     outcome: Outcome::Found(candidate),
@@ -185,110 +157,6 @@ fn minotaur_tv() -> TvConfig {
     }
 }
 
-/// [`superoptimize_with_cache`] with template verification decomposed into
-/// stealable shards on `runtime`: the template scan instantiates its
-/// (cost-gated) candidates up front, they split into order-preserving chunks
-/// of `shard_size`, idle workers steal and verify them against a frozen
-/// source snapshot, and the first verified candidate *in template order*
-/// wins (a find cancels later chunks). Outcomes and modelled times are
-/// identical to the serial scan for every worker count and shard size — the
-/// serial loop stops at the first verifying template, so `templates_tried`
-/// at that template is what both report.
-fn superoptimize_sharded_in(
-    func: &Function,
-    compile_cache: &Arc<CompileCache>,
-    runtime: &ShardRuntime,
-    shard_size: usize,
-    arena: &mut EvalArena,
-) -> MinotaurResult {
-    let start = Instant::now();
-    if let Some(reason) = crashes_on(func) {
-        return MinotaurResult {
-            outcome: Outcome::Crashed(reason),
-            elapsed: start.elapsed(),
-            modeled: Duration::from_secs(2),
-        };
-    }
-    let mut canonical = func.clone();
-    let _ = lpo_opt::pipeline::Pipeline::default().run(&mut canonical);
-    let func = &canonical;
-
-    // Plan: instantiate every template candidate the serial scan would
-    // verify, tagged with its `templates_tried` counter.
-    let mut templates_tried = 0usize;
-    let mut planned: Vec<(usize, Function)> = Vec::new();
-    for template in templates() {
-        templates_tried += 1;
-        if let Some(candidate) = apply_strategy(&template, func) {
-            if candidate.instruction_count() <= func.instruction_count() {
-                planned.push((templates_tried, candidate));
-            }
-        }
-    }
-
-    let frozen = FrozenCase::freeze(func, &minotaur_tv(), arena);
-    let shard_size = shard_size.max(1);
-    let tasks: Vec<_> = planned
-        .chunks(shard_size)
-        .map(|chunk| {
-            let chunk: Vec<(usize, Function)> = chunk.to_vec();
-            let frozen = frozen.clone();
-            let cache = compile_cache.clone();
-            move |arena: &mut EvalArena| {
-                let find = chunk
-                    .into_iter()
-                    .find(|(_, cand)| frozen.verify_outcome_only(cand, Some(&cache), arena));
-                let cut = find.is_some();
-                (find, cut)
-            }
-        })
-        .collect();
-    let slots = runtime.fork_join(arena, tasks);
-
-    // Ordered merge: the first executed slot carrying a find is the serial
-    // scan's find (every earlier chunk verified nothing).
-    for slot in slots {
-        if let ShardSlot::Executed(Some((tried, candidate))) = slot {
-            return MinotaurResult {
-                outcome: Outcome::Found(candidate),
-                elapsed: start.elapsed(),
-                modeled: Duration::from_secs_f64(3.0 + 2.5 * tried as f64),
-            };
-        }
-    }
-    MinotaurResult {
-        outcome: Outcome::NotFound,
-        elapsed: start.elapsed(),
-        modeled: Duration::from_secs_f64(3.0 + 2.5 * templates_tried as f64),
-    }
-}
-
-/// [`superoptimize_batch`] on the work-stealing shard scheduler: workers
-/// pull whole cases off a cursor, each case's template verification forks
-/// into stealable chunks, and workers out of cases drain the shard deque.
-/// Results are in input order and bit-identical to [`superoptimize_batch`]
-/// for every `jobs`/`shard_size`; also returns the run's shard accounting.
-pub fn superoptimize_batch_sharded(
-    functions: &[Function],
-    jobs: usize,
-    shard_size: usize,
-) -> (Vec<MinotaurResult>, ShardStats) {
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        jobs
-    }
-    .max(1);
-    let cache = Arc::new(CompileCache::new());
-    let counters = Arc::new(ShardCounters::new());
-    let runtime = ShardRuntime::new(jobs, counters);
-    let results = runtime.run_cases(functions.len(), |index, arena| {
-        superoptimize_sharded_in(&functions[index], &cache, &runtime, shard_size, arena)
-    });
-    let stats = runtime.stats();
-    (results, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,39 +170,15 @@ mod tests {
         ];
         let functions: Vec<Function> = texts.iter().map(|t| parse_function(t).unwrap()).collect();
         let serial = superoptimize_batch(&functions, 1);
-        let parallel = superoptimize_batch(&functions, 2);
         assert_eq!(serial.len(), functions.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.outcome, p.outcome);
-            assert_eq!(s.modeled, p.modeled);
-        }
-    }
-
-    #[test]
-    fn sharded_scan_is_as_if_serial() {
-        // A found case, a not-found case, and a crash case — the sharded
-        // reports must match the serial ones for every jobs/shard-size.
-        let texts = [
-            "define i1 @find(i8 %x) {\n %a = xor i8 %x, 12\n %c = icmp eq i8 %a, 5\n ret i1 %c\n}",
-            "define i32 @miss(i32 %x) {\n %a = mul i32 %x, 7\n %b = add i32 %a, %x\n ret i32 %b\n}",
-            "define i1 @crash(double %0) {\n\
-             %2 = fcmp ord double %0, 0.000000e+00\n\
-             %3 = select i1 %2, double %0, double 0.000000e+00\n\
-             %4 = fcmp oeq double %3, 1.000000e+00\n\
-             ret i1 %4\n}",
-        ];
-        let functions: Vec<Function> = texts.iter().map(|t| parse_function(t).unwrap()).collect();
-        let serial = superoptimize_batch(&functions, 1);
-        assert!(serial[0].found());
-        assert_eq!(serial[1].outcome, Outcome::NotFound);
-        assert!(matches!(serial[2].outcome, Outcome::Crashed(_)));
-        for jobs in [1, 3] {
-            for shard_size in [1, 2, usize::MAX] {
-                let (sharded, _) = superoptimize_batch_sharded(&functions, jobs, shard_size);
-                for (s, p) in serial.iter().zip(&sharded) {
-                    assert_eq!(s.outcome, p.outcome, "jobs {jobs}, shard {shard_size}");
-                    assert_eq!(s.modeled, p.modeled, "jobs {jobs}, shard {shard_size}");
-                }
+        // `0` resolves to the host's cores and more jobs than cases clamp to
+        // one worker per case; neither may change a result.
+        for jobs in [0, 2, functions.len() + 5] {
+            let parallel = superoptimize_batch(&functions, jobs);
+            assert_eq!(parallel.len(), functions.len());
+            for (s, p) in serial.iter().zip(&parallel) {
+                assert_eq!(s.outcome, p.outcome, "jobs {jobs}");
+                assert_eq!(s.modeled, p.modeled, "jobs {jobs}");
             }
         }
     }

@@ -44,6 +44,7 @@ use lpo_llm::fault::{FaultPolicy, FaultPolicyFactory};
 use lpo_llm::model::ModelFactory;
 use lpo_llm::profiles::{by_name, ModelProfile};
 use lpo_llm::simulated::SimulatedModelFactory;
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -190,9 +191,11 @@ struct Shared {
     counters: Counters,
     start: Instant,
     shutdown: AtomicBool,
-    /// Clones of every accepted connection, closed on shutdown so blocked
-    /// readers unwind.
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of every open connection, keyed by connection id, closed on
+    /// shutdown so blocked readers unwind. A connection's entry leaves when
+    /// its handler returns, so the registry holds one descriptor per *live*
+    /// connection.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     active: Mutex<usize>,
     active_cv: Condvar,
 }
@@ -236,7 +239,7 @@ impl Server {
             counters: Counters::default(),
             start: Instant::now(),
             shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             active: Mutex::new(0),
             active_cv: Condvar::new(),
         });
@@ -257,6 +260,7 @@ impl Server {
     /// connection thread to unwind before returning.
     pub fn run(self) -> std::io::Result<()> {
         let Server { listener, shared } = self;
+        let mut next_conn = 0u64;
         loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
@@ -275,13 +279,16 @@ impl Server {
                 break;
             }
             let _ = stream.set_nodelay(true);
+            let conn = next_conn;
+            next_conn += 1;
             if let Ok(clone) = stream.try_clone() {
-                shared.conns.lock().expect("registry poisoned").push(clone);
+                shared.conns.lock().expect("registry poisoned").insert(conn, clone);
             }
             *shared.active.lock().expect("active count poisoned") += 1;
             let conn_shared = shared.clone();
             std::thread::spawn(move || {
                 handle_connection(&conn_shared, stream);
+                conn_shared.conns.lock().expect("registry poisoned").remove(&conn);
                 let mut active = conn_shared.active.lock().expect("active count poisoned");
                 *active -= 1;
                 conn_shared.active_cv.notify_all();
@@ -299,7 +306,7 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Unwind every blocked connection reader.
-        for conn in self.conns.lock().expect("registry poisoned").drain(..) {
+        for (_, conn) in self.conns.lock().expect("registry poisoned").drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         // Unblock the acceptor.
@@ -675,6 +682,49 @@ mod tests {
         // A different workload maps to a different namespace.
         let fewer = &functions[..functions.len() - 1];
         assert_ne!(a, run_key(&submit, fewer));
+    }
+
+    /// Open descriptors of this process.
+    #[cfg(target_os = "linux")]
+    fn open_fds() -> usize {
+        std::fs::read_dir("/proc/self/fd").expect("procfs").count()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn short_connections_release_their_descriptors() {
+        use crate::client::ServeClient;
+
+        let server =
+            Server::bind("127.0.0.1:0", ServeConfig::default(), Arc::new(VerdictStore::in_memory()))
+                .expect("bind loopback server");
+        let addr = server.local_addr().to_string();
+        let shared = server.shared.clone();
+        let server_thread = std::thread::spawn(move || server.run());
+        let baseline = open_fds();
+
+        // Every stats reply comes from an accepted, counted connection.
+        for _ in 0..200 {
+            let mut client = ServeClient::connect(&addr).expect("connect");
+            client.stats().expect("stats round-trip");
+        }
+        // Each handler exits once it reads its client's EOF; wait for all.
+        let active = shared.active.lock().expect("active count poisoned");
+        let (active, wait) = shared
+            .active_cv
+            .wait_timeout_while(active, Duration::from_secs(10), |active| *active > 0)
+            .expect("active count poisoned");
+        assert!(!wait.timed_out(), "{} connection handlers never exited", *active);
+        drop(active);
+
+        let open = open_fds();
+        assert!(
+            open <= baseline + 8,
+            "200 closed connections left {open} descriptors open ({baseline} before)"
+        );
+
+        ServeClient::connect(&addr).expect("connect").shutdown().expect("shutdown");
+        server_thread.join().expect("server thread").expect("server run");
     }
 
     #[test]

@@ -23,17 +23,16 @@
 //! See `ARCHITECTURE.md` at the repository root for the workspace crate
 //! graph and where this crate sits in the three-stage verification flow.
 
-use lpo::shard::{ShardCounters, ShardRuntime, ShardSlot, ShardStats};
+use lpo::exec::ExecConfig;
+use lpo::shard::ShardRuntime;
 use lpo_ir::apint::ApInt;
 use lpo_ir::flags::IntFlags;
 use lpo_ir::function::Function;
 use lpo_ir::instruction::{BinOp, ICmpPred, InstKind, Instruction, Value};
 use lpo_ir::types::Type;
-use lpo_tv::frozen::FrozenCase;
 use lpo_tv::inputs::InputConfig;
 use lpo_tv::prelude::EvalArena;
 use lpo_tv::refine::{CompileCache, SourceCache, TvConfig};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of a Souper run.
@@ -172,65 +171,40 @@ fn modeled_seconds_per_candidate(enum_depth: u32) -> f64 {
 /// Runs the superoptimizer over a batch of sequences on `jobs` worker
 /// threads (`0` = available parallelism), returning results in input order.
 ///
-/// Each case is a pure function of `(func, config)`, so the output is
-/// bit-identical for every worker count — the same contract as the session
-/// engine in `lpo-core`, which is what lets the Table 4 drivers run the
-/// baselines and LPO side by side in parallel.
+/// The cases run on the engine's [`ShardRuntime`], each worker reusing one
+/// evaluation arena. Each case is a pure function of `(func, config)`, so
+/// the output is bit-identical for every worker count — the same contract
+/// as the session engine in `lpo-core`, which is what lets the Table 4
+/// drivers run the baselines and LPO side by side in parallel.
 pub fn superoptimize_batch(
     functions: &[Function],
     config: &SouperConfig,
     jobs: usize,
 ) -> Vec<SouperResult> {
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        jobs
-    }
-    .min(functions.len())
-    .max(1);
+    let jobs = ExecConfig::with_jobs(jobs).effective_jobs(functions.len());
     // One compiled-function cache per batch: candidates that survive the
     // verifier's probe (leaf replacements like `ret %x` recur across every
     // case of a matching signature) compile once for the whole pool. Cache
     // hits cannot change outcomes, so the jobs-invariance contract holds.
     let cache = CompileCache::new();
-    if jobs == 1 {
-        return functions.iter().map(|f| superoptimize_with_cache(f, config, &cache)).collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let slots: std::sync::Mutex<Vec<Option<SouperResult>>> =
-        std::sync::Mutex::new(vec![None; functions.len()]);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if index >= functions.len() {
-                    break;
-                }
-                let result = superoptimize_with_cache(&functions[index], config, &cache);
-                slots.lock().expect("result store poisoned")[index] = Some(result);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("result store poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("worker pool filled every slot"))
-        .collect()
+    ShardRuntime::new(jobs, Default::default()).run_cases(functions.len(), |index, arena| {
+        search(&functions[index], config, &cache, arena)
+    })
 }
 
 /// Runs the superoptimizer on one wrapped instruction sequence.
 pub fn superoptimize(func: &Function, config: &SouperConfig) -> SouperResult {
-    superoptimize_with_cache(func, config, &CompileCache::new())
+    search(func, config, &CompileCache::new(), &mut EvalArena::new())
 }
 
-/// [`superoptimize`] with an explicit compiled-function cache, shared across
-/// a batch by [`superoptimize_batch`]. The cache only affects wall-clock
-/// time, never outcomes.
-pub fn superoptimize_with_cache(
+/// The enumerative search of one case, evaluating on `arena`. The
+/// compiled-function cache is shared across a batch by
+/// [`superoptimize_batch`]; it only affects wall-clock time, never outcomes.
+fn search(
     func: &Function,
     config: &SouperConfig,
     compile_cache: &CompileCache,
+    arena: &mut EvalArena,
 ) -> SouperResult {
     let start = Instant::now();
     if let Some(reason) = unsupported_reason(func) {
@@ -255,7 +229,6 @@ pub fn superoptimize_with_cache(
     // inputs and the source's per-input outcomes are computed exactly once,
     // and every evaluation reuses one register-file arena.
     let case = SourceCache::new(func, quick_tv()).with_compile_cache(compile_cache);
-    let mut arena = EvalArena::new();
     let original_cost = func.instruction_count();
     let mut tried = 0usize;
 
@@ -317,7 +290,7 @@ pub fn superoptimize_with_cache(
                 scratch
             }
         };
-        if case.verify_outcome_only(replacement, &mut arena) {
+        if case.verify_outcome_only(replacement, arena) {
             return finish(start, Outcome::Found(replacement.clone()), tried, config, Some(0));
         }
     }
@@ -358,7 +331,7 @@ pub fn superoptimize_with_cache(
                             }
                         };
                         if candidate.instruction_count() < original_cost
-                            && case.verify_outcome_only(candidate, &mut arena)
+                            && case.verify_outcome_only(candidate, arena)
                         {
                             return finish(start, Outcome::Found(candidate.clone()), tried, config, Some(1));
                         }
@@ -405,7 +378,7 @@ pub fn superoptimize_with_cache(
                                 a_ty,
                             );
                             if scratch_cost < original_cost
-                                && case.verify_outcome_only(&scratch, &mut arena)
+                                && case.verify_outcome_only(&scratch, arena)
                             {
                                 return finish(start, Outcome::Found(scratch.clone()), tried, config, Some(level + 1));
                             }
@@ -439,302 +412,6 @@ fn finish(
         _ => modeled_time(tried, config).min(config.timeout),
     };
     SouperResult { outcome, elapsed: start.elapsed(), modeled, candidates_tried: tried, found_at_depth }
-}
-
-/// One verification-worthy candidate the enumeration planner produced: the
-/// serial search's `tried` counter at the moment it would have verified this
-/// candidate, the synthesis depth it would report, and the candidate itself.
-#[derive(Clone, Debug)]
-struct PlannedCandidate {
-    tried: usize,
-    depth: u32,
-    func: Function,
-}
-
-/// Where the enumeration walk stopped when no candidate verifies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WalkEnd {
-    /// The space was exhausted after `tried` enumerations.
-    Exhausted { tried: usize },
-    /// The budget or the modelled timeout hit after `tried` enumerations.
-    Timeout { tried: usize },
-}
-
-/// The planner's output: the depth-ordered candidate list and the walk's
-/// terminal state.
-struct EnumPlan {
-    candidates: Vec<PlannedCandidate>,
-    end: WalkEnd,
-}
-
-/// Walks the enumeration space of [`superoptimize_with_cache`] *without
-/// verifying*, recording every candidate the serial search would hand to the
-/// verifier (type- and cost-gated sites only) together with the `tried`
-/// counter at that point.
-///
-/// # The as-if-serial contract
-///
-/// This function must mirror the serial search's control flow **exactly** —
-/// same enumeration order, same `tried` increments, same budget/timeout
-/// check placement, same frontier construction — because the sharded search
-/// reports `candidates_tried`/`modeled`/`found_at_depth` from the recorded
-/// counters as if the serial loop had stopped at the first verifying
-/// candidate. Budget and timeout are pure functions of `tried`, so the
-/// planner stops at precisely the serial stop point; the only divergence is
-/// that the serial loop early-exits on a verified find, which can only
-/// truncate the walk *after* the first find — candidates planned beyond it
-/// never affect the first-find-in-order merge. The
-/// `sharded_search_is_as_if_serial` test enforces lockstep.
-fn plan_candidates(func: &Function, config: &SouperConfig) -> EnumPlan {
-    let original_cost = func.instruction_count();
-    let mut tried = 0usize;
-    let mut candidates: Vec<PlannedCandidate> = Vec::new();
-
-    let mut pool: Vec<Value> = (0..func.params.len()).map(Value::Arg).collect();
-    let mut constants: Vec<ApInt> = Vec::new();
-    let ret_ty = func.ret_ty.clone();
-    if let Some(width) = ret_ty.int_width() {
-        constants.extend([ApInt::zero(width), ApInt::one(width), ApInt::all_ones(width)]);
-    }
-    for (_, inst) in func.iter_insts() {
-        for op in inst.kind.operands() {
-            if let Value::Const(c) = op {
-                if let Some(v) = c.as_int() {
-                    if !constants.contains(v) {
-                        constants.push(*v);
-                    }
-                }
-            }
-        }
-    }
-    let base_constants = constants.clone();
-    for a in &base_constants {
-        for b in &base_constants {
-            if a.width() != b.width() {
-                continue;
-            }
-            for derived in [a.xor(b), a.add(b), a.sub(b), b.sub(a)] {
-                if !constants.contains(&derived) && constants.len() < 24 {
-                    constants.push(derived);
-                }
-            }
-        }
-    }
-
-    let mut leaf_candidates: Vec<Value> = pool.clone();
-    for c in &constants {
-        if Some(c.width()) == ret_ty.int_width() {
-            leaf_candidates.push(Value::Const(lpo_ir::constant::Constant::Int(*c)));
-        }
-    }
-    let mut leaf_scratch: Option<Function> = None;
-    for candidate in &leaf_candidates {
-        tried += 1;
-        if func.value_type(candidate) != ret_ty || original_cost == 0 {
-            continue;
-        }
-        let replacement = match &mut leaf_scratch {
-            slot @ None => slot.insert(leaf_function(func, candidate.clone())),
-            Some(scratch) => {
-                let ret_id = *scratch.block(scratch.entry()).insts.last().expect("leaf has a ret");
-                scratch.set_operand(ret_id, 0, candidate.clone());
-                scratch
-            }
-        };
-        candidates.push(PlannedCandidate { tried, depth: 0, func: replacement.clone() });
-    }
-
-    if config.enum_depth >= 1 {
-        pool.truncate(4);
-        let widths: Vec<Value> = pool.clone();
-        let const_values: Vec<Value> = constants
-            .iter()
-            .map(|c| Value::Const(lpo_ir::constant::Constant::Int(*c)))
-            .collect();
-        if ret_ty == Type::i1() {
-            let mut icmp_scratch: Option<Function> = None;
-            for pred in ICmpPred::ALL {
-                for a in &widths {
-                    for b in widths.iter().chain(const_values.iter()) {
-                        tried += 1;
-                        if tried >= config.candidate_budget || modeled_time(tried, config) > config.timeout {
-                            return EnumPlan { candidates, end: WalkEnd::Timeout { tried } };
-                        }
-                        if func.value_type(a) != func.value_type(b) || !func.value_type(a).is_int() {
-                            continue;
-                        }
-                        let candidate = match &mut icmp_scratch {
-                            slot @ None => slot.insert(icmp_function(func, pred, a.clone(), b.clone())),
-                            Some(scratch) => {
-                                let cmp_id = scratch.block(scratch.entry()).insts[0];
-                                scratch.set_inst_kind(
-                                    cmp_id,
-                                    InstKind::ICmp { pred, lhs: a.clone(), rhs: b.clone() },
-                                    Type::i1(),
-                                );
-                                scratch
-                            }
-                        };
-                        if candidate.instruction_count() < original_cost {
-                            candidates.push(PlannedCandidate { tried, depth: 1, func: candidate.clone() });
-                        }
-                    }
-                }
-            }
-        }
-        const FRONTIER_CAP: usize = 256;
-        let mut frontier: Vec<Function> = vec![skeleton(func)];
-        for level in 0..config.enum_depth {
-            let mut next = Vec::new();
-            for base in &frontier {
-                let (mut scratch, synth_id) = extension_scratch(base, &ret_ty);
-                let scratch_cost = scratch.instruction_count();
-                for op in BinOp::ALL {
-                    let synthesized = synth_values(base);
-                    for a in widths.iter().chain(const_values.iter()).chain(synthesized.iter()) {
-                        for b in widths.iter().chain(const_values.iter()) {
-                            if tried >= config.candidate_budget {
-                                return EnumPlan { candidates, end: WalkEnd::Timeout { tried } };
-                            }
-                            let a_ty = base.value_type(a);
-                            if a_ty != base.value_type(b) || !a_ty.is_int() || a_ty != ret_ty {
-                                continue;
-                            }
-                            tried += 1;
-                            if modeled_time(tried, config) > config.timeout {
-                                return EnumPlan { candidates, end: WalkEnd::Timeout { tried } };
-                            }
-                            scratch.set_inst_kind(
-                                synth_id,
-                                InstKind::Binary {
-                                    op,
-                                    lhs: a.clone(),
-                                    rhs: b.clone(),
-                                    flags: IntFlags::none(),
-                                },
-                                a_ty,
-                            );
-                            if scratch_cost < original_cost {
-                                candidates.push(PlannedCandidate {
-                                    tried,
-                                    depth: level + 1,
-                                    func: scratch.clone(),
-                                });
-                            }
-                            if next.len() < FRONTIER_CAP {
-                                next.push(scratch.clone());
-                            }
-                        }
-                    }
-                }
-            }
-            frontier = next;
-        }
-    }
-
-    EnumPlan { candidates, end: WalkEnd::Exhausted { tried } }
-}
-
-/// [`superoptimize_with_cache`] with the candidate verification decomposed
-/// into stealable shards on `runtime`: the enumeration planner walks the
-/// space up front, the planned candidates split into depth-ordered chunks of
-/// `shard_size`, idle workers steal and verify them against a frozen source
-/// snapshot, and the first verified candidate *in plan order* wins (a find
-/// cancels later chunks). Outcome, `candidates_tried`, `modeled` and
-/// `found_at_depth` are identical to the serial search for every worker
-/// count and shard size.
-fn superoptimize_sharded_in(
-    func: &Function,
-    config: &SouperConfig,
-    compile_cache: &Arc<CompileCache>,
-    runtime: &ShardRuntime,
-    shard_size: usize,
-    arena: &mut EvalArena,
-) -> SouperResult {
-    let start = Instant::now();
-    if let Some(reason) = unsupported_reason(func) {
-        return SouperResult {
-            outcome: Outcome::Unsupported(reason),
-            elapsed: start.elapsed(),
-            modeled: Duration::from_millis(400),
-            candidates_tried: 0,
-            found_at_depth: None,
-        };
-    }
-    let mut canonical = func.clone();
-    let _ = lpo_opt::pipeline::Pipeline::default().run(&mut canonical);
-    let func = &canonical;
-
-    let plan = plan_candidates(func, config);
-    let frozen = FrozenCase::freeze(func, &quick_tv(), arena);
-
-    let mut chunks: Vec<Vec<PlannedCandidate>> = Vec::new();
-    let mut rest: &[PlannedCandidate] = &plan.candidates;
-    let shard_size = shard_size.max(1);
-    while !rest.is_empty() {
-        let (chunk, tail) = rest.split_at(shard_size.min(rest.len()));
-        chunks.push(chunk.to_vec());
-        rest = tail;
-    }
-
-    let tasks: Vec<_> = chunks
-        .into_iter()
-        .map(|chunk| {
-            let frozen = frozen.clone();
-            let cache = compile_cache.clone();
-            move |arena: &mut EvalArena| {
-                let find = chunk
-                    .into_iter()
-                    .find(|cand| frozen.verify_outcome_only(&cand.func, Some(&cache), arena));
-                let cut = find.is_some();
-                (find, cut)
-            }
-        })
-        .collect();
-    let slots = runtime.fork_join(arena, tasks);
-
-    // Ordered merge: the first executed slot carrying a find is the serial
-    // search's find (every earlier chunk verified nothing).
-    for slot in slots {
-        if let ShardSlot::Executed(Some(cand)) = slot {
-            return finish(start, Outcome::Found(cand.func), cand.tried, config, Some(cand.depth));
-        }
-    }
-    match plan.end {
-        WalkEnd::Exhausted { tried } => finish(start, Outcome::NotFound, tried, config, None),
-        WalkEnd::Timeout { tried } => finish(start, Outcome::Timeout, tried, config, None),
-    }
-}
-
-/// [`superoptimize_batch`] on the work-stealing shard scheduler: workers
-/// pull whole cases off a cursor, each case's candidate verification forks
-/// into stealable chunks, and workers out of cases drain the shard deque —
-/// one huge enumeration no longer serializes the batch. Results are in
-/// input order and bit-identical to [`superoptimize_batch`] (the internal
-/// `plan_candidates` mirrors the serial walk's control flow exactly) for
-/// every `jobs`/`shard_size`.
-///
-/// Also returns the run's shard accounting for the drivers' footers.
-pub fn superoptimize_batch_sharded(
-    functions: &[Function],
-    config: &SouperConfig,
-    jobs: usize,
-    shard_size: usize,
-) -> (Vec<SouperResult>, ShardStats) {
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        jobs
-    }
-    .max(1);
-    let cache = Arc::new(CompileCache::new());
-    let counters = Arc::new(ShardCounters::new());
-    let runtime = ShardRuntime::new(jobs, counters);
-    let results = runtime.run_cases(functions.len(), |index, arena| {
-        superoptimize_sharded_in(&functions[index], config, &cache, &runtime, shard_size, arena)
-    });
-    let stats = runtime.stats();
-    (results, stats)
 }
 
 /// A function that just returns `value`.
@@ -822,57 +499,24 @@ mod tests {
         let mut config = SouperConfig::with_enum(1);
         config.candidate_budget = 400;
         let serial = superoptimize_batch(&functions, &config, 1);
-        let parallel = superoptimize_batch(&functions, &config, 3);
         assert_eq!(serial.len(), functions.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.outcome, p.outcome);
-            assert_eq!(s.candidates_tried, p.candidates_tried);
-            assert_eq!(s.modeled, p.modeled);
+        // `0` resolves to the host's cores and more jobs than cases clamp to
+        // one worker per case; neither may change a result.
+        for jobs in [0, 3, functions.len() + 5] {
+            let parallel = superoptimize_batch(&functions, &config, jobs);
+            assert_eq!(parallel.len(), functions.len());
+            for (s, p) in serial.iter().zip(&parallel) {
+                assert_eq!(s.outcome, p.outcome, "jobs {jobs}");
+                assert_eq!(s.candidates_tried, p.candidates_tried, "jobs {jobs}");
+                assert_eq!(s.modeled, p.modeled, "jobs {jobs}");
+                assert_eq!(s.found_at_depth, p.found_at_depth, "jobs {jobs}");
+            }
         }
     }
 
     fn run(text: &str, enum_depth: u32) -> SouperResult {
         let f = parse_function(text).unwrap();
         superoptimize(&f, &SouperConfig::with_enum(enum_depth))
-    }
-
-    #[test]
-    fn sharded_search_is_as_if_serial() {
-        // One case per terminal shape: a depth-0 find, a depth-1 icmp find,
-        // an exhausted search, and a budget timeout — the sharded reports
-        // must match the serial ones field for field, for every worker count
-        // and shard size.
-        let texts = [
-            "define i8 @leaf(i8 %x) {\n\
-             %a = and i8 %x, 15\n %b = and i8 %x, -16\n %o = or i8 %a, %b\n ret i8 %o\n}",
-            "define i1 @cmp(i8 %x) {\n\
-             %a = xor i8 %x, 12\n %c = icmp eq i8 %a, 5\n ret i1 %c\n}",
-            "define i32 @none(i32 %x, i32 %y) {\n\
-             %a = add i32 %x, %y\n %b = mul i32 %a, 3\n %c = sub i32 %b, %y\n ret i32 %c\n}",
-            "define i64 @deep(i64 %x, i64 %y, i64 %z) {\n\
-             %a = mul i64 %x, %y\n %b = add i64 %a, %z\n %c = xor i64 %b, %x\n ret i64 %c\n}",
-        ];
-        let functions: Vec<Function> = texts.iter().map(|t| parse_function(t).unwrap()).collect();
-        let mut config = SouperConfig::with_enum(2);
-        config.candidate_budget = 600;
-        let serial = superoptimize_batch(&functions, &config, 1);
-        assert!(serial[0].found() && serial[0].found_at_depth == Some(0));
-        assert!(serial[1].found() && serial[1].found_at_depth == Some(1));
-        assert!(!serial[2].found());
-        assert_eq!(serial[3].outcome, Outcome::Timeout);
-
-        for jobs in [1, 3] {
-            for shard_size in [1, 7, 64, usize::MAX] {
-                let (sharded, _) = superoptimize_batch_sharded(&functions, &config, jobs, shard_size);
-                assert_eq!(sharded.len(), serial.len());
-                for (s, p) in serial.iter().zip(&sharded) {
-                    assert_eq!(s.outcome, p.outcome, "jobs {jobs}, shard {shard_size}");
-                    assert_eq!(s.candidates_tried, p.candidates_tried, "jobs {jobs}, shard {shard_size}");
-                    assert_eq!(s.modeled, p.modeled, "jobs {jobs}, shard {shard_size}");
-                    assert_eq!(s.found_at_depth, p.found_at_depth, "jobs {jobs}, shard {shard_size}");
-                }
-            }
-        }
     }
 
     #[test]

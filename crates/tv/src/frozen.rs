@@ -1,7 +1,7 @@
 //! Thread-shareable snapshots of a verification case, and the shard
 //! decomposition of the Stage-3 survivor sweep.
 //!
-//! The per-case [`SourceCache`] is deliberately
+//! The per-case [`SourceCache`](crate::refine::SourceCache) is deliberately
 //! single-threaded (`Cell`/`RefCell`/`Rc` state, lazily filled): it lives on
 //! one worker and fills source outcomes in input order as candidates walk
 //! them. That layout is what makes the *per-case* engine fast — but it also
@@ -34,10 +34,10 @@
 
 use crate::inputs::TestInput;
 use crate::refine::{
-    dense_table, refutation, CompileCache, DenseOutcomes, Refutation, SourceCache, SourceOutcome,
-    TargetOutcome, TvConfig, PLANE_LANES, STEP_LIMIT, SWEEP_LANES,
+    dense_table, refutation, DenseOutcomes, Refutation, SourceOutcome, TargetOutcome,
+    PLANE_LANES, STEP_LIMIT, SWEEP_LANES,
 };
-use lpo_interp::compiled::{evaluate_direct, CompiledFunction, EvalArena};
+use lpo_interp::compiled::{CompiledFunction, EvalArena};
 use lpo_interp::value::EvalValue;
 use lpo_ir::function::Function;
 use std::sync::Arc;
@@ -45,11 +45,12 @@ use std::sync::Arc;
 /// An immutable, `Send + Sync` snapshot of one verification case: the source
 /// function, its generated test inputs, and the source's outcome on **every**
 /// input (fully materialized, unlike the lazily filled
-/// [`SourceCache`]). Cloning is an `Arc` bump.
+/// [`SourceCache`](crate::refine::SourceCache)). Cloning is an `Arc` bump.
 ///
-/// Freezing evaluates any source inputs no candidate has reached yet, in
-/// input order — so a frozen case front-loads the source sweep that the lazy
-/// cache would have paid across candidates. Only probe survivors are worth
+/// Built only by [`SourceCache::frozen_case`](crate::refine::SourceCache::frozen_case),
+/// which evaluates any source inputs no candidate has reached yet, in input
+/// order — so a frozen case front-loads the source sweep that the lazy cache
+/// would have paid across candidates. Only probe survivors are worth
 /// freezing; probe rejects never get here.
 #[derive(Clone)]
 pub struct FrozenCase {
@@ -65,7 +66,6 @@ struct FrozenInner {
     /// shape can't carry it (memory, vectors, wide/void returns).
     dense: Option<DenseOutcomes>,
     plane_sweep: bool,
-    probe_inputs: usize,
 }
 
 fn _frozen_is_send_sync() {
@@ -75,23 +75,12 @@ fn _frozen_is_send_sync() {
 }
 
 impl FrozenCase {
-    /// Freezes a standalone case: generates inputs, evaluates the source on
-    /// all of them, and snapshots the result. Convenience for enumerative
-    /// callers (the superoptimizer baselines) that don't hold a
-    /// [`SourceCache`]; the engine path freezes through
-    /// [`SourceCache::frozen_case`] so the lazy cache and the snapshot share
-    /// one source sweep.
-    pub fn freeze(src: &Function, config: &TvConfig, arena: &mut EvalArena) -> FrozenCase {
-        SourceCache::new(src, config.clone()).frozen_case(arena)
-    }
-
     pub(crate) fn from_parts(
         src: Function,
         inputs: Vec<TestInput>,
         exhaustive: bool,
         outcomes: Vec<SourceOutcome>,
         plane_sweep: bool,
-        probe_inputs: usize,
     ) -> FrozenCase {
         let dense = dense_table(&inputs, outcomes.iter());
         FrozenCase {
@@ -102,7 +91,6 @@ impl FrozenCase {
                 outcomes,
                 dense,
                 plane_sweep,
-                probe_inputs,
             }),
         }
     }
@@ -120,49 +108,6 @@ impl FrozenCase {
     /// Whether the inputs enumerate the whole input space.
     pub fn exhaustive(&self) -> bool {
         self.inner.exhaustive
-    }
-
-    fn signature_matches(&self, tgt: &Function) -> bool {
-        let src = &self.inner.src;
-        src.params.len() == tgt.params.len()
-            && src.params.iter().zip(&tgt.params).all(|(a, b)| a.ty == b.ty)
-            && src.ret_ty == tgt.ret_ty
-    }
-
-    /// Accept/reject verification of one candidate against the frozen case:
-    /// the staged probe → compile → full-range sweep, with the same verdict
-    /// bit as [`SourceCache::verify_outcome_only`]. Runs entirely on
-    /// immutable shared state, so enumeration shards can verify planned
-    /// candidates from any worker thread.
-    pub fn verify_outcome_only(
-        &self,
-        tgt: &Function,
-        cache: Option<&CompileCache>,
-        arena: &mut EvalArena,
-    ) -> bool {
-        if !self.signature_matches(tgt) {
-            return false;
-        }
-        let total = self.inner.inputs.len();
-        let probe_n = self.inner.probe_inputs.min(total);
-        for index in 0..probe_n {
-            let input = &self.inner.inputs[index];
-            let tgt_out =
-                evaluate_direct(tgt, arena, &input.args, input.memory.clone(), STEP_LIMIT)
-                    .map(|o| (o.result, o.memory));
-            if refutation(input, &self.inner.outcomes[index], &tgt_out).is_some() {
-                return false;
-            }
-        }
-        if probe_n == total {
-            return true;
-        }
-        let compiled: Arc<CompiledFunction> = match cache {
-            Some(cache) => cache.get_or_compile(tgt),
-            None => Arc::new(CompiledFunction::compile(tgt)),
-        };
-        let shard = SweepShard::new(self.clone(), compiled, probe_n, total);
-        shard.run(arena).finding.is_none()
     }
 }
 
@@ -333,46 +278,21 @@ impl SweepDriver for SerialDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::refine::Verdict;
+    use crate::refine::{SourceCache, TvConfig, Verdict};
     use lpo_ir::parser::parse_function;
 
-    fn freeze(src: &str) -> (FrozenCase, EvalArena) {
-        let src = parse_function(src).unwrap();
-        let mut arena = EvalArena::new();
-        let case = FrozenCase::freeze(&src, &TvConfig::default(), &mut arena);
-        (case, arena)
+    fn freeze(src: &Function, arena: &mut EvalArena) -> FrozenCase {
+        SourceCache::new(src, TvConfig::default()).frozen_case(arena)
     }
 
     #[test]
     fn frozen_case_materializes_every_outcome() {
-        let (case, _) = freeze("define i8 @s(i8 %x) {\n %r = add i8 %x, 1\n ret i8 %r\n}");
+        let src =
+            parse_function("define i8 @s(i8 %x) {\n %r = add i8 %x, 1\n ret i8 %r\n}").unwrap();
+        let case = freeze(&src, &mut EvalArena::new());
         assert_eq!(case.input_count(), 256);
         assert!(case.exhaustive());
         assert_eq!(case.source().name, "s");
-    }
-
-    #[test]
-    fn frozen_outcome_only_matches_the_source_cache() {
-        let src =
-            parse_function("define i8 @s(i8 %x) {\n %r = mul i8 %x, 2\n ret i8 %r\n}").unwrap();
-        let candidates = [
-            "define i8 @t(i8 %x) {\n %r = shl i8 %x, 1\n ret i8 %r\n}",
-            "define i8 @t(i8 %x) {\n %r = shl i8 %x, 2\n ret i8 %r\n}",
-            "define i8 @t(i8 %x) {\n %r = shl nuw i8 %x, 1\n ret i8 %r\n}",
-            "define i8 @t(i16 %x) {\n %r = trunc i16 %x to i8\n ret i8 %r\n}",
-        ];
-        let mut arena = EvalArena::new();
-        let frozen = FrozenCase::freeze(&src, &TvConfig::default(), &mut arena);
-        let cache = SourceCache::new(&src, TvConfig::default());
-        let shared = CompileCache::new();
-        for text in candidates {
-            let tgt = parse_function(text).unwrap();
-            assert_eq!(
-                frozen.verify_outcome_only(&tgt, Some(&shared), &mut arena),
-                cache.verify_outcome_only(&tgt, &mut arena),
-                "frozen disagreed with the lazy cache on {text}"
-            );
-        }
     }
 
     #[test]
@@ -385,7 +305,7 @@ mod tests {
             parse_function("define i8 @t(i8 %x) {\n %c = icmp slt i8 %x, 0\n %a = add i8 %x, 1\n %b = add i8 %x, 2\n %r = select i1 %c, i8 %b, i8 %a\n ret i8 %r\n}")
                 .unwrap();
         let mut arena = EvalArena::new();
-        let frozen = FrozenCase::freeze(&src, &TvConfig::default(), &mut arena);
+        let frozen = freeze(&src, &mut arena);
         let compiled = Arc::new(CompiledFunction::compile(&tgt));
         let shard_size = 16;
         let total = frozen.input_count();

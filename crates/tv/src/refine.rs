@@ -1035,7 +1035,6 @@ impl<'a> SourceCache<'a> {
             *exhaustive,
             outcomes,
             self.config.plane_sweep,
-            self.config.probe_inputs,
         );
         self.frozen.get_or_init(|| frozen).clone()
     }
@@ -1060,7 +1059,6 @@ impl<'a> SourceCache<'a> {
         arena: &mut EvalArena,
         driver: &dyn SweepDriver,
         shard_size: usize,
-        abstract_refute_shortcut: bool,
     ) -> Result<StagedVerdict, Verdict> {
         self.last_tier.set(None);
         if let Some(error) = self.signature_error(tgt) {
@@ -1069,7 +1067,7 @@ impl<'a> SourceCache<'a> {
         self.candidates.set(self.candidates.get() + 1);
 
         // Stage 3a₀: abstract pre-verification, identical to the serial path.
-        if let Some(verdict) = self.absint_prefilter(tgt, abstract_refute_shortcut) {
+        if let Some(verdict) = self.absint_prefilter(tgt, false) {
             return Ok(verdict);
         }
 
@@ -1153,24 +1151,8 @@ impl<'a> SourceCache<'a> {
         driver: &dyn SweepDriver,
         shard_size: usize,
     ) -> Verdict {
-        let staged = self.verify_staged_sharded(tgt, arena, driver, shard_size, false);
+        let staged = self.verify_staged_sharded(tgt, arena, driver, shard_size);
         self.render_staged(staged)
-    }
-
-    /// [`verify_outcome_only`](Self::verify_outcome_only) with a sharded
-    /// survivor sweep: the accept/reject bit without any counterexample
-    /// rendering.
-    pub fn verify_outcome_only_driver(
-        &self,
-        tgt: &Function,
-        arena: &mut EvalArena,
-        driver: &dyn SweepDriver,
-        shard_size: usize,
-    ) -> bool {
-        matches!(
-            self.verify_staged_sharded(tgt, arena, driver, shard_size, true),
-            Ok(StagedVerdict::Correct { .. })
-        )
     }
 
     /// [`verify_with`](Self::verify_with) minus the diagnostic: returns
@@ -1785,11 +1767,6 @@ mod tests {
                         sharded, serial,
                         "shard size {shard_size} (plane {plane_sweep}) diverged for {text}"
                     );
-                    assert_eq!(
-                        case.verify_outcome_only_driver(&tgt, &mut arena, &SerialDriver, shard_size),
-                        serial.is_correct(),
-                        "outcome-only diverged at shard size {shard_size} for {text}"
-                    );
                 }
             }
         }
@@ -1836,14 +1813,6 @@ mod tests {
         assert_eq!(case.probe_rejects(), 0, "certificate rejections are not probe rejects");
         assert_eq!(case.survivors(), 0);
         assert_eq!(case.last_tier(), Some(VerdictTier::RefutedAbstract));
-
-        // The sharded outcome-only entry point takes the same shortcut.
-        use crate::frozen::SerialDriver;
-        let sharded = SourceCache::new(&src, TvConfig::default());
-        assert!(!sharded.verify_outcome_only_driver(&tgt, &mut arena, &SerialDriver, 64));
-        assert_eq!(sharded.source_eval_count(), 0);
-        assert_eq!(sharded.absint_refuted(), 1);
-        assert_eq!(sharded.last_tier(), Some(VerdictTier::RefutedAbstract));
     }
 
     #[test]

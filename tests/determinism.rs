@@ -10,6 +10,7 @@
 use lpo::prelude::*;
 use lpo_corpus::rq1_suite;
 use lpo_ir::function::Function;
+use lpo_llm::model::ModelFactory;
 use lpo_llm::prelude::{gemini2_0t, llama3_3, SimulatedModelFactory};
 
 /// The rq1 suite plus structural duplicates of a few of its cases, so the
@@ -24,6 +25,27 @@ fn suite_with_duplicates() -> Vec<Function> {
 
 fn fingerprints(batch: &BatchResult) -> (Vec<String>, String) {
     (batch.reports.iter().map(CaseReport::fingerprint).collect(), batch.summary.fingerprint())
+}
+
+/// The independent serial oracle for a batch: no engine, no runtime, no
+/// shards — `Lpo::optimize_sequence` (whose Stage 3 is the plain
+/// `SourceCache::verify_with` walk) once per unique case under the session
+/// of its first occurrence, with every duplicate replaying that report.
+fn serial_oracle(
+    lpo: &Lpo,
+    factory: &dyn ModelFactory,
+    round: u64,
+    sequences: &[Function],
+) -> (Vec<String>, String) {
+    let plan = DedupPlan::new(sequences, true);
+    let mut computed = std::collections::HashMap::new();
+    for &index in plan.unique_indices() {
+        let mut session = factory.session(round, index as u64);
+        computed.insert(index, lpo.optimize_sequence(session.as_mut(), &sequences[index]));
+    }
+    let reports: Vec<CaseReport> =
+        (0..sequences.len()).map(|index| computed[&plan.representative(index)].clone()).collect();
+    (reports.iter().map(CaseReport::fingerprint).collect(), RunSummary::from_reports(&reports).fingerprint())
 }
 
 #[test]
@@ -54,33 +76,33 @@ fn jobs_1_and_jobs_4_are_byte_identical_on_the_rq1_suite() {
 #[test]
 fn shard_boundary_matrix_is_byte_identical() {
     // The sharded engine's contract: every (--shard-size, --jobs) cell —
-    // including degenerate 1-input shards and ∞ (one shard per survivor) —
-    // produces the same byte-identical run, and all of them match the
-    // case-granular engine with sharding disabled.
+    // including degenerate 1-input shards, ∞ (one shard per survivor),
+    // auto jobs and more workers than cases — produces the same
+    // byte-identical run as the serial oracle.
     let sequences = suite_with_duplicates();
     let lpo = Lpo::new(LpoConfig::default());
     let factory = SimulatedModelFactory::new(gemini2_0t(), 42);
 
-    let mut unsharded = ExecConfig::with_jobs(1);
-    unsharded.shard_inputs = false;
-    let reference = lpo.run_sequences(&factory, 0, &sequences, &unsharded);
-    let (reference_reports, reference_summary) = fingerprints(&reference);
+    let (reference_reports, reference_summary) = serial_oracle(&lpo, &factory, 0, &sequences);
 
-    for shard_size in [1usize, 7, 256, usize::MAX] {
-        for jobs in [1usize, 4] {
-            let mut config = ExecConfig::with_jobs(jobs);
-            config.shard_size = shard_size;
-            let batch = lpo.run_sequences(&factory, 0, &sequences, &config);
-            let (reports, summary) = fingerprints(&batch);
-            assert_eq!(
-                reports, reference_reports,
-                "per-case streams diverged (shard size {shard_size}, jobs {jobs})"
-            );
-            assert_eq!(
-                summary, reference_summary,
-                "summaries diverged (shard size {shard_size}, jobs {jobs})"
-            );
-        }
+    let auto_and_idle = [(DEFAULT_SHARD_SIZE, 0), (DEFAULT_SHARD_SIZE, sequences.len() + 3)];
+    let matrix = [1usize, 7, 256, usize::MAX]
+        .into_iter()
+        .flat_map(|shard_size| [1usize, 4].map(|jobs| (shard_size, jobs)))
+        .chain(auto_and_idle);
+    for (shard_size, jobs) in matrix {
+        let mut config = ExecConfig::with_jobs(jobs);
+        config.shard_size = shard_size;
+        let batch = lpo.run_sequences(&factory, 0, &sequences, &config);
+        let (reports, summary) = fingerprints(&batch);
+        assert_eq!(
+            reports, reference_reports,
+            "per-case streams diverged (shard size {shard_size}, jobs {jobs})"
+        );
+        assert_eq!(
+            summary, reference_summary,
+            "summaries diverged (shard size {shard_size}, jobs {jobs})"
+        );
     }
 }
 
