@@ -186,8 +186,10 @@ fn check_opt_baseline(entry: &OptEntry, path: &str) -> Result<String, String> {
 /// The translation-validation gates (`repro bench-tv --check-baseline`):
 /// the refuted-candidate shape (the cost the staged checker exists to
 /// reduce), the survivor shape (the plane-compiled sweep — gated so it
-/// cannot silently regress toward the pre-plane parity numbers), the
-/// abstract-refutation tier's throughput, and the proved-survivor floor.
+/// cannot silently regress toward the pre-plane parity numbers), the cold
+/// survivor shape (a fresh case per check, so the source sweep is gated
+/// too), the abstract-refutation tier's throughput, and the proved-survivor
+/// floor.
 fn check_tv_baseline(entry: &TvEntry, path: &str) -> Result<String, String> {
     let refuted_gate = Gate {
         throughput_key: "tv_refuted_per_second",
@@ -201,6 +203,12 @@ fn check_tv_baseline(entry: &TvEntry, path: &str) -> Result<String, String> {
         unit: "checks/s",
         subject: "survivor translation-validation throughput",
     };
+    let cold_survivor_gate = Gate {
+        throughput_key: "tv_cold_survivor_per_second",
+        speedup_key: "tv_cold_survivor_speedup",
+        unit: "checks/s",
+        subject: "cold-survivor translation-validation throughput",
+    };
     let absint_gate = Gate {
         throughput_key: "tv_absint_refuted_per_second",
         speedup_key: "tv_absint_speedup",
@@ -210,6 +218,12 @@ fn check_tv_baseline(entry: &TvEntry, path: &str) -> Result<String, String> {
     let checks = [
         check_gate(&refuted_gate, entry.refuted_per_second, entry.refuted_speedup, path),
         check_gate(&survivor_gate, entry.survivor_per_second, entry.survivor_speedup, path),
+        check_gate(
+            &cold_survivor_gate,
+            entry.cold_survivor_per_second,
+            entry.cold_survivor_speedup,
+            path,
+        ),
         check_gate(&absint_gate, entry.absint_refuted_per_second, entry.absint_speedup, path),
         check_tv_proved_fraction(entry, path),
     ];

@@ -1495,7 +1495,7 @@ pub fn pin_return_bit(
 /// gate; measure with `--jobs 1` when comparing across builds.
 pub fn bench_tv(jobs: usize) -> Result<TvBenchRun, String> {
     use lpo_ir::function::Function;
-    use lpo_tv::prelude::{EvalArena, SourceCache, TvConfig, VerdictTier};
+    use lpo_tv::prelude::{EvalArena, SerialDriver, SourceCache, TvConfig, VerdictTier};
 
     /// Minimum measurement time per checker per shape.
     const MIN_TIME: Duration = Duration::from_millis(600);
@@ -1507,6 +1507,9 @@ pub fn bench_tv(jobs: usize) -> Result<TvBenchRun, String> {
     /// Abstract refutations per case per pass (each is a few hundred
     /// nanoseconds of transfer functions, so repeats are cheap).
     const ABSINT_REPEATS: usize = 256;
+    /// Cold survivor verifications per case per pass (each pays the whole
+    /// per-case source side, so a couple per pass is plenty).
+    const COLD_REPEATS: usize = 2;
 
     let suite = rq1_suite();
     let workloads: Vec<(Function, Function)> = suite
@@ -1626,6 +1629,29 @@ pub fn bench_tv(jobs: usize) -> Result<TvBenchRun, String> {
         .fold((0, Duration::ZERO), |(c, w), (pc, pw)| (c + pc, w + pw))
     };
 
+    // The cold survivor shape: a fresh case per verification, so each timed
+    // check pays input generation and the source sweep the way the engine's
+    // first survivor of a case does. The staged side freezes the case through
+    // `verify_with_driver` (dense on planes for plane-eligible sources); the
+    // reference side is the retained checker on an equally cold case.
+    let cold_survivor_pass = |staged: bool| -> (usize, Duration) {
+        map_on_runtime(&workloads, jobs, |(src, _), arena| {
+            let start = Instant::now();
+            for _ in 0..COLD_REPEATS {
+                let case = SourceCache::new(src, concrete_tv.clone());
+                let verdict = if staged {
+                    case.verify_with_driver(src, arena, &SerialDriver, DEFAULT_SHARD_SIZE)
+                } else {
+                    case.verify_reference(src, arena)
+                };
+                std::hint::black_box(verdict.is_correct());
+            }
+            (COLD_REPEATS, start.elapsed())
+        })
+        .into_iter()
+        .fold((0, Duration::ZERO), |(c, w), (pc, pw)| (c + pc, w + pw))
+    };
+
     // The abstract-refutation shape: with the tier on (`abstract_on`) every
     // verification is certified by the interpreter's transfer functions
     // alone — zero concrete evaluations; with it off the same pairs are
@@ -1662,6 +1688,7 @@ pub fn bench_tv(jobs: usize) -> Result<TvBenchRun, String> {
 
     let (refuted_fast, refuted_slow) = measure(&refuted_pass)?;
     let (survivor_fast, survivor_slow) = measure(&survivor_pass)?;
+    let (cold_fast, cold_slow) = measure(&cold_survivor_pass)?;
     let (absint_fast, absint_slow) = measure(&absint_pass)?;
 
     // Proved survivors: how many self-verifications the abstract tier
@@ -1687,6 +1714,8 @@ pub fn bench_tv(jobs: usize) -> Result<TvBenchRun, String> {
     let reference_refuted_per_second = per_second(&refuted_slow);
     let survivor_per_second = per_second(&survivor_fast);
     let reference_survivor_per_second = per_second(&survivor_slow);
+    let cold_survivor_per_second = per_second(&cold_fast);
+    let reference_cold_survivor_per_second = per_second(&cold_slow);
     let absint_refuted_per_second = per_second(&absint_fast);
     let absint_reference_per_second = per_second(&absint_slow);
 
@@ -1697,6 +1726,9 @@ pub fn bench_tv(jobs: usize) -> Result<TvBenchRun, String> {
         survivor_per_second,
         reference_survivor_per_second,
         survivor_speedup: ratio(survivor_per_second, reference_survivor_per_second),
+        cold_survivor_per_second,
+        reference_cold_survivor_per_second,
+        cold_survivor_speedup: ratio(cold_survivor_per_second, reference_cold_survivor_per_second),
         absint_refuted_per_second,
         absint_reference_per_second,
         absint_speedup: ratio(absint_refuted_per_second, absint_reference_per_second),
@@ -1720,6 +1752,11 @@ pub fn bench_tv(jobs: usize) -> Result<TvBenchRun, String> {
         text,
         "  surviving candidate staged: {:>9.0} checks/s   reference: {:>9.0} checks/s   speedup: {:.2}x",
         survivor_per_second, reference_survivor_per_second, entry.survivor_speedup
+    );
+    let _ = writeln!(
+        text,
+        "  cold survivor       staged: {:>9.0} checks/s   reference: {:>9.0} checks/s   speedup: {:.2}x  (fresh case per check)",
+        cold_survivor_per_second, reference_cold_survivor_per_second, entry.cold_survivor_speedup
     );
     let _ = writeln!(
         text,

@@ -211,6 +211,14 @@ pub struct TvEntry {
     pub reference_survivor_per_second: f64,
     /// `survivor_per_second / reference_survivor_per_second`.
     pub survivor_speedup: f64,
+    /// Surviving-candidate verifications per second on a fresh case each
+    /// (input generation and the source sweep included), on the sharded
+    /// staged checker — the cost of a case's first survivor.
+    pub cold_survivor_per_second: f64,
+    /// The same cold verifications on the reference checker.
+    pub reference_cold_survivor_per_second: f64,
+    /// `cold_survivor_per_second / reference_cold_survivor_per_second`.
+    pub cold_survivor_speedup: f64,
     /// Abstract refutations per second on the Stage 3a₀ tier (bit-pinned
     /// pairs certified with zero concrete evaluations).
     pub absint_refuted_per_second: f64,
@@ -250,6 +258,12 @@ impl TvEntry {
                 Json::Num(self.reference_survivor_per_second),
             ),
             ("survivor_speedup".into(), Json::Num(self.survivor_speedup)),
+            ("cold_survivor_per_second".into(), Json::Num(self.cold_survivor_per_second)),
+            (
+                "reference_cold_survivor_per_second".into(),
+                Json::Num(self.reference_cold_survivor_per_second),
+            ),
+            ("cold_survivor_speedup".into(), Json::Num(self.cold_survivor_speedup)),
             ("absint_refuted_per_second".into(), Json::Num(self.absint_refuted_per_second)),
             ("absint_reference_per_second".into(), Json::Num(self.absint_reference_per_second)),
             ("absint_speedup".into(), Json::Num(self.absint_speedup)),
@@ -274,6 +288,19 @@ impl TvEntry {
                 .get("reference_survivor_per_second")?
                 .as_num()?,
             survivor_speedup: value.get("survivor_speedup")?.as_num()?,
+            // Absent in records written before the cold shape existed.
+            cold_survivor_per_second: value
+                .get("cold_survivor_per_second")
+                .and_then(Json::as_num)
+                .unwrap_or(0.0),
+            reference_cold_survivor_per_second: value
+                .get("reference_cold_survivor_per_second")
+                .and_then(Json::as_num)
+                .unwrap_or(0.0),
+            cold_survivor_speedup: value
+                .get("cold_survivor_speedup")
+                .and_then(Json::as_num)
+                .unwrap_or(0.0),
             // Absent in records written before the abstract tier existed.
             absint_refuted_per_second: value
                 .get("absint_refuted_per_second")
@@ -825,6 +852,9 @@ mod tests {
             survivor_per_second: 900.0,
             reference_survivor_per_second: 720.0,
             survivor_speedup: 1.25,
+            cold_survivor_per_second: 300.0,
+            reference_cold_survivor_per_second: 150.0,
+            cold_survivor_speedup: 2.0,
             absint_refuted_per_second: 4.2e6,
             absint_reference_per_second: 5e5,
             absint_speedup: 8.4,

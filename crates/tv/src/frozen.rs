@@ -7,8 +7,17 @@
 //! them. That layout is what makes the *per-case* engine fast — but it also
 //! pins one case to one worker. A [`FrozenCase`] is the bridge to intra-case
 //! parallelism: an immutable, `Arc`-shared snapshot of everything the sweep
-//! needs (the generated inputs, the source's outcome on every one of them,
-//! and the dense plane-comparison table), cheap to clone across threads.
+//! needs (the generated inputs, the compiled source, and the source's outcome
+//! on every input), cheap to clone across threads.
+//!
+//! The source outcomes take one of two forms. When the source is
+//! plane-eligible (and the plane tier is on), the frozen case is a **dense
+//! table** only — one tag byte and one `u64` per input, swept on planes with
+//! no per-input source outcome ever built; the rare lane the dense
+//! pre-filter can't clear re-evaluates the source on that one input.
+//! Otherwise (memory, vectors, control flow, wide returns) every outcome is
+//! **fully materialized**, plus the dense table when the return shape can
+//! carry one.
 //!
 //! On top of it, a [`SweepShard`] is one stealable unit of Stage-3 work: the
 //! half-open input range `[start, end)` of one candidate's survivor sweep.
@@ -34,24 +43,25 @@
 
 use crate::inputs::TestInput;
 use crate::refine::{
-    dense_table, refutation, DenseOutcomes, Refutation, SourceOutcome, TargetOutcome,
-    PLANE_LANES, STEP_LIMIT, SWEEP_LANES,
+    dense_table, evaluate_source, refutation, DenseOutcomes, Refutation, SourceOutcome,
+    TargetOutcome, PLANE_LANES, STEP_LIMIT, SWEEP_LANES,
 };
 use lpo_interp::compiled::{CompiledFunction, EvalArena};
 use lpo_interp::value::EvalValue;
 use lpo_ir::function::Function;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// An immutable, `Send + Sync` snapshot of one verification case: the source
-/// function, its generated test inputs, and the source's outcome on **every**
-/// input (fully materialized, unlike the lazily filled
-/// [`SourceCache`](crate::refine::SourceCache)). Cloning is an `Arc` bump.
+/// function and its compiled form, its generated test inputs, and the
+/// source's outcome on **every** input — a dense table when the source is
+/// plane-eligible, fully materialized otherwise (see the module docs).
+/// Cloning is an `Arc` bump.
 ///
 /// Built only by [`SourceCache::frozen_case`](crate::refine::SourceCache::frozen_case),
-/// which evaluates any source inputs no candidate has reached yet, in input
-/// order — so a frozen case front-loads the source sweep that the lazy cache
-/// would have paid across candidates. Only probe survivors are worth
-/// freezing; probe rejects never get here.
+/// which computes every source outcome the lazy cache would have filled
+/// across candidates — so a frozen case front-loads the source sweep. Only
+/// probe survivors are worth freezing; probe rejects never get here.
 #[derive(Clone)]
 pub struct FrozenCase {
     inner: Arc<FrozenInner>,
@@ -59,13 +69,30 @@ pub struct FrozenCase {
 
 struct FrozenInner {
     src: Function,
-    inputs: Vec<TestInput>,
+    compiled_src: Arc<CompiledFunction>,
+    inputs: Arc<Vec<TestInput>>,
     exhaustive: bool,
-    outcomes: Vec<SourceOutcome>,
-    /// Dense comparison table for plane-mode lanes; `None` when the case's
-    /// shape can't carry it (memory, vectors, wide/void returns).
-    dense: Option<DenseOutcomes>,
+    /// The source outcome per input; `None` for a dense case, whose suspect
+    /// lanes re-evaluate `compiled_src` on demand.
+    outcomes: Option<Vec<SourceOutcome>>,
+    /// Dense comparison table for the sweep's pre-filter; `None` when the
+    /// case's shape can't carry it (memory, vectors, wide/void returns).
+    /// Always present when `outcomes` is `None`.
+    dense: Option<Arc<DenseOutcomes>>,
     plane_sweep: bool,
+}
+
+impl FrozenInner {
+    /// Input `index`'s source outcome: borrowed from the materialized table,
+    /// or evaluated on the spot for a dense case.
+    fn source_outcome(&self, index: usize, arena: &mut EvalArena) -> Cow<'_, SourceOutcome> {
+        match &self.outcomes {
+            Some(outcomes) => Cow::Borrowed(&outcomes[index]),
+            None => {
+                Cow::Owned(evaluate_source(&self.compiled_src, &self.inputs[index], arena))
+            }
+        }
+    }
 }
 
 fn _frozen_is_send_sync() {
@@ -75,24 +102,65 @@ fn _frozen_is_send_sync() {
 }
 
 impl FrozenCase {
-    pub(crate) fn from_parts(
+    /// A case whose source outcomes exist only as the dense table swept on
+    /// planes (so the plane tier is on by construction).
+    pub(crate) fn dense(
         src: Function,
-        inputs: Vec<TestInput>,
+        compiled_src: Arc<CompiledFunction>,
+        inputs: Arc<Vec<TestInput>>,
+        exhaustive: bool,
+        table: DenseOutcomes,
+    ) -> FrozenCase {
+        FrozenCase {
+            inner: Arc::new(FrozenInner {
+                src,
+                compiled_src,
+                inputs,
+                exhaustive,
+                outcomes: None,
+                dense: Some(Arc::new(table)),
+                plane_sweep: true,
+            }),
+        }
+    }
+
+    /// A case with every source outcome materialized, plus the dense table
+    /// when the shape can carry it.
+    pub(crate) fn materialized(
+        src: Function,
+        compiled_src: Arc<CompiledFunction>,
+        inputs: Arc<Vec<TestInput>>,
         exhaustive: bool,
         outcomes: Vec<SourceOutcome>,
         plane_sweep: bool,
     ) -> FrozenCase {
-        let dense = dense_table(&inputs, outcomes.iter());
+        let dense = dense_table(&inputs, outcomes.iter()).map(Arc::new);
         FrozenCase {
             inner: Arc::new(FrozenInner {
                 src,
+                compiled_src,
                 inputs,
                 exhaustive,
-                outcomes,
+                outcomes: Some(outcomes),
                 dense,
                 plane_sweep,
             }),
         }
+    }
+
+    /// The materialized source outcomes, or `None` for a dense case.
+    pub(crate) fn outcomes(&self) -> Option<&[SourceOutcome]> {
+        self.inner.outcomes.as_deref()
+    }
+
+    /// The dense comparison table, when the case's shape carries one.
+    pub(crate) fn dense_table(&self) -> Option<&Arc<DenseOutcomes>> {
+        self.inner.dense.as_ref()
+    }
+
+    /// Whether the source outcomes exist only as the dense table.
+    pub fn is_dense(&self) -> bool {
+        self.inner.outcomes.is_none()
     }
 
     /// The frozen source function.
@@ -172,9 +240,8 @@ impl SweepShard {
                         let tgt_out = result
                             .outcome(offset, input.memory.clone())
                             .map(|o| (o.result, o.memory));
-                        if let Some(refutation) =
-                            refutation(input, &inner.outcomes[lane_index], &tgt_out)
-                        {
+                        let src_out = inner.source_outcome(lane_index, arena);
+                        if let Some(refutation) = refutation(input, &src_out, &tgt_out) {
                             return SweepOutcome {
                                 finding: Some(SweepFinding { index: lane_index, tgt_out, refutation }),
                                 used_plane,
@@ -195,10 +262,16 @@ impl SweepShard {
             let lane_outs = self.tgt.evaluate_batch_with_limit(arena, lanes, STEP_LIMIT);
             for (offset, lane_out) in lane_outs.into_iter().enumerate() {
                 let lane_index = index + offset;
-                let input = &inner.inputs[lane_index];
                 let tgt_out = lane_out.map(|o| (o.result, o.memory));
-                if let Some(refutation) = refutation(input, &inner.outcomes[lane_index], &tgt_out)
-                {
+                // Same pre-filter as the plane loop, on the materialized lane.
+                if let Some(table) = &inner.dense {
+                    if table.outcome_refines(lane_index, &tgt_out) {
+                        continue;
+                    }
+                }
+                let input = &inner.inputs[lane_index];
+                let src_out = inner.source_outcome(lane_index, arena);
+                if let Some(refutation) = refutation(input, &src_out, &tgt_out) {
                     return SweepOutcome {
                         finding: Some(SweepFinding { index: lane_index, tgt_out, refutation }),
                         used_plane,

@@ -77,7 +77,6 @@ use lpo_ir::printer;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -445,8 +444,8 @@ pub struct SourceCache<'a> {
     src: &'a Function,
     config: TvConfig,
     compile_cache: Option<&'a CompileCache>,
-    inputs: OnceCell<(Vec<TestInput>, bool)>,
-    compiled_src: OnceCell<CompiledFunction>,
+    inputs: OnceCell<(Arc<Vec<TestInput>>, bool)>,
+    compiled_src: OnceCell<Arc<CompiledFunction>>,
     outcomes: RefCell<Vec<Option<SourceOutcome>>>,
     source_evals: Cell<usize>,
     candidates: Cell<usize>,
@@ -470,7 +469,7 @@ enum DenseState {
     /// permanent, since cached outcomes never change shape.
     Unavailable,
     /// Built; shared with the plane sweep.
-    Built(Rc<DenseOutcomes>),
+    Built(Arc<DenseOutcomes>),
 }
 
 /// Source outcome tag: the source exhibited UB on this input.
@@ -515,6 +514,82 @@ impl DenseOutcomes {
             }
         }
     }
+
+    /// [`lane_refines`](Self::lane_refines) for a materialized target
+    /// outcome (the batched sweep's lanes). Same tag order, same contract:
+    /// `false` only means *suspect*. The signature check guarantees source
+    /// and target return the same integer type, so comparing canonical bits
+    /// is comparing values.
+    pub(crate) fn outcome_refines(&self, index: usize, tgt_out: &TargetOutcome) -> bool {
+        match (self.tags[index], tgt_out) {
+            (DENSE_SRC_UB, _) => true,
+            (_, Err(_)) => false,
+            (DENSE_POISON, _) => true,
+            (DENSE_UNDEF, Ok((ret, _))) => !matches!(ret, Some(EvalValue::Poison)),
+            (_, Ok((Some(EvalValue::Int(v)), _))) => {
+                v.width() <= 64 && v.zext_value() as u64 == self.vals[index]
+            }
+            _ => false,
+        }
+    }
+
+    /// Sweeps a plane-eligible source over every input straight into the
+    /// dense table, [`PLANE_LANES`] inputs per chunk, without materializing
+    /// a single [`SourceOutcome`]. Tags follow [`dense_table`] exactly (UB,
+    /// then poison, then undef, then the concrete canonical bits), and the
+    /// plane evaluator is outcome-identical to the compiled one, so the
+    /// table equals `dense_table` over the materialized outcomes. `None`
+    /// when an input carries allocations or a chunk falls outside the plane
+    /// domain.
+    pub(crate) fn from_planes(
+        plan: &PlanePlan,
+        inputs: &[TestInput],
+        arena: &mut EvalArena,
+    ) -> Option<DenseOutcomes> {
+        if !allocation_free(inputs) {
+            return None;
+        }
+        let mut tags = Vec::with_capacity(inputs.len());
+        let mut vals = Vec::with_capacity(inputs.len());
+        for chunk in inputs.chunks(PLANE_LANES) {
+            let lanes: Vec<&[EvalValue]> = chunk.iter().map(|input| input.args.as_slice()).collect();
+            let result = plan.evaluate_lanes(arena, &lanes, STEP_LIMIT)?;
+            for lane in 0..chunk.len() {
+                let (tag, val) = if result.is_ub(lane) {
+                    (DENSE_SRC_UB, 0)
+                } else if result.is_poison(lane) {
+                    (DENSE_POISON, 0)
+                } else if result.is_undef(lane) {
+                    (DENSE_UNDEF, 0)
+                } else {
+                    (DENSE_CONCRETE, result.raw(lane))
+                };
+                tags.push(tag);
+                vals.push(val);
+            }
+        }
+        Some(DenseOutcomes { tags, vals })
+    }
+}
+
+/// Evaluates the compiled source on one input — the single source-side
+/// evaluation every materialized [`SourceOutcome`] comes from, whether the
+/// lazy cache fills it or a frozen shard re-materializes a suspect lane.
+pub(crate) fn evaluate_source(
+    compiled_src: &CompiledFunction,
+    input: &TestInput,
+    arena: &mut EvalArena,
+) -> SourceOutcome {
+    compiled_src
+        .evaluate_with_limit(arena, &input.args, input.memory.clone(), STEP_LIMIT)
+        .map(|o| (o.result, o.memory))
+}
+
+/// Whether no input carries an allocation. Always true for plane-eligible
+/// signatures (scalar-integer params generate none), but the dense compare
+/// skips memory refinement, so every dense table is gated on it explicitly.
+fn allocation_free(inputs: &[TestInput]) -> bool {
+    inputs.iter().all(|input| input.memory.allocation_count() == 0)
 }
 
 /// Flattens fully materialized source outcomes into a [`DenseOutcomes`]
@@ -526,10 +601,7 @@ pub(crate) fn dense_table<'o>(
     inputs: &[TestInput],
     outcomes: impl Iterator<Item = &'o SourceOutcome>,
 ) -> Option<DenseOutcomes> {
-    if inputs.iter().any(|input| input.memory.allocation_count() != 0) {
-        // Unreachable for plane-eligible signatures (scalar-integer params
-        // generate no allocations), but the dense compare skips memory
-        // refinement, so gate on it explicitly.
+    if !allocation_free(inputs) {
         return None;
     }
     let mut tags = Vec::with_capacity(inputs.len());
@@ -638,73 +710,94 @@ impl<'a> SourceCache<'a> {
         self.last_tier.get()
     }
 
-    /// How many times the source function has been concretely evaluated.
+    /// How many distinct inputs have had their source outcome computed, by
+    /// any evaluator — plane lanes included.
     ///
-    /// At most one evaluation per (case, input), independent of the candidate
-    /// count; once any candidate has passed every input, this equals the
-    /// input count exactly. Tests use this as the cache-hit oracle.
+    /// At most one per (case, input), independent of the candidate count.
+    /// The lazy walk counts each input the first time a candidate reaches
+    /// it; freezing the case (see [`frozen_case`](Self::frozen_case))
+    /// computes every outcome, so from then on this equals the input total,
+    /// and re-materializing a suspect or refuting lane's outcome afterwards
+    /// does not count again. Tests use this as the cache-hit oracle.
     pub fn source_eval_count(&self) -> usize {
         self.source_evals.get()
     }
 
-    fn inputs(&self) -> &(Vec<TestInput>, bool) {
+    fn inputs(&self) -> &(Arc<Vec<TestInput>>, bool) {
         self.inputs.get_or_init(|| {
-            (generate_inputs(self.src, &self.config.inputs), is_exhaustive(self.src, &self.config.inputs))
+            (
+                Arc::new(generate_inputs(self.src, &self.config.inputs)),
+                is_exhaustive(self.src, &self.config.inputs),
+            )
         })
     }
 
-    /// Fills the source outcome for input `index` if no earlier candidate
-    /// reached it.
-    fn ensure_outcome(&self, index: usize, total: usize, input: &TestInput, arena: &mut EvalArena) {
-        let mut outcomes = self.outcomes.borrow_mut();
-        if outcomes.len() != total {
-            outcomes.resize_with(total, || None);
-        }
-        if outcomes[index].is_none() {
-            let compiled = self.compiled_src.get_or_init(|| CompiledFunction::compile(self.src));
-            self.source_evals.set(self.source_evals.get() + 1);
-            outcomes[index] = Some(
-                compiled
-                    .evaluate_with_limit(arena, &input.args, input.memory.clone(), STEP_LIMIT)
-                    .map(|o| (o.result, o.memory)),
-            );
-        }
+    fn compiled_src(&self) -> &Arc<CompiledFunction> {
+        self.compiled_src.get_or_init(|| Arc::new(CompiledFunction::compile(self.src)))
     }
 
-    /// The dense source-outcome table for plane-mode comparison, built the
-    /// first time a plane sweep runs after every source outcome has been
-    /// filled (one full survivor pass does that). Until then — and for
-    /// shapes the dense form can't carry — returns `None` and the sweep
-    /// materializes each lane through [`check_input`](Self::check_input),
-    /// which keeps `source_eval_count` filling strictly in input order.
-    fn dense_outcomes(&self) -> Option<Rc<DenseOutcomes>> {
+    /// Runs `f` on input `index`'s source outcome. A materialized frozen
+    /// case serves it directly; otherwise the lazy table supplies it,
+    /// evaluating the source first if no earlier candidate reached `index`.
+    /// The lazy table grows only to the highest index reached, so a case
+    /// whose candidates all die in the probe holds a probe's worth of slots.
+    fn with_source_outcome<R>(
+        &self,
+        index: usize,
+        arena: &mut EvalArena,
+        f: impl FnOnce(&SourceOutcome) -> R,
+    ) -> R {
+        let frozen = self.frozen.get();
+        if let Some(outcomes) = frozen.and_then(FrozenCase::outcomes) {
+            return f(&outcomes[index]);
+        }
+        let mut outcomes = self.outcomes.borrow_mut();
+        if outcomes.len() <= index {
+            outcomes.resize_with(index + 1, || None);
+        }
+        let outcome = outcomes[index].get_or_insert_with(|| {
+            // A frozen case already counted every input.
+            if frozen.is_none() {
+                self.source_evals.set(self.source_evals.get() + 1);
+            }
+            evaluate_source(self.compiled_src(), &self.inputs().0[index], arena)
+        });
+        f(outcome)
+    }
+
+    /// The dense source-outcome table for plane-mode comparison: the frozen
+    /// case's table once there is one, otherwise built the first time a
+    /// plane sweep runs after every source outcome has been filled (one
+    /// full survivor pass does that). Until then — and for shapes the dense
+    /// form can't carry — returns `None` and the sweep materializes each
+    /// lane through [`check_input`](Self::check_input), which keeps
+    /// `source_eval_count` filling strictly in input order.
+    fn dense_outcomes(&self) -> Option<Arc<DenseOutcomes>> {
         match &*self.dense.borrow() {
             DenseState::Built(table) => return Some(table.clone()),
             DenseState::Unavailable => return None,
             DenseState::NotBuilt => {}
         }
-        let (inputs, _) = self.inputs();
-        let total = inputs.len();
-        // Each input is evaluated at most once, so the count hitting the
-        // input total means every outcome slot is filled.
-        if self.source_evals.get() != total {
-            return None;
-        }
-        let outcomes = self.outcomes.borrow();
-        let table =
-            dense_table(inputs, outcomes.iter().map(|o| o.as_ref().expect("all outcomes filled")));
-        drop(outcomes);
-        match table {
-            Some(table) => {
-                let table = Rc::new(table);
-                *self.dense.borrow_mut() = DenseState::Built(table.clone());
-                Some(table)
-            }
+        let table = match self.frozen.get() {
+            Some(frozen) => frozen.dense_table().cloned(),
             None => {
-                *self.dense.borrow_mut() = DenseState::Unavailable;
-                None
+                let (inputs, _) = self.inputs();
+                // Before freezing, each input is counted once as the lazy
+                // table fills, so the count hitting the input total means
+                // every outcome slot is filled.
+                if self.source_evals.get() != inputs.len() {
+                    return None;
+                }
+                let outcomes = self.outcomes.borrow();
+                dense_table(inputs, outcomes.iter().map(|o| o.as_ref().expect("all outcomes filled")))
+                    .map(Arc::new)
             }
-        }
+        };
+        *self.dense.borrow_mut() = match &table {
+            Some(table) => DenseState::Built(table.clone()),
+            None => DenseState::Unavailable,
+        };
+        table
     }
 
     /// Stage 3 on the plane evaluator: sweeps inputs `*index..total` in
@@ -790,11 +883,7 @@ impl<'a> SourceCache<'a> {
         tgt_out: &TargetOutcome,
         arena: &mut EvalArena,
     ) -> Option<Refutation> {
-        let total = self.inputs().0.len();
-        self.ensure_outcome(index, total, input, arena);
-        let outcomes = self.outcomes.borrow();
-        let src_out = outcomes[index].as_ref().expect("outcome just ensured");
-        refutation(input, src_out, tgt_out)
+        self.with_source_outcome(index, arena, |src_out| refutation(input, src_out, tgt_out))
     }
 
     /// Runs a candidate through the abstract domains: the source analysis is
@@ -985,15 +1074,20 @@ impl<'a> SourceCache<'a> {
     /// input order, stopping at the first counterexample.
     pub fn verify_with(&self, tgt: &Function, arena: &mut EvalArena) -> Verdict {
         let staged = self.verify_staged(tgt, arena, false);
-        self.render_staged(staged)
+        self.render_staged(staged, arena)
     }
 
     /// Renders a staged conclusion into the public [`Verdict`], building the
     /// Alive2-style counterexample only when a candidate was actually
-    /// refuted. The refuting input's source outcome is always present: the
-    /// probe ensures it lazily, and the sharded sweep runs against a frozen
-    /// case whose construction filled every outcome.
-    fn render_staged(&self, staged: Result<StagedVerdict, Verdict>) -> Verdict {
+    /// refuted. The refuting input's source outcome comes from the lazy
+    /// table or a materialized frozen case; a refutation found against a
+    /// dense frozen case re-materializes that one outcome here (uncounted —
+    /// see [`source_eval_count`](Self::source_eval_count)).
+    fn render_staged(
+        &self,
+        staged: Result<StagedVerdict, Verdict>,
+        arena: &mut EvalArena,
+    ) -> Verdict {
         match staged {
             Err(error) => error,
             Ok(StagedVerdict::Correct { inputs_checked, exhaustive }) => {
@@ -1004,38 +1098,63 @@ impl<'a> SourceCache<'a> {
             }
             Ok(StagedVerdict::Refuted { index, tgt_out, refutation }) => {
                 let input = &self.inputs().0[index];
-                let outcomes = self.outcomes.borrow();
-                let src_out = outcomes[index].as_ref().expect("refuting input was ensured");
-                Verdict::Incorrect(build_counterexample(
-                    self.src, input, src_out, &tgt_out, refutation,
-                ))
+                Verdict::Incorrect(self.with_source_outcome(index, arena, |src_out| {
+                    build_counterexample(self.src, input, src_out, &tgt_out, refutation)
+                }))
             }
         }
     }
 
     /// The frozen, `Arc`-shared snapshot of this case (see
-    /// [`FrozenCase`]), built once on first use: any source inputs no
-    /// candidate has reached yet are evaluated **in input order** to fill the
-    /// outcome table, so after this call [`source_eval_count`](Self::source_eval_count)
-    /// equals the input count.
+    /// [`FrozenCase`]), built once on first use. It shares this cache's
+    /// inputs and compiled source rather than copying them.
+    ///
+    /// When the plane tier is on and the source carries a [`PlanePlan`], the
+    /// source is swept on planes over every input straight into the dense
+    /// comparison table (`DenseOutcomes::from_planes`) and no per-input
+    /// outcome is materialized. Otherwise — or if any chunk falls outside
+    /// the plane domain — the source inputs no candidate has reached yet are
+    /// evaluated **in input order** and the filled lazy table moves into the
+    /// snapshot. Either way every input's outcome has now been computed, so
+    /// after this call [`source_eval_count`](Self::source_eval_count) equals
+    /// the input count.
     pub fn frozen_case(&self, arena: &mut EvalArena) -> FrozenCase {
         if let Some(frozen) = self.frozen.get() {
             return frozen.clone();
         }
         let (inputs, exhaustive) = self.inputs();
-        let total = inputs.len();
-        for (index, input) in inputs.iter().enumerate() {
-            self.ensure_outcome(index, total, input, arena);
-        }
-        let outcomes: Vec<SourceOutcome> =
-            self.outcomes.borrow().iter().map(|o| o.clone().expect("just filled")).collect();
-        let frozen = FrozenCase::from_parts(
-            self.src.clone(),
-            inputs.clone(),
-            *exhaustive,
-            outcomes,
-            self.config.plane_sweep,
-        );
+        let compiled_src = self.compiled_src();
+        let plane_table = match compiled_src.plane() {
+            Some(plan) if self.config.plane_sweep => DenseOutcomes::from_planes(plan, inputs, arena),
+            _ => None,
+        };
+        let frozen = match plane_table {
+            Some(table) => FrozenCase::dense(
+                self.src.clone(),
+                compiled_src.clone(),
+                inputs.clone(),
+                *exhaustive,
+                table,
+            ),
+            None => {
+                for index in 0..inputs.len() {
+                    self.with_source_outcome(index, arena, |_| ());
+                }
+                let outcomes: Vec<SourceOutcome> = std::mem::take(&mut *self.outcomes.borrow_mut())
+                    .into_iter()
+                    .map(|o| o.expect("just filled"))
+                    .collect();
+                FrozenCase::materialized(
+                    self.src.clone(),
+                    compiled_src.clone(),
+                    inputs.clone(),
+                    *exhaustive,
+                    outcomes,
+                    self.config.plane_sweep,
+                )
+            }
+        };
+        self.source_evals.set(inputs.len());
         self.frozen.get_or_init(|| frozen).clone()
     }
 
@@ -1049,10 +1168,12 @@ impl<'a> SourceCache<'a> {
     /// shard size and worker count.
     ///
     /// Two counters diverge from the lazy path, deterministically so:
-    /// freezing the case fills **all** source outcomes up front (so
-    /// `source_eval_count` jumps to the input total on the first survivor),
-    /// and `plane_sweeps` reflects whether the survivor's *first* shard used
-    /// the plane evaluator (the serial path's flag covers the whole sweep).
+    /// freezing the case computes **every** source outcome up front (so
+    /// `source_eval_count` jumps to the input total on the first survivor
+    /// and stays there, even when a refuting lane's outcome is later
+    /// re-materialized for rendering), and `plane_sweeps` reflects whether
+    /// the survivor's *first* shard used the plane evaluator (the serial
+    /// path's flag covers the whole sweep).
     fn verify_staged_sharded(
         &self,
         tgt: &Function,
@@ -1152,7 +1273,7 @@ impl<'a> SourceCache<'a> {
         shard_size: usize,
     ) -> Verdict {
         let staged = self.verify_staged_sharded(tgt, arena, driver, shard_size);
-        self.render_staged(staged)
+        self.render_staged(staged, arena)
     }
 
     /// [`verify_with`](Self::verify_with) minus the diagnostic: returns
@@ -1179,10 +1300,13 @@ impl<'a> SourceCache<'a> {
         let (inputs, exhaustive) = self.inputs();
         let compiled_tgt = CompiledFunction::compile(tgt);
         for (index, input) in inputs.iter().enumerate() {
-            self.ensure_outcome(index, inputs.len(), input, arena);
-            let outcomes = self.outcomes.borrow();
-            let src_out = outcomes[index].as_ref().expect("outcome just ensured");
-            if let Some(cex) = check_one(self.src, &compiled_tgt, input, src_out, arena) {
+            let tgt_out = compiled_tgt
+                .evaluate_with_limit(arena, &input.args, input.memory.clone(), STEP_LIMIT)
+                .map(|o| (o.result, o.memory));
+            let failure = self.with_source_outcome(index, arena, |src_out| {
+                refinement_failure(self.src, input, src_out, &tgt_out)
+            });
+            if let Some(cex) = failure {
                 return Verdict::Incorrect(cex);
             }
         }
@@ -1241,21 +1365,6 @@ fn describe_outcome(result: &SourceOutcome) -> String {
         Ok((None, _)) => "returns void".to_string(),
         Ok((Some(v), _)) => format!("ret {v}"),
     }
-}
-
-/// Checks a single input against the cached source outcome on the reference
-/// path: evaluate the compiled target serially, then compare.
-fn check_one(
-    src: &Function,
-    compiled_tgt: &CompiledFunction,
-    input: &TestInput,
-    src_out: &SourceOutcome,
-    arena: &mut EvalArena,
-) -> Option<Counterexample> {
-    let tgt_out = compiled_tgt
-        .evaluate_with_limit(arena, &input.args, input.memory.clone(), STEP_LIMIT)
-        .map(|o| (o.result, o.memory));
-    refinement_failure(src, input, src_out, &tgt_out)
 }
 
 /// Why a target outcome fails to refine the source outcome on one input —
@@ -1769,6 +1878,54 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn sharded_source_eval_count_reaches_the_total_once() {
+        use crate::frozen::SerialDriver;
+        // Plane-eligible source (dense frozen case) and one with control
+        // flow (materialized frozen case): the count contract is the same.
+        let sources = [
+            ("define i8 @s(i8 %x) {\n %r = add i8 %x, 1\n ret i8 %r\n}", true),
+            (
+                "define i8 @s(i8 %x) {\nentry:\n %c = icmp eq i8 %x, 0\n br i1 %c, label %z, label %n\nz:\n ret i8 1\nn:\n %r = add i8 %x, 1\n ret i8 %r\n}",
+                false,
+            ),
+        ];
+        let early_wrong =
+            parse_function("define i8 @t(i8 %x) {\n %r = add i8 %x, 2\n ret i8 %r\n}").unwrap();
+        // Wrong only for negative inputs: survives the probe, refuted at 128.
+        let late_wrong = parse_function("define i8 @t(i8 %x) {\n %c = icmp slt i8 %x, 0\n %a = add i8 %x, 1\n %b = add i8 %x, 2\n %r = select i1 %c, i8 %b, i8 %a\n ret i8 %r\n}").unwrap();
+        let correct =
+            parse_function("define i8 @t(i8 %x) {\n %r = sub i8 %x, -1\n ret i8 %r\n}").unwrap();
+        let mut arena = EvalArena::new();
+        for (text, dense) in sources {
+            let src = parse_function(text).unwrap();
+            let case = SourceCache::new(&src, TvConfig::default());
+            let serial = SourceCache::new(&src, TvConfig::default());
+
+            // A probe reject costs one source evaluation and one lazy slot.
+            let verdict = case.verify_with_driver(&early_wrong, &mut arena, &SerialDriver, 16);
+            assert_eq!(verdict, serial.verify_with(&early_wrong, &mut arena));
+            assert_eq!(case.source_eval_count(), 1);
+            assert_eq!(case.outcomes.borrow().len(), 1, "lazy table grows only as far as reached");
+
+            // The first survivor freezes the case: every input counted once,
+            // and rendering the refutation at input 128 re-materializes that
+            // outcome without counting it again.
+            let verdict = case.verify_with_driver(&late_wrong, &mut arena, &SerialDriver, 16);
+            assert_eq!(verdict, serial.verify_with(&late_wrong, &mut arena));
+            assert!(!verdict.is_correct());
+            assert_eq!(case.source_eval_count(), 256);
+            assert_eq!(case.frozen_case(&mut arena).is_dense(), dense, "{text}");
+
+            // Later survivors, and serial walks on the frozen cache, stay put.
+            let verdict = case.verify_with_driver(&correct, &mut arena, &SerialDriver, 16);
+            assert!(verdict.is_correct());
+            let rerun = case.verify_with(&late_wrong, &mut arena);
+            assert_eq!(rerun, serial.verify_with(&late_wrong, &mut arena));
+            assert_eq!(case.source_eval_count(), 256);
         }
     }
 

@@ -1,0 +1,250 @@
+//! Differential proof of the dense frozen case.
+//!
+//! The sharded Stage 3 sweeps every survivor against a
+//! [`FrozenCase`](lpo_tv::prelude::FrozenCase). When the source is
+//! plane-eligible, that case holds only a dense table swept on planes, and a
+//! lane the table can't clear re-evaluates the source on that one input;
+//! otherwise (or with the plane tier off) every source outcome is
+//! materialized. Neither form may change a verdict or a byte of a rendered
+//! counterexample, so every pair here is checked three ways:
+//!
+//! * `verify_with_driver` with the plane tier on (dense frozen case when the
+//!   source has a plane form);
+//! * the same call with `plane_sweep: false` (materialized frozen case);
+//! * the serial `verify_with` walk (no frozen case at all),
+//!
+//! at shard sizes 1, 7, 256 and unbounded. The pairs are fuzz pairs from
+//! [`lpo_interp::fuzz::random_pair`], the rq1/rq2 corpora with their twisted
+//! returns, branchy and phi targets checked against plane-eligible sources
+//! (the batched sweep's dense pre-filter), and sources whose outcomes mix
+//! UB, poison and undef lanes.
+//!
+//! The fuzz test walks a fixed seed block and appends a rotating block
+//! derived from `LPO_FUZZ_SEED` when set — the CI fuzz-smoke step derives it
+//! from the commit hash and logs it, so any failure is replayable with
+//! `LPO_FUZZ_SEED=<seed> cargo test --test frozen_differential`.
+
+use lpo_bench::twist_return;
+use lpo_interp::fuzz::random_pair;
+use lpo_ir::function::Function;
+use lpo_ir::parser::parse_function;
+use lpo_ir::printer::print_function;
+use lpo_tv::inputs::InputConfig;
+use lpo_tv::prelude::{EvalArena, SerialDriver, SourceCache, TvConfig, Verdict};
+
+/// The shard sizes every pair is swept at.
+const SHARD_SIZES: [usize; 4] = [1, 7, 256, usize::MAX];
+
+/// The base seed block, plus the rotating block from `LPO_FUZZ_SEED` (same
+/// protocol as `tests/plane_differential.rs`).
+fn seed_block(count: usize, salt: u64) -> Vec<u64> {
+    let mut seeds: Vec<u64> =
+        (0..count as u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(salt)).collect();
+    if let Some(rotating) = rotating_seed() {
+        eprintln!(
+            "frozen fuzz: appending {} rotating seeds from LPO_FUZZ_SEED={rotating:#x}",
+            count / 4
+        );
+        seeds.extend(
+            (0..count as u64 / 4)
+                .map(|i| rotating.wrapping_add(salt).wrapping_add(i.wrapping_mul(0x9e37_79b9))),
+        );
+    }
+    seeds
+}
+
+/// The rotating seed from the environment, accepting decimal or `0x` hex.
+fn rotating_seed() -> Option<u64> {
+    let raw = std::env::var("LPO_FUZZ_SEED").ok()?;
+    let raw = raw.trim();
+    let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => raw.parse(),
+    };
+    match parsed {
+        Ok(seed) => Some(seed),
+        Err(_) => panic!("LPO_FUZZ_SEED must be a u64 (decimal or 0x hex), got {raw:?}"),
+    }
+}
+
+/// The verdict as the LLM would see it: the full counterexample text for a
+/// refutation, the debug form otherwise.
+fn rendered(verdict: &Verdict) -> String {
+    match verdict {
+        Verdict::Incorrect(cex) => cex.to_string(),
+        other => format!("{other:?}"),
+    }
+}
+
+/// How the checked survivors' frozen cases were laid out.
+#[derive(Default)]
+struct Coverage {
+    /// Survivors swept against a dense frozen case.
+    dense: usize,
+    /// Of those, survivors whose sweep ran the batched tier (a target with
+    /// no plane form), i.e. the batched dense pre-filter.
+    dense_batched: usize,
+    /// Survivors swept against a materialized frozen case.
+    materialized: usize,
+    /// Pairs whose serial verdict was a refutation.
+    refuted: usize,
+}
+
+/// Checks `tgt` against `src` every way and records the frozen layouts.
+/// The abstract tier is off so provable pairs still reach the sweep.
+fn check_pair(
+    src: &Function,
+    tgt: &Function,
+    inputs: &InputConfig,
+    arena: &mut EvalArena,
+    coverage: &mut Coverage,
+) {
+    let config =
+        |plane_sweep| TvConfig { inputs: inputs.clone(), plane_sweep, absint: false, ..TvConfig::default() };
+    let serial = SourceCache::new(src, config(true)).verify_with(tgt, arena);
+    let expected = rendered(&serial);
+    coverage.refuted += usize::from(matches!(serial, Verdict::Incorrect(_)));
+    for plane_sweep in [true, false] {
+        for shard_size in SHARD_SIZES {
+            let case = SourceCache::new(src, config(plane_sweep));
+            let verdict = case.verify_with_driver(tgt, arena, &SerialDriver, shard_size);
+            assert_eq!(
+                rendered(&verdict),
+                expected,
+                "sharded walk diverged (plane {plane_sweep}, shard {shard_size}):\n{}\n{}",
+                print_function(src),
+                print_function(tgt)
+            );
+            assert_eq!(verdict, serial);
+            if case.survivors() == 0 || shard_size != SHARD_SIZES[0] {
+                continue;
+            }
+            if case.frozen_case(arena).is_dense() {
+                assert!(plane_sweep, "a dense frozen case with the plane tier off");
+                coverage.dense += 1;
+                coverage.dense_batched += usize::from(case.plane_sweeps() == 0);
+            } else {
+                coverage.materialized += 1;
+            }
+        }
+    }
+}
+
+fn parse(text: &str) -> Function {
+    parse_function(text).unwrap_or_else(|e| panic!("bad fixture: {e}\n{text}"))
+}
+
+#[test]
+fn dense_frozen_cases_match_materialized_and_serial_on_fuzz_pairs() {
+    let mut arena = EvalArena::new();
+    let mut coverage = Coverage::default();
+    for seed in seed_block(300, 0xf402_e7ca) {
+        let (src, tgt) = random_pair(seed);
+        let inputs = InputConfig { exhaustive_bits: 8, random_samples: 48, seed };
+        check_pair(&src, &tgt, &inputs, &mut arena, &mut coverage);
+        // The twisted source is refuted on some input past the probe far
+        // more often than a random mutation is.
+        if let Some(twisted) = twist_return(&src) {
+            check_pair(&src, &twisted, &inputs, &mut arena, &mut coverage);
+        }
+    }
+    eprintln!(
+        "frozen fuzz: {} dense, {} materialized, {} refuted",
+        coverage.dense, coverage.materialized, coverage.refuted
+    );
+    assert!(coverage.dense > 200, "dense frozen cases barely engaged: {}", coverage.dense);
+    assert!(coverage.refuted > 150, "too few refutations to compare: {}", coverage.refuted);
+}
+
+#[test]
+fn dense_frozen_cases_match_on_the_corpora() {
+    let mut arena = EvalArena::new();
+    let mut coverage = Coverage::default();
+    for case in lpo_corpus::rq1_suite().iter().chain(lpo_corpus::rq2_suite().iter()) {
+        let src = &case.function;
+        let inputs = InputConfig { seed: u64::from(case.issue_id), ..InputConfig::default() };
+        let mut candidates = vec![src.clone()];
+        candidates.extend(twist_return(src));
+        for candidate in &candidates {
+            check_pair(src, candidate, &inputs, &mut arena, &mut coverage);
+        }
+    }
+    // Both layouts occur: scalar-int sources freeze dense, memory, vector
+    // and control-flow sources materialize.
+    assert!(coverage.dense > 10, "too few dense corpus cases: {}", coverage.dense);
+    assert!(coverage.materialized > 0, "no materialized corpus case");
+}
+
+#[test]
+fn branchy_targets_use_the_batched_dense_prefilter() {
+    let src = parse("define i8 @s(i8 %x) {\n %r = add i8 %x, 1\n ret i8 %r\n}");
+    let targets = [
+        // Correct, through a branch and a phi: no plane form.
+        "define i8 @t(i8 %x) {\nentry:\n %c = icmp eq i8 %x, 255\n br i1 %c, label %wrap, label %inc\nwrap:\n br label %done\ninc:\n %a = add i8 %x, 1\n br label %done\ndone:\n %r = phi i8 [ 0, %wrap ], [ %a, %inc ]\n ret i8 %r\n}",
+        // Wrong only for negative inputs: refuted at 128, past the probe.
+        "define i8 @t(i8 %x) {\nentry:\n %c = icmp slt i8 %x, 0\n br i1 %c, label %neg, label %pos\nneg:\n %b = add i8 %x, 2\n ret i8 %b\npos:\n %a = add i8 %x, 1\n ret i8 %a\n}",
+        // More poisonous only at the top of the range.
+        "define i8 @t(i8 %x) {\nentry:\n %c = icmp ult i8 %x, 200\n br i1 %c, label %lo, label %hi\nlo:\n %a = add i8 %x, 1\n ret i8 %a\nhi:\n %b = add nuw i8 %x, 1\n ret i8 %b\n}",
+        // Undef where the source is concrete.
+        "define i8 @t(i8 %x) {\nentry:\n %c = icmp ult i8 %x, 240\n br i1 %c, label %lo, label %hi\nlo:\n %a = add i8 %x, 1\n ret i8 %a\nhi:\n ret i8 undef\n}",
+    ];
+    let mut arena = EvalArena::new();
+    let mut coverage = Coverage::default();
+    for text in targets {
+        check_pair(&src, &parse(text), &InputConfig::default(), &mut arena, &mut coverage);
+    }
+    assert_eq!(coverage.dense, targets.len(), "every survivor froze a dense case");
+    assert_eq!(coverage.dense_batched, targets.len(), "every survivor took the batched sweep");
+    assert_eq!(coverage.refuted, 3);
+}
+
+#[test]
+fn ub_poison_and_undef_source_lanes_agree() {
+    // Each source mixes defined lanes with UB, poison or undef lanes; the
+    // targets are checked on the plane tier (straight-line) and the batched
+    // tier (branchy), refining and refuting.
+    let cases: [(&str, &[&str]); 3] = [
+        (
+            // UB at x == 0.
+            "define i8 @s(i8 %x) {\n %r = udiv i8 100, %x\n ret i8 %r\n}",
+            &[
+                "define i8 @t(i8 %x) {\n %r = udiv i8 100, %x\n ret i8 %r\n}",
+                "define i8 @t(i8 %x) {\n %r = udiv i8 100, %x\n %t = xor i8 %r, 1\n ret i8 %t\n}",
+                "define i8 @t(i8 %x) {\nentry:\n %c = icmp eq i8 %x, 0\n br i1 %c, label %z, label %d\nz:\n ret i8 7\nd:\n %r = udiv i8 100, %x\n ret i8 %r\n}",
+                "define i8 @t(i8 %x) {\nentry:\n %c = icmp eq i8 %x, 77\n br i1 %c, label %z, label %d\nz:\n ret i8 7\nd:\n %r = udiv i8 100, %x\n ret i8 %r\n}",
+            ],
+        ),
+        (
+            // Poison for x > 27 (signed overflow).
+            "define i8 @s(i8 %x) {\n %r = add nsw i8 %x, 100\n ret i8 %r\n}",
+            &[
+                "define i8 @t(i8 %x) {\n %r = add i8 %x, 100\n ret i8 %r\n}",
+                "define i8 @t(i8 %x) {\n %r = add nuw i8 %x, 100\n ret i8 %r\n}",
+                "define i8 @t(i8 %x) {\n %r = udiv i8 100, %x\n ret i8 %r\n}",
+                "define i8 @t(i8 %x) {\nentry:\n %c = icmp sgt i8 %x, 27\n br i1 %c, label %p, label %d\np:\n ret i8 poison\nd:\n %r = add i8 %x, 100\n ret i8 %r\n}",
+                "define i8 @t(i8 %x) {\nentry:\n %c = icmp sgt i8 %x, -20\n br i1 %c, label %p, label %d\np:\n ret i8 poison\nd:\n %r = add i8 %x, 100\n ret i8 %r\n}",
+            ],
+        ),
+        (
+            // Undef for x >= 128, concrete below.
+            "define i8 @s(i8 %x) {\n %c = icmp slt i8 %x, 0\n %r = select i1 %c, i8 undef, i8 %x\n ret i8 %r\n}",
+            &[
+                "define i8 @t(i8 %x) {\n %c = icmp slt i8 %x, 0\n %r = select i1 %c, i8 0, i8 %x\n ret i8 %r\n}",
+                "define i8 @t(i8 %x) {\n %c = icmp slt i8 %x, 0\n %r = select i1 %c, i8 poison, i8 %x\n ret i8 %r\n}",
+                "define i8 @t(i8 %x) {\n %c = icmp slt i8 %x, 0\n %r = select i1 %c, i8 undef, i8 undef\n ret i8 %r\n}",
+                "define i8 @t(i8 %x) {\nentry:\n %c = icmp slt i8 %x, 0\n br i1 %c, label %n, label %p\nn:\n ret i8 poison\np:\n ret i8 %x\n}",
+                "define i8 @t(i8 %x) {\nentry:\n %c = icmp slt i8 %x, 0\n br i1 %c, label %n, label %p\nn:\n ret i8 9\np:\n ret i8 %x\n}",
+            ],
+        ),
+    ];
+    let mut arena = EvalArena::new();
+    let mut coverage = Coverage::default();
+    for (src, targets) in cases {
+        let src = parse(src);
+        for text in targets {
+            check_pair(&src, &parse(text), &InputConfig::default(), &mut arena, &mut coverage);
+        }
+    }
+    assert!(coverage.dense_batched >= 4, "branchy targets missed the batched pre-filter");
+    assert!(coverage.refuted >= 5, "too few refutations: {}", coverage.refuted);
+}
