@@ -28,7 +28,7 @@ pub mod value;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::compiled::{evaluate_direct, CompiledFunction, EvalArena};
-    pub use crate::plane::{PlanePlan, PlaneResult};
+    pub use crate::plane::{PlaneLanes, PlanePlan, PlaneResult, PlaneTape};
     pub use crate::eval::{
         evaluate, evaluate_default, evaluate_reference, fold_instruction, to_constant,
         EvalOutcome, Ub, DEFAULT_STEP_LIMIT,

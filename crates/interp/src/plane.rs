@@ -51,6 +51,7 @@ use lpo_ir::function::Function;
 use lpo_ir::instruction::{BinOp, CastOp, ICmpPred, InstId, InstKind, Intrinsic, Value};
 use lpo_ir::types::Type;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Per-lane UB codes; index into [`UB_MESSAGES`]. `0` means "no UB".
 const UB_DIV_ZERO: u8 = 1;
@@ -162,24 +163,29 @@ impl PlaneResult {
         self.ret_width
     }
 
+    /// The returned plane as a borrowed [`PlaneLanes`] view.
+    pub fn view(&self) -> PlaneLanes<'_> {
+        PlaneLanes { vals: &self.vals, states: &self.states, ub: &self.ub, width: self.ret_width }
+    }
+
     /// Whether the lane hit immediate UB.
     pub fn is_ub(&self, lane: usize) -> bool {
-        self.ub[lane] != 0
+        self.view().is_ub(lane)
     }
 
     /// The lane's UB diagnostic, if it hit UB.
     pub fn ub_message(&self, lane: usize) -> Option<&'static str> {
-        (self.ub[lane] != 0).then(|| UB_MESSAGES[self.ub[lane] as usize])
+        self.view().ub_message(lane)
     }
 
     /// Whether the lane's return value is poison.
     pub fn is_poison(&self, lane: usize) -> bool {
-        self.ub[lane] == 0 && self.states[lane] == ST_POISON
+        self.view().is_poison(lane)
     }
 
     /// Whether the lane's return value is undef.
     pub fn is_undef(&self, lane: usize) -> bool {
-        self.ub[lane] == 0 && self.states[lane] == ST_UNDEF
+        self.view().is_undef(lane)
     }
 
     /// The lane's raw return bits (meaningful only when the lane is neither
@@ -197,15 +203,64 @@ impl PlaneResult {
     ///
     /// Returns the lane's [`Ub`] when it hit immediate undefined behaviour.
     pub fn outcome(&self, lane: usize, memory: Memory) -> Result<EvalOutcome, Ub> {
+        let value = self.view().value(lane)?;
+        Ok(EvalOutcome { result: Some(value), memory, steps: self.steps })
+    }
+}
+
+/// A borrowed view of one plane's lanes: a [`PlaneResult`]'s returned plane
+/// or any plane of a [`PlaneTape`]. Lane `i`'s UB flag belongs to the
+/// straight-line program that computed the plane, so a UB lane's value and
+/// state are meaningless.
+#[derive(Clone, Copy, Debug)]
+pub struct PlaneLanes<'a> {
+    vals: &'a [u64],
+    states: &'a [u8],
+    ub: &'a [u8],
+    width: u32,
+}
+
+impl PlaneLanes<'_> {
+    /// Whether the lane hit immediate UB.
+    pub fn is_ub(&self, lane: usize) -> bool {
+        self.ub[lane] != 0
+    }
+
+    /// The lane's UB diagnostic, if it hit UB.
+    pub fn ub_message(&self, lane: usize) -> Option<&'static str> {
+        (self.ub[lane] != 0).then(|| UB_MESSAGES[self.ub[lane] as usize])
+    }
+
+    /// Whether the lane's value is poison (and the lane did not hit UB).
+    pub fn is_poison(&self, lane: usize) -> bool {
+        self.ub[lane] == 0 && self.states[lane] == ST_POISON
+    }
+
+    /// Whether the lane's value is undef (and the lane did not hit UB).
+    pub fn is_undef(&self, lane: usize) -> bool {
+        self.ub[lane] == 0 && self.states[lane] == ST_UNDEF
+    }
+
+    /// The lane's raw bits (meaningful only when the lane is neither UB nor
+    /// poison/undef).
+    pub fn raw(&self, lane: usize) -> u64 {
+        self.vals[lane]
+    }
+
+    /// The lane's value in the interpreter's native form.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lane's [`Ub`] when it hit immediate undefined behaviour.
+    pub fn value(&self, lane: usize) -> Result<EvalValue, Ub> {
         if self.ub[lane] != 0 {
             return Err(Ub::new(UB_MESSAGES[self.ub[lane] as usize]));
         }
-        let result = Some(match self.states[lane] {
+        Ok(match self.states[lane] {
             ST_POISON => EvalValue::Poison,
             ST_UNDEF => EvalValue::Undef,
-            _ => EvalValue::Int(ApInt::new(self.ret_width, self.vals[lane] as u128)),
-        });
-        Ok(EvalOutcome { result, memory, steps: self.steps })
+            _ => EvalValue::Int(ApInt::new(self.width, self.vals[lane] as u128)),
+        })
     }
 }
 
@@ -554,7 +609,7 @@ impl PlanePlan {
         // instruction `j` runs only when `j + 1 <= step_limit`.
         let exec = self.steps.len().min(step_limit);
         for step in &self.steps[..exec] {
-            run_step(step, vals, states, ub, n);
+            run_step(step, vals, states, ub, n, 0..n);
         }
         // The `ret` costs one more step; if the budget does not cover the
         // whole walk, every still-live lane reports the limit.
@@ -573,6 +628,185 @@ impl PlanePlan {
             steps: total_steps,
             ret_width: self.ret_width,
         })
+    }
+}
+
+/// An append-only plane workspace for building straight-line programs one
+/// instruction at a time over a fixed set of input lanes.
+///
+/// Where a [`PlanePlan`] lowers a whole function and runs it, a tape grows
+/// one plane per push: first a plane per argument (one lane per input),
+/// then constants and instructions in program order. An instruction is
+/// recorded by [`binary`](Self::binary) / [`icmp`](Self::icmp) and evaluated
+/// on any lane window by [`run`](Self::run) through the same kernels
+/// [`PlanePlan::evaluate_lanes`] uses, so an enumerative search can try a
+/// candidate instruction for one plane step and [`truncate`](Self::truncate)
+/// it away again.
+///
+/// Every plane also carries the UB codes of the program prefix ending at
+/// it: an instruction starts from the previous plane's UB lanes, so a
+/// trapping lane of an earlier (even unused) instruction taints every later
+/// plane, exactly as in sequential execution. Argument planes never trap;
+/// a constant inherits the previous plane's UB lanes. The tape has no step
+/// budget: it is meant for short chains far below the evaluators' step
+/// limits.
+#[derive(Clone, Debug)]
+pub struct PlaneTape {
+    lanes: usize,
+    widths: Vec<u32>,
+    /// The recorded step of each instruction plane (`None` for arguments
+    /// and constants, which are filled when pushed).
+    steps: Vec<Option<PStep>>,
+    vals: Vec<u64>,
+    states: Vec<u8>,
+    ub: Vec<u8>,
+}
+
+impl PlaneTape {
+    /// A tape with one plane per parameter of width `param_widths[j]`,
+    /// holding `inputs[i][j]` in lane `i`. `None` when a lane's arguments
+    /// don't fit (see [`PlanePlan::accepts_args`]) or a width is not in
+    /// `1..=64`.
+    pub fn new(param_widths: &[u32], inputs: &[&[EvalValue]]) -> Option<PlaneTape> {
+        if param_widths.iter().any(|&w| !(1..=64).contains(&w)) {
+            return None;
+        }
+        let fits = |args: &[EvalValue]| {
+            args.len() == param_widths.len()
+                && args.iter().zip(param_widths).all(|(a, &w)| match a {
+                    EvalValue::Int(v) => v.width() == w,
+                    EvalValue::Poison | EvalValue::Undef => true,
+                    _ => false,
+                })
+        };
+        if !inputs.iter().all(|args| fits(args)) {
+            return None;
+        }
+        let n = inputs.len();
+        let mut tape = PlaneTape {
+            lanes: n,
+            widths: Vec::new(),
+            steps: Vec::new(),
+            vals: Vec::new(),
+            states: Vec::new(),
+            ub: Vec::new(),
+        };
+        for (j, &w) in param_widths.iter().enumerate() {
+            let p = tape.alloc(w, None);
+            for (i, args) in inputs.iter().enumerate() {
+                match &args[j] {
+                    EvalValue::Int(v) => tape.vals[p * n + i] = v.zext_value() as u64,
+                    EvalValue::Poison => tape.states[p * n + i] = ST_POISON,
+                    _ => tape.states[p * n + i] = ST_UNDEF,
+                }
+            }
+        }
+        Some(tape)
+    }
+
+    /// Lanes per plane.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Number of planes.
+    pub fn len(&self) -> usize {
+        self.widths.len()
+    }
+
+    /// Whether the tape has no planes (a parameterless function).
+    pub fn is_empty(&self) -> bool {
+        self.widths.is_empty()
+    }
+
+    /// Drops every plane from index `len` on. Their storage is kept for
+    /// the next push, so a push–evaluate–truncate round allocates nothing.
+    pub fn truncate(&mut self, len: usize) {
+        self.widths.truncate(len);
+        self.steps.truncate(len);
+    }
+
+    /// Appends a plane and returns its index. Reused storage keeps stale
+    /// lanes; every push overwrites the lanes it evaluates.
+    fn alloc(&mut self, width: u32, step: Option<PStep>) -> usize {
+        let p = self.widths.len();
+        self.widths.push(width);
+        self.steps.push(step);
+        let end = (p + 1) * self.lanes;
+        if self.vals.len() < end {
+            self.vals.resize(end, 0);
+            self.states.resize(end, 0);
+            self.ub.resize(end, 0);
+        }
+        p
+    }
+
+    /// Pushes `value` broadcast to every lane. `None` when it is wider than
+    /// 64 bits.
+    pub fn constant(&mut self, value: &ApInt) -> Option<usize> {
+        let w = value.width();
+        if w > 64 {
+            return None;
+        }
+        let n = self.lanes;
+        let p = self.alloc(w, None);
+        self.vals[p * n..(p + 1) * n].fill(value.zext_value() as u64);
+        self.states[p * n..(p + 1) * n].fill(0);
+        if p > 0 {
+            self.ub.copy_within((p - 1) * n..p * n, p * n);
+        } else {
+            self.ub[..n].fill(0);
+        }
+        Some(p)
+    }
+
+    /// Records `op a, b` (operands of equal width) as a new plane; no lane
+    /// is evaluated until [`run`](Self::run).
+    pub fn binary(&mut self, op: BinOp, flags: IntFlags, a: usize, b: usize) -> usize {
+        let w = self.widths[a];
+        assert_eq!(w, self.widths[b], "binary operands must share a width");
+        let dst = self.len() as u32;
+        let step = PStep { op: POp::Bin { op, flags, w }, a: a as u32, b: b as u32, c: UNUSED, dst };
+        self.alloc(w, Some(step))
+    }
+
+    /// Records `icmp pred a, b` (operands of equal width) as a new `i1`
+    /// plane; no lane is evaluated until [`run`](Self::run).
+    pub fn icmp(&mut self, pred: ICmpPred, a: usize, b: usize) -> usize {
+        let w = self.widths[a];
+        assert_eq!(w, self.widths[b], "icmp operands must share a width");
+        let dst = self.len() as u32;
+        let step = PStep { op: POp::Cmp { pred, w }, a: a as u32, b: b as u32, c: UNUSED, dst };
+        self.alloc(1, Some(step))
+    }
+
+    /// Evaluates instruction plane `plane` on lane window `lanes`, starting
+    /// from the previous plane's UB lanes. The operands and the previous
+    /// plane must already be evaluated on that window; lanes outside every
+    /// evaluated window hold unspecified values. A no-op for argument and
+    /// constant planes, which are complete when pushed.
+    pub fn run(&mut self, plane: usize, lanes: Range<usize>) {
+        let Some(step) = &self.steps[plane] else { return };
+        let n = self.lanes;
+        if plane > 0 {
+            let from = (plane - 1) * n;
+            self.ub.copy_within(from + lanes.start..from + lanes.end, plane * n + lanes.start);
+        } else {
+            self.ub[lanes.clone()].fill(0);
+        }
+        let ub = &mut self.ub[plane * n..(plane + 1) * n];
+        run_step(step, &mut self.vals, &mut self.states, ub, n, lanes);
+    }
+
+    /// Plane `plane`'s lanes.
+    pub fn view(&self, plane: usize) -> PlaneLanes<'_> {
+        let span = plane * self.lanes..(plane + 1) * self.lanes;
+        PlaneLanes {
+            vals: &self.vals[span.clone()],
+            states: &self.states[span.clone()],
+            ub: &self.ub[span],
+            width: self.widths[plane],
+        }
     }
 }
 
@@ -686,21 +920,32 @@ fn run3(
     }
 }
 
-/// Executes one plane step across all lanes.
-fn run_step(step: &PStep, vals: &mut [u64], states: &mut [u8], ub: &mut [u8], n: usize) {
+/// Executes one plane step on the lane window `lanes` of `n`-lane planes;
+/// `ub` is the step's `n`-long per-lane UB array.
+fn run_step(
+    step: &PStep,
+    vals: &mut [u64],
+    states: &mut [u8],
+    ub: &mut [u8],
+    n: usize,
+    lanes: Range<usize>,
+) {
+    let (lo, hi) = (lanes.start, lanes.end);
     let dst = step.dst as usize;
     let (vh, sh, dv, ds) = split_dst(vals, states, n, dst);
-    let a = step.a as usize;
-    let av = &vh[a * n..a * n + n];
-    let asl = &sh[a * n..a * n + n];
+    let (dv, ds, ub) = (&mut dv[lo..hi], &mut ds[lo..hi], &mut ub[lo..hi]);
+    let plane = |p: u32| {
+        let p = p as usize * n;
+        (&vh[p + lo..p + hi], &sh[p + lo..p + hi])
+    };
+    let n = hi - lo;
+    let (av, asl) = plane(step.a);
     match &step.op {
         POp::Bin { op, flags, w } => {
             let w = *w;
             let m = mask(w);
             let f = *flags;
-            let b = step.b as usize;
-            let bv = &vh[b * n..b * n + n];
-            let bsl = &sh[b * n..b * n + n];
+            let (bv, bsl) = plane(step.b);
             match op {
                 BinOp::Add => run2(n, (av, asl), (bv, bsl), (dv, ds), |x, y| {
                     let r = x.wrapping_add(y) & m;
@@ -801,9 +1046,7 @@ fn run_step(step: &PStep, vals: &mut [u64], states: &mut [u8], ub: &mut [u8], n:
         }
         POp::Cmp { pred, w } => {
             let w = *w;
-            let b = step.b as usize;
-            let bv = &vh[b * n..b * n + n];
-            let bsl = &sh[b * n..b * n + n];
+            let (bv, bsl) = plane(step.b);
             macro_rules! cmp {
                 ($test:expr) => {
                     run2(n, (av, asl), (bv, bsl), (dv, ds), |x, y| (($test)(x, y) as u64, 0))
@@ -823,10 +1066,8 @@ fn run_step(step: &PStep, vals: &mut [u64], states: &mut [u8], ub: &mut [u8], n:
             }
         }
         POp::Sel => {
-            let b = step.b as usize;
-            let c = step.c as usize;
-            let (tv, tsl) = (&vh[b * n..b * n + n], &sh[b * n..b * n + n]);
-            let (fv, fsl) = (&vh[c * n..c * n + n], &sh[c * n..c * n + n]);
+            let (tv, tsl) = plane(step.b);
+            let (fv, fsl) = plane(step.c);
             for i in 0..n {
                 let cs = asl[i];
                 let (v, st) = if cs & ST_POISON != 0 {
@@ -869,9 +1110,7 @@ fn run_step(step: &PStep, vals: &mut [u64], states: &mut [u8], ub: &mut [u8], n:
         POp::Intr2 { intr, w } => {
             let w = *w;
             let m = mask(w);
-            let b = step.b as usize;
-            let bv = &vh[b * n..b * n + n];
-            let bsl = &sh[b * n..b * n + n];
+            let (bv, bsl) = plane(step.b);
             match intr {
                 Intrinsic::Umin => run2(n, (av, asl), (bv, bsl), (dv, ds), |x, y| (x.min(y), 0)),
                 Intrinsic::Umax => run2(n, (av, asl), (bv, bsl), (dv, ds), |x, y| (x.max(y), 0)),
@@ -952,12 +1191,8 @@ fn run_step(step: &PStep, vals: &mut [u64], states: &mut [u8], ub: &mut [u8], n:
             let w = *w;
             let m = mask(w);
             let fshr = *fshr;
-            let b = step.b as usize;
-            let c = step.c as usize;
-            let bv = &vh[b * n..b * n + n];
-            let bsl = &sh[b * n..b * n + n];
-            let cv = &vh[c * n..c * n + n];
-            let csl = &sh[c * n..c * n + n];
+            let (bv, bsl) = plane(step.b);
+            let (cv, csl) = plane(step.c);
             run3(n, (av, asl), (bv, bsl), (cv, csl), (dv, ds), |x, y, amt| {
                 let am = amt % w as u64;
                 if fshr {

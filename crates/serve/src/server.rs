@@ -3,16 +3,19 @@
 //!
 //! # Threading model
 //!
-//! One thread per connection. A connection alternates between reading
-//! request frames and — for `submit` — running the job *inline*: it reserves
-//! a slot in the bounded FIFO job queue (jobs execute one at a time, in
-//! submission order), drives the execution engine with the server's
-//! configured `--jobs` workers, and streams each case's result back on its
-//! own socket as the engine settles it. While a job runs, a watcher thread
-//! reads the connection: a client that disconnects mid-job flips the job's
-//! cancel flag, so the engine fails the remaining cases instantly instead of
-//! computing into a dead socket (bytes a pipelining client sent early are
-//! preserved for the next request).
+//! Two threads per connection. A reader thread owns the socket's read half
+//! for the connection's whole life: it blocks on the socket (no timeouts,
+//! no polling), splits the byte stream into request frames and hands them
+//! over a channel. The handler thread answers the frames in arrival order;
+//! for `submit` it runs the job *inline*: it reserves a slot in the bounded
+//! FIFO job queue (jobs execute one at a time, in submission order), drives
+//! the execution engine with the server's configured `--jobs` workers, and
+//! streams each case's result back on its own socket as the engine settles
+//! it. Frames a pipelining client sends while a job runs wait in the channel
+//! behind it. When the reader sees EOF it sets the connection's cancel flag,
+//! so a client that disconnects mid-job makes the engine fail the remaining
+//! cases instantly instead of computing into a dead socket, and the job
+//! releases its run slot as soon as it is done.
 //!
 //! # Determinism and the shared store
 //!
@@ -48,8 +51,8 @@ use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::Instant;
 
 /// How a server instance runs.
 #[derive(Clone, Debug)]
@@ -325,12 +328,11 @@ enum Frame {
     Eof,
 }
 
-/// Line reader with a shared pushback buffer: the mid-job watcher thread
-/// appends any bytes a pipelining client sends during a job, and the next
-/// [`read_frame`](FrameReader::read_frame) consumes them first.
+/// Line reader owned by a connection's reader thread for the connection's
+/// whole life.
 struct FrameReader {
     stream: TcpStream,
-    buf: Arc<Mutex<Vec<u8>>>,
+    buf: Vec<u8>,
     max_frame: usize,
 }
 
@@ -338,42 +340,36 @@ impl FrameReader {
     fn read_frame(&mut self) -> Frame {
         let mut skipping = false;
         loop {
-            {
-                let mut buf = self.buf.lock().expect("frame buffer poisoned");
-                if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    if skipping || line.len() - 1 > self.max_frame {
-                        return Frame::Oversized;
-                    }
-                    let mut text = String::from_utf8_lossy(&line).into_owned();
+            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
+                let line: Vec<u8> = self.buf.drain(..=pos).collect();
+                if skipping || line.len() - 1 > self.max_frame {
+                    return Frame::Oversized;
+                }
+                let mut text = String::from_utf8_lossy(&line).into_owned();
+                text.pop();
+                if text.ends_with('\r') {
                     text.pop();
-                    if text.ends_with('\r') {
-                        text.pop();
-                    }
-                    return Frame::Line(text);
                 }
-                if buf.len() > self.max_frame {
-                    // Over the limit with no newline yet: discard until the
-                    // frame ends, then report it oversized.
-                    buf.clear();
-                    skipping = true;
-                }
+                return Frame::Line(text);
+            }
+            if self.buf.len() > self.max_frame {
+                // Over the limit with no newline yet: discard until the
+                // frame ends, then report it oversized.
+                self.buf.clear();
+                skipping = true;
             }
             let mut tmp = [0u8; 4096];
             match self.stream.read(&mut tmp) {
                 Ok(0) => return Frame::Eof,
                 Ok(n) => {
-                    let mut buf = self.buf.lock().expect("frame buffer poisoned");
                     if !skipping {
-                        buf.extend_from_slice(&tmp[..n]);
+                        self.buf.extend_from_slice(&tmp[..n]);
                     } else if let Some(pos) = tmp[..n].iter().position(|&b| b == b'\n') {
-                        buf.extend_from_slice(&tmp[pos + 1..n]);
+                        self.buf.extend_from_slice(&tmp[pos + 1..n]);
                         return Frame::Oversized;
                     }
                 }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    continue;
-                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return Frame::Eof,
             }
         }
@@ -388,46 +384,71 @@ fn write_line(writer: &Mutex<TcpStream>, line: &str) -> std::io::Result<()> {
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else { return };
     let Ok(write_half) = stream.try_clone() else { return };
-    let buf = Arc::new(Mutex::new(Vec::new()));
-    let mut reader = FrameReader {
-        stream: read_half,
-        buf: buf.clone(),
-        max_frame: shared.config.max_frame_bytes,
+    // Set when the client is gone (EOF or a dead socket). It is the cancel
+    // flag of the running job and stays set, so any job still queued behind
+    // it on this connection fails fast too.
+    let cancel = Arc::new(AtomicBool::new(false));
+    let (sender, frames) = mpsc::channel();
+    let reader = {
+        let cancel = cancel.clone();
+        let mut reader =
+            FrameReader { stream: read_half, buf: Vec::new(), max_frame: shared.config.max_frame_bytes };
+        std::thread::spawn(move || loop {
+            let frame = reader.read_frame();
+            let eof = matches!(frame, Frame::Eof);
+            if eof {
+                cancel.store(true, Ordering::Relaxed);
+            }
+            if sender.send(frame).is_err() || eof {
+                return;
+            }
+        })
     };
-    let writer = Mutex::new(write_half);
+    serve_frames(shared, &Mutex::new(write_half), &frames, &cancel);
+    // Wake the reader if it is still blocked on the socket, then reap it.
+    let _ = stream.shutdown(Shutdown::Read);
+    let _ = reader.join();
+}
+
+/// Answers the connection's frames in arrival order until EOF, a dead
+/// socket or a `shutdown` request.
+fn serve_frames(
+    shared: &Arc<Shared>,
+    writer: &Mutex<TcpStream>,
+    frames: &mpsc::Receiver<Frame>,
+    cancel: &AtomicBool,
+) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_frame() {
-            Frame::Eof => return,
-            Frame::Oversized => {
+        match frames.recv() {
+            Ok(Frame::Eof) | Err(_) => return,
+            Ok(Frame::Oversized) => {
                 let message = format!(
                     "request frame exceeds {} bytes",
                     shared.config.max_frame_bytes
                 );
-                if write_line(&writer, &error_frame(&message)).is_err() {
+                if write_line(writer, &error_frame(&message)).is_err() {
                     return;
                 }
             }
-            Frame::Line(line) => {
+            Ok(Frame::Line(line)) => {
                 shared.counters.requests.fetch_add(1, Ordering::Relaxed);
                 let outcome = match Request::parse(&line) {
-                    Err(message) => write_line(&writer, &error_frame(&message)),
-                    Ok(Request::Stats) => write_line(&writer, &stats_frame(shared)),
+                    Err(message) => write_line(writer, &error_frame(&message)),
+                    Ok(Request::Stats) => write_line(writer, &stats_frame(shared)),
                     Ok(Request::Shutdown) => {
                         let bye =
                             crate::protocol::frame(&Json::Obj(vec![(
                                 "kind".into(),
                                 Json::Str("bye".into()),
                             )]));
-                        let _ = write_line(&writer, &bye);
+                        let _ = write_line(writer, &bye);
                         shared.begin_shutdown();
                         return;
                     }
-                    Ok(Request::Submit(submit)) => {
-                        handle_submit(shared, &writer, &buf, &stream, submit)
-                    }
+                    Ok(Request::Submit(submit)) => handle_submit(shared, writer, cancel, submit),
                 };
                 if outcome.is_err() {
                     return;
@@ -477,8 +498,7 @@ fn stats_frame(shared: &Shared) -> String {
 fn handle_submit(
     shared: &Arc<Shared>,
     writer: &Mutex<TcpStream>,
-    buf: &Arc<Mutex<Vec<u8>>>,
-    stream: &TcpStream,
+    cancel: &AtomicBool,
     submit: SubmitRequest,
 ) -> std::io::Result<()> {
     // Validate before touching the queue: bad submissions cost nothing.
@@ -499,37 +519,6 @@ fn handle_submit(
     write_line(writer, &accepted_frame(job, functions.len(), plan.unique_indices().len()))?;
     ticket.wait();
 
-    // Watch the socket while the job runs: EOF (client gone) cancels the
-    // job; bytes from a pipelining client land in the reader's buffer.
-    let cancel = Arc::new(AtomicBool::new(false));
-    let done = Arc::new(AtomicBool::new(false));
-    let watcher = stream.try_clone().ok().map(|watch_stream| {
-        let _ = watch_stream.set_read_timeout(Some(Duration::from_millis(25)));
-        let buf = buf.clone();
-        let cancel = cancel.clone();
-        let done = done.clone();
-        std::thread::spawn(move || {
-            let mut tmp = [0u8; 4096];
-            while !done.load(Ordering::Relaxed) {
-                match watch_stream.as_ref_read(&mut tmp) {
-                    Ok(0) => {
-                        cancel.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    Ok(n) => {
-                        buf.lock().expect("frame buffer poisoned").extend_from_slice(&tmp[..n]);
-                    }
-                    Err(e)
-                        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                    Err(_) => {
-                        cancel.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-        })
-    });
-
     let factory = shared.provider.build(profile, submit.seed);
     let run_key = run_key(&submit, &functions);
     let persist = Persist { store: &shared.store, run_key: &run_key, resume: submit.resume };
@@ -544,7 +533,7 @@ fn handle_submit(
             cancel.store(true, Ordering::Relaxed);
         }
     };
-    let hooks = BatchHooks { observer: Some(&observer), cancel: Some(&cancel) };
+    let hooks = BatchHooks { observer: Some(&observer), cancel: Some(cancel) };
     let batch = run_batch_hooked(
         &shared.lpo,
         &*factory,
@@ -554,15 +543,6 @@ fn handle_submit(
         Some(&persist),
         hooks,
     );
-
-    // The job is over: stop watching, restore the blocking read the
-    // connection loop expects (the timeout is a socket-level option shared
-    // by every clone of this connection).
-    done.store(true, Ordering::Relaxed);
-    if let Some(handle) = watcher {
-        let _ = handle.join();
-    }
-    let _ = stream.set_read_timeout(None);
 
     // Structural duplicates replay their representative's settled report.
     for index in 0..functions.len() {
@@ -633,20 +613,10 @@ fn run_key(submit: &SubmitRequest, functions: &[Function]) -> String {
     format!("serve/{}/s{}/{digest:016x}", submit.model, submit.seed)
 }
 
-/// `Read::read` through a `&TcpStream` (the watcher owns no unique handle).
-trait ReadByRef {
-    fn as_ref_read(&self, buf: &mut [u8]) -> std::io::Result<usize>;
-}
-
-impl ReadByRef for TcpStream {
-    fn as_ref_read(&self, buf: &mut [u8]) -> std::io::Result<usize> {
-        (&mut &*self).read(buf)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn queue_grants_fifo_and_bounds_depth() {

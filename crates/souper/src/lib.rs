@@ -14,7 +14,9 @@
 //!   bounded size (`enum_depth`, the paper's `Enum` parameter, 0–3) over the
 //!   function arguments and a small constant pool;
 //! * verifies each candidate with the translation validator and accepts the
-//!   first strictly cheaper one;
+//!   first strictly cheaper one — a candidate is first one plane step
+//!   checked against the case's frozen source table, and only one that step
+//!   cannot refute is built as a function and verified;
 //! * models the cost of the search: enumerative synthesis time grows steeply
 //!   with `Enum`, so each run reports both the real elapsed time and a
 //!   *modelled* time derived from the number of candidates explored,
@@ -28,12 +30,15 @@ use lpo::shard::ShardRuntime;
 use lpo_ir::apint::ApInt;
 use lpo_ir::flags::IntFlags;
 use lpo_ir::function::Function;
-use lpo_ir::instruction::{BinOp, ICmpPred, InstKind, Instruction, Value};
+use lpo_ir::instruction::{BinOp, ICmpPred, InstId, InstKind, Instruction, Value};
 use lpo_ir::types::Type;
 use lpo_tv::inputs::InputConfig;
-use lpo_tv::prelude::EvalArena;
+use lpo_tv::prelude::{EvalArena, PlaneTape};
 use lpo_tv::refine::{CompileCache, SourceCache, TvConfig};
 use std::time::{Duration, Instant};
+
+#[cfg(test)]
+mod reference;
 
 /// Configuration of a Souper run.
 #[derive(Clone, Debug)]
@@ -266,27 +271,43 @@ fn search(
         }
     }
 
+    // The plane filter: when the case is in the plane domain, every
+    // candidate is first one plane step on the case's tape, checked against
+    // the frozen source table. Only candidates the tape does not refute are
+    // built as functions and verified.
+    let mut filter = if original_cost > 0 { PlaneFilter::new(&case, &constants, arena) } else { None };
+    let leaf = |filter: &Option<PlaneFilter>, value: Value| Leaf {
+        ty: func.value_type(&value),
+        plane: filter.as_ref().and_then(|f| f.plane_of(&value, &constants)),
+        value,
+    };
+
     // Depth 0: the replacement must be an existing value or a constant. One
     // scratch function is built on first use and re-pointed per candidate
     // with `set_operand` — the use-list-maintaining mutation API makes a
     // candidate cost one operand swap instead of a whole-function build.
-    let mut leaf_candidates: Vec<Value> = pool.clone();
-    for c in &constants {
-        if Some(c.width()) == ret_ty.int_width() {
-            leaf_candidates.push(Value::Const(lpo_ir::constant::Constant::Int(*c)));
-        }
-    }
+    let leaf_candidates: Vec<Leaf> = pool
+        .iter()
+        .cloned()
+        .chain(constants.iter().filter(|c| Some(c.width()) == ret_ty.int_width()).map(const_value))
+        .map(|value| leaf(&filter, value))
+        .collect();
     let mut leaf_scratch: Option<Function> = None;
     for candidate in &leaf_candidates {
         tried += 1;
-        if func.value_type(candidate) != ret_ty || original_cost == 0 {
+        if candidate.ty != ret_ty || original_cost == 0 {
             continue;
         }
+        if let (Some(f), Some(plane)) = (&mut filter, candidate.plane) {
+            if f.refutes(&case, arena, |_| plane) {
+                continue;
+            }
+        }
         let replacement = match &mut leaf_scratch {
-            slot @ None => slot.insert(leaf_function(func, candidate.clone())),
+            slot @ None => slot.insert(leaf_function(func, candidate.value.clone())),
             Some(scratch) => {
                 let ret_id = *scratch.block(scratch.entry()).insts.last().expect("leaf has a ret");
-                scratch.set_operand(ret_id, 0, candidate.clone());
+                scratch.set_operand(ret_id, 0, candidate.value.clone());
                 scratch
             }
         };
@@ -298,41 +319,47 @@ fn search(
     // Depth >= 1: enumerate instruction DAGs of up to `enum_depth` new instructions.
     if config.enum_depth >= 1 {
         pool.truncate(4); // keep the search space bounded like the real tool's pruning
-        let widths: Vec<Value> = pool.clone();
-        let const_values: Vec<Value> = constants
+        let args = pool.len();
+        // Operand pool: the (truncated) arguments, then every constant.
+        let leaves: Vec<Leaf> = pool
             .iter()
-            .map(|c| Value::Const(lpo_ir::constant::Constant::Int(*c)))
+            .cloned()
+            .chain(constants.iter().map(const_value))
+            .map(|value| leaf(&filter, value))
             .collect();
         // Comparison-shaped results first when the function returns i1: this is
         // the cheapest part of the space and where boolean sources usually land.
         if ret_ty == Type::i1() {
-            // One scratch comparison, rewritten in place per (pred, a, b).
+            // One scratch comparison, rewritten in place per verified (pred, a, b).
             let mut icmp_scratch: Option<Function> = None;
             for pred in ICmpPred::ALL {
-                for a in &widths {
-                    for b in widths.iter().chain(const_values.iter()) {
+                for a in &leaves[..args] {
+                    for b in &leaves {
                         tried += 1;
                         if tried >= config.candidate_budget || modeled_time(tried, config) > config.timeout {
                             return finish(start, Outcome::Timeout, tried, config, None);
                         }
-                        if func.value_type(a) != func.value_type(b) || !func.value_type(a).is_int() {
+                        if a.ty != b.ty || !a.ty.is_int() || original_cost <= 1 {
                             continue;
                         }
+                        if let (Some(f), Some(pa), Some(pb)) = (&mut filter, a.plane, b.plane) {
+                            if f.refutes(&case, arena, |tape| tape.icmp(pred, pa, pb)) {
+                                continue;
+                            }
+                        }
                         let candidate = match &mut icmp_scratch {
-                            slot @ None => slot.insert(icmp_function(func, pred, a.clone(), b.clone())),
+                            slot @ None => slot.insert(icmp_function(func, pred, a.value.clone(), b.value.clone())),
                             Some(scratch) => {
                                 let cmp_id = scratch.block(scratch.entry()).insts[0];
                                 scratch.set_inst_kind(
                                     cmp_id,
-                                    InstKind::ICmp { pred, lhs: a.clone(), rhs: b.clone() },
+                                    InstKind::ICmp { pred, lhs: a.value.clone(), rhs: b.value.clone() },
                                     Type::i1(),
                                 );
                                 scratch
                             }
                         };
-                        if candidate.instruction_count() < original_cost
-                            && case.verify_outcome_only(candidate, arena)
-                        {
+                        if case.verify_outcome_only(candidate, arena) {
                             return finish(start, Outcome::Found(candidate.clone()), tried, config, Some(1));
                         }
                     }
@@ -341,49 +368,69 @@ fn search(
         }
         /// Frontier cap per level (real Souper prunes aggressively).
         const FRONTIER_CAP: usize = 256;
-        let mut frontier: Vec<Function> = vec![skeleton(func)];
+        // A frontier base is the chain of instructions it synthesized; it is
+        // put on the tape, or built as a function, only when its level is
+        // reached and one of its candidates needs it.
+        let mut frontier: Vec<Vec<Synth>> = vec![Vec::new()];
         for level in 0..config.enum_depth {
+            let last_level = level + 1 == config.enum_depth;
+            // Every candidate of this level has `level + 1` instructions; none
+            // is verified unless that is cheaper than the source.
+            let verifies = (level as usize + 1) < original_cost;
             let mut next = Vec::new();
-            for base in &frontier {
-                // One scratch per base: the base body plus a synthesized
-                // instruction slot and a `ret` of it, built once; each
-                // enumerated candidate is one `set_inst_kind` on the slot
-                // instead of a clone–erase–append round (the mutation API
-                // keeps the use lists coherent through the rewrites).
-                let (mut scratch, synth_id) = extension_scratch(base, &ret_ty);
-                let scratch_cost = scratch.instruction_count();
+            for chain in &frontier {
+                let base_planes = match &mut filter {
+                    Some(f) if verifies => f.enter_base(chain, &leaves),
+                    _ => None,
+                };
+                let mut extension: Option<Extension> = None;
+                let operands = (0..leaves.len()).map(Operand::Leaf).chain((0..chain.len()).map(Operand::Synth));
                 for op in BinOp::ALL {
-                    let synthesized = synth_values(base);
-                    for a in widths.iter().chain(const_values.iter()).chain(synthesized.iter()) {
-                        for b in widths.iter().chain(const_values.iter()) {
+                    for a in operands.clone() {
+                        let a_ty = match a {
+                            Operand::Leaf(i) => &leaves[i].ty,
+                            Operand::Synth(_) => &ret_ty,
+                        };
+                        for (b, b_leaf) in leaves.iter().enumerate() {
                             if tried >= config.candidate_budget {
                                 return finish(start, Outcome::Timeout, tried, config, None);
                             }
-                            let a_ty = base.value_type(a);
-                            if a_ty != base.value_type(b) || !a_ty.is_int() || a_ty != ret_ty {
+                            if *a_ty != b_leaf.ty || !a_ty.is_int() || *a_ty != ret_ty {
                                 continue;
                             }
                             tried += 1;
                             if modeled_time(tried, config) > config.timeout {
                                 return finish(start, Outcome::Timeout, tried, config, None);
                             }
-                            scratch.set_inst_kind(
-                                synth_id,
-                                InstKind::Binary {
-                                    op,
-                                    lhs: a.clone(),
-                                    rhs: b.clone(),
-                                    flags: IntFlags::none(),
-                                },
-                                a_ty,
-                            );
-                            if scratch_cost < original_cost
-                                && case.verify_outcome_only(&scratch, arena)
-                            {
-                                return finish(start, Outcome::Found(scratch.clone()), tried, config, Some(level + 1));
+                            let step = Synth { op, a, b };
+                            if verifies {
+                                let refuted = match (&mut filter, &base_planes) {
+                                    (Some(f), Some(planes)) => {
+                                        let plane_a = match a {
+                                            Operand::Leaf(i) => leaves[i].plane,
+                                            Operand::Synth(k) => Some(planes[k]),
+                                        };
+                                        match (plane_a, b_leaf.plane) {
+                                            (Some(pa), Some(pb)) => f.refutes(&case, arena, |tape| {
+                                                tape.binary(op, IntFlags::none(), pa, pb)
+                                            }),
+                                            _ => false,
+                                        }
+                                    }
+                                    _ => false,
+                                };
+                                if !refuted {
+                                    let ext = extension.get_or_insert_with(|| Extension::new(func, &ret_ty, chain, &leaves));
+                                    ext.rewrite(step, &leaves, &ret_ty);
+                                    if case.verify_outcome_only(&ext.func, arena) {
+                                        return finish(start, Outcome::Found(ext.func.clone()), tried, config, Some(level + 1));
+                                    }
+                                }
                             }
-                            if next.len() < FRONTIER_CAP {
-                                next.push(scratch.clone());
+                            if !last_level && next.len() < FRONTIER_CAP {
+                                let mut extended = chain.clone();
+                                extended.push(step);
+                                next.push(extended);
                             }
                         }
                     }
@@ -394,6 +441,136 @@ fn search(
     }
 
     finish(start, Outcome::NotFound, tried, config, None)
+}
+
+/// One enumeration operand: a pool leaf (by index) or the `k`-th
+/// instruction the frontier base synthesized.
+#[derive(Clone, Copy, Debug)]
+enum Operand {
+    Leaf(usize),
+    Synth(usize),
+}
+
+/// One synthesized binary instruction; its left operand may be a leaf or an
+/// earlier synthesized value, its right operand a leaf.
+#[derive(Clone, Copy, Debug)]
+struct Synth {
+    op: BinOp,
+    a: Operand,
+    b: usize,
+}
+
+/// A candidate-pool value with its type and, under a plane filter, its
+/// tape plane (`None` when the filter can't represent it).
+struct Leaf {
+    value: Value,
+    ty: Type,
+    plane: Option<usize>,
+}
+
+fn const_value(c: &ApInt) -> Value {
+    Value::Const(lpo_ir::constant::Constant::Int(*c))
+}
+
+/// The plane filter of one search. The tape holds one plane per argument,
+/// then one per pool constant, then the current frontier base's chain.
+struct PlaneFilter {
+    tape: PlaneTape,
+    args: usize,
+    consts: Vec<Option<usize>>,
+}
+
+impl PlaneFilter {
+    /// `None` when the case is outside the plane domain; every candidate is
+    /// then verified unfiltered.
+    fn new(case: &SourceCache, constants: &[ApInt], arena: &mut EvalArena) -> Option<Self> {
+        let mut tape = case.plane_tape(arena)?;
+        let args = tape.len();
+        let consts = constants.iter().map(|c| tape.constant(c)).collect();
+        Some(Self { tape, args, consts })
+    }
+
+    /// The plane holding an argument or pool constant.
+    fn plane_of(&self, value: &Value, constants: &[ApInt]) -> Option<usize> {
+        match value {
+            Value::Arg(i) => (*i < self.args).then_some(*i),
+            Value::Const(lpo_ir::constant::Constant::Int(c)) => {
+                self.consts[constants.iter().position(|k| k == c)?]
+            }
+            _ => None,
+        }
+    }
+
+    /// Whether the tape refutes the candidate whose value is the plane
+    /// `push` returns — a leaf's plane, or one it records on the tape. A
+    /// recorded plane is truncated away again.
+    fn refutes(
+        &mut self,
+        case: &SourceCache,
+        arena: &mut EvalArena,
+        push: impl FnOnce(&mut PlaneTape) -> usize,
+    ) -> bool {
+        let len = self.tape.len();
+        let plane = push(&mut self.tape);
+        let refuted = case.tape_refutes(&mut self.tape, plane, arena);
+        self.tape.truncate(len);
+        refuted
+    }
+
+    /// Replaces the tape's base chain with `chain`, evaluated on every lane,
+    /// and returns its planes; `None` when an operand has no plane.
+    fn enter_base(&mut self, chain: &[Synth], leaves: &[Leaf]) -> Option<Vec<usize>> {
+        self.tape.truncate(self.args + self.consts.len());
+        let mut planes = Vec::with_capacity(chain.len());
+        for step in chain {
+            let a = match step.a {
+                Operand::Leaf(i) => leaves[i].plane?,
+                Operand::Synth(k) => planes[k],
+            };
+            let plane = self.tape.binary(step.op, IntFlags::none(), a, leaves[step.b].plane?);
+            self.tape.run(plane, 0..self.tape.lanes());
+            planes.push(plane);
+        }
+        Some(planes)
+    }
+}
+
+/// A frontier base built as a function: its chain replayed through
+/// [`extension_scratch`] level by level — the same mutations, so the same
+/// instruction ids and names, as the scratch the base was enumerated from —
+/// plus the synthesized slot its candidates rewrite.
+struct Extension {
+    func: Function,
+    slot: InstId,
+    synth: Vec<InstId>,
+}
+
+impl Extension {
+    fn new(src: &Function, ret_ty: &Type, chain: &[Synth], leaves: &[Leaf]) -> Self {
+        let (func, slot) = extension_scratch(&skeleton(src), ret_ty);
+        let mut ext = Extension { func, slot, synth: Vec::with_capacity(chain.len()) };
+        for step in chain {
+            ext.rewrite(*step, leaves, ret_ty);
+            ext.synth.push(ext.slot);
+            (ext.func, ext.slot) = extension_scratch(&ext.func, ret_ty);
+        }
+        ext
+    }
+
+    /// Points the slot at `step`.
+    fn rewrite(&mut self, step: Synth, leaves: &[Leaf], ret_ty: &Type) {
+        let lhs = match step.a {
+            Operand::Leaf(i) => leaves[i].value.clone(),
+            Operand::Synth(k) => Value::Inst(self.synth[k]),
+        };
+        let kind = InstKind::Binary {
+            op: step.op,
+            lhs,
+            rhs: leaves[step.b].value.clone(),
+            flags: IntFlags::none(),
+        };
+        self.func.set_inst_kind(self.slot, kind, ret_ty.clone());
+    }
 }
 
 fn modeled_time(tried: usize, config: &SouperConfig) -> Duration {
@@ -430,20 +607,12 @@ fn skeleton(original: &Function) -> Function {
     f
 }
 
-/// Values produced by instructions already synthesized into `base`.
-fn synth_values(base: &Function) -> Vec<Value> {
-    base.iter_inst_ids()
-        .filter(|id| base.inst(*id).produces_value())
-        .map(Value::Inst)
-        .collect()
-}
-
 /// Builds the per-base enumeration scratch: the base body with one
 /// synthesized binary-instruction slot (a placeholder immediately rewritten
 /// by `set_inst_kind` per candidate) and a `ret` of that slot. Any `ret`
 /// left by a previous extension level is dropped first, exactly as the old
 /// per-candidate `extend` did.
-fn extension_scratch(base: &Function, ret_ty: &Type) -> (Function, lpo_ir::instruction::InstId) {
+fn extension_scratch(base: &Function, ret_ty: &Type) -> (Function, InstId) {
     let mut f = base.clone();
     let entry = f.entry();
     if let Some(&last) = f.block(entry).insts.last() {

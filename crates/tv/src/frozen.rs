@@ -227,12 +227,13 @@ impl SweepShard {
                         break;
                     };
                     used_plane = true;
+                    let view = result.view();
                     for offset in 0..chunk_end - index {
                         let lane_index = index + offset;
                         // Dense pre-filter, then the authoritative comparison
                         // for suspect lanes — same split as the serial sweep.
                         if let Some(table) = &inner.dense {
-                            if table.lane_refines(lane_index, &result, offset) {
+                            if table.lane_refines(lane_index, &view, offset) {
                                 continue;
                             }
                         }

@@ -66,4 +66,5 @@ pub mod prelude {
         Counterexample, SourceCache, TvConfig, Validator, Verdict, VerdictTier,
     };
     pub use lpo_interp::compiled::EvalArena;
+    pub use lpo_interp::plane::PlaneTape;
 }

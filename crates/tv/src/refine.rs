@@ -69,11 +69,12 @@ use lpo_absint::{certificate, Certificate, FunctionAnalysis};
 use lpo_interp::compiled::{evaluate_direct, CompiledFunction, EvalArena};
 use lpo_interp::eval::Ub;
 use lpo_interp::memory::Memory;
-use lpo_interp::plane::{PlanePlan, PlaneResult};
+use lpo_interp::plane::{PlaneLanes, PlanePlan, PlaneTape};
 use lpo_interp::value::EvalValue;
 use lpo_ir::function::Function;
 use lpo_ir::hash::{hash_function, Digest};
 use lpo_ir::printer;
+use lpo_ir::types::Type;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
@@ -495,22 +496,22 @@ pub(crate) struct DenseOutcomes {
 }
 
 impl DenseOutcomes {
-    /// Whether plane lane `offset` of `result` provably refines input
+    /// Whether lane `offset` of a target plane provably refines input
     /// `index`'s cached source outcome. The tag order mirrors
     /// [`refutation`]: source UB admits anything, then target UB refutes,
     /// then the value-refinement lattice. `false` means *suspect* — the
     /// caller re-runs the lane through the full comparison, which stays
     /// authoritative for the verdict and the refutation descriptor.
-    pub(crate) fn lane_refines(&self, index: usize, result: &PlaneResult, offset: usize) -> bool {
+    pub(crate) fn lane_refines(&self, index: usize, lanes: &PlaneLanes, offset: usize) -> bool {
         match self.tags[index] {
             DENSE_SRC_UB => true,
-            _ if result.is_ub(offset) => false,
+            _ if lanes.is_ub(offset) => false,
             DENSE_POISON => true,
-            DENSE_UNDEF => !result.is_poison(offset),
+            DENSE_UNDEF => !lanes.is_poison(offset),
             _ => {
-                !result.is_poison(offset)
-                    && !result.is_undef(offset)
-                    && result.raw(offset) == self.vals[index]
+                !lanes.is_poison(offset)
+                    && !lanes.is_undef(offset)
+                    && lanes.raw(offset) == self.vals[index]
             }
         }
     }
@@ -825,6 +826,7 @@ impl<'a> SourceCache<'a> {
                 counted = true;
                 self.plane_sweeps.set(self.plane_sweeps.get() + 1);
             }
+            let view = result.view();
             for offset in 0..end - start {
                 let lane_index = start + offset;
                 // The dense table is a cheap pre-filter: a lane it clears is
@@ -832,7 +834,7 @@ impl<'a> SourceCache<'a> {
                 // comparison below, which stays authoritative for both the
                 // verdict and the refutation descriptor.
                 if let Some(table) = &dense {
-                    if table.lane_refines(lane_index, &result, offset) {
+                    if table.lane_refines(lane_index, &view, offset) {
                         continue;
                     }
                 }
@@ -1288,6 +1290,61 @@ impl<'a> SourceCache<'a> {
     /// entry point is the hot path for accept/reject-only verification.
     pub fn verify_outcome_only(&self, tgt: &Function, arena: &mut EvalArena) -> bool {
         matches!(self.verify_staged(tgt, arena, true), Ok(StagedVerdict::Correct { .. }))
+    }
+
+    /// A [`PlaneTape`] with one argument plane per parameter, holding this
+    /// case's inputs one lane per input in input order: the workspace for
+    /// [`tape_refutes`](Self::tape_refutes). Freezes the case (see
+    /// [`frozen_case`](Self::frozen_case)). `None` when the case is outside
+    /// the plane domain: a parameter or the return is not an integer of at
+    /// most 64 bits, or the frozen case carries no dense table.
+    pub fn plane_tape(&self, arena: &mut EvalArena) -> Option<PlaneTape> {
+        let plane_width = |ty: &Type| match ty {
+            Type::Int(w) if *w <= 64 => Some(*w),
+            _ => None,
+        };
+        let widths = self.src.params.iter().map(|p| plane_width(&p.ty)).collect::<Option<Vec<u32>>>()?;
+        plane_width(&self.src.ret_ty)?;
+        self.frozen_case(arena).dense_table()?;
+        let lanes: Vec<&[EvalValue]> =
+            self.inputs().0.iter().map(|input| input.args.as_slice()).collect();
+        PlaneTape::new(&widths, &lanes)
+    }
+
+    /// Outcome-only lane check of a candidate whose return value on input
+    /// `i` is lane `i` of plane `plane` of a [`plane_tape`](Self::plane_tape).
+    /// Runs the plane on the probe window first and on the remaining lanes
+    /// only if the probe passes. Lanes the frozen case's dense table clears
+    /// are skipped; a suspect lane is re-checked on its materialized value
+    /// through the same source-outcome comparison the sweep uses.
+    ///
+    /// `true` only when some input really refutes the candidate — so
+    /// [`verify_outcome_only`](Self::verify_outcome_only) rejects it too —
+    /// and `false` decides nothing. Counts nothing: a candidate is checked
+    /// only once it reaches a verify entry point.
+    pub fn tape_refutes(&self, tape: &mut PlaneTape, plane: usize, arena: &mut EvalArena) -> bool {
+        let Some(table) = self.frozen.get().and_then(FrozenCase::dense_table) else {
+            return false;
+        };
+        let inputs = &self.inputs().0;
+        let total = inputs.len();
+        debug_assert_eq!(tape.lanes(), total, "the tape must come from this case");
+        let probe = self.config.probe_inputs.min(total);
+        for window in [0..probe, probe..total] {
+            tape.run(plane, window.clone());
+            let lanes = tape.view(plane);
+            for index in window {
+                if table.lane_refines(index, &lanes, index) {
+                    continue;
+                }
+                let input = &inputs[index];
+                let tgt_out = lanes.value(index).map(|v| (Some(v), input.memory.clone()));
+                if self.check_input(index, input, &tgt_out, arena).is_some() {
+                    return true;
+                }
+            }
+        }
+        false
     }
 
     /// Checks `tgt` on the retained pre-staging path: unconditional compile,

@@ -16,7 +16,10 @@
 //!   identical with the plane tier on and off, and a survivor only falls
 //!   back to the batched sweep when its compiled form really has no plan;
 //! * **digest sanity**: structurally distinct fuzz functions never share a
-//!   [`hash_function`] digest (the compile cache's correctness assumption).
+//!   [`hash_function`] digest (the compile cache's correctness assumption);
+//! * **tape ≡ plan**: a [`PlaneTape`] grown one binary/icmp instruction at a
+//!   time, over split lane windows and reused storage, matches
+//!   [`PlanePlan::evaluate_lanes`] of every program prefix on every lane.
 //!
 //! Every test walks a fixed seed block (deterministic in CI and locally) and
 //! appends a rotating block derived from `LPO_FUZZ_SEED` when that variable
@@ -29,8 +32,13 @@ use lpo_interp::compiled::{CompiledFunction, EvalArena};
 use lpo_interp::eval::evaluate_reference;
 use lpo_interp::fuzz::random_function;
 use lpo_interp::memory::Memory;
+use lpo_interp::plane::{PlanePlan, PlaneTape};
 use lpo_interp::value::EvalValue;
+use lpo_ir::constant::Constant;
+use lpo_ir::flags::IntFlags;
+use lpo_ir::function::Function;
 use lpo_ir::hash::hash_function;
+use lpo_ir::instruction::{BinOp, InstId, InstKind, Value};
 use lpo_ir::printer::print_function;
 use lpo_tv::inputs::{generate_inputs, InputConfig};
 use lpo_tv::prelude::{SourceCache, TvConfig};
@@ -287,4 +295,111 @@ fn structural_digests_separate_distinct_fuzz_functions() {
         }
     }
     assert!(distinct > 9_000, "fuzz generator produced too few distinct shapes: {distinct}");
+}
+
+/// The tape plane of an operand, pushing integer constants as they are
+/// met (so constants land between instruction planes too); `None` for
+/// `undef`/`poison` constants and values the tape skipped.
+fn tape_operand(tape: &mut PlaneTape, planes: &HashMap<InstId, usize>, value: &Value) -> Option<usize> {
+    match value {
+        Value::Arg(i) => Some(*i),
+        Value::Inst(id) => planes.get(id).copied(),
+        Value::Const(Constant::Int(c)) => tape.constant(c),
+        Value::Const(_) => None,
+    }
+}
+
+/// `func` cut down to the tape's program ending at `last`: every replayed
+/// instruction up to it (dead ones included, since their UB still counts),
+/// returning its value.
+fn tape_prefix(func: &Function, replayed: &[InstId], last: InstId) -> Function {
+    let mut prefix = func.clone();
+    prefix.ret_ty = func.inst(last).ty.clone();
+    let keep = &replayed[..=replayed.iter().position(|id| *id == last).expect("replayed")];
+    let insts = prefix.block(prefix.entry()).insts.clone();
+    let (ret, body) = insts.split_last().expect("fuzz functions end in ret");
+    for id in body.iter().rev() {
+        if !keep.contains(id) {
+            prefix.erase_inst(*id);
+        }
+    }
+    prefix.set_operand(*ret, 0, Value::Inst(last));
+    prefix
+}
+
+#[test]
+fn plane_tape_matches_evaluate_lanes_on_random_chains() {
+    let mut arena = EvalArena::new();
+    let mut planes_checked = 0usize;
+    for seed in seed_block(1_500, 0x7a9e_c4a1) {
+        let func = random_function(seed);
+        let widths: Vec<u32> =
+            func.params.iter().map(|p| p.ty.int_width().expect("scalar int params")).collect();
+        let inputs = generate_inputs(&func, &input_config(seed));
+        let lanes: Vec<&[EvalValue]> = inputs.iter().map(|i| i.args.as_slice()).collect();
+        let n = lanes.len();
+        let mut tape = PlaneTape::new(&widths, &lanes).expect("fuzz inputs fit their signature");
+        let mut planes: HashMap<InstId, usize> = HashMap::new();
+        let mut replayed: Vec<InstId> = Vec::new();
+        let body = func.block(func.entry()).insts.clone();
+        for (k, id) in body.iter().enumerate() {
+            let mark = tape.len();
+            let pushed = match &func.inst(*id).kind {
+                InstKind::Binary { op, lhs, rhs, flags } => {
+                    match (tape_operand(&mut tape, &planes, lhs), tape_operand(&mut tape, &planes, rhs)) {
+                        (Some(a), Some(b)) => Some(tape.binary(*op, *flags, a, b)),
+                        _ => None,
+                    }
+                }
+                InstKind::ICmp { pred, lhs, rhs } => {
+                    match (tape_operand(&mut tape, &planes, lhs), tape_operand(&mut tape, &planes, rhs)) {
+                        (Some(a), Some(b)) => Some(tape.icmp(*pred, a, b)),
+                        _ => None,
+                    }
+                }
+                _ => None,
+            };
+            let Some(plane) = pushed else {
+                tape.truncate(mark);
+                continue;
+            };
+            // Two lane windows, split at a seed-dependent point.
+            let split = (seed as usize ^ k.wrapping_mul(7)) % (n + 1);
+            tape.run(plane, 0..split);
+            tape.run(plane, split..n);
+            planes.insert(*id, plane);
+            replayed.push(*id);
+
+            let prefix = tape_prefix(&func, &replayed, *id);
+            let plan = PlanePlan::compile(&prefix).expect("binary/icmp prefixes are plane-eligible");
+            let want = plan.evaluate_lanes(&mut arena, &lanes, STEP_LIMIT).expect("inputs fit");
+            let got = tape.view(plane);
+            for (lane, args) in lanes.iter().enumerate() {
+                let same = if want.is_ub(lane) {
+                    got.ub_message(lane) == want.ub_message(lane)
+                } else {
+                    !got.is_ub(lane)
+                        && got.is_poison(lane) == want.is_poison(lane)
+                        && got.is_undef(lane) == want.is_undef(lane)
+                        && (want.is_poison(lane) || want.is_undef(lane) || got.raw(lane) == want.raw(lane))
+                };
+                assert!(
+                    same,
+                    "tape vs plan diverged: seed {seed:#x} lane {lane} args {args:?}: tape {:?}, plan {:?}\n{}",
+                    got.value(lane),
+                    want.view().value(lane),
+                    print_function(&prefix)
+                );
+            }
+            planes_checked += 1;
+
+            // A throwaway candidate on top — one that traps wherever the
+            // plane is zero — then truncated: the next push reuses its
+            // storage and must not see its UB lanes.
+            let probe = tape.binary(BinOp::UDiv, IntFlags::none(), plane, plane);
+            tape.run(probe, 0..n);
+            tape.truncate(probe);
+        }
+    }
+    assert!(planes_checked >= 1_500, "tape fuzz looks too small: {planes_checked} planes");
 }

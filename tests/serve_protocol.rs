@@ -17,6 +17,7 @@ use lpo_serve::json::Json;
 use lpo_serve::prelude::{JobOutcome, ServeClient, ServeConfig, Server, SubmitOptions};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 fn suite() -> Vec<Function> {
     rq1_suite().into_iter().map(|case| case.function).collect()
@@ -225,6 +226,76 @@ fn module_submissions_dedup_and_reproduce() {
     // Identical submission on the same connection reproduces byte-for-byte.
     let again = client.submit(&SubmitOptions::module(module)).expect("resubmit module");
     assert_eq!(streamed_fingerprints(&again, 2), fingerprints);
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread").expect("server run");
+}
+
+/// A pipelining client writes three requests in one burst. The server
+/// answers them strictly in order: the first job's whole stream, then the
+/// `stats` reply, then the second job — frames that arrive while a job runs
+/// wait behind it instead of being lost or answered early.
+#[test]
+fn pipelined_submits_are_answered_in_order_after_the_running_job() {
+    let first = "define i32 @a(i32 %x) {\n %r = add i32 %x, 0\n ret i32 %r\n}";
+    let second = "define i8 @b(i8 %x) {\n %r = xor i8 %x, 0\n ret i8 %r\n}";
+    let (addr, server) = start(ServeConfig { jobs: 1, ..ServeConfig::default() });
+    let mut client = ServeClient::connect(&addr).expect("connect");
+
+    let burst = [
+        SubmitOptions::module(first).request_line(),
+        "{\"kind\":\"stats\"}\n".to_string(),
+        SubmitOptions::module(second).request_line(),
+    ]
+    .concat();
+    client.send_raw(burst.as_bytes()).expect("pipelined burst");
+
+    let mut kinds = Vec::new();
+    let mut jobs = Vec::new();
+    while kinds.iter().filter(|k| *k == "done").count() < 2 {
+        let frame = client.read_frame().expect("frame");
+        let kind = frame.get("kind").and_then(Json::as_str).expect("kind").to_string();
+        if let Some(job) = frame.get("job").and_then(Json::as_num) {
+            jobs.push(job);
+        }
+        kinds.push(kind);
+    }
+    assert_eq!(
+        kinds,
+        ["accepted", "case", "done", "stats", "accepted", "case", "done"],
+        "pipelined requests must be answered one at a time, in order"
+    );
+    assert_eq!(jobs, [1.0, 1.0, 1.0, 2.0, 2.0, 2.0], "each job's frames must carry its own id");
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread").expect("server run");
+}
+
+/// Back-to-back jobs on one connection must not wait on anything but their
+/// own work. A warm one-case job costs about a millisecond of engine time,
+/// so twenty of them must finish far below twenty times a 25 ms socket
+/// poll (a connection that paces each job by a polling read takes longer
+/// than that bound).
+#[test]
+fn back_to_back_jobs_on_one_connection_are_not_paced_by_polling() {
+    let module = "define i32 @f(i32 %x) {\n %r = add i32 %x, 0\n ret i32 %r\n}";
+    let (addr, server) = start(ServeConfig { jobs: 1, ..ServeConfig::default() });
+    let mut client = ServeClient::connect(&addr).expect("connect");
+    let options = SubmitOptions::module(module);
+    let cold = client.submit(&options).expect("cold submit");
+    assert_eq!(num(cold.done(), "cases"), 1.0);
+
+    const JOBS: u32 = 20;
+    let start = Instant::now();
+    for _ in 0..JOBS {
+        let warm = client.submit(&options).expect("resumed submit");
+        assert_eq!(num(warm.done(), "cases"), 1.0);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(25) * JOBS / 2,
+        "{JOBS} resumed one-case jobs took {elapsed:?}: jobs are being paced by the connection"
+    );
 
     client.shutdown().expect("shutdown");
     server.join().expect("server thread").expect("server run");
