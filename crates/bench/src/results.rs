@@ -8,9 +8,10 @@
 //! * `tables` holds the **latest** entry per table name (merged by name);
 //! * `interp` / `opt` / `tv` hold the latest microbenchmark of each hot
 //!   path (`repro bench-interp` / `bench-opt` / `bench-tv`);
-//! * `runs` is an append-only history — one record per `repro` invocation
-//!   with the entries that invocation produced — so the trajectory across
-//!   PRs/runs is preserved.
+//! * `runs` is the recent history — one record per `repro` invocation
+//!   with the entries that invocation produced, capped at the newest
+//!   [`RUN_HISTORY`] records — so the recent trajectory is preserved
+//!   without the file growing without bound.
 //!
 //! The container has no crates.io access (no serde), so this file carries a
 //! small hand-rolled JSON reader/writer covering exactly the subset the
@@ -581,12 +582,15 @@ pub struct BenchResults {
     pub exec: Option<ExecEntry>,
     /// Latest serving-shell benchmark.
     pub serve: Option<ServeEntry>,
-    /// Append-only invocation history.
+    /// Invocation history, oldest first, at most [`RUN_HISTORY`] records.
     pub runs: Vec<RunRecord>,
 }
 
 /// The schema version written by this build.
 pub const SCHEMA: usize = 2;
+
+/// How many of the newest `runs` records the store keeps.
+pub const RUN_HISTORY: usize = 20;
 
 impl BenchResults {
     /// Loads the store from `path`. A missing, unparsable or
@@ -623,7 +627,8 @@ impl BenchResults {
     /// Merges one invocation into the store: per-table entries replace the
     /// previous entry of the same name, the microbenchmark sections (when
     /// present) replace the previous ones, and the invocation is appended to
-    /// `runs` with the next run index.
+    /// `runs` with the next run index; records beyond the newest
+    /// [`RUN_HISTORY`] are dropped.
     pub fn record(&mut self, command: &str, jobs_requested: usize, entries: RunEntries) {
         let RunEntries { tables, interp, opt, tv, exec, serve } = entries;
         for entry in &tables {
@@ -659,6 +664,8 @@ impl BenchResults {
             exec,
             serve,
         });
+        let excess = self.runs.len().saturating_sub(RUN_HISTORY);
+        self.runs.drain(..excess);
     }
 
     /// Serializes the store.
@@ -755,6 +762,24 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(reloaded.tables, results.tables);
+    }
+
+    #[test]
+    fn history_keeps_the_newest_runs() {
+        let mut results = BenchResults::default();
+        for i in 0..RUN_HISTORY {
+            results.record(&format!("run{i}"), 1, RunEntries::default());
+        }
+        assert_eq!(results.runs.len(), RUN_HISTORY);
+        results.record("overflow", 1, RunEntries::default());
+        assert_eq!(results.runs.len(), RUN_HISTORY, "the 21st run evicts the oldest");
+        assert_eq!(results.runs[0].command, "run1");
+        assert_eq!(results.runs.last().unwrap().command, "overflow");
+        assert_eq!(results.runs.last().unwrap().run, RUN_HISTORY + 1);
+        assert!(
+            results.runs.windows(2).all(|w| w[0].run < w[1].run),
+            "run indices keep increasing"
+        );
     }
 
     #[test]

@@ -27,6 +27,13 @@
 //! batched evaluator; [`PlanePlan::compile`] returning `None` *is* the
 //! fallback contract.
 //!
+//! Inputs enter a plan in one of two forms. [`PlanePlan::evaluate_columns`]
+//! takes one canonical `u64` column per parameter and copies each straight
+//! into its parameter plane — the form the translation validator stores
+//! scalar-integer test inputs in. [`PlanePlan::evaluate_lanes`] takes one
+//! `EvalValue` argument list per lane (poison and undef arguments allowed)
+//! and packs them into the same planes. Both then run one kernel path.
+//!
 //! # Semantics
 //!
 //! [`PlanePlan::evaluate_lanes`] reproduces the batched evaluator bit for
@@ -564,18 +571,60 @@ impl PlanePlan {
     /// [`CompiledFunction::evaluate_batch_with_limit`](crate::compiled::CompiledFunction::evaluate_batch_with_limit) would produce for
     /// the same input and `step_limit` — same values, same poison/undef,
     /// same UB diagnostics, same step counts.
+    ///
+    /// This is [`evaluate_columns`](Self::evaluate_columns) for argument
+    /// lists: it packs the lanes into the parameter planes (poison and undef
+    /// arguments set the lane state) and runs the same kernels.
     pub fn evaluate_lanes(
         &self,
         arena: &mut EvalArena,
         lanes: &[&[EvalValue]],
         step_limit: usize,
     ) -> Option<PlaneResult> {
-        for args in lanes {
-            if !self.accepts_args(args) {
-                return None;
-            }
+        if !lanes.iter().all(|args| self.accepts_args(args)) {
+            return None;
         }
-        let n = lanes.len();
+        Some(self.execute(arena, lanes.len(), step_limit, |j, vals, states| {
+            for (i, args) in lanes.iter().enumerate() {
+                match &args[j] {
+                    EvalValue::Int(v) => vals[i] = v.zext_value() as u64,
+                    EvalValue::Poison => states[i] = ST_POISON,
+                    EvalValue::Undef => states[i] = ST_UNDEF,
+                    _ => unreachable!("checked by accepts_args"),
+                }
+            }
+        }))
+    }
+
+    /// Runs the plan over concrete argument columns: `columns[j][i]` is
+    /// lane `i`'s value of parameter `j`, in canonical (zero-extended) form.
+    /// The columns are copied straight into the parameter planes, so no
+    /// per-lane argument list is ever built.
+    ///
+    /// Returns `None` when the columns don't fit the plan: wrong count,
+    /// unequal lengths, or a value with bits above its parameter's width.
+    /// Otherwise the result equals [`evaluate_lanes`](Self::evaluate_lanes)
+    /// on the same inputs as `EvalValue::Int` arguments.
+    pub fn evaluate_columns(
+        &self,
+        arena: &mut EvalArena,
+        columns: &[&[u64]],
+        step_limit: usize,
+    ) -> Option<PlaneResult> {
+        let n = columns_fit(&self.param_widths, columns)?;
+        Some(self.execute(arena, n, step_limit, |j, vals, _| vals.copy_from_slice(columns[j])))
+    }
+
+    /// The one execution path behind both entry points: zeroes `n` lanes of
+    /// every plane, lets `fill_param(j, vals, states)` write parameter
+    /// plane `j`, broadcasts the constants and runs the steps.
+    fn execute(
+        &self,
+        arena: &mut EvalArena,
+        n: usize,
+        step_limit: usize,
+        mut fill_param: impl FnMut(usize, &mut [u64], &mut [u8]),
+    ) -> PlaneResult {
         arena.plane_vals.clear();
         arena.plane_vals.resize(self.num_planes * n, 0);
         arena.plane_states.clear();
@@ -587,16 +636,9 @@ impl PlanePlan {
         let ub = &mut arena.plane_ub[..];
 
         // Parameter planes.
-        for (j, _) in self.param_widths.iter().enumerate() {
-            let base = j * n;
-            for (i, args) in lanes.iter().enumerate() {
-                match &args[j] {
-                    EvalValue::Int(v) => vals[base + i] = v.zext_value() as u64,
-                    EvalValue::Poison => states[base + i] = ST_POISON,
-                    EvalValue::Undef => states[base + i] = ST_UNDEF,
-                    _ => unreachable!("checked by accepts_args"),
-                }
-            }
+        for j in 0..self.num_params {
+            let span = j * n..(j + 1) * n;
+            fill_param(j, &mut vals[span.clone()], &mut states[span]);
         }
         // Constant planes (broadcast).
         for (j, &(v, st)) in self.consts.iter().enumerate() {
@@ -621,14 +663,30 @@ impl PlanePlan {
         }
 
         let rp = self.ret_plane as usize * n;
-        Some(PlaneResult {
+        PlaneResult {
             vals: vals[rp..rp + n].to_vec(),
             states: states[rp..rp + n].to_vec(),
             ub: arena.plane_ub.clone(),
             steps: total_steps,
             ret_width: self.ret_width,
-        })
+        }
     }
+}
+
+/// The common lane count of `columns` when they fit `widths`: one column
+/// per width of at most 64 bits, all the same length, every value
+/// canonical for its width.
+fn columns_fit(widths: &[u32], columns: &[&[u64]]) -> Option<usize> {
+    if columns.len() != widths.len() {
+        return None;
+    }
+    // A parameterless function still runs one lane per input; with no
+    // column to count them, such a plan sweeps a single lane.
+    let n = columns.first().map_or(1, |c| c.len());
+    let fits = columns.iter().zip(widths).all(|(col, &w)| {
+        w <= 64 && col.len() == n && col.iter().fold(0, |acc, &v| acc | v) & !mask(w) == 0
+    });
+    fits.then_some(n)
 }
 
 /// An append-only plane workspace for building straight-line programs one
@@ -668,9 +726,6 @@ impl PlaneTape {
     /// don't fit (see [`PlanePlan::accepts_args`]) or a width is not in
     /// `1..=64`.
     pub fn new(param_widths: &[u32], inputs: &[&[EvalValue]]) -> Option<PlaneTape> {
-        if param_widths.iter().any(|&w| !(1..=64).contains(&w)) {
-            return None;
-        }
         let fits = |args: &[EvalValue]| {
             args.len() == param_widths.len()
                 && args.iter().zip(param_widths).all(|(a, &w)| match a {
@@ -682,7 +737,37 @@ impl PlaneTape {
         if !inputs.iter().all(|args| fits(args)) {
             return None;
         }
-        let n = inputs.len();
+        PlaneTape::with_params(param_widths, inputs.len(), |j, vals, states| {
+            for (i, args) in inputs.iter().enumerate() {
+                match &args[j] {
+                    EvalValue::Int(v) => vals[i] = v.zext_value() as u64,
+                    EvalValue::Poison => states[i] = ST_POISON,
+                    _ => states[i] = ST_UNDEF,
+                }
+            }
+        })
+    }
+
+    /// [`new`](Self::new) from concrete argument columns, with the layout
+    /// and fit rules of [`PlanePlan::evaluate_columns`]: `columns[j][i]` is
+    /// lane `i`'s canonical value of parameter `j`, copied straight into
+    /// the argument plane. `None` when the columns don't fit
+    /// `param_widths` or a width is not in `1..=64`.
+    pub fn from_columns(param_widths: &[u32], columns: &[&[u64]]) -> Option<PlaneTape> {
+        let n = columns_fit(param_widths, columns)?;
+        PlaneTape::with_params(param_widths, n, |j, vals, _| vals.copy_from_slice(columns[j]))
+    }
+
+    /// A tape of `n` lanes whose argument plane `j` is written by
+    /// `fill(j, vals, states)` over zeroed storage.
+    fn with_params(
+        param_widths: &[u32],
+        n: usize,
+        mut fill: impl FnMut(usize, &mut [u64], &mut [u8]),
+    ) -> Option<PlaneTape> {
+        if param_widths.iter().any(|&w| !(1..=64).contains(&w)) {
+            return None;
+        }
         let mut tape = PlaneTape {
             lanes: n,
             widths: Vec::new(),
@@ -693,13 +778,8 @@ impl PlaneTape {
         };
         for (j, &w) in param_widths.iter().enumerate() {
             let p = tape.alloc(w, None);
-            for (i, args) in inputs.iter().enumerate() {
-                match &args[j] {
-                    EvalValue::Int(v) => tape.vals[p * n + i] = v.zext_value() as u64,
-                    EvalValue::Poison => tape.states[p * n + i] = ST_POISON,
-                    _ => tape.states[p * n + i] = ST_UNDEF,
-                }
-            }
+            let span = p * n..(p + 1) * n;
+            fill(j, &mut tape.vals[span.clone()], &mut tape.states[span]);
         }
         Some(tape)
     }
@@ -1328,5 +1408,25 @@ mod tests {
         assert!(plan.evaluate_lanes(&mut EvalArena::new(), &refs, 100).is_none());
         let wrong_arity: [&[EvalValue]; 1] = [&[]];
         assert!(plan.evaluate_lanes(&mut EvalArena::new(), &wrong_arity, 100).is_none());
+    }
+
+    #[test]
+    fn mismatched_columns_are_rejected() {
+        let f = parse_function("define i8 @f(i8 %x, i8 %y) {\n %r = add i8 %x, %y\n ret i8 %r\n}")
+            .unwrap();
+        let plan = PlanePlan::compile(&f).unwrap();
+        let run = |columns: &[&[u64]]| plan.evaluate_columns(&mut EvalArena::new(), columns, 100);
+        let r = run(&[&[1, 255], &[2, 1]]).expect("canonical columns fit");
+        assert_eq!((r.raw(0), r.raw(1)), (3, 0));
+        // Wrong count, unequal lengths, and bits above the width.
+        assert!(run(&[&[1, 2]]).is_none());
+        assert!(run(&[&[1, 2], &[3]]).is_none());
+        assert!(run(&[&[1, 256], &[2, 1]]).is_none());
+        // The tape applies the same rules, plus its 1..=64 width range.
+        assert!(PlaneTape::from_columns(&[8, 8], &[&[1, 2], &[3]]).is_none());
+        assert!(PlaneTape::from_columns(&[8], &[&[256]]).is_none());
+        assert!(PlaneTape::from_columns(&[65], &[&[1]]).is_none());
+        assert!(PlaneTape::from_columns(&[0], &[&[0]]).is_none());
+        assert_eq!(PlaneTape::from_columns(&[8, 1], &[&[7, 9], &[1, 0]]).unwrap().lanes(), 2);
     }
 }

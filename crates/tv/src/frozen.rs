@@ -10,6 +10,13 @@
 //! needs (the generated inputs, the compiled source, and the source's outcome
 //! on every input), cheap to clone across threads.
 //!
+//! The inputs are the case's shared [`InputSet`]: `u64` columns for a
+//! scalar-integer signature, which the plane chunks copy straight into
+//! their parameter planes, or one [`TestInput`](crate::inputs::TestInput)
+//! per lane otherwise. A column lane becomes a `TestInput` only where one
+//! is needed — a suspect lane whose source outcome is evaluated on the
+//! spot, or a batched chunk of a candidate with no plane form.
+//!
 //! The source outcomes take one of two forms. When the source is
 //! plane-eligible (and the plane tier is on), the frozen case is a **dense
 //! table** only — one tag byte and one `u64` per input, swept on planes with
@@ -41,13 +48,12 @@
 //! finding in shard order is always the first refuting input in input order,
 //! exactly what the serial sweep reports, independent of scheduling.
 
-use crate::inputs::TestInput;
+use crate::inputs::InputSet;
 use crate::refine::{
     dense_table, evaluate_source, refutation, DenseOutcomes, Refutation, SourceOutcome,
     TargetOutcome, PLANE_LANES, STEP_LIMIT, SWEEP_LANES,
 };
 use lpo_interp::compiled::{CompiledFunction, EvalArena};
-use lpo_interp::value::EvalValue;
 use lpo_ir::function::Function;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -57,6 +63,11 @@ use std::sync::Arc;
 /// source's outcome on **every** input — a dense table when the source is
 /// plane-eligible, fully materialized otherwise (see the module docs).
 /// Cloning is an `Arc` bump.
+///
+/// Input layout: the inputs are the [`SourceCache`](crate::refine::SourceCache)'s
+/// own `Arc<InputSet>`, held as `u64` columns when every parameter is an
+/// integer of at most 64 bits (always the case for a dense table) and as
+/// rows otherwise; see [`crate::inputs`].
 ///
 /// Built only by [`SourceCache::frozen_case`](crate::refine::SourceCache::frozen_case),
 /// which computes every source outcome the lazy cache would have filled
@@ -70,8 +81,7 @@ pub struct FrozenCase {
 struct FrozenInner {
     src: Function,
     compiled_src: Arc<CompiledFunction>,
-    inputs: Arc<Vec<TestInput>>,
-    exhaustive: bool,
+    inputs: Arc<InputSet>,
     /// The source outcome per input; `None` for a dense case, whose suspect
     /// lanes re-evaluate `compiled_src` on demand.
     outcomes: Option<Vec<SourceOutcome>>,
@@ -89,7 +99,7 @@ impl FrozenInner {
         match &self.outcomes {
             Some(outcomes) => Cow::Borrowed(&outcomes[index]),
             None => {
-                Cow::Owned(evaluate_source(&self.compiled_src, &self.inputs[index], arena))
+                Cow::Owned(evaluate_source(&self.compiled_src, &self.inputs.input(index), arena))
             }
         }
     }
@@ -107,8 +117,7 @@ impl FrozenCase {
     pub(crate) fn dense(
         src: Function,
         compiled_src: Arc<CompiledFunction>,
-        inputs: Arc<Vec<TestInput>>,
-        exhaustive: bool,
+        inputs: Arc<InputSet>,
         table: DenseOutcomes,
     ) -> FrozenCase {
         FrozenCase {
@@ -116,7 +125,6 @@ impl FrozenCase {
                 src,
                 compiled_src,
                 inputs,
-                exhaustive,
                 outcomes: None,
                 dense: Some(Arc::new(table)),
                 plane_sweep: true,
@@ -129,8 +137,7 @@ impl FrozenCase {
     pub(crate) fn materialized(
         src: Function,
         compiled_src: Arc<CompiledFunction>,
-        inputs: Arc<Vec<TestInput>>,
-        exhaustive: bool,
+        inputs: Arc<InputSet>,
         outcomes: Vec<SourceOutcome>,
         plane_sweep: bool,
     ) -> FrozenCase {
@@ -140,7 +147,6 @@ impl FrozenCase {
                 src,
                 compiled_src,
                 inputs,
-                exhaustive,
                 outcomes: Some(outcomes),
                 dense,
                 plane_sweep,
@@ -175,7 +181,7 @@ impl FrozenCase {
 
     /// Whether the inputs enumerate the whole input space.
     pub fn exhaustive(&self) -> bool {
-        self.inner.exhaustive
+        self.inner.inputs.exhaustive()
     }
 }
 
@@ -219,11 +225,11 @@ impl SweepShard {
             if let Some(plan) = self.tgt.plane() {
                 while index < self.end {
                     let chunk_end = (index + PLANE_LANES).min(self.end);
-                    let lanes: Vec<&[EvalValue]> = inner.inputs[index..chunk_end]
-                        .iter()
-                        .map(|input| input.args.as_slice())
-                        .collect();
-                    let Some(result) = plan.evaluate_lanes(arena, &lanes, STEP_LIMIT) else {
+                    let Some(result) = inner
+                        .inputs
+                        .column_window(index..chunk_end)
+                        .and_then(|columns| plan.evaluate_columns(arena, &columns, STEP_LIMIT))
+                    else {
                         break;
                     };
                     used_plane = true;
@@ -237,12 +243,12 @@ impl SweepShard {
                                 continue;
                             }
                         }
-                        let input = &inner.inputs[lane_index];
+                        let initial = inner.inputs.memory(lane_index);
                         let tgt_out = result
-                            .outcome(offset, input.memory.clone())
+                            .outcome(offset, initial.clone())
                             .map(|o| (o.result, o.memory));
                         let src_out = inner.source_outcome(lane_index, arena);
-                        if let Some(refutation) = refutation(input, &src_out, &tgt_out) {
+                        if let Some(refutation) = refutation(initial, &src_out, &tgt_out) {
                             return SweepOutcome {
                                 finding: Some(SweepFinding { index: lane_index, tgt_out, refutation }),
                                 used_plane,
@@ -253,13 +259,12 @@ impl SweepShard {
                 }
             }
         }
+        let mut buf = Vec::new();
         while index < self.end {
             let chunk_end = (index + SWEEP_LANES).min(self.end);
-            let lanes: Vec<(&[EvalValue], lpo_interp::memory::Memory)> = inner.inputs
-                [index..chunk_end]
-                .iter()
-                .map(|input| (input.args.as_slice(), input.memory.clone()))
-                .collect();
+            let window = inner.inputs.window(index..chunk_end, &mut buf);
+            let lanes =
+                window.iter().map(|input| (input.args.as_slice(), input.memory.clone())).collect();
             let lane_outs = self.tgt.evaluate_batch_with_limit(arena, lanes, STEP_LIMIT);
             for (offset, lane_out) in lane_outs.into_iter().enumerate() {
                 let lane_index = index + offset;
@@ -270,9 +275,8 @@ impl SweepShard {
                         continue;
                     }
                 }
-                let input = &inner.inputs[lane_index];
                 let src_out = inner.source_outcome(lane_index, arena);
-                if let Some(refutation) = refutation(input, &src_out, &tgt_out) {
+                if let Some(refutation) = refutation(&window[offset].memory, &src_out, &tgt_out) {
                     return SweepOutcome {
                         finding: Some(SweepFinding { index: lane_index, tgt_out, refutation }),
                         used_plane,

@@ -14,6 +14,28 @@
 //! (0, 1, 2, …) and sampled sets lead with the corner-value diagonal
 //! (zero/one/all-ones/signed extremes) — exactly the inputs that kill
 //! almost every wrong candidate — before the random tail.
+//!
+//! # Layout
+//!
+//! The verifier holds a source's inputs as an [`InputSet`], in one of two
+//! layouts chosen by the signature alone:
+//!
+//! * **Columns** — every parameter is a scalar `iN` with `N <= 64`. Each
+//!   parameter is one lane-contiguous `u64` column of canonical
+//!   (zero-extended) values, which is exactly the parameter-plane layout
+//!   the plane evaluator computes on, so a sweep copies columns instead of
+//!   repacking [`EvalValue`]s. Exhaustive sets are computed arithmetically
+//!   (lane `i`, parameter `j` holds `(i >> Σ widths[..j]) & mask`, the
+//!   low-bits-first order of the enumeration); sampled sets are the rows
+//!   [`generate_inputs`] draws, transposed, so the RNG order is unchanged.
+//!   Such inputs never carry memory.
+//! * **Rows** — everything else (pointers, floats, vectors, wider
+//!   integers) keeps one [`TestInput`] per lane.
+//!
+//! Either way [`InputSet::input`] yields lane `i` exactly as
+//! `generate_inputs(..)[i]`, so the few lanes that need a [`TestInput`] —
+//! the probe window, suspect or refuting lanes, batched sweeps of
+//! non-plane candidates — materialize one on demand.
 
 use lpo_interp::memory::{Allocation, Memory};
 use lpo_interp::value::{EvalValue, PtrValue};
@@ -22,6 +44,8 @@ use lpo_ir::function::Function;
 use lpo_ir::types::Type;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Size of the allocation bound to each pointer argument.
 pub const PTR_ALLOC_SIZE: usize = 64;
@@ -108,6 +132,190 @@ pub fn input_count(func: &Function, config: &InputConfig) -> usize {
         count += corner_lens[0].min(6) * corner_lens[1].min(6);
     }
     count + config.random_samples
+}
+
+/// A source's test inputs in the layout its signature allows (see the
+/// module docs): `u64` columns for all-scalar-integer signatures, one
+/// [`TestInput`] per lane otherwise. Lane `i` is always
+/// `generate_inputs(func, config)[i]`.
+#[derive(Clone, Debug)]
+pub struct InputSet {
+    layout: Layout,
+    exhaustive: bool,
+}
+
+#[derive(Clone, Debug)]
+enum Layout {
+    /// One column per parameter, `lanes` values each; every lane's
+    /// initial memory is `empty`.
+    Columns {
+        widths: Vec<u32>,
+        lanes: usize,
+        columns: Vec<Vec<u64>>,
+        empty: Memory,
+    },
+    Rows(Vec<TestInput>),
+}
+
+impl InputSet {
+    /// Generates the inputs for `func`'s signature: the same lanes, in the
+    /// same order, as [`generate_inputs`].
+    pub fn generate(func: &Function, config: &InputConfig) -> InputSet {
+        let exhaustive_bits = exhaustive_bits(func, config);
+        let exhaustive = exhaustive_bits.is_some();
+        let widths: Option<Vec<u32>> = func
+            .params
+            .iter()
+            .map(|p| match p.ty {
+                Type::Int(w) if w <= 64 => Some(w),
+                _ => None,
+            })
+            .collect();
+        let Some(widths) = widths else {
+            return InputSet { layout: Layout::Rows(generate_inputs(func, config)), exhaustive };
+        };
+        let (lanes, columns) = match exhaustive_bits {
+            Some(bits) => {
+                let lanes = 1usize << bits;
+                let mut shift = 0;
+                let columns = widths
+                    .iter()
+                    .map(|&w| {
+                        let column = (0..lanes).map(|i| (i as u64 >> shift) & mask(w)).collect();
+                        shift += w;
+                        column
+                    })
+                    .collect();
+                (lanes, columns)
+            }
+            None => {
+                let rows = generate_inputs(func, config);
+                let columns = (0..widths.len())
+                    .map(|j| {
+                        rows.iter()
+                            .map(|row| match &row.args[j] {
+                                EvalValue::Int(v) => v.zext_value() as u64,
+                                other => unreachable!("scalar-int parameter sampled as {other:?}"),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                (rows.len(), columns)
+            }
+        };
+        InputSet {
+            layout: Layout::Columns { widths, lanes, columns, empty: Memory::new() },
+            exhaustive,
+        }
+    }
+
+    /// How many inputs the set holds.
+    pub fn len(&self) -> usize {
+        match &self.layout {
+            Layout::Columns { lanes, .. } => *lanes,
+            Layout::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// Whether the set holds no inputs.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether the inputs enumerate the whole input space.
+    pub fn exhaustive(&self) -> bool {
+        self.exhaustive
+    }
+
+    /// Input `index` as a [`TestInput`]: borrowed from the rows, or built
+    /// from the columns (no memory, one `EvalValue::Int` per parameter).
+    pub fn input(&self, index: usize) -> Cow<'_, TestInput> {
+        match &self.layout {
+            Layout::Rows(rows) => Cow::Borrowed(&rows[index]),
+            Layout::Columns { .. } => {
+                let mut input = TestInput { args: Vec::new(), memory: Memory::new() };
+                self.fill_args(index, &mut input.args);
+                Cow::Owned(input)
+            }
+        }
+    }
+
+    /// Input `index`'s initial memory, without materializing the input.
+    pub(crate) fn memory(&self, index: usize) -> &Memory {
+        match &self.layout {
+            Layout::Rows(rows) => &rows[index].memory,
+            Layout::Columns { empty, .. } => empty,
+        }
+    }
+
+    /// The parameter columns — `columns()[j][i]` is input `i`'s canonical
+    /// value of parameter `j` — or `None` for a row set.
+    pub fn columns(&self) -> Option<&[Vec<u64>]> {
+        match &self.layout {
+            Layout::Columns { columns, .. } => Some(columns),
+            Layout::Rows(_) => None,
+        }
+    }
+
+    /// Inputs `range` of every column, ready for
+    /// [`PlanePlan::evaluate_columns`](lpo_interp::plane::PlanePlan::evaluate_columns);
+    /// `None` for a row set.
+    pub(crate) fn column_window(&self, range: Range<usize>) -> Option<Vec<&[u64]>> {
+        self.columns().map(|columns| columns.iter().map(|c| &c[range.clone()]).collect())
+    }
+
+    /// Inputs `range` as [`TestInput`]s: borrowed from the rows, or
+    /// materialized from the columns into `buf`, whose slots (and their
+    /// argument vectors) are reused from call to call.
+    pub(crate) fn window<'s>(
+        &'s self,
+        range: Range<usize>,
+        buf: &'s mut Vec<TestInput>,
+    ) -> &'s [TestInput] {
+        if let Layout::Rows(rows) = &self.layout {
+            return &rows[range];
+        }
+        let len = range.len();
+        if buf.len() < len {
+            buf.resize_with(len, || TestInput { args: Vec::new(), memory: Memory::new() });
+        }
+        for (slot, index) in buf.iter_mut().zip(range) {
+            self.fill_args(index, &mut slot.args);
+        }
+        &buf[..len]
+    }
+
+    /// Whether no input carries an allocation — true by construction for
+    /// columns.
+    pub(crate) fn allocation_free(&self) -> bool {
+        match &self.layout {
+            Layout::Columns { .. } => true,
+            Layout::Rows(rows) => rows.iter().all(|input| input.memory.allocation_count() == 0),
+        }
+    }
+
+    /// Overwrites `args` with column input `index`'s arguments.
+    fn fill_args(&self, index: usize, args: &mut Vec<EvalValue>) {
+        let Layout::Columns { widths, columns, .. } = &self.layout else {
+            unreachable!("only column sets materialize arguments");
+        };
+        args.clear();
+        args.extend(
+            widths
+                .iter()
+                .zip(columns)
+                .map(|(&w, c)| EvalValue::Int(ApInt::new(w, c[index] as u128))),
+        );
+    }
+}
+
+/// All-ones mask of the low `w` bits (`w <= 64`).
+fn mask(w: u32) -> u64 {
+    if w >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << w) - 1
+    }
 }
 
 /// Total input bits when the signature is exhaustively enumerable within
@@ -309,31 +517,157 @@ mod tests {
         assert_eq!(inputs.len(), 256); // 4 lanes × 2 bits = 8 bits
     }
 
+    /// Signatures covering both layouts: scalar ints of every width class
+    /// (i1 to i64, one to four params, none), and the row shapes (floats,
+    /// pointers, vectors, i128, mixed).
+    const SIGNATURES: [&str; 17] = [
+        "define i8 @f(i8 %x) {\n ret i8 %x\n}",
+        "define i8 @f(i8 %x, i8 %y) {\n ret i8 %x\n}",
+        "define i32 @f(i32 %x) {\n ret i32 %x\n}",
+        "define i32 @f(i32 %x, i32 %y) {\n ret i32 %x\n}",
+        "define i64 @f(i64 %x, i64 %y, i64 %z) {\n ret i64 %x\n}",
+        "define i1 @f(double %x) {\n %r = fcmp oeq double %x, 1.0\n ret i1 %r\n}",
+        "define i32 @f(ptr %p) {\n %v = load i32, ptr %p, align 4\n ret i32 %v\n}",
+        "define <4 x i2> @f(<4 x i2> %x) {\n ret <4 x i2> %x\n}",
+        "define <4 x i8> @f(<4 x i8> %x, i32 %y) {\n ret <4 x i8> %x\n}",
+        "define i1 @f(i1 %x) {\n ret i1 %x\n}",
+        "define i1 @f(i1 %a, i1 %b, i1 %c, i1 %d) {\n ret i1 %a\n}",
+        "define i64 @f(i64 %x) {\n ret i64 %x\n}",
+        "define i8 @f(i4 %a, i1 %b, i3 %c) {\n ret i8 0\n}",
+        "define i8 @f(i8 %a, i1 %b, i16 %c, i64 %d) {\n ret i8 %a\n}",
+        "define i128 @f(i128 %x) {\n ret i128 %x\n}",
+        "define i8 @f(i8 %x, ptr %p) {\n ret i8 %x\n}",
+        "define i8 @f() {\n ret i8 0\n}",
+    ];
+
+    /// Both input configurations every signature is checked under.
+    fn configs() -> [InputConfig; 2] {
+        [InputConfig::default(), InputConfig { exhaustive_bits: 10, random_samples: 48, seed: 1 }]
+    }
+
     #[test]
     fn input_count_matches_generate_inputs() {
-        let signatures = [
-            "define i8 @f(i8 %x) {\n ret i8 %x\n}",
-            "define i8 @f(i8 %x, i8 %y) {\n ret i8 %x\n}",
-            "define i32 @f(i32 %x) {\n ret i32 %x\n}",
-            "define i32 @f(i32 %x, i32 %y) {\n ret i32 %x\n}",
-            "define i64 @f(i64 %x, i64 %y, i64 %z) {\n ret i64 %x\n}",
-            "define i1 @f(double %x) {\n %r = fcmp oeq double %x, 1.0\n ret i1 %r\n}",
-            "define i32 @f(ptr %p) {\n %v = load i32, ptr %p, align 4\n ret i32 %v\n}",
-            "define <4 x i2> @f(<4 x i2> %x) {\n ret <4 x i2> %x\n}",
-            "define <4 x i8> @f(<4 x i8> %x, i32 %y) {\n ret <4 x i8> %x\n}",
-        ];
-        for text in signatures {
+        for text in SIGNATURES {
             let f = parse_function(text).unwrap();
-            for config in [
-                InputConfig::default(),
-                InputConfig { exhaustive_bits: 10, random_samples: 48, seed: 1 },
-            ] {
+            for config in configs() {
                 assert_eq!(
                     input_count(&f, &config),
                     generate_inputs(&f, &config).len(),
                     "input_count diverged for {text}"
                 );
             }
+        }
+    }
+
+    /// Argument lists compared bit for bit (`NaN` equals itself, `-0.0`
+    /// differs from `0.0`), which `PartialEq` on floats would not give.
+    fn args_text(args: &[EvalValue]) -> String {
+        format!("{args:?}")
+    }
+
+    /// Asserts that `InputSet::generate` reproduces `generate_inputs` lane
+    /// for lane, and picks columns exactly for all-`iN<=64` signatures.
+    fn assert_set_matches_rows(f: &Function, config: &InputConfig, what: &str) {
+        let set = InputSet::generate(f, config);
+        let rows = generate_inputs(f, config);
+        assert_eq!(set.len(), rows.len(), "{what}: lane count");
+        assert_eq!(set.exhaustive(), exhaustive_bits(f, config).is_some(), "{what}: exhaustive");
+        let scalar_ints = f.params.iter().all(|p| matches!(p.ty, Type::Int(w) if w <= 64));
+        assert_eq!(set.columns().is_some(), scalar_ints, "{what}: layout");
+        assert_eq!(set.allocation_free(), rows.iter().all(|r| r.memory.allocation_count() == 0));
+        for (i, row) in rows.iter().enumerate() {
+            let lane = set.input(i);
+            assert_eq!(args_text(&lane.args), args_text(&row.args), "{what}: args of lane {i}");
+            assert_eq!(
+                lane.memory.allocation_count(),
+                row.memory.allocation_count(),
+                "{what}: allocations of lane {i}"
+            );
+        }
+        if let Some(columns) = set.columns() {
+            for (j, column) in columns.iter().enumerate() {
+                for (i, row) in rows.iter().enumerate() {
+                    assert_eq!(
+                        EvalValue::int(f.params[j].ty.int_width().unwrap(), column[i] as u128),
+                        row.args[j],
+                        "{what}: column {j} lane {i}"
+                    );
+                }
+            }
+        }
+        // Windows, refilled through one reused buffer, in uneven steps.
+        let mut buf = Vec::new();
+        let mut start = 0;
+        for step in [3, 32, 1, 7].into_iter().cycle() {
+            if start >= rows.len() {
+                break;
+            }
+            let end = (start + step).min(rows.len());
+            let window = set.window(start..end, &mut buf);
+            assert_eq!(window.len(), end - start, "{what}: window length");
+            for (offset, input) in window.iter().enumerate() {
+                assert_eq!(
+                    args_text(&input.args),
+                    args_text(&rows[start + offset].args),
+                    "{what}: window lane {}",
+                    start + offset
+                );
+            }
+            start = end;
+        }
+    }
+
+    #[test]
+    fn input_set_matches_generate_inputs() {
+        for text in SIGNATURES {
+            let f = parse_function(text).unwrap();
+            for config in configs() {
+                assert_set_matches_rows(&f, &config, text);
+            }
+        }
+    }
+
+    /// The base seed block plus, when `LPO_FUZZ_SEED` is set (decimal or
+    /// `0x` hex), a rotating block derived from it — the protocol of
+    /// `tests/plane_differential.rs`, so a failure replays with
+    /// `LPO_FUZZ_SEED=<seed> cargo test --release -p lpo-tv input_set`.
+    fn seed_block(count: usize, salt: u64) -> Vec<u64> {
+        let mut seeds: Vec<u64> = (0..count as u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(salt))
+            .collect();
+        if let Ok(raw) = std::env::var("LPO_FUZZ_SEED") {
+            let raw = raw.trim();
+            let rotating = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+                Some(hex) => u64::from_str_radix(hex, 16),
+                None => raw.parse(),
+            }
+            .unwrap_or_else(|_| {
+                panic!("LPO_FUZZ_SEED must be a u64 (decimal or 0x hex), got {raw:?}")
+            });
+            eprintln!(
+                "input-set fuzz: appending {} rotating seeds from LPO_FUZZ_SEED={rotating:#x}",
+                count / 4
+            );
+            seeds
+                .extend((0..count as u64 / 4).map(|i| {
+                    rotating.wrapping_add(salt).wrapping_add(i.wrapping_mul(0x9e37_79b9))
+                }));
+        }
+        seeds
+    }
+
+    #[test]
+    fn input_set_matches_generate_inputs_on_fuzz_signatures() {
+        for seed in seed_block(200, 0x1a9c_0f5e) {
+            let f = lpo_interp::fuzz::random_function(seed);
+            // Thresholds on both sides of each signature's bit total, so the
+            // block covers exhaustive and sampled sets alike.
+            let config = InputConfig {
+                exhaustive_bits: (seed % 13) as u32,
+                random_samples: 8 + (seed % 24) as usize,
+                seed,
+            };
+            assert_set_matches_rows(&f, &config, &format!("fuzz seed {seed:#x}"));
         }
     }
 

@@ -60,7 +60,9 @@ pub mod prelude {
     pub use crate::frozen::{
         FrozenCase, SerialDriver, SweepDriver, SweepOutcome, SweepShard, SweepSlot,
     };
-    pub use crate::inputs::{corner_values, generate_inputs, input_count, InputConfig, TestInput};
+    pub use crate::inputs::{
+        corner_values, generate_inputs, input_count, InputConfig, InputSet, TestInput,
+    };
     pub use crate::refine::{
         verify_refinement, verify_refinement_reference, verify_refinement_with, CompileCache,
         Counterexample, SourceCache, TvConfig, Validator, Verdict, VerdictTier,

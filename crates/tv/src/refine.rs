@@ -12,7 +12,8 @@
 //!   byte-for-byte under the same rules.
 //!
 //! The check evaluates both functions on the inputs produced by
-//! [`generate_inputs`]; a failure yields a
+//! [`generate_inputs`](crate::inputs::generate_inputs), held as an
+//! [`InputSet`]; a failure yields a
 //! [`Counterexample`] formatted the way Alive2 reports them, which the LPO
 //! pipeline feeds back to the LLM.
 //!
@@ -64,7 +65,7 @@
 //! retained evaluators over randomly generated functions.
 
 use crate::frozen::{FrozenCase, SweepDriver, SweepShard, SweepSlot};
-use crate::inputs::{generate_inputs, InputConfig, TestInput};
+use crate::inputs::{InputConfig, InputSet, TestInput};
 use lpo_absint::{certificate, Certificate, FunctionAnalysis};
 use lpo_interp::compiled::{evaluate_direct, CompiledFunction, EvalArena};
 use lpo_interp::eval::Ub;
@@ -424,7 +425,8 @@ enum StagedVerdict {
 /// *source* side of every one of those checks is identical. `SourceCache`
 /// computes, once per case and lazily on first use:
 ///
-/// * the [`TestInput`]s for the source signature (exhaustive or sampled);
+/// * the [`InputSet`] for the source signature (exhaustive or sampled;
+///   `u64` columns for scalar-integer signatures, rows otherwise);
 /// * the source's outcome per input — result, final memory and UB/poison
 ///   classification — via a pre-compiled [`CompiledFunction`], filled
 ///   **per input as the check walks them**, so a candidate rejected on the
@@ -445,7 +447,8 @@ pub struct SourceCache<'a> {
     src: &'a Function,
     config: TvConfig,
     compile_cache: Option<&'a CompileCache>,
-    inputs: OnceCell<(Arc<Vec<TestInput>>, bool)>,
+    inputs: OnceCell<Arc<InputSet>>,
+    probe_window: OnceCell<Vec<TestInput>>,
     compiled_src: OnceCell<Arc<CompiledFunction>>,
     outcomes: RefCell<Vec<Option<SourceOutcome>>>,
     source_evals: Cell<usize>,
@@ -540,22 +543,20 @@ impl DenseOutcomes {
     /// then poison, then undef, then the concrete canonical bits), and the
     /// plane evaluator is outcome-identical to the compiled one, so the
     /// table equals `dense_table` over the materialized outcomes. `None`
-    /// when an input carries allocations or a chunk falls outside the plane
-    /// domain.
+    /// when the inputs are rows or the columns don't fit the plan.
     pub(crate) fn from_planes(
         plan: &PlanePlan,
-        inputs: &[TestInput],
+        inputs: &InputSet,
         arena: &mut EvalArena,
     ) -> Option<DenseOutcomes> {
-        if !allocation_free(inputs) {
-            return None;
-        }
-        let mut tags = Vec::with_capacity(inputs.len());
-        let mut vals = Vec::with_capacity(inputs.len());
-        for chunk in inputs.chunks(PLANE_LANES) {
-            let lanes: Vec<&[EvalValue]> = chunk.iter().map(|input| input.args.as_slice()).collect();
-            let result = plan.evaluate_lanes(arena, &lanes, STEP_LIMIT)?;
-            for lane in 0..chunk.len() {
+        let total = inputs.len();
+        let mut tags = Vec::with_capacity(total);
+        let mut vals = Vec::with_capacity(total);
+        for start in (0..total).step_by(PLANE_LANES) {
+            let end = (start + PLANE_LANES).min(total);
+            let result =
+                plan.evaluate_columns(arena, &inputs.column_window(start..end)?, STEP_LIMIT)?;
+            for lane in 0..end - start {
                 let (tag, val) = if result.is_ub(lane) {
                     (DENSE_SRC_UB, 0)
                 } else if result.is_poison(lane) {
@@ -586,23 +587,17 @@ pub(crate) fn evaluate_source(
         .map(|o| (o.result, o.memory))
 }
 
-/// Whether no input carries an allocation. Always true for plane-eligible
-/// signatures (scalar-integer params generate none), but the dense compare
-/// skips memory refinement, so every dense table is gated on it explicitly.
-fn allocation_free(inputs: &[TestInput]) -> bool {
-    inputs.iter().all(|input| input.memory.allocation_count() == 0)
-}
-
 /// Flattens fully materialized source outcomes into a [`DenseOutcomes`]
 /// table, or `None` when the case's shape can't carry it (observable
 /// allocations, non-scalar or void returns, integers wider than 64 bits).
 /// Shared by the lazy [`SourceCache`] and the frozen snapshot so the two
-/// plane tiers compare lanes identically.
+/// plane tiers compare lanes identically. The dense compare skips memory
+/// refinement, so the table is gated on allocation-free inputs.
 pub(crate) fn dense_table<'o>(
-    inputs: &[TestInput],
+    inputs: &InputSet,
     outcomes: impl Iterator<Item = &'o SourceOutcome>,
 ) -> Option<DenseOutcomes> {
-    if !allocation_free(inputs) {
+    if !inputs.allocation_free() {
         return None;
     }
     let mut tags = Vec::with_capacity(inputs.len());
@@ -632,6 +627,7 @@ impl<'a> SourceCache<'a> {
             config,
             compile_cache: None,
             inputs: OnceCell::new(),
+            probe_window: OnceCell::new(),
             compiled_src: OnceCell::new(),
             outcomes: RefCell::new(Vec::new()),
             source_evals: Cell::new(0),
@@ -724,13 +720,8 @@ impl<'a> SourceCache<'a> {
         self.source_evals.get()
     }
 
-    fn inputs(&self) -> &(Arc<Vec<TestInput>>, bool) {
-        self.inputs.get_or_init(|| {
-            (
-                Arc::new(generate_inputs(self.src, &self.config.inputs)),
-                is_exhaustive(self.src, &self.config.inputs),
-            )
-        })
+    fn inputs(&self) -> &Arc<InputSet> {
+        self.inputs.get_or_init(|| Arc::new(InputSet::generate(self.src, &self.config.inputs)))
     }
 
     fn compiled_src(&self) -> &Arc<CompiledFunction> {
@@ -761,7 +752,7 @@ impl<'a> SourceCache<'a> {
             if frozen.is_none() {
                 self.source_evals.set(self.source_evals.get() + 1);
             }
-            evaluate_source(self.compiled_src(), &self.inputs().0[index], arena)
+            evaluate_source(self.compiled_src(), &self.inputs().input(index), arena)
         });
         f(outcome)
     }
@@ -782,7 +773,7 @@ impl<'a> SourceCache<'a> {
         let table = match self.frozen.get() {
             Some(frozen) => frozen.dense_table().cloned(),
             None => {
-                let (inputs, _) = self.inputs();
+                let inputs = self.inputs();
                 // Before freezing, each input is counted once as the lazy
                 // table fills, so the count hitting the input total means
                 // every outcome slot is filled.
@@ -815,13 +806,13 @@ impl<'a> SourceCache<'a> {
         arena: &mut EvalArena,
     ) -> Option<StagedVerdict> {
         let dense = self.dense_outcomes();
+        let inputs = self.inputs();
         let mut counted = false;
         while *index < total {
             let start = *index;
             let end = (start + PLANE_LANES).min(total);
-            let lanes: Vec<&[EvalValue]> =
-                self.inputs().0[start..end].iter().map(|input| input.args.as_slice()).collect();
-            let result = plan.evaluate_lanes(arena, &lanes, STEP_LIMIT)?;
+            let result =
+                plan.evaluate_columns(arena, &inputs.column_window(start..end)?, STEP_LIMIT)?;
             if !counted {
                 counted = true;
                 self.plane_sweeps.set(self.plane_sweeps.get() + 1);
@@ -838,10 +829,10 @@ impl<'a> SourceCache<'a> {
                         continue;
                     }
                 }
-                let input = &self.inputs().0[lane_index];
-                let tgt_out =
-                    result.outcome(offset, input.memory.clone()).map(|o| (o.result, o.memory));
-                if let Some(refutation) = self.check_input(lane_index, input, &tgt_out, arena) {
+                let tgt_out = result
+                    .outcome(offset, inputs.memory(lane_index).clone())
+                    .map(|o| (o.result, o.memory));
+                if let Some(refutation) = self.check_input(lane_index, &tgt_out, arena) {
                     return Some(StagedVerdict::Refuted {
                         index: lane_index,
                         tgt_out,
@@ -877,15 +868,16 @@ impl<'a> SourceCache<'a> {
     }
 
     /// Compares one input's cached source outcome against a freshly computed
-    /// target outcome, returning the cheap refutation descriptor.
+    /// target outcome, returning the cheap refutation descriptor. The input
+    /// itself is materialized only if its source outcome must be computed.
     fn check_input(
         &self,
         index: usize,
-        input: &TestInput,
         tgt_out: &TargetOutcome,
         arena: &mut EvalArena,
     ) -> Option<Refutation> {
-        self.with_source_outcome(index, arena, |src_out| refutation(input, src_out, tgt_out))
+        let initial = self.inputs().memory(index);
+        self.with_source_outcome(index, arena, |src_out| refutation(initial, src_out, tgt_out))
     }
 
     /// Runs a candidate through the abstract domains: the source analysis is
@@ -922,8 +914,11 @@ impl<'a> SourceCache<'a> {
             Certificate::Proved => {
                 self.proved.set(self.proved.get() + 1);
                 self.last_tier.set(Some(VerdictTier::Proved));
-                let (inputs, exhaustive) = self.inputs();
-                Some(StagedVerdict::Correct { inputs_checked: inputs.len(), exhaustive: *exhaustive })
+                let inputs = self.inputs();
+                Some(StagedVerdict::Correct {
+                    inputs_checked: inputs.len(),
+                    exhaustive: inputs.exhaustive(),
+                })
             }
             Certificate::Refuted => {
                 self.absint_refuted.set(self.absint_refuted.get() + 1);
@@ -931,6 +926,40 @@ impl<'a> SourceCache<'a> {
                 abstract_refute_shortcut.then_some(StagedVerdict::RefutedAbstract)
             }
         }
+    }
+
+    /// The probe window's inputs as [`TestInput`]s, materialized once per
+    /// case: the direct evaluator takes argument lists, and every candidate
+    /// walks these lanes.
+    fn probe_window(&self) -> &[TestInput] {
+        self.probe_window.get_or_init(|| {
+            let inputs = self.inputs();
+            let n = self.config.probe_inputs.min(inputs.len());
+            (0..n).map(|index| inputs.input(index).into_owned()).collect()
+        })
+    }
+
+    /// Stage 1: the probe window on the direct evaluator, no compile.
+    /// Inputs are walked in the same order as the reference path, so the
+    /// refuting input (and the number of source-side evaluations) is
+    /// identical. Returns the refutation, if any.
+    fn probe(&self, tgt: &Function, arena: &mut EvalArena) -> Option<StagedVerdict> {
+        for (index, input) in self.probe_window().iter().enumerate() {
+            let tgt_out =
+                evaluate_direct(tgt, arena, &input.args, input.memory.clone(), STEP_LIMIT)
+                    .map(|o| (o.result, o.memory));
+            if let Some(refutation) = self.check_input(index, &tgt_out, arena) {
+                // Abstractly-refuted candidates keep their certificate tag
+                // and don't count as probe rejects: the probe only supplies
+                // their diagnostic, it didn't decide them.
+                if self.last_tier.get().is_none() {
+                    self.probe_rejects.set(self.probe_rejects.get() + 1);
+                    self.last_tier.set(Some(VerdictTier::RefutedConcrete));
+                }
+                return Some(StagedVerdict::Refuted { index, tgt_out, refutation });
+            }
+        }
+        None
     }
 
     /// Records which tier decided the current candidate, unless the abstract
@@ -965,32 +994,13 @@ impl<'a> SourceCache<'a> {
             return Ok(verdict);
         }
 
-        let probe_n = {
-            let (inputs, _) = self.inputs();
-            self.config.probe_inputs.min(inputs.len())
-        };
-
-        // Stage 1: probe, no compile. Inputs are walked in the same order as
-        // the reference path, so the refuting input (and the number of
-        // source-side evaluations) is identical.
-        for index in 0..probe_n {
-            let input = &self.inputs().0[index];
-            let tgt_out = evaluate_direct(tgt, arena, &input.args, input.memory.clone(), STEP_LIMIT)
-                .map(|o| (o.result, o.memory));
-            if let Some(refutation) = self.check_input(index, input, &tgt_out, arena) {
-                // Abstractly-refuted candidates keep their certificate tag
-                // and don't count as probe rejects: the probe only supplies
-                // their diagnostic, it didn't decide them.
-                if self.last_tier.get().is_none() {
-                    self.probe_rejects.set(self.probe_rejects.get() + 1);
-                    self.last_tier.set(Some(VerdictTier::RefutedConcrete));
-                }
-                return Ok(StagedVerdict::Refuted { index, tgt_out, refutation });
-            }
+        // Stage 1: probe, no compile.
+        if let Some(verdict) = self.probe(tgt, arena) {
+            return Ok(verdict);
         }
-
-        let (inputs, exhaustive) = self.inputs();
-        let (total, exhaustive) = (inputs.len(), *exhaustive);
+        let inputs = self.inputs();
+        let probe_n = self.probe_window().len();
+        let (total, exhaustive) = (inputs.len(), inputs.exhaustive());
         if probe_n == total {
             self.settle_tier(VerdictTier::Tested);
             return Ok(StagedVerdict::Correct { inputs_checked: total, exhaustive });
@@ -1038,18 +1048,16 @@ impl<'a> SourceCache<'a> {
         }
 
         // Stage 3b: general batched sweep.
+        let mut buf = Vec::new();
         while index < total {
             let end = (index + SWEEP_LANES).min(total);
-            let lanes: Vec<(&[EvalValue], Memory)> = self.inputs().0[index..end]
-                .iter()
-                .map(|input| (input.args.as_slice(), input.memory.clone()))
-                .collect();
+            let window = inputs.window(index..end, &mut buf);
+            let lanes =
+                window.iter().map(|input| (input.args.as_slice(), input.memory.clone())).collect();
             let lane_outs = compiled_tgt.evaluate_batch_with_limit(arena, lanes, STEP_LIMIT);
             for (offset, lane_out) in lane_outs.into_iter().enumerate() {
-                let input = &self.inputs().0[index + offset];
                 let tgt_out = lane_out.map(|o| (o.result, o.memory));
-                if let Some(refutation) = self.check_input(index + offset, input, &tgt_out, arena)
-                {
+                if let Some(refutation) = self.check_input(index + offset, &tgt_out, arena) {
                     self.settle_tier(VerdictTier::RefutedConcrete);
                     return Ok(StagedVerdict::Refuted { index: index + offset, tgt_out, refutation });
                 }
@@ -1099,9 +1107,9 @@ impl<'a> SourceCache<'a> {
                 unreachable!("shortcut verdicts only arise on the outcome-only entry points")
             }
             Ok(StagedVerdict::Refuted { index, tgt_out, refutation }) => {
-                let input = &self.inputs().0[index];
+                let input = self.inputs().input(index);
                 Verdict::Incorrect(self.with_source_outcome(index, arena, |src_out| {
-                    build_counterexample(self.src, input, src_out, &tgt_out, refutation)
+                    build_counterexample(self.src, &input, src_out, &tgt_out, refutation)
                 }))
             }
         }
@@ -1124,20 +1132,16 @@ impl<'a> SourceCache<'a> {
         if let Some(frozen) = self.frozen.get() {
             return frozen.clone();
         }
-        let (inputs, exhaustive) = self.inputs();
+        let inputs = self.inputs();
         let compiled_src = self.compiled_src();
         let plane_table = match compiled_src.plane() {
             Some(plan) if self.config.plane_sweep => DenseOutcomes::from_planes(plan, inputs, arena),
             _ => None,
         };
         let frozen = match plane_table {
-            Some(table) => FrozenCase::dense(
-                self.src.clone(),
-                compiled_src.clone(),
-                inputs.clone(),
-                *exhaustive,
-                table,
-            ),
+            Some(table) => {
+                FrozenCase::dense(self.src.clone(), compiled_src.clone(), inputs.clone(), table)
+            }
             None => {
                 for index in 0..inputs.len() {
                     self.with_source_outcome(index, arena, |_| ());
@@ -1150,7 +1154,6 @@ impl<'a> SourceCache<'a> {
                     self.src.clone(),
                     compiled_src.clone(),
                     inputs.clone(),
-                    *exhaustive,
                     outcomes,
                     self.config.plane_sweep,
                 )
@@ -1194,27 +1197,14 @@ impl<'a> SourceCache<'a> {
             return Ok(verdict);
         }
 
-        let probe_n = {
-            let (inputs, _) = self.inputs();
-            self.config.probe_inputs.min(inputs.len())
-        };
         // Stage 1: probe, identical to the serial path (lazy outcomes, input
         // order), so probe rejects cost the same few source evaluations.
-        for index in 0..probe_n {
-            let input = &self.inputs().0[index];
-            let tgt_out = evaluate_direct(tgt, arena, &input.args, input.memory.clone(), STEP_LIMIT)
-                .map(|o| (o.result, o.memory));
-            if let Some(refutation) = self.check_input(index, input, &tgt_out, arena) {
-                if self.last_tier.get().is_none() {
-                    self.probe_rejects.set(self.probe_rejects.get() + 1);
-                    self.last_tier.set(Some(VerdictTier::RefutedConcrete));
-                }
-                return Ok(StagedVerdict::Refuted { index, tgt_out, refutation });
-            }
+        if let Some(verdict) = self.probe(tgt, arena) {
+            return Ok(verdict);
         }
-
-        let (inputs, exhaustive) = self.inputs();
-        let (total, exhaustive) = (inputs.len(), *exhaustive);
+        let inputs = self.inputs();
+        let probe_n = self.probe_window().len();
+        let (total, exhaustive) = (inputs.len(), inputs.exhaustive());
         if probe_n == total {
             self.settle_tier(VerdictTier::Tested);
             return Ok(StagedVerdict::Correct { inputs_checked: total, exhaustive });
@@ -1306,9 +1296,8 @@ impl<'a> SourceCache<'a> {
         let widths = self.src.params.iter().map(|p| plane_width(&p.ty)).collect::<Option<Vec<u32>>>()?;
         plane_width(&self.src.ret_ty)?;
         self.frozen_case(arena).dense_table()?;
-        let lanes: Vec<&[EvalValue]> =
-            self.inputs().0.iter().map(|input| input.args.as_slice()).collect();
-        PlaneTape::new(&widths, &lanes)
+        let columns = self.inputs().column_window(0..self.inputs().len())?;
+        PlaneTape::from_columns(&widths, &columns)
     }
 
     /// Outcome-only lane check of a candidate whose return value on input
@@ -1326,7 +1315,7 @@ impl<'a> SourceCache<'a> {
         let Some(table) = self.frozen.get().and_then(FrozenCase::dense_table) else {
             return false;
         };
-        let inputs = &self.inputs().0;
+        let inputs = self.inputs();
         let total = inputs.len();
         debug_assert_eq!(tape.lanes(), total, "the tape must come from this case");
         let probe = self.config.probe_inputs.min(total);
@@ -1337,9 +1326,8 @@ impl<'a> SourceCache<'a> {
                 if table.lane_refines(index, &lanes, index) {
                     continue;
                 }
-                let input = &inputs[index];
-                let tgt_out = lanes.value(index).map(|v| (Some(v), input.memory.clone()));
-                if self.check_input(index, input, &tgt_out, arena).is_some() {
+                let tgt_out = lanes.value(index).map(|v| (Some(v), inputs.memory(index).clone()));
+                if self.check_input(index, &tgt_out, arena).is_some() {
                     return true;
                 }
             }
@@ -1354,41 +1342,27 @@ impl<'a> SourceCache<'a> {
         if let Some(error) = self.signature_error(tgt) {
             return error;
         }
-        let (inputs, exhaustive) = self.inputs();
+        let inputs = self.inputs();
         let compiled_tgt = CompiledFunction::compile(tgt);
-        for (index, input) in inputs.iter().enumerate() {
+        for index in 0..inputs.len() {
+            let input = inputs.input(index);
             let tgt_out = compiled_tgt
                 .evaluate_with_limit(arena, &input.args, input.memory.clone(), STEP_LIMIT)
                 .map(|o| (o.result, o.memory));
             let failure = self.with_source_outcome(index, arena, |src_out| {
-                refinement_failure(self.src, input, src_out, &tgt_out)
+                refinement_failure(self.src, &input, src_out, &tgt_out)
             });
             if let Some(cex) = failure {
                 return Verdict::Incorrect(cex);
             }
         }
-        Verdict::Correct { inputs_checked: inputs.len(), exhaustive: *exhaustive }
+        Verdict::Correct { inputs_checked: inputs.len(), exhaustive: inputs.exhaustive() }
     }
 
     /// [`verify_with`](Self::verify_with) on a fresh throwaway arena.
     pub fn verify(&self, tgt: &Function) -> Verdict {
         self.verify_with(tgt, &mut EvalArena::new())
     }
-}
-
-fn is_exhaustive(func: &Function, config: &InputConfig) -> bool {
-    let mut bits = 0u32;
-    for p in &func.params {
-        match &p.ty {
-            lpo_ir::types::Type::Int(w) => bits += w,
-            lpo_ir::types::Type::Vector(n, e) => match e.as_ref() {
-                lpo_ir::types::Type::Int(w) => bits += n * w,
-                _ => return false,
-            },
-            _ => return false,
-        }
-    }
-    bits <= config.exhaustive_bits
 }
 
 fn describe_args(func: &Function, input: &TestInput) -> Vec<(String, String)> {
@@ -1445,10 +1419,11 @@ pub(crate) enum Refutation {
 }
 
 /// The refinement comparison itself: one input's cached source outcome
-/// against a target outcome from any of the three evaluators. Returns the
-/// cheap refutation descriptor on failure.
+/// against a target outcome from any of the three evaluators, given the
+/// input's `initial` memory. Returns the cheap refutation descriptor on
+/// failure.
 pub(crate) fn refutation(
-    input: &TestInput,
+    initial: &Memory,
     src_out: &SourceOutcome,
     tgt_out: &TargetOutcome,
 ) -> Option<Refutation> {
@@ -1475,9 +1450,9 @@ pub(crate) fn refutation(
 
     // Memory refinement over the allocations that existed before execution
     // (allocas created inside the functions are not observable).
-    let observable = input.memory.allocation_count();
+    let observable = initial.allocation_count();
     for alloc_id in 0..observable {
-        let initial = input.memory.allocation(alloc_id).expect("input allocation");
+        let initial = initial.allocation(alloc_id).expect("input allocation");
         let s_alloc = src_mem.allocation(alloc_id);
         let t_alloc = tgt_mem.allocation(alloc_id);
         let (s_alloc, t_alloc) = match (s_alloc, t_alloc) {
@@ -1571,7 +1546,7 @@ fn refinement_failure(
     src_out: &SourceOutcome,
     tgt_out: &TargetOutcome,
 ) -> Option<Counterexample> {
-    refutation(input, src_out, tgt_out)
+    refutation(&input.memory, src_out, tgt_out)
         .map(|r| build_counterexample(src, input, src_out, tgt_out, r))
 }
 

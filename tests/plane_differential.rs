@@ -19,7 +19,12 @@
 //!   [`hash_function`] digest (the compile cache's correctness assumption);
 //! * **tape ≡ plan**: a [`PlaneTape`] grown one binary/icmp instruction at a
 //!   time, over split lane windows and reused storage, matches
-//!   [`PlanePlan::evaluate_lanes`] of every program prefix on every lane.
+//!   [`PlanePlan::evaluate_lanes`] of every program prefix on every lane;
+//! * **columns ≡ lanes**: fed the verifier's [`InputSet`] columns,
+//!   [`PlanePlan::evaluate_columns`] equals [`PlanePlan::evaluate_lanes`]
+//!   and the batched evaluator on every lane, and
+//!   [`PlaneTape::from_columns`] equals [`PlaneTape::new`] on every plane of
+//!   the replayed chain.
 //!
 //! Every test walks a fixed seed block (deterministic in CI and locally) and
 //! appends a rotating block derived from `LPO_FUZZ_SEED` when that variable
@@ -40,7 +45,7 @@ use lpo_ir::function::Function;
 use lpo_ir::hash::hash_function;
 use lpo_ir::instruction::{BinOp, InstId, InstKind, Value};
 use lpo_ir::printer::print_function;
-use lpo_tv::inputs::{generate_inputs, InputConfig};
+use lpo_tv::inputs::{generate_inputs, InputConfig, InputSet};
 use lpo_tv::prelude::{SourceCache, TvConfig};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -402,4 +407,113 @@ fn plane_tape_matches_evaluate_lanes_on_random_chains() {
         }
     }
     assert!(planes_checked >= 1_500, "tape fuzz looks too small: {planes_checked} planes");
+}
+
+#[test]
+fn evaluate_columns_matches_evaluate_lanes_and_batch() {
+    let mut arena = EvalArena::new();
+    let mut checked = 0usize;
+    for seed in seed_block(1_000, 0xc0_1c0d) {
+        let func = random_function(seed);
+        let compiled = CompiledFunction::compile(&func);
+        let plan = compiled.plane().expect("fuzz functions are plane-eligible");
+        let config = input_config(seed);
+        let inputs = generate_inputs(&func, &config);
+        let set = InputSet::generate(&func, &config);
+        let columns: Vec<&[u64]> =
+            set.columns().expect("scalar-int signatures are columns").iter().map(Vec::as_slice).collect();
+        let lanes: Vec<&[EvalValue]> = inputs.iter().map(|i| i.args.as_slice()).collect();
+        // Full budget plus one that trips mid-walk.
+        for limit in [STEP_LIMIT, seed as usize % 6] {
+            let by_columns =
+                plan.evaluate_columns(&mut arena, &columns, limit).expect("columns fit");
+            let by_lanes = plan.evaluate_lanes(&mut arena, &lanes, limit).expect("lanes fit");
+            let batch_lanes: Vec<(&[EvalValue], Memory)> =
+                inputs.iter().map(|i| (i.args.as_slice(), i.memory.clone())).collect();
+            let batch = compiled.evaluate_batch_with_limit(&mut arena, batch_lanes, limit);
+            assert_eq!(by_columns.lanes(), inputs.len());
+            for (lane, input) in inputs.iter().enumerate() {
+                let want = by_lanes.outcome(lane, input.memory.clone());
+                assert_eq!(
+                    by_columns.outcome(lane, input.memory.clone()),
+                    want,
+                    "columns vs lanes diverged: seed {seed:#x} lane {lane} limit {limit}\n{}",
+                    print_function(&func)
+                );
+                assert_eq!(
+                    want,
+                    batch[lane],
+                    "lanes vs batch diverged: seed {seed:#x} lane {lane} limit {limit}\n{}",
+                    print_function(&func)
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 1_000 * 16, "column fuzz looks too small: {checked} lane checks");
+}
+
+/// Pushes every binary/icmp instruction of `func` onto `tape` (constants
+/// as met, other instructions skipped) and evaluates each on every lane.
+fn replay_chain(tape: &mut PlaneTape, func: &Function) {
+    let mut planes: HashMap<InstId, usize> = HashMap::new();
+    for id in func.block(func.entry()).insts.clone() {
+        let mark = tape.len();
+        let pushed = match &func.inst(id).kind {
+            InstKind::Binary { op, lhs, rhs, flags } => {
+                match (tape_operand(tape, &planes, lhs), tape_operand(tape, &planes, rhs)) {
+                    (Some(a), Some(b)) => Some(tape.binary(*op, *flags, a, b)),
+                    _ => None,
+                }
+            }
+            InstKind::ICmp { pred, lhs, rhs } => {
+                match (tape_operand(tape, &planes, lhs), tape_operand(tape, &planes, rhs)) {
+                    (Some(a), Some(b)) => Some(tape.icmp(*pred, a, b)),
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
+        match pushed {
+            Some(plane) => {
+                tape.run(plane, 0..tape.lanes());
+                planes.insert(id, plane);
+            }
+            None => tape.truncate(mark),
+        }
+    }
+}
+
+#[test]
+fn plane_tape_from_columns_matches_new() {
+    let mut planes_checked = 0usize;
+    for seed in seed_block(1_000, 0x7a9e_c01d) {
+        let func = random_function(seed);
+        let widths: Vec<u32> =
+            func.params.iter().map(|p| p.ty.int_width().expect("scalar int params")).collect();
+        let config = input_config(seed);
+        let inputs = generate_inputs(&func, &config);
+        let set = InputSet::generate(&func, &config);
+        let columns: Vec<&[u64]> =
+            set.columns().expect("scalar-int signatures are columns").iter().map(Vec::as_slice).collect();
+        let lanes: Vec<&[EvalValue]> = inputs.iter().map(|i| i.args.as_slice()).collect();
+        let mut by_rows = PlaneTape::new(&widths, &lanes).expect("fuzz inputs fit their signature");
+        let mut by_columns = PlaneTape::from_columns(&widths, &columns).expect("columns fit");
+        replay_chain(&mut by_rows, &func);
+        replay_chain(&mut by_columns, &func);
+        assert_eq!((by_columns.len(), by_columns.lanes()), (by_rows.len(), by_rows.lanes()));
+        for plane in 0..by_rows.len() {
+            let (want, got) = (by_rows.view(plane), by_columns.view(plane));
+            for lane in 0..by_rows.lanes() {
+                assert_eq!(
+                    got.value(lane),
+                    want.value(lane),
+                    "from_columns vs new diverged: seed {seed:#x} plane {plane} lane {lane}\n{}",
+                    print_function(&func)
+                );
+            }
+            planes_checked += 1;
+        }
+    }
+    assert!(planes_checked >= 1_000, "tape column fuzz looks too small: {planes_checked} planes");
 }
