@@ -270,8 +270,9 @@ fn check_tv_proved_fraction(entry: &TvEntry, path: &str) -> Result<String, Strin
 
 /// The sharded-execution gates (`repro bench-exec --check-baseline`): the
 /// machine-independent overhead ratio everywhere (sharding at one worker
-/// must stay within tolerance of the serial walk), plus the
-/// parallel-scaling floor on hosts where parallelism is actually available.
+/// must stay within tolerance of `verify_with`, one `SerialDriver` shard),
+/// plus the parallel-scaling floor on hosts where parallelism is actually
+/// available.
 fn check_exec_baseline(entry: &ExecEntry, path: &str) -> Result<String, String> {
     let sweep_gate = Gate {
         throughput_key: "exec_sweep_per_second",

@@ -1877,7 +1877,8 @@ pub fn bench_exec(jobs: usize, shard_size: usize) -> Result<ExecBenchRun, String
         (case.survivors() - survivors, start.elapsed())
     }
 
-    // The serial walk, the reference.
+    // The reference: `verify_with`, the staged walk with the whole sweep as
+    // one `SerialDriver` shard on this thread.
     let reference_pass = || -> (usize, Duration, ShardStats) {
         let mut arena = EvalArena::new();
         let case = SourceCache::new(&sweep_src, sweep_tv.clone());

@@ -346,7 +346,7 @@ impl TvEntry {
 /// `shards_stolen`) — report them, never compare them across runs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExecEntry {
-    /// Survivor sweeps per second, serial walk.
+    /// Survivor sweeps per second, `verify_with` (one `SerialDriver` shard).
     pub sweep_reference_per_second: f64,
     /// Survivor sweeps per second, sharded engine, one worker.
     pub sweep_serial_per_second: f64,

@@ -605,9 +605,10 @@ mod tests {
         let lpo = Lpo::new(LpoConfig::default());
         let factory = SimulatedModelFactory::new(gemini2_0t(), 42);
 
-        // The independent oracle: the plain serial walk (`optimize_sequence`,
-        // the unsharded `verify_with` sweep) over each unique case under its
-        // first-occurrence session, duplicates replayed — no engine involved.
+        // The oracle: `optimize_sequence` (the staged walk with the whole
+        // sweep as one shard on `SerialDriver`, no worker pool) over each
+        // unique case under its first-occurrence session, duplicates
+        // replayed — no engine involved.
         let plan = DedupPlan::new(&suite, true);
         let oracle: HashMap<usize, String> = plan
             .unique_indices()

@@ -21,7 +21,7 @@ use lpo_opt::pipeline::{optimize_function, OptLevel, Pipeline};
 use crate::exec::{run_batch, run_batch_persisted, BatchResult, ExecConfig, ExecStats, Persist};
 use crate::shard::ShardCounters;
 use lpo_store::VerdictStore;
-use lpo_tv::frozen::SweepDriver;
+use lpo_tv::frozen::{SerialDriver, SweepDriver};
 use lpo_tv::prelude::EvalArena;
 use lpo_tv::refine::{CompileCache, SourceCache, TvConfig, Verdict};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -273,15 +273,16 @@ impl Lpo {
 
     /// Runs Algorithm 1's inner loop on one wrapped instruction sequence,
     /// driving one per-case model session, with a throwaway evaluation arena
-    /// and the serial Stage-3 sweep — the walk the engine's determinism
-    /// tests use as their oracle.
+    /// and the Stage-3 survivor sweep as one shard on the caller's thread:
+    /// [`optimize_sequence_sharded`](Self::optimize_sequence_sharded) with
+    /// [`SerialDriver`] and `usize::MAX`.
     ///
     /// The translation-validation stage keeps one [`SourceCache`] for the
     /// whole case: test inputs are generated once per signature and the
     /// source function is evaluated once per input, no matter how many
     /// candidate rewrites the feedback loop verifies.
     pub fn optimize_sequence(&self, model: &mut dyn ModelSession, source: &Function) -> CaseReport {
-        self.optimize_sequence_impl(model, source, &mut EvalArena::new(), None)
+        self.optimize_sequence_sharded(model, source, &mut EvalArena::new(), &SerialDriver, usize::MAX)
     }
 
     /// [`optimize_sequence`](Self::optimize_sequence) on the worker's
@@ -291,10 +292,10 @@ impl Lpo {
     /// so idle workers steal them).
     ///
     /// Verdicts, counterexamples and the per-case TV counters other than
-    /// `plane_sweeps` are identical to the unsharded path for every driver
-    /// and shard size; under sharding `plane_sweeps` deterministically
-    /// counts survivors whose *first* post-probe shard used the plane
-    /// evaluator.
+    /// `plane_sweeps` are identical for every driver and shard size;
+    /// `plane_sweeps` deterministically counts survivors whose *first*
+    /// post-probe shard used the plane evaluator, so it depends on the
+    /// shard size alone.
     pub fn optimize_sequence_sharded(
         &self,
         model: &mut dyn ModelSession,
@@ -302,16 +303,6 @@ impl Lpo {
         arena: &mut EvalArena,
         driver: &dyn SweepDriver,
         shard_size: usize,
-    ) -> CaseReport {
-        self.optimize_sequence_impl(model, source, arena, Some((driver, shard_size)))
-    }
-
-    fn optimize_sequence_impl(
-        &self,
-        model: &mut dyn ModelSession,
-        source: &Function,
-        arena: &mut EvalArena,
-        sharding: Option<(&dyn SweepDriver, usize)>,
     ) -> CaseReport {
         let start = Instant::now();
         // Stage 1, source side, **once per case**: canonicalize the sequence
@@ -401,12 +392,8 @@ impl Lpo {
             // pair under the current version, recorded into it when not.
             // Stored verdicts round-trip exactly (counterexamples included),
             // so the feedback loop below cannot tell a replay from a sweep.
-            let verify = |arena: &mut EvalArena| match sharding {
-                Some((driver, shard_size)) => {
-                    tv_case.verify_with_driver(&candidate, arena, driver, shard_size)
-                }
-                None => tv_case.verify_with(&candidate, arena),
-            };
+            let verify =
+                |arena: &mut EvalArena| tv_case.verify_with_driver(&candidate, arena, driver, shard_size);
             let verdict = match &store {
                 Some((store, version, src_digest)) => {
                     let tgt_digest = hash_function(&candidate).0;

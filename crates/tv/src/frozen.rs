@@ -2,13 +2,14 @@
 //! decomposition of the Stage-3 survivor sweep.
 //!
 //! The per-case [`SourceCache`](crate::refine::SourceCache) is deliberately
-//! single-threaded (`Cell`/`RefCell`/`Rc` state, lazily filled): it lives on
-//! one worker and fills source outcomes in input order as candidates walk
-//! them. That layout is what makes the *per-case* engine fast — but it also
-//! pins one case to one worker. A [`FrozenCase`] is the bridge to intra-case
-//! parallelism: an immutable, `Arc`-shared snapshot of everything the sweep
-//! needs (the generated inputs, the compiled source, and the source's outcome
-//! on every input), cheap to clone across threads.
+//! single-threaded (`Cell`/`RefCell` state, lazily filled): it lives on one
+//! worker and fills the probe window's source outcomes in input order as
+//! candidates walk them, so a case whose candidates all die in the probe
+//! never pays for the full source sweep. A [`FrozenCase`] is what every
+//! probe survivor's sweep runs against: an immutable, `Arc`-shared snapshot
+//! of everything the sweep needs (the generated inputs, the compiled
+//! source, and the source's outcome on every input), cheap to clone across
+//! threads.
 //!
 //! The inputs are the case's shared [`InputSet`]: `u64` columns for a
 //! scalar-integer signature, which the plane chunks copy straight into
@@ -28,9 +29,10 @@
 //!
 //! On top of it, a [`SweepShard`] is one stealable unit of Stage-3 work: the
 //! half-open input range `[start, end)` of one candidate's survivor sweep.
-//! [`SweepShard::run`] reproduces the staged sweep exactly — plane chunks of
-//! 256 lanes while the inputs stay in the plane domain, then 32-lane batched
-//! chunks — and stops at the shard's first refuting input.
+//! [`SweepShard::run`] is the staged walk's only sweep — plane chunks of 256
+//! lanes while the inputs stay in the plane domain, then 32-lane batched
+//! chunks — and stops at the shard's first refuting input. The serial entry
+//! points run the whole sweep as one shard on [`SerialDriver`].
 //!
 //! # Ordered merge and cancellation
 //!
@@ -42,11 +44,11 @@
 //!   earlier shard's outcome [`refutes`](SweepOutcome::refutes);
 //! * the merge takes the **first** executed slot with a finding.
 //!
-//! Because the serial-first refuting input lives in some shard *k*, shards
-//! `< k` contain no refuting inputs at all — whether they run before, after
-//! or concurrently with shard *k*, they report no finding. So the first
+//! Because the first refuting input in input order lives in some shard *k*,
+//! shards `< k` contain no refuting inputs at all — whether they run before,
+//! after or concurrently with shard *k*, they report no finding. So the first
 //! finding in shard order is always the first refuting input in input order,
-//! exactly what the serial sweep reports, independent of scheduling.
+//! exactly what a single shard reports, independent of scheduling.
 
 use crate::inputs::InputSet;
 use crate::refine::{
@@ -70,9 +72,9 @@ use std::sync::Arc;
 /// rows otherwise; see [`crate::inputs`].
 ///
 /// Built only by [`SourceCache::frozen_case`](crate::refine::SourceCache::frozen_case),
-/// which computes every source outcome the lazy cache would have filled
-/// across candidates — so a frozen case front-loads the source sweep. Only
-/// probe survivors are worth freezing; probe rejects never get here.
+/// which computes every source outcome at once — so a frozen case
+/// front-loads the source sweep. The staged walk freezes on the first probe
+/// survivor; probe rejects never get here.
 #[derive(Clone)]
 pub struct FrozenCase {
     inner: Arc<FrozenInner>,
@@ -206,17 +208,16 @@ impl SweepShard {
         (self.start, self.end)
     }
 
-    /// Sweeps the shard's input range, mirroring the serial staged sweep:
-    /// plane chunks of `PLANE_LANES` while the candidate has a plane form
-    /// and the inputs stay in the plane domain, then `SWEEP_LANES` batched
-    /// chunks. Stops at the shard's first refuting input.
+    /// Sweeps the shard's input range: plane chunks of `PLANE_LANES` while
+    /// the candidate has a plane form and the inputs stay in the plane
+    /// domain, then `SWEEP_LANES` batched chunks. Stops at the shard's first
+    /// refuting input.
     ///
     /// A chunk outside the plane domain drops this shard to the batched tier
-    /// for its own remainder only; later shards retry the plane. The serial
-    /// path instead abandons the plane for the whole rest of the sweep —
-    /// the tiers produce identical outcomes (proven by
-    /// `tests/plane_differential.rs`), so the verdict and the refuting input
-    /// are unaffected; only which evaluator ran a lane can differ.
+    /// for its own remainder only; later shards retry the plane. The tiers
+    /// produce identical outcomes (proven by `tests/plane_differential.rs`),
+    /// so the verdict and the refuting input do not depend on the shard
+    /// size; only which evaluator ran a lane can differ.
     pub fn run(&self, arena: &mut EvalArena) -> SweepOutcome {
         let inner = &*self.case.inner;
         let mut index = self.start;
@@ -237,7 +238,7 @@ impl SweepShard {
                     for offset in 0..chunk_end - index {
                         let lane_index = index + offset;
                         // Dense pre-filter, then the authoritative comparison
-                        // for suspect lanes — same split as the serial sweep.
+                        // for suspect lanes.
                         if let Some(table) = &inner.dense {
                             if table.lane_refines(lane_index, &view, offset) {
                                 continue;
@@ -416,11 +417,11 @@ mod tests {
             }
         }
         // And the full driver-based verdict pinpoints input 128, exactly as
-        // the serial checker does.
+        // the retained reference checker does.
         let case = SourceCache::new(&src, TvConfig::default());
-        let serial = case.verify_with(&tgt, &mut arena);
+        let reference = case.verify_reference(&tgt, &mut arena);
         let sharded = case.verify_with_driver(&tgt, &mut arena, &SerialDriver, shard_size);
-        assert_eq!(sharded, serial);
+        assert_eq!(sharded, reference);
         assert!(matches!(sharded, Verdict::Incorrect(_)));
     }
 }

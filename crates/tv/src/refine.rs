@@ -32,11 +32,14 @@
 //!    structural-hash-keyed [`CompileCache`] when one is attached, so
 //!    syntactically distinct but structurally identical candidates compile
 //!    once per worker pool.
-//! 3. **Sweep** — the remaining inputs run in chunks. Straight-line
-//!    scalar-integer candidates, whose compiled form carries a
-//!    [`lpo_interp::plane::PlanePlan`], sweep 256 inputs at a
-//!    time over native `u64` register planes; everything else (memory,
-//!    vectors, control flow) falls back to
+//! 3. **Sweep** — the survivor freezes the case (every source outcome is
+//!    computed once, see [`SourceCache::frozen_case`]) and the remaining
+//!    inputs run as [`SweepShard`]s, merged in shard order; the serial
+//!    entry points hand the whole range to [`SerialDriver`] as one shard.
+//!    Within a shard, straight-line scalar-integer candidates, whose
+//!    compiled form carries a [`lpo_interp::plane::PlanePlan`], sweep 256
+//!    inputs at a time over native `u64` register planes; everything else
+//!    (memory, vectors, control flow) falls back to
 //!    [`CompiledFunction::evaluate_batch_with_limit`], which drives
 //!    32 lanes through one walk of the decoded step list. The
 //!    plane tier can be switched off with [`TvConfig::plane_sweep`].
@@ -55,16 +58,20 @@
 //! remove work, never change a verdict — `tests/absint_differential.rs`
 //! fuzzes exactly that.
 //!
-//! The staged path is **outcome-identical** to the retained single-stage
-//! path ([`verify_refinement_reference`] /
+//! There is one staged walk: every entry point runs it, and only the sweep
+//! driver, the shard size and whether an abstract refutation may skip the
+//! concrete counterexample differ. It is **outcome-identical** to the
+//! retained single-stage path ([`verify_refinement_reference`] /
 //! [`SourceCache::verify_reference`]): same verdicts, same counterexamples,
-//! same UB messages, and the same number of source-side evaluations
-//! ([`SourceCache::source_eval_count`]). `tests/tv_differential.rs` checks
-//! this differentially over the rq1/rq2 corpora, and
+//! same UB messages. A probe reject costs the reference's source-side
+//! evaluations; a survivor freezes the case, so
+//! [`SourceCache::source_eval_count`] reaches the input total.
+//! `tests/tv_differential.rs` checks this differentially over the rq1/rq2
+//! corpora, and
 //! `tests/plane_differential.rs` fuzzes the plane tier against both
 //! retained evaluators over randomly generated functions.
 
-use crate::frozen::{FrozenCase, SweepDriver, SweepShard, SweepSlot};
+use crate::frozen::{FrozenCase, SerialDriver, SweepDriver, SweepShard, SweepSlot};
 use crate::inputs::{InputConfig, InputSet, TestInput};
 use lpo_absint::{certificate, Certificate, FunctionAnalysis};
 use lpo_interp::compiled::{evaluate_direct, CompiledFunction, EvalArena};
@@ -428,19 +435,20 @@ enum StagedVerdict {
 /// * the [`InputSet`] for the source signature (exhaustive or sampled;
 ///   `u64` columns for scalar-integer signatures, rows otherwise);
 /// * the source's outcome per input — result, final memory and UB/poison
-///   classification — via a pre-compiled [`CompiledFunction`], filled
-///   **per input as the check walks them**, so a candidate rejected on the
-///   third input costs three source evaluations, not the whole sweep;
+///   classification — via a pre-compiled [`CompiledFunction`]: filled
+///   **per input** inside the probe window, so a candidate rejected on the
+///   third input costs three source evaluations, and for every input at
+///   once when the first probe survivor freezes the case;
 ///
 /// so verifying the k-th candidate only evaluates the *target* (plus any
-/// source inputs no earlier candidate reached). Each source input is
+/// probe inputs no earlier candidate reached). Each source input is
 /// evaluated at most once per case, and verdicts are bit-identical to the
 /// retained [`verify_refinement_reference`] path.
 ///
 /// Candidate verification itself is *staged* (see the module docs): a probe
 /// over the first [`TvConfig::probe_inputs`] inputs on the uncompiled
 /// evaluator, then lazy compilation — through an attached [`CompileCache`],
-/// if any — and a batched sweep for the survivors.
+/// if any — and a sharded sweep of the frozen case for the survivors.
 /// [`probe_rejects`](Self::probe_rejects) / [`survivors`](Self::survivors)
 /// count how candidates split between the two stages.
 pub struct SourceCache<'a> {
@@ -461,19 +469,7 @@ pub struct SourceCache<'a> {
     last_tier: Cell<Option<VerdictTier>>,
     src_abs: OnceCell<Option<FunctionAnalysis>>,
     tgt_abs: RefCell<FunctionAnalysis>,
-    dense: RefCell<DenseState>,
-    frozen: OnceCell<crate::frozen::FrozenCase>,
-}
-
-/// Lazily built cache of [`DenseOutcomes`] for one case.
-enum DenseState {
-    /// Not yet attempted — the source outcomes aren't fully populated.
-    NotBuilt,
-    /// Attempted and not representable (a non-scalar or void return);
-    /// permanent, since cached outcomes never change shape.
-    Unavailable,
-    /// Built; shared with the plane sweep.
-    Built(Arc<DenseOutcomes>),
+    frozen: OnceCell<FrozenCase>,
 }
 
 /// Source outcome tag: the source exhibited UB on this input.
@@ -640,7 +636,6 @@ impl<'a> SourceCache<'a> {
             last_tier: Cell::new(None),
             src_abs: OnceCell::new(),
             tgt_abs: RefCell::new(FunctionAnalysis::default()),
-            dense: RefCell::new(DenseState::NotBuilt),
             frozen: OnceCell::new(),
         }
     }
@@ -675,10 +670,12 @@ impl<'a> SourceCache<'a> {
         self.survivors.get()
     }
 
-    /// Survivors whose post-probe sweep ran on the type-specialized plane
-    /// evaluator rather than the general batched interpreter. A subset of
-    /// [`survivors`](Self::survivors); deterministic for a given case and
-    /// candidate sequence.
+    /// Survivors whose *first* post-probe shard ran at least one chunk on
+    /// the type-specialized plane evaluator rather than the general batched
+    /// interpreter. A subset of [`survivors`](Self::survivors);
+    /// deterministic for a given case, candidate sequence and shard size
+    /// (shard 0 is never cancelled). With one shard, as on
+    /// [`verify_with`](Self::verify_with), it covers the whole sweep.
     pub fn plane_sweeps(&self) -> usize {
         self.plane_sweeps.get()
     }
@@ -711,10 +708,12 @@ impl<'a> SourceCache<'a> {
     /// any evaluator — plane lanes included.
     ///
     /// At most one per (case, input), independent of the candidate count.
-    /// The lazy walk counts each input the first time a candidate reaches
-    /// it; freezing the case (see [`frozen_case`](Self::frozen_case))
-    /// computes every outcome, so from then on this equals the input total,
-    /// and re-materializing a suspect or refuting lane's outcome afterwards
+    /// The probe counts each input of its window the first time a candidate
+    /// reaches it, so a probe reject at input k costs k+1 evaluations, as
+    /// on the reference path. The first probe survivor freezes the case
+    /// (see [`frozen_case`](Self::frozen_case)), which computes every
+    /// outcome, so from then on this equals the input total, and
+    /// re-materializing a suspect or refuting lane's outcome afterwards
     /// does not count again. Tests use this as the cache-hit oracle.
     pub fn source_eval_count(&self) -> usize {
         self.source_evals.get()
@@ -732,7 +731,8 @@ impl<'a> SourceCache<'a> {
     /// case serves it directly; otherwise the lazy table supplies it,
     /// evaluating the source first if no earlier candidate reached `index`.
     /// The lazy table grows only to the highest index reached, so a case
-    /// whose candidates all die in the probe holds a probe's worth of slots.
+    /// whose candidates all die in the probe holds a probe's worth of slots;
+    /// a dense frozen case adds only the refuting lanes it renders.
     fn with_source_outcome<R>(
         &self,
         index: usize,
@@ -755,94 +755,6 @@ impl<'a> SourceCache<'a> {
             evaluate_source(self.compiled_src(), &self.inputs().input(index), arena)
         });
         f(outcome)
-    }
-
-    /// The dense source-outcome table for plane-mode comparison: the frozen
-    /// case's table once there is one, otherwise built the first time a
-    /// plane sweep runs after every source outcome has been filled (one
-    /// full survivor pass does that). Until then — and for shapes the dense
-    /// form can't carry — returns `None` and the sweep materializes each
-    /// lane through [`check_input`](Self::check_input), which keeps
-    /// `source_eval_count` filling strictly in input order.
-    fn dense_outcomes(&self) -> Option<Arc<DenseOutcomes>> {
-        match &*self.dense.borrow() {
-            DenseState::Built(table) => return Some(table.clone()),
-            DenseState::Unavailable => return None,
-            DenseState::NotBuilt => {}
-        }
-        let table = match self.frozen.get() {
-            Some(frozen) => frozen.dense_table().cloned(),
-            None => {
-                let inputs = self.inputs();
-                // Before freezing, each input is counted once as the lazy
-                // table fills, so the count hitting the input total means
-                // every outcome slot is filled.
-                if self.source_evals.get() != inputs.len() {
-                    return None;
-                }
-                let outcomes = self.outcomes.borrow();
-                dense_table(inputs, outcomes.iter().map(|o| o.as_ref().expect("all outcomes filled")))
-                    .map(Arc::new)
-            }
-        };
-        *self.dense.borrow_mut() = match &table {
-            Some(table) => DenseState::Built(table.clone()),
-            None => DenseState::Unavailable,
-        };
-        table
-    }
-
-    /// Stage 3 on the plane evaluator: sweeps inputs `*index..total` in
-    /// [`PLANE_LANES`] chunks through `plan`. Returns the verdict, or
-    /// `None` if a chunk's inputs fall outside the plane domain — `*index`
-    /// is then the first unswept input and the caller finishes on the
-    /// batched path.
-    fn sweep_planes(
-        &self,
-        plan: &PlanePlan,
-        index: &mut usize,
-        total: usize,
-        exhaustive: bool,
-        arena: &mut EvalArena,
-    ) -> Option<StagedVerdict> {
-        let dense = self.dense_outcomes();
-        let inputs = self.inputs();
-        let mut counted = false;
-        while *index < total {
-            let start = *index;
-            let end = (start + PLANE_LANES).min(total);
-            let result =
-                plan.evaluate_columns(arena, &inputs.column_window(start..end)?, STEP_LIMIT)?;
-            if !counted {
-                counted = true;
-                self.plane_sweeps.set(self.plane_sweeps.get() + 1);
-            }
-            let view = result.view();
-            for offset in 0..end - start {
-                let lane_index = start + offset;
-                // The dense table is a cheap pre-filter: a lane it clears is
-                // proven refining; a lane it suspects goes through the full
-                // comparison below, which stays authoritative for both the
-                // verdict and the refutation descriptor.
-                if let Some(table) = &dense {
-                    if table.lane_refines(lane_index, &view, offset) {
-                        continue;
-                    }
-                }
-                let tgt_out = result
-                    .outcome(offset, inputs.memory(lane_index).clone())
-                    .map(|o| (o.result, o.memory));
-                if let Some(refutation) = self.check_input(lane_index, &tgt_out, arena) {
-                    return Some(StagedVerdict::Refuted {
-                        index: lane_index,
-                        tgt_out,
-                        refutation,
-                    });
-                }
-            }
-            *index = end;
-        }
-        Some(StagedVerdict::Correct { inputs_checked: total, exhaustive })
     }
 
     /// Signature compatibility: same parameter types (names may differ) and
@@ -897,8 +809,8 @@ impl<'a> SourceCache<'a> {
         certificate(self.src, src_abs, tgt, &tgt_abs)
     }
 
-    /// Stage 3a₀: the abstract pre-verification gate shared by both staged
-    /// walks. A proof certificate yields the full-sweep `Correct` verdict
+    /// Stage 3a₀: the staged walk's abstract pre-verification gate. A proof
+    /// certificate yields the full-sweep `Correct` verdict
     /// (every input provably refines, so `inputs_checked` is the input
     /// total) with zero concrete evaluations. A refutation certificate is
     /// *counted* here — so the counter is path-independent — and either
@@ -971,17 +883,29 @@ impl<'a> SourceCache<'a> {
         }
     }
 
-    /// The staged walk shared by [`verify_with`](Self::verify_with) and
-    /// [`verify_outcome_only`](Self::verify_outcome_only): abstract gate →
-    /// probe → lazy (cached) compile → batched sweep. On refutation it
-    /// returns the failing input index, the target outcome and the
-    /// refutation descriptor — everything needed to render the
-    /// counterexample, without rendering it.
+    /// The one staged walk behind every verify entry point: signature check
+    /// → abstract gate → probe → lazy (cached) compile → freeze the case →
+    /// Stage-3 survivor sweep. The sweep `[probe_n, total)` is split into
+    /// `shard_size`-input [`SweepShard`]s handed to `driver`; the ordered
+    /// merge takes the first executed shard with a finding, which the
+    /// cancellation contract (see [`crate::frozen`]) proves is the
+    /// first refuting input in input order — so verdicts and
+    /// counterexamples are the same for every driver, shard size and worker
+    /// count. The serial entry points pass [`SerialDriver`] and `usize::MAX`
+    /// (one shard).
+    ///
+    /// `abstract_refute_shortcut` lets an abstract refutation certificate
+    /// reject with zero concrete evaluations (outcome-only callers). On
+    /// refutation the walk returns the failing input index, the target
+    /// outcome and the refutation descriptor — everything needed to render
+    /// the counterexample, without rendering it.
     fn verify_staged(
         &self,
         tgt: &Function,
         arena: &mut EvalArena,
         abstract_refute_shortcut: bool,
+        driver: &dyn SweepDriver,
+        shard_size: usize,
     ) -> Result<StagedVerdict, Verdict> {
         self.last_tier.set(None);
         if let Some(error) = self.signature_error(tgt) {
@@ -994,7 +918,8 @@ impl<'a> SourceCache<'a> {
             return Ok(verdict);
         }
 
-        // Stage 1: probe, no compile.
+        // Stage 1: probe, no compile (lazy outcomes, input order), so probe
+        // rejects cost the reference path's few source evaluations.
         if let Some(verdict) = self.probe(tgt, arena) {
             return Ok(verdict);
         }
@@ -1009,60 +934,42 @@ impl<'a> SourceCache<'a> {
         // Stage 2: the candidate survived the probe — compile it (once per
         // structural digest when a cache is attached).
         self.survivors.set(self.survivors.get() + 1);
-        let cached;
-        let owned;
-        let compiled_tgt: &CompiledFunction = match self.compile_cache {
-            Some(cache) => {
-                cached = cache.get_or_compile(tgt);
-                &cached
-            }
-            None => {
-                owned = CompiledFunction::compile(tgt);
-                &owned
-            }
+        let compiled_tgt: Arc<CompiledFunction> = match self.compile_cache {
+            Some(cache) => cache.get_or_compile(tgt),
+            None => Arc::new(CompiledFunction::compile(tgt)),
         };
 
-        // Stage 3: sweep the remaining inputs. Target lanes are evaluated a
-        // chunk at a time, but source outcomes are still filled (and
-        // compared) strictly in input order, stopping at the first failure —
-        // so `source_eval_count` matches the reference path even for
-        // candidates refuted mid-sweep.
-        let mut index = probe_n;
+        // Stage 3: freeze the case, decompose `[probe_n, total)` into shards
+        // and let the driver schedule them.
+        let frozen = self.frozen_case(arena);
+        let shard_size = shard_size.max(1);
+        let mut shards = Vec::with_capacity((total - probe_n).div_ceil(shard_size));
+        let mut start = probe_n;
+        while start < total {
+            let end = total.min(start.saturating_add(shard_size));
+            shards.push(SweepShard::new(frozen.clone(), compiled_tgt.clone(), start, end));
+            start = end;
+        }
+        let slots = driver.drive(shards, arena);
 
-        // Stage 3a: candidates whose compiled form carries a `PlanePlan`
-        // (straight-line, scalar-integer, memory-free) sweep over native
-        // `u64` register planes. Any input outside the plane domain drops
-        // to the batched path below at the first unswept chunk.
-        if self.config.plane_sweep {
-            if let Some(plan) = compiled_tgt.plane() {
-                if let Some(verdict) =
-                    self.sweep_planes(plan, &mut index, total, exhaustive, arena)
-                {
-                    self.settle_tier(match &verdict {
-                        StagedVerdict::Correct { .. } => VerdictTier::Tested,
-                        _ => VerdictTier::RefutedConcrete,
-                    });
-                    return Ok(verdict);
-                }
+        // Shard 0 is never cancelled (cancellation needs an earlier refuting
+        // shard), so this flag is deterministic for a given shard size.
+        if let Some(SweepSlot::Executed(out)) = slots.first() {
+            if out.used_plane {
+                self.plane_sweeps.set(self.plane_sweeps.get() + 1);
             }
         }
-
-        // Stage 3b: general batched sweep.
-        let mut buf = Vec::new();
-        while index < total {
-            let end = (index + SWEEP_LANES).min(total);
-            let window = inputs.window(index..end, &mut buf);
-            let lanes =
-                window.iter().map(|input| (input.args.as_slice(), input.memory.clone())).collect();
-            let lane_outs = compiled_tgt.evaluate_batch_with_limit(arena, lanes, STEP_LIMIT);
-            for (offset, lane_out) in lane_outs.into_iter().enumerate() {
-                let tgt_out = lane_out.map(|o| (o.result, o.memory));
-                if let Some(refutation) = self.check_input(index + offset, &tgt_out, arena) {
+        for slot in slots {
+            if let SweepSlot::Executed(out) = slot {
+                if let Some(finding) = out.finding {
                     self.settle_tier(VerdictTier::RefutedConcrete);
-                    return Ok(StagedVerdict::Refuted { index: index + offset, tgt_out, refutation });
+                    return Ok(StagedVerdict::Refuted {
+                        index: finding.index,
+                        tgt_out: finding.tgt_out,
+                        refutation: finding.refutation,
+                    });
                 }
             }
-            index = end;
         }
         self.settle_tier(VerdictTier::Tested);
         Ok(StagedVerdict::Correct { inputs_checked: total, exhaustive })
@@ -1076,15 +983,13 @@ impl<'a> SourceCache<'a> {
     ///    cost of a few interpreter calls;
     /// 2. survivors are compiled, through the attached [`CompileCache`] when
     ///    present;
-    /// 3. the remaining inputs are swept in 32-input batches through one
-    ///    walk of the decoded step list.
+    /// 3. the case is frozen and the remaining inputs are swept as one
+    ///    shard on the caller's thread ([`SerialDriver`]).
     ///
     /// Verdicts are bit-identical to [`verify_reference`](Self::verify_reference),
-    /// and the source side is still evaluated at most once per input, in
-    /// input order, stopping at the first counterexample.
+    /// and the source side is still evaluated at most once per input.
     pub fn verify_with(&self, tgt: &Function, arena: &mut EvalArena) -> Verdict {
-        let staged = self.verify_staged(tgt, arena, false);
-        self.render_staged(staged, arena)
+        self.verify_with_driver(tgt, arena, &SerialDriver, usize::MAX)
     }
 
     /// Renders a staged conclusion into the public [`Verdict`], building the
@@ -1163,96 +1068,6 @@ impl<'a> SourceCache<'a> {
         self.frozen.get_or_init(|| frozen).clone()
     }
 
-    /// The staged walk with a *sharded* Stage 3: probe and lazy compile
-    /// exactly as [`verify_staged`](Self::verify_staged), then the survivor
-    /// sweep is split into `shard_size`-input [`SweepShard`]s handed to
-    /// `driver`. The ordered merge takes the first executed shard with a
-    /// finding, which the cancellation contract (see [`crate::frozen`])
-    /// proves is the serial-first refuting input — verdicts and
-    /// counterexamples are identical to the serial sweep for every driver,
-    /// shard size and worker count.
-    ///
-    /// Two counters diverge from the lazy path, deterministically so:
-    /// freezing the case computes **every** source outcome up front (so
-    /// `source_eval_count` jumps to the input total on the first survivor
-    /// and stays there, even when a refuting lane's outcome is later
-    /// re-materialized for rendering), and `plane_sweeps` reflects whether
-    /// the survivor's *first* shard used the plane evaluator (the serial
-    /// path's flag covers the whole sweep).
-    fn verify_staged_sharded(
-        &self,
-        tgt: &Function,
-        arena: &mut EvalArena,
-        driver: &dyn SweepDriver,
-        shard_size: usize,
-    ) -> Result<StagedVerdict, Verdict> {
-        self.last_tier.set(None);
-        if let Some(error) = self.signature_error(tgt) {
-            return Err(error);
-        }
-        self.candidates.set(self.candidates.get() + 1);
-
-        // Stage 3a₀: abstract pre-verification, identical to the serial path.
-        if let Some(verdict) = self.absint_prefilter(tgt, false) {
-            return Ok(verdict);
-        }
-
-        // Stage 1: probe, identical to the serial path (lazy outcomes, input
-        // order), so probe rejects cost the same few source evaluations.
-        if let Some(verdict) = self.probe(tgt, arena) {
-            return Ok(verdict);
-        }
-        let inputs = self.inputs();
-        let probe_n = self.probe_window().len();
-        let (total, exhaustive) = (inputs.len(), inputs.exhaustive());
-        if probe_n == total {
-            self.settle_tier(VerdictTier::Tested);
-            return Ok(StagedVerdict::Correct { inputs_checked: total, exhaustive });
-        }
-
-        // Stage 2: compile the survivor (shared cache when attached).
-        self.survivors.set(self.survivors.get() + 1);
-        let compiled_tgt: Arc<CompiledFunction> = match self.compile_cache {
-            Some(cache) => cache.get_or_compile(tgt),
-            None => Arc::new(CompiledFunction::compile(tgt)),
-        };
-
-        // Stage 3: decompose `[probe_n, total)` into shards and let the
-        // driver schedule them.
-        let frozen = self.frozen_case(arena);
-        let shard_size = shard_size.max(1);
-        let mut shards = Vec::with_capacity((total - probe_n).div_ceil(shard_size));
-        let mut start = probe_n;
-        while start < total {
-            let end = total.min(start.saturating_add(shard_size));
-            shards.push(SweepShard::new(frozen.clone(), compiled_tgt.clone(), start, end));
-            start = end;
-        }
-        let slots = driver.drive(shards, arena);
-
-        // Shard 0 is never cancelled (cancellation needs an earlier refuting
-        // shard), so this flag is deterministic for a given shard size.
-        if let Some(SweepSlot::Executed(out)) = slots.first() {
-            if out.used_plane {
-                self.plane_sweeps.set(self.plane_sweeps.get() + 1);
-            }
-        }
-        for slot in slots {
-            if let SweepSlot::Executed(out) = slot {
-                if let Some(finding) = out.finding {
-                    self.settle_tier(VerdictTier::RefutedConcrete);
-                    return Ok(StagedVerdict::Refuted {
-                        index: finding.index,
-                        tgt_out: finding.tgt_out,
-                        refutation: finding.refutation,
-                    });
-                }
-            }
-        }
-        self.settle_tier(VerdictTier::Tested);
-        Ok(StagedVerdict::Correct { inputs_checked: total, exhaustive })
-    }
-
     /// [`verify_with`](Self::verify_with) with the survivor sweep sharded
     /// across `driver` in `shard_size`-input units. Verdicts and
     /// counterexamples are bit-identical to [`verify_with`](Self::verify_with)
@@ -1264,7 +1079,7 @@ impl<'a> SourceCache<'a> {
         driver: &dyn SweepDriver,
         shard_size: usize,
     ) -> Verdict {
-        let staged = self.verify_staged_sharded(tgt, arena, driver, shard_size);
+        let staged = self.verify_staged(tgt, arena, false, driver, shard_size);
         self.render_staged(staged, arena)
     }
 
@@ -1279,7 +1094,10 @@ impl<'a> SourceCache<'a> {
     /// rendering costs more than the refuting evaluation itself, so this
     /// entry point is the hot path for accept/reject-only verification.
     pub fn verify_outcome_only(&self, tgt: &Function, arena: &mut EvalArena) -> bool {
-        matches!(self.verify_staged(tgt, arena, true), Ok(StagedVerdict::Correct { .. }))
+        matches!(
+            self.verify_staged(tgt, arena, true, &SerialDriver, usize::MAX),
+            Ok(StagedVerdict::Correct { .. })
+        )
     }
 
     /// A [`PlaneTape`] with one argument plane per parameter, holding this
@@ -1898,14 +1716,15 @@ mod tests {
             let config = TvConfig { plane_sweep, ..TvConfig::default() };
             for text in candidates {
                 let tgt = parse_function(text).unwrap();
-                let serial_case = SourceCache::new(&src, config.clone());
-                let serial = serial_case.verify_with(&tgt, &mut arena);
+                // The independent oracle: the retained single-stage path.
+                let reference_case = SourceCache::new(&src, config.clone());
+                let reference = reference_case.verify_reference(&tgt, &mut arena);
                 for shard_size in [1usize, 7, 256, usize::MAX] {
                     let case = SourceCache::new(&src, config.clone());
                     let sharded =
                         case.verify_with_driver(&tgt, &mut arena, &SerialDriver, shard_size);
                     assert_eq!(
-                        sharded, serial,
+                        sharded, reference,
                         "shard size {shard_size} (plane {plane_sweep}) diverged for {text}"
                     );
                 }
@@ -1935,11 +1754,11 @@ mod tests {
         for (text, dense) in sources {
             let src = parse_function(text).unwrap();
             let case = SourceCache::new(&src, TvConfig::default());
-            let serial = SourceCache::new(&src, TvConfig::default());
+            let reference = SourceCache::new(&src, TvConfig::default());
 
             // A probe reject costs one source evaluation and one lazy slot.
             let verdict = case.verify_with_driver(&early_wrong, &mut arena, &SerialDriver, 16);
-            assert_eq!(verdict, serial.verify_with(&early_wrong, &mut arena));
+            assert_eq!(verdict, reference.verify_reference(&early_wrong, &mut arena));
             assert_eq!(case.source_eval_count(), 1);
             assert_eq!(case.outcomes.borrow().len(), 1, "lazy table grows only as far as reached");
 
@@ -1947,16 +1766,17 @@ mod tests {
             // and rendering the refutation at input 128 re-materializes that
             // outcome without counting it again.
             let verdict = case.verify_with_driver(&late_wrong, &mut arena, &SerialDriver, 16);
-            assert_eq!(verdict, serial.verify_with(&late_wrong, &mut arena));
+            assert_eq!(verdict, reference.verify_reference(&late_wrong, &mut arena));
             assert!(!verdict.is_correct());
             assert_eq!(case.source_eval_count(), 256);
             assert_eq!(case.frozen_case(&mut arena).is_dense(), dense, "{text}");
 
-            // Later survivors, and serial walks on the frozen cache, stay put.
+            // Later survivors, and single-shard walks on the frozen cache,
+            // stay put.
             let verdict = case.verify_with_driver(&correct, &mut arena, &SerialDriver, 16);
             assert!(verdict.is_correct());
             let rerun = case.verify_with(&late_wrong, &mut arena);
-            assert_eq!(rerun, serial.verify_with(&late_wrong, &mut arena));
+            assert_eq!(rerun, reference.verify_reference(&late_wrong, &mut arena));
             assert_eq!(case.source_eval_count(), 256);
         }
     }

@@ -27,10 +27,10 @@ fn fingerprints(batch: &BatchResult) -> (Vec<String>, String) {
     (batch.reports.iter().map(CaseReport::fingerprint).collect(), batch.summary.fingerprint())
 }
 
-/// The independent serial oracle for a batch: no engine, no runtime, no
-/// shards — `Lpo::optimize_sequence` (whose Stage 3 is the plain
-/// `SourceCache::verify_with` walk) once per unique case under the session
-/// of its first occurrence, with every duplicate replaying that report.
+/// The serial oracle for a batch: no engine, no runtime, one shard —
+/// `Lpo::optimize_sequence` (whose Stage 3 sweeps on `SerialDriver` as a
+/// single shard) once per unique case under the session of its first
+/// occurrence, with every duplicate replaying that report.
 fn serial_oracle(
     lpo: &Lpo,
     factory: &dyn ModelFactory,
@@ -168,7 +168,7 @@ fn cancellation_never_changes_the_reported_counterexample() {
     // dozens of shards past the first refuting one also refute, and under 4
     // workers any of them can finish first and cut the group. The merge must
     // still report the first refuting input in input order — the same
-    // counterexample the serial sweep finds.
+    // counterexample the reference checker finds.
     let src = parse_function("define i8 @s(i8 %x) {\n %r = add i8 %x, 1\n ret i8 %r\n}").unwrap();
     let wrong = parse_function(
         "define i8 @t(i8 %x) {\n\
@@ -187,8 +187,9 @@ fn cancellation_never_changes_the_reported_counterexample() {
         }
     }
 
-    let serial_case = SourceCache::new(&src, TvConfig::default());
-    let expected = cex_text(&serial_case.verify_with(&wrong, &mut EvalArena::new()));
+    // The independent oracle: the retained single-stage reference path.
+    let reference_case = SourceCache::new(&src, TvConfig::default());
+    let expected = cex_text(&reference_case.verify_reference(&wrong, &mut EvalArena::new()));
 
     for _ in 0..10 {
         let runtime = ShardRuntime::new(4, Arc::new(ShardCounters::new()));

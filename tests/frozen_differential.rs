@@ -1,6 +1,6 @@
 //! Differential proof of the dense frozen case.
 //!
-//! The sharded Stage 3 sweeps every survivor against a
+//! The staged walk's Stage 3 sweeps every survivor against a
 //! [`FrozenCase`](lpo_tv::prelude::FrozenCase). When the source is
 //! plane-eligible, that case holds only a dense table swept on planes, and a
 //! lane the table can't clear re-evaluates the source on that one input;
@@ -11,7 +11,8 @@
 //! * `verify_with_driver` with the plane tier on (dense frozen case when the
 //!   source has a plane form);
 //! * the same call with `plane_sweep: false` (materialized frozen case);
-//! * the serial `verify_with` walk (no frozen case at all),
+//! * the retained single-stage `verify_reference` path (no probe, no
+//!   frozen case, no shards) as the independent oracle,
 //!
 //! at shard sizes 1, 7, 256 and unbounded. The pairs are fuzz pairs from
 //! [`lpo_interp::fuzz::random_pair`], the rq1/rq2 corpora with their twisted
@@ -86,7 +87,7 @@ struct Coverage {
     dense_batched: usize,
     /// Survivors swept against a materialized frozen case.
     materialized: usize,
-    /// Pairs whose serial verdict was a refutation.
+    /// Pairs whose reference verdict was a refutation.
     refuted: usize,
 }
 
@@ -101,9 +102,9 @@ fn check_pair(
 ) {
     let config =
         |plane_sweep| TvConfig { inputs: inputs.clone(), plane_sweep, absint: false, ..TvConfig::default() };
-    let serial = SourceCache::new(src, config(true)).verify_with(tgt, arena);
-    let expected = rendered(&serial);
-    coverage.refuted += usize::from(matches!(serial, Verdict::Incorrect(_)));
+    let reference = SourceCache::new(src, config(true)).verify_reference(tgt, arena);
+    let expected = rendered(&reference);
+    coverage.refuted += usize::from(matches!(reference, Verdict::Incorrect(_)));
     for plane_sweep in [true, false] {
         for shard_size in SHARD_SIZES {
             let case = SourceCache::new(src, config(plane_sweep));
@@ -115,7 +116,7 @@ fn check_pair(
                 print_function(src),
                 print_function(tgt)
             );
-            assert_eq!(verdict, serial);
+            assert_eq!(verdict, reference);
             if case.survivors() == 0 || shard_size != SHARD_SIZES[0] {
                 continue;
             }

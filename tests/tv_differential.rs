@@ -163,10 +163,11 @@ fn staged_matches_reference_on_ub_memory_and_control_flow() {
 
 #[test]
 fn staged_source_eval_counts_match_the_reference() {
-    // The lazy per-input source-outcome fill must behave identically under
-    // staging: a candidate refuted at input k costs exactly k+1 source
-    // evaluations on both paths, including refutations inside the batched
-    // sweep (where target lanes run ahead of the comparisons).
+    // The staged walk fills source outcomes lazily only inside the probe
+    // window: a candidate refuted there at input k costs exactly k+1 source
+    // evaluations, as on the reference path. A probe survivor freezes the
+    // case, which computes every source outcome once, so the count reaches
+    // the input total whether the sweep then refutes or accepts.
     let src = parse_function("define i8 @s(i8 %x) {\n %r = add i8 %x, 1\n ret i8 %r\n}").unwrap();
     // Wrong only for x >= 100: refuted mid-sweep, well past the probe window.
     let late_wrong = parse_function(
@@ -181,18 +182,24 @@ fn staged_source_eval_counts_match_the_reference() {
     let early_wrong = parse_function("define i8 @t(i8 %x) {\n %r = add i8 %x, 2\n ret i8 %r\n}").unwrap();
     let correct = parse_function("define i8 @t(i8 %x) {\n %r = sub i8 %x, -1\n ret i8 %r\n}").unwrap();
 
-    for candidate in [&early_wrong, &late_wrong, &correct] {
+    for (candidate, survives_probe) in [(&early_wrong, false), (&late_wrong, true), (&correct, true)] {
         let staged_case = SourceCache::new(&src, TvConfig::default());
         let reference_case = SourceCache::new(&src, TvConfig::default());
         let mut arena = EvalArena::new();
         let staged = staged_case.verify_with(candidate, &mut arena);
         let reference = reference_case.verify_reference(candidate, &mut arena);
         assert_eq!(staged, reference);
-        assert_eq!(
-            staged_case.source_eval_count(),
-            reference_case.source_eval_count(),
-            "source-side evaluation counts diverged"
-        );
+        assert_eq!(staged_case.survivors(), usize::from(survives_probe));
+        if survives_probe {
+            assert_eq!(staged_case.source_eval_count(), 256, "a survivor freezes the case");
+        } else {
+            assert_eq!(
+                staged_case.source_eval_count(),
+                reference_case.source_eval_count(),
+                "a probe reject must cost the reference's source evaluations"
+            );
+            assert_eq!(staged_case.source_eval_count(), 1);
+        }
     }
 }
 
