@@ -30,7 +30,7 @@
 //! this over the whole corpus plus randomly synthesized functions.
 
 use crate::eval::{
-    elementwise1_static, elementwise2_static, eval_binop, eval_cast, eval_extractelement,
+    divisor_ub, elementwise1_static, elementwise2_static, eval_binop, eval_cast, eval_extractelement,
     eval_fbinop, eval_fcmp, eval_gep, eval_icmp, eval_insertelement, eval_intrinsic, eval_load,
     eval_select, eval_shufflevector, eval_store, freeze, EvalOutcome, Ub, DEFAULT_STEP_LIMIT,
 };
@@ -666,6 +666,9 @@ fn eval_raw_op(
         InstKind::Binary { op, lhs, rhs, flags } => {
             let a = read_raw_ref(lhs, args, regs)?;
             let b = read_raw_ref(rhs, args, regs)?;
+            if let Some(ub) = divisor_ub(*op, b.get()) {
+                return Err(ub);
+            }
             elementwise2_static(a.get(), b.get(), |x, y| eval_binop(*op, x, y, flags))
         }
         InstKind::FBinary { op, lhs, rhs, fmf } => {
@@ -801,6 +804,9 @@ fn eval_op(
         COp::Binary { op, flags, lhs, rhs } => {
             let a = read_ref(lhs, args, regs)?;
             let b = read_ref(rhs, args, regs)?;
+            if let Some(ub) = divisor_ub(*op, b) {
+                return Err(ub);
+            }
             elementwise2_static(a, b, |x, y| eval_binop(*op, x, y, flags))
         }
         COp::FBinary { op, fmf, lhs, rhs } => {

@@ -4,9 +4,10 @@
 //! initial [`Memory`]. It distinguishes three kinds of "bad" outcomes exactly
 //! the way the refinement relation needs them:
 //!
-//! * **immediate undefined behaviour** ([`Ub`]): division by zero, branching
-//!   on poison, out-of-bounds or null dereferences — once the source function
-//!   exhibits UB on an input, any target behaviour refines it;
+//! * **immediate undefined behaviour** ([`Ub`]): division by zero or by a
+//!   poison/undef divisor, branching on poison, out-of-bounds or null
+//!   dereferences — once the source function exhibits UB on an input, any
+//!   target behaviour refines it;
 //! * **poison**: a deferred error value that propagates through data flow;
 //! * **undef**: an unspecified but fixed bit pattern (modelled
 //!   conservatively: it propagates like a tainted value and the refinement
@@ -240,6 +241,9 @@ impl<'a> Evaluator<'a> {
             InstKind::Binary { op, lhs, rhs, flags } => {
                 let a = self.value(lhs)?;
                 let b = self.value(rhs)?;
+                if let Some(ub) = divisor_ub(*op, &b) {
+                    return Err(ub);
+                }
                 elementwise2(&a, &b, &mut |x, y| eval_binop(*op, x, y, flags))
             }
             InstKind::FBinary { op, lhs, rhs, fmf } => {
@@ -538,6 +542,9 @@ pub fn fold_instruction(
 ) -> Option<EvalValue> {
     let result = match kind {
         InstKind::Binary { op, flags, .. } => {
+            if divisor_ub(*op, &operands[1]).is_some() {
+                return None;
+            }
             elementwise2(&operands[0], &operands[1], &mut |x, y| eval_binop(*op, x, y, flags))
         }
         InstKind::FBinary { op, fmf, .. } => {
@@ -637,6 +644,26 @@ pub(crate) fn freeze(v: &EvalValue, ty: &Type) -> EvalValue {
         }
         other => other.clone(),
     }
+}
+
+/// The UB message for a poison or undef divisor (see [`divisor_ub`]).
+pub(crate) const POISON_DIVISOR: &str = "division by a poison or undef value";
+
+/// LangRef: a poison or undef divisor of `udiv`/`sdiv`/`urem`/`srem` — or
+/// any such lane of a vector divisor — is immediate UB rather than a poison
+/// result (an undef divisor may be zero). Every evaluator checks it before
+/// broadcasting the operands, so it wins over a poison dividend.
+#[inline(always)]
+pub(crate) fn divisor_ub(op: BinOp, b: &EvalValue) -> Option<Ub> {
+    if !matches!(op, BinOp::UDiv | BinOp::SDiv | BinOp::URem | BinOp::SRem) {
+        return None;
+    }
+    let undefined = |v: &EvalValue| v.is_poison() || v.is_undef();
+    let flagged = match b {
+        EvalValue::Vector(lanes) => lanes.iter().any(undefined),
+        scalar => undefined(scalar),
+    };
+    flagged.then(|| Ub::new(POISON_DIVISOR))
 }
 
 pub(crate) type ScalarOp2<'f> = dyn FnMut(&EvalValue, &EvalValue) -> Result<EvalValue, Ub> + 'f;

@@ -48,7 +48,7 @@
 //! * per-lane isolation: one lane's UB or poison never leaks into another.
 
 use crate::compiled::EvalArena;
-use crate::eval::{EvalOutcome, Ub};
+use crate::eval::{EvalOutcome, Ub, POISON_DIVISOR};
 use crate::memory::Memory;
 use crate::value::EvalValue;
 use lpo_ir::apint::ApInt;
@@ -66,16 +66,18 @@ const UB_SDIV_OVERFLOW: u8 = 2;
 const UB_REM_ZERO: u8 = 3;
 const UB_SREM_OVERFLOW: u8 = 4;
 const UB_STEP_LIMIT: u8 = 5;
+const UB_POISON_DIVISOR: u8 = 6;
 
 /// The only UB diagnostics reachable from plane-eligible instructions, with
 /// byte-for-byte the messages the interpreter's other evaluators emit.
-const UB_MESSAGES: [&str; 6] = [
+const UB_MESSAGES: [&str; 7] = [
     "",
     "division by zero",
     "signed division overflow",
     "remainder by zero",
     "signed remainder overflow",
     "execution step limit exceeded",
+    POISON_DIVISOR,
 ];
 
 /// Lane state bits: bit 0 = poison, bit 1 = undef. Poison dominates when
@@ -931,6 +933,8 @@ fn run2(
 }
 
 /// Like [`run2`] but the kernel may record per-lane UB (division/remainder).
+/// A poison or undef divisor lane is UB itself, checked before the operand
+/// states propagate, exactly like `divisor_ub`.
 #[inline(always)]
 fn run2_ub(
     n: usize,
@@ -943,7 +947,11 @@ fn run2_ub(
     let ((av, asl), (bv, bsl), (dv, ds)) = (a, b, d);
     for i in 0..n {
         let s = asl[i] | bsl[i];
-        if s == 0 {
+        if bsl[i] != 0 {
+            flag_ub(&mut ub[i], UB_POISON_DIVISOR);
+            dv[i] = 0;
+            ds[i] = 0;
+        } else if s == 0 {
             let (v, st) = kernel(av[i], bv[i], &mut ub[i]);
             dv[i] = v;
             ds[i] = st;
@@ -1364,6 +1372,35 @@ mod tests {
         assert_eq!(r.ub_message(1), Some("division by zero"));
         assert_eq!(r.raw(2), 2);
         assert!(!r.is_ub(0) && !r.is_ub(2));
+    }
+
+    #[test]
+    fn poison_or_undef_divisor_lanes_are_ub_on_every_evaluator() {
+        let ints = |v: u128| EvalValue::int(8, v);
+        let dividends = [ints(7), EvalValue::Poison, EvalValue::Undef];
+        let divisors = [ints(2), ints(0), EvalValue::Poison, EvalValue::Undef];
+        let args: Vec<[EvalValue; 2]> = dividends
+            .iter()
+            .flat_map(|x| divisors.iter().map(move |y| [x.clone(), y.clone()]))
+            .collect();
+        let refs: Vec<&[EvalValue]> = args.iter().map(|a| a.as_slice()).collect();
+        for op in ["udiv", "sdiv", "urem", "srem"] {
+            let text = format!("define i8 @f(i8 %x, i8 %y) {{\n %r = {op} i8 %x, %y\n ret i8 %r\n}}");
+            let f = parse_function(&text).unwrap();
+            let compiled = CompiledFunction::compile(&f);
+            let plan = compiled.plane().expect("eligible");
+            let planes = plan.evaluate_lanes(&mut EvalArena::new(), &refs, 100).unwrap();
+            let lanes = args.iter().map(|a| (a.as_slice(), Memory::new())).collect();
+            let batch = compiled.evaluate_batch_with_limit(&mut EvalArena::new(), lanes, 100);
+            for (i, lane) in args.iter().enumerate() {
+                let reference = crate::eval::evaluate_reference(&f, lane, Memory::new(), 100);
+                assert_eq!(planes.outcome(i, Memory::new()), reference, "{op} lane {i}");
+                assert_eq!(batch[i], reference, "{op} lane {i}");
+                if lane[1].is_poison() || lane[1].is_undef() {
+                    assert_eq!(planes.ub_message(i), Some(POISON_DIVISOR), "{op} lane {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -89,6 +89,14 @@ mod tests {
     fn does_not_fold_ub_or_memory() {
         let out = fold_all("define i32 @f() {\n %d = udiv i32 1, 0\n ret i32 %d\n}");
         assert!(out.contains("udiv"));
+        // A poison or undef divisor is UB too, never a foldable poison.
+        for divisor in ["poison", "undef", "<i8 1, i8 poison>"] {
+            let ty = if divisor.starts_with('<') { "<2 x i8>" } else { "i8" };
+            let out = fold_all(&format!(
+                "define {ty} @f() {{\n %d = srem {ty} poison, {divisor}\n ret {ty} %d\n}}"
+            ));
+            assert!(out.contains("srem"), "{divisor}: {out}");
+        }
         let out = fold_all(
             "define i32 @g(ptr %p) {\n %v = load i32, ptr %p, align 4\n ret i32 %v\n}",
         );

@@ -272,3 +272,31 @@ fn staging_and_cache_keep_jobs_determinism() {
     );
     assert!(serial.stats.tv.candidates > 0);
 }
+
+#[test]
+fn poison_or_undef_divisor_is_immediate_ub() {
+    // LangRef: a poison or undef divisor of udiv/sdiv/urem/srem is immediate
+    // UB, not a poison result (an undef divisor may be zero). A source that
+    // returns poison is therefore *not* refined by a target that divides by
+    // one: the source is defined on every input, the target never is.
+    let src = parse_function("define i8 @s(i8 %x) {\n ret i8 poison\n}").unwrap();
+    let mut arena = EvalArena::new();
+    for op in ["udiv", "sdiv", "urem", "srem"] {
+        for divisor in ["poison", "undef"] {
+            let text = format!("define i8 @t(i8 %x) {{\n %r = {op} i8 %x, {divisor}\n ret i8 %r\n}}");
+            let tgt = parse_function(&text).unwrap();
+            for plane_sweep in [true, false] {
+                let config = TvConfig { plane_sweep, ..TvConfig::default() };
+                let reference = verify_refinement_reference(&src, &tgt, &config);
+                let case = SourceCache::new(&src, config);
+                let staged = case.verify_with(&tgt, &mut arena);
+                assert_eq!(staged, reference, "{op} by {divisor} (plane {plane_sweep})");
+                let cex = staged.counterexample().unwrap_or_else(|| {
+                    panic!("{op} by {divisor} must be Incorrect, got {staged:?}")
+                });
+                assert_eq!(cex.reason, "Source is guaranteed to be defined, but target is not");
+                assert!(!case.verify_outcome_only(&tgt, &mut arena));
+            }
+        }
+    }
+}
