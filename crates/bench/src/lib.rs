@@ -1456,7 +1456,7 @@ pub fn pin_return_bit(
 }
 
 /// Measures Stage 3 (translation validation) throughput over the rq1 suite on
-/// the staged checker (probe → lazy compile → batched sweep) and on the
+/// the staged checker (probe → lazy compile → survivor sweep) and on the
 /// retained reference checker (unconditional compile + serial sweep):
 ///
 /// * **refuted candidates** — each case's source with its return value

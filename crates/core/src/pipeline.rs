@@ -282,7 +282,8 @@ impl Lpo {
     /// source function is evaluated once per input, no matter how many
     /// candidate rewrites the feedback loop verifies.
     pub fn optimize_sequence(&self, model: &mut dyn ModelSession, source: &Function) -> CaseReport {
-        self.optimize_sequence_sharded(model, source, &mut EvalArena::new(), &SerialDriver, usize::MAX)
+        let arena = &mut EvalArena::new();
+        self.optimize_sequence_sharded(model, source, arena, &SerialDriver, usize::MAX)
     }
 
     /// [`optimize_sequence`](Self::optimize_sequence) on the worker's
@@ -392,8 +393,9 @@ impl Lpo {
             // pair under the current version, recorded into it when not.
             // Stored verdicts round-trip exactly (counterexamples included),
             // so the feedback loop below cannot tell a replay from a sweep.
-            let verify =
-                |arena: &mut EvalArena| tv_case.verify_with_driver(&candidate, arena, driver, shard_size);
+            let verify = |arena: &mut EvalArena| {
+                tv_case.verify_with_driver(&candidate, arena, driver, shard_size)
+            };
             let verdict = match &store {
                 Some((store, version, src_digest)) => {
                     let tgt_digest = hash_function(&candidate).0;

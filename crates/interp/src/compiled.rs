@@ -30,9 +30,10 @@
 //! this over the whole corpus plus randomly synthesized functions.
 
 use crate::eval::{
-    divisor_ub, elementwise1_static, elementwise2_static, eval_binop, eval_cast, eval_extractelement,
-    eval_fbinop, eval_fcmp, eval_gep, eval_icmp, eval_insertelement, eval_intrinsic, eval_load,
-    eval_select, eval_shufflevector, eval_store, freeze, EvalOutcome, Ub, DEFAULT_STEP_LIMIT,
+    divisor_ub, elementwise1_static, elementwise2_static, eval_binop, eval_cast,
+    eval_extractelement, eval_fbinop, eval_fcmp, eval_gep, eval_icmp, eval_insertelement,
+    eval_intrinsic, eval_load, eval_select, eval_shufflevector, eval_store, freeze, EvalOutcome,
+    Ub, DEFAULT_STEP_LIMIT,
 };
 use crate::memory::Memory;
 use crate::value::{EvalValue, PtrValue};

@@ -380,7 +380,7 @@ pub fn verify_refinement(src: &Function, tgt: &Function) -> Verdict {
 }
 
 /// Checks refinement with an explicit configuration, on the staged
-/// (probe → lazy compile → batched sweep) checker.
+/// (probe → lazy compile → survivor sweep) checker.
 ///
 /// One-shot convenience: callers that verify several candidate rewrites of
 /// the same source (the LPO loop, the superoptimizer baselines) should build
@@ -586,9 +586,9 @@ pub(crate) fn evaluate_source(
 /// Flattens fully materialized source outcomes into a [`DenseOutcomes`]
 /// table, or `None` when the case's shape can't carry it (observable
 /// allocations, non-scalar or void returns, integers wider than 64 bits).
-/// Shared by the lazy [`SourceCache`] and the frozen snapshot so the two
-/// plane tiers compare lanes identically. The dense compare skips memory
-/// refinement, so the table is gated on allocation-free inputs.
+/// A materialized [`FrozenCase`] builds it here so its lanes compare exactly
+/// like a dense one's. The dense compare skips memory refinement, so the
+/// table is gated on allocation-free inputs.
 pub(crate) fn dense_table<'o>(
     inputs: &InputSet,
     outcomes: impl Iterator<Item = &'o SourceOutcome>,
@@ -665,7 +665,7 @@ impl<'a> SourceCache<'a> {
     }
 
     /// Candidates that survived the probe and went through compile (or a
-    /// compile-cache hit) plus the batched sweep.
+    /// compile-cache hit) plus the survivor sweep.
     pub fn survivors(&self) -> usize {
         self.survivors.get()
     }

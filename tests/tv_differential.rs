@@ -3,7 +3,7 @@
 //! PR 3 proved the compiled evaluator outcome-identical to the reference
 //! evaluator; PR 4 proved the worklist canonicalizer byte-identical to the
 //! rescan engine. This file does the same for Stage 3: the staged checker
-//! (probe → lazy compile → batched sweep, `SourceCache::verify_with`) must
+//! (probe → lazy compile → survivor sweep, `SourceCache::verify_with`) must
 //! produce **bit-identical verdicts** — including counterexample text, UB
 //! messages and exhaustiveness flags — to the retained pre-staging path
 //! (`verify_refinement_reference` / `SourceCache::verify_reference`), over
