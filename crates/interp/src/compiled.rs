@@ -667,7 +667,7 @@ fn eval_raw_op(
         InstKind::Binary { op, lhs, rhs, flags } => {
             let a = read_raw_ref(lhs, args, regs)?;
             let b = read_raw_ref(rhs, args, regs)?;
-            if let Some(ub) = divisor_ub(*op, b.get()) {
+            if let Some(ub) = divisor_ub(*op, b.get(), matches!(rhs, Value::Const(_))) {
                 return Err(ub);
             }
             elementwise2_static(a.get(), b.get(), |x, y| eval_binop(*op, x, y, flags))
@@ -805,7 +805,7 @@ fn eval_op(
         COp::Binary { op, flags, lhs, rhs } => {
             let a = read_ref(lhs, args, regs)?;
             let b = read_ref(rhs, args, regs)?;
-            if let Some(ub) = divisor_ub(*op, b) {
+            if let Some(ub) = divisor_ub(*op, b, matches!(rhs, COperand::Const(_))) {
                 return Err(ub);
             }
             elementwise2_static(a, b, |x, y| eval_binop(*op, x, y, flags))

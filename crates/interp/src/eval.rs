@@ -5,9 +5,9 @@
 //! the way the refinement relation needs them:
 //!
 //! * **immediate undefined behaviour** ([`Ub`]): division by zero or by a
-//!   poison/undef divisor, branching on poison, out-of-bounds or null
-//!   dereferences — once the source function exhibits UB on an input, any
-//!   target behaviour refines it;
+//!   poison or literal `undef` divisor, branching on poison, out-of-bounds
+//!   or null dereferences — once the source function exhibits UB on an
+//!   input, any target behaviour refines it;
 //! * **poison**: a deferred error value that propagates through data flow;
 //! * **undef**: an unspecified but fixed bit pattern (modelled
 //!   conservatively: it propagates like a tainted value and the refinement
@@ -241,7 +241,7 @@ impl<'a> Evaluator<'a> {
             InstKind::Binary { op, lhs, rhs, flags } => {
                 let a = self.value(lhs)?;
                 let b = self.value(rhs)?;
-                if let Some(ub) = divisor_ub(*op, &b) {
+                if let Some(ub) = divisor_ub(*op, &b, matches!(rhs, Value::Const(_))) {
                     return Err(ub);
                 }
                 elementwise2(&a, &b, &mut |x, y| eval_binop(*op, x, y, flags))
@@ -542,7 +542,9 @@ pub fn fold_instruction(
 ) -> Option<EvalValue> {
     let result = match kind {
         InstKind::Binary { op, flags, .. } => {
-            if divisor_ub(*op, &operands[1]).is_some() {
+            // Any undef divisor declines: folding never needs to know
+            // whether it was literal.
+            if divisor_ub(*op, &operands[1], true).is_some() {
                 return None;
             }
             elementwise2(&operands[0], &operands[1], &mut |x, y| eval_binop(*op, x, y, flags))
@@ -649,21 +651,36 @@ pub(crate) fn freeze(v: &EvalValue, ty: &Type) -> EvalValue {
 /// The UB message for a poison or undef divisor (see [`divisor_ub`]).
 pub(crate) const POISON_DIVISOR: &str = "division by a poison or undef value";
 
-/// LangRef: a poison or undef divisor of `udiv`/`sdiv`/`urem`/`srem` — or
-/// any such lane of a vector divisor — is immediate UB rather than a poison
-/// result (an undef divisor may be zero). Every evaluator checks it before
-/// broadcasting the operands, so it wins over a poison dividend.
+/// LangRef: the divisor of `udiv`/`sdiv`/`urem`/`srem` is immediate UB when
+/// it is zero, poison or undef — for a vector divisor, when any lane is.
+/// Every evaluator checks it before broadcasting the operands, so it wins
+/// over a poison or undef dividend; the first offending lane names the UB.
+///
+/// `literal` says the divisor operand is a constant. Undef is modelled as a
+/// taint (`or i8 undef, 1` evaluates to undef although it is never zero), so
+/// only a literal `undef` lane is known to be a real undef divisor; a
+/// derived undef lane keeps propagating like any other undef operand.
 #[inline(always)]
-pub(crate) fn divisor_ub(op: BinOp, b: &EvalValue) -> Option<Ub> {
-    if !matches!(op, BinOp::UDiv | BinOp::SDiv | BinOp::URem | BinOp::SRem) {
+pub(crate) fn divisor_ub(op: BinOp, b: &EvalValue, literal: bool) -> Option<Ub> {
+    if !op.is_division() {
         return None;
     }
-    let undefined = |v: &EvalValue| v.is_poison() || v.is_undef();
-    let flagged = match b {
-        EvalValue::Vector(lanes) => lanes.iter().any(undefined),
-        scalar => undefined(scalar),
+    let zero = if matches!(op, BinOp::UDiv | BinOp::SDiv) {
+        "division by zero"
+    } else {
+        "remainder by zero"
     };
-    flagged.then(|| Ub::new(POISON_DIVISOR))
+    let lane_ub = |v: &EvalValue| match v {
+        EvalValue::Poison => Some(POISON_DIVISOR),
+        EvalValue::Undef if literal => Some(POISON_DIVISOR),
+        EvalValue::Int(x) if x.is_zero() => Some(zero),
+        _ => None,
+    };
+    match b {
+        EvalValue::Vector(lanes) => lanes.iter().find_map(lane_ub),
+        scalar => lane_ub(scalar),
+    }
+    .map(Ub::new)
 }
 
 pub(crate) type ScalarOp2<'f> = dyn FnMut(&EvalValue, &EvalValue) -> Result<EvalValue, Ub> + 'f;

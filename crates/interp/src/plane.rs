@@ -404,6 +404,12 @@ impl PlanePlan {
                     step.op = POp::Bin { op: *op, flags: *flags, w };
                     step.a = resolve(lhs, w, &mut consts, &pos_of)?;
                     step.b = resolve(rhs, w, &mut consts, &pos_of)?;
+                    // A literal undef divisor is immediate UB, like a poison
+                    // one (see `divisor_ub`); its broadcast plane is private
+                    // to this operand, so it is lowered as poison.
+                    if op.is_division() && matches!(rhs, Value::Const(Constant::Undef(_))) {
+                        consts.last_mut().expect("the divisor's plane").1 = ST_POISON;
+                    }
                     w
                 }
                 InstKind::ICmp { pred, lhs, rhs } => {
@@ -933,8 +939,11 @@ fn run2(
 }
 
 /// Like [`run2`] but the kernel may record per-lane UB (division/remainder).
-/// A poison or undef divisor lane is UB itself, checked before the operand
-/// states propagate, exactly like `divisor_ub`.
+/// The divisor lane is checked before the operand states propagate, exactly
+/// like `divisor_ub`: a poison divisor is UB, and a concrete zero divisor
+/// reaches the kernel (which flags it) whatever the dividend. A literal
+/// `undef` divisor was lowered to a poison plane by [`PlanePlan::compile`];
+/// a derived undef divisor lane propagates like any undef operand.
 #[inline(always)]
 fn run2_ub(
     n: usize,
@@ -947,11 +956,11 @@ fn run2_ub(
     let ((av, asl), (bv, bsl), (dv, ds)) = (a, b, d);
     for i in 0..n {
         let s = asl[i] | bsl[i];
-        if bsl[i] != 0 {
+        if bsl[i] & ST_POISON != 0 {
             flag_ub(&mut ub[i], UB_POISON_DIVISOR);
             dv[i] = 0;
             ds[i] = 0;
-        } else if s == 0 {
+        } else if s == 0 || (bsl[i] == 0 && bv[i] == 0) {
             let (v, st) = kernel(av[i], bv[i], &mut ub[i]);
             dv[i] = v;
             ds[i] = st;
@@ -1377,27 +1386,40 @@ mod tests {
     #[test]
     fn poison_or_undef_divisor_lanes_are_ub_on_every_evaluator() {
         let ints = |v: u128| EvalValue::int(8, v);
-        let dividends = [ints(7), EvalValue::Poison, EvalValue::Undef];
-        let divisors = [ints(2), ints(0), EvalValue::Poison, EvalValue::Undef];
-        let args: Vec<[EvalValue; 2]> = dividends
+        let values = [ints(7), ints(0), EvalValue::Poison, EvalValue::Undef];
+        let args: Vec<[EvalValue; 2]> = values
             .iter()
-            .flat_map(|x| divisors.iter().map(move |y| [x.clone(), y.clone()]))
+            .flat_map(|x| values.iter().map(move |y| [x.clone(), y.clone()]))
             .collect();
         let refs: Vec<&[EvalValue]> = args.iter().map(|a| a.as_slice()).collect();
         for op in ["udiv", "sdiv", "urem", "srem"] {
-            let text = format!("define i8 @f(i8 %x, i8 %y) {{\n %r = {op} i8 %x, %y\n ret i8 %r\n}}");
-            let f = parse_function(&text).unwrap();
-            let compiled = CompiledFunction::compile(&f);
-            let plan = compiled.plane().expect("eligible");
-            let planes = plan.evaluate_lanes(&mut EvalArena::new(), &refs, 100).unwrap();
-            let lanes = args.iter().map(|a| (a.as_slice(), Memory::new())).collect();
-            let batch = compiled.evaluate_batch_with_limit(&mut EvalArena::new(), lanes, 100);
-            for (i, lane) in args.iter().enumerate() {
-                let reference = crate::eval::evaluate_reference(&f, lane, Memory::new(), 100);
-                assert_eq!(planes.outcome(i, Memory::new()), reference, "{op} lane {i}");
-                assert_eq!(batch[i], reference, "{op} lane {i}");
-                if lane[1].is_poison() || lane[1].is_undef() {
-                    assert_eq!(planes.ub_message(i), Some(POISON_DIVISOR), "{op} lane {i}");
+            // `%y` is an argument: an undef lane of it is a taint, not UB.
+            // The literal divisors are known to be poison, undef or zero.
+            for divisor in ["%y", "poison", "undef", "0"] {
+                let text = format!(
+                    "define i8 @f(i8 %x, i8 %y) {{\n %r = {op} i8 %x, {divisor}\n ret i8 %r\n}}"
+                );
+                let f = parse_function(&text).unwrap();
+                let compiled = CompiledFunction::compile(&f);
+                let plan = compiled.plane().expect("eligible");
+                let planes = plan.evaluate_lanes(&mut EvalArena::new(), &refs, 100).unwrap();
+                let lanes = args.iter().map(|a| (a.as_slice(), Memory::new())).collect();
+                let batch = compiled.evaluate_batch_with_limit(&mut EvalArena::new(), lanes, 100);
+                for (i, lane) in args.iter().enumerate() {
+                    let reference = crate::eval::evaluate_reference(&f, lane, Memory::new(), 100);
+                    assert_eq!(planes.outcome(i, Memory::new()), reference, "{text} lane {i}");
+                    assert_eq!(batch[i], reference, "{text} lane {i}");
+                    let zero = if op.ends_with("div") { "division by zero" } else { "remainder by zero" };
+                    let expected = match divisor {
+                        "poison" | "undef" => Some(POISON_DIVISOR),
+                        "0" => Some(zero),
+                        _ => match &lane[1] {
+                            EvalValue::Poison => Some(POISON_DIVISOR),
+                            y if *y == ints(0) => Some(zero),
+                            _ => None,
+                        },
+                    };
+                    assert_eq!(planes.ub_message(i), expected, "{text} lane {i}");
                 }
             }
         }

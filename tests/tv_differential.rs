@@ -275,28 +275,89 @@ fn staging_and_cache_keep_jobs_determinism() {
 
 #[test]
 fn poison_or_undef_divisor_is_immediate_ub() {
-    // LangRef: a poison or undef divisor of udiv/sdiv/urem/srem is immediate
-    // UB, not a poison result (an undef divisor may be zero). A source that
-    // returns poison is therefore *not* refined by a target that divides by
-    // one: the source is defined on every input, the target never is.
+    // LangRef: a zero, poison or undef divisor of udiv/sdiv/urem/srem is
+    // immediate UB, whatever the dividend. A source that returns poison is
+    // therefore *not* refined by a target that divides by one: the source
+    // is defined on every input, the target never is.
     let src = parse_function("define i8 @s(i8 %x) {\n ret i8 poison\n}").unwrap();
     let mut arena = EvalArena::new();
     for op in ["udiv", "sdiv", "urem", "srem"] {
-        for divisor in ["poison", "undef"] {
-            let text = format!("define i8 @t(i8 %x) {{\n %r = {op} i8 %x, {divisor}\n ret i8 %r\n}}");
+        for (dividend, divisor) in [("%x", "poison"), ("%x", "undef"), ("poison", "0"), ("undef", "0")] {
+            let text = format!("define i8 @t(i8 %x) {{\n %r = {op} i8 {dividend}, {divisor}\n ret i8 %r\n}}");
             let tgt = parse_function(&text).unwrap();
             for plane_sweep in [true, false] {
                 let config = TvConfig { plane_sweep, ..TvConfig::default() };
                 let reference = verify_refinement_reference(&src, &tgt, &config);
                 let case = SourceCache::new(&src, config);
                 let staged = case.verify_with(&tgt, &mut arena);
-                assert_eq!(staged, reference, "{op} by {divisor} (plane {plane_sweep})");
-                let cex = staged.counterexample().unwrap_or_else(|| {
-                    panic!("{op} by {divisor} must be Incorrect, got {staged:?}")
-                });
+                assert_eq!(staged, reference, "{text} (plane {plane_sweep})");
+                let cex = staged
+                    .counterexample()
+                    .unwrap_or_else(|| panic!("{text} must be Incorrect, got {staged:?}"));
                 assert_eq!(cex.reason, "Source is guaranteed to be defined, but target is not");
                 assert!(!case.verify_outcome_only(&tgt, &mut arena));
             }
+        }
+    }
+}
+
+#[test]
+fn divisor_ub_past_the_probe_window_matches_the_reference() {
+    // (source, target, correct, survives the probe). Survivors are decided
+    // by the Stage-3 sweep, so the plane and batched kernels see the
+    // divisor, not only the probe's evaluator.
+    let cases = [
+        // Poison divisor lanes for x >= 156: UB there, refuted.
+        (
+            "define i8 @s(i8 %x) {\n ret i8 poison\n}",
+            "define i8 @t(i8 %x) {\n %d = add nuw i8 %x, 100\n %r = udiv i8 1, %d\n ret i8 %r\n}",
+            false,
+            true,
+        ),
+        // A zero divisor under a poison dividend at x = 200: UB, refuted.
+        (
+            "define i8 @s(i8 %x) {\n ret i8 poison\n}",
+            "define i8 @t(i8 %x) {\n %p = add nuw i8 %x, 100\n %d = sub i8 %x, 200\n %r = srem i8 %p, %d\n ret i8 %r\n}",
+            false,
+            true,
+        ),
+        // A derived undef divisor is never zero and stays a taint, not UB:
+        // the source returns undef, so a target poisonous for x >= 156 is
+        // refuted instead of accepted against a UB source.
+        (
+            "define i8 @s(i8 %x) {\n %d = or i8 undef, 1\n %q = udiv i8 %x, %d\n ret i8 %q\n}",
+            "define i8 @t(i8 %x) {\n %p = add nuw i8 %x, 100\n ret i8 %p\n}",
+            false,
+            true,
+        ),
+        (
+            "define i8 @s(i8 %x) {\n %d = or i8 undef, 1\n %q = udiv i8 %x, %d\n ret i8 %q\n}",
+            "define i8 @t(i8 %x) {\n ret i8 0\n}",
+            true,
+            true,
+        ),
+        // The source divides by a derived undef but returns %x: defined on
+        // every input, so `ret i8 0` must not be accepted.
+        (
+            "define i8 @s(i8 %x) {\n %d = or i8 undef, 1\n %q = udiv i8 %x, %d\n ret i8 %x\n}",
+            "define i8 @t(i8 %x) {\n ret i8 0\n}",
+            false,
+            false,
+        ),
+    ];
+    let mut arena = EvalArena::new();
+    for (src_text, tgt_text, correct, survives_probe) in cases {
+        let src = parse_function(src_text).unwrap();
+        let tgt = parse_function(tgt_text).unwrap();
+        for plane_sweep in [true, false] {
+            let config = TvConfig { plane_sweep, ..TvConfig::default() };
+            let reference = verify_refinement_reference(&src, &tgt, &config);
+            let case = SourceCache::new(&src, config);
+            let staged = case.verify_with(&tgt, &mut arena);
+            assert_eq!(staged, reference, "{src_text}\n→\n{tgt_text} (plane {plane_sweep})");
+            assert_eq!(staged.is_correct(), correct, "{src_text}\n→\n{tgt_text}: {staged:?}");
+            assert_eq!(case.survivors(), usize::from(survives_probe), "{tgt_text}");
+            assert_eq!(case.verify_outcome_only(&tgt, &mut arena), correct);
         }
     }
 }
