@@ -156,6 +156,11 @@ impl FrozenCase {
         }
     }
 
+    /// Input `index`'s source outcome; see [`FrozenInner::source_outcome`].
+    pub(crate) fn source_outcome(&self, index: usize, arena: &mut EvalArena) -> Cow<'_, SourceOutcome> {
+        self.inner.source_outcome(index, arena)
+    }
+
     /// The materialized source outcomes, or `None` for a dense case.
     pub(crate) fn outcomes(&self) -> Option<&[SourceOutcome]> {
         self.inner.outcomes.as_deref()

@@ -458,8 +458,9 @@ pub struct SourceCache<'a> {
     inputs: OnceCell<Arc<InputSet>>,
     probe_window: OnceCell<Vec<TestInput>>,
     compiled_src: OnceCell<Arc<CompiledFunction>>,
-    outcomes: RefCell<Vec<Option<SourceOutcome>>>,
-    source_evals: Cell<usize>,
+    /// Source outcomes of inputs `[0, len)`, filled in input order by the
+    /// walks that visit inputs in order: the probe and the reference path.
+    prefix: RefCell<Vec<SourceOutcome>>,
     candidates: Cell<usize>,
     probe_rejects: Cell<usize>,
     survivors: Cell<usize>,
@@ -572,7 +573,7 @@ impl DenseOutcomes {
 
 /// Evaluates the compiled source on one input — the single source-side
 /// evaluation every materialized [`SourceOutcome`] comes from, whether the
-/// lazy cache fills it or a frozen shard re-materializes a suspect lane.
+/// in-order prefix fills it or a frozen shard re-materializes a suspect lane.
 pub(crate) fn evaluate_source(
     compiled_src: &CompiledFunction,
     input: &TestInput,
@@ -625,8 +626,7 @@ impl<'a> SourceCache<'a> {
             inputs: OnceCell::new(),
             probe_window: OnceCell::new(),
             compiled_src: OnceCell::new(),
-            outcomes: RefCell::new(Vec::new()),
-            source_evals: Cell::new(0),
+            prefix: RefCell::new(Vec::new()),
             candidates: Cell::new(0),
             probe_rejects: Cell::new(0),
             survivors: Cell::new(0),
@@ -708,15 +708,19 @@ impl<'a> SourceCache<'a> {
     /// any evaluator — plane lanes included.
     ///
     /// At most one per (case, input), independent of the candidate count.
-    /// The probe counts each input of its window the first time a candidate
-    /// reaches it, so a probe reject at input k costs k+1 evaluations, as
-    /// on the reference path. The first probe survivor freezes the case
-    /// (see [`frozen_case`](Self::frozen_case)), which computes every
-    /// outcome, so from then on this equals the input total, and
-    /// re-materializing a suspect or refuting lane's outcome afterwards
-    /// does not count again. Tests use this as the cache-hit oracle.
+    /// Before the case is frozen this is the length of the in-order prefix
+    /// the probe (or the reference path) filled, so a probe reject at input
+    /// k costs k+1 evaluations, as on the reference path. The first probe
+    /// survivor freezes the case (see [`frozen_case`](Self::frozen_case)),
+    /// which computes every outcome, so from then on this equals the input
+    /// total, and re-materializing a suspect or refuting lane's outcome
+    /// afterwards does not count again. Tests use this as the cache-hit
+    /// oracle.
     pub fn source_eval_count(&self) -> usize {
-        self.source_evals.get()
+        match self.frozen.get() {
+            Some(frozen) => frozen.input_count(),
+            None => self.prefix.borrow().len(),
+        }
     }
 
     fn inputs(&self) -> &Arc<InputSet> {
@@ -728,11 +732,11 @@ impl<'a> SourceCache<'a> {
     }
 
     /// Runs `f` on input `index`'s source outcome. A materialized frozen
-    /// case serves it directly; otherwise the lazy table supplies it,
-    /// evaluating the source first if no earlier candidate reached `index`.
-    /// The lazy table grows only to the highest index reached, so a case
-    /// whose candidates all die in the probe holds a probe's worth of slots;
-    /// a dense frozen case adds only the refuting lanes it renders.
+    /// case serves it directly. Otherwise the in-order prefix does: the
+    /// input just past its end is evaluated and appended, which is how the
+    /// probe and the reference path fill it. Any other index — a suspect
+    /// lane or a refutation past the probe window — only arises once the
+    /// case is frozen, and a dense frozen case evaluates it on the spot.
     fn with_source_outcome<R>(
         &self,
         index: usize,
@@ -743,18 +747,17 @@ impl<'a> SourceCache<'a> {
         if let Some(outcomes) = frozen.and_then(FrozenCase::outcomes) {
             return f(&outcomes[index]);
         }
-        let mut outcomes = self.outcomes.borrow_mut();
-        if outcomes.len() <= index {
-            outcomes.resize_with(index + 1, || None);
+        let mut prefix = self.prefix.borrow_mut();
+        if index == prefix.len() {
+            prefix.push(evaluate_source(self.compiled_src(), &self.inputs().input(index), arena));
         }
-        let outcome = outcomes[index].get_or_insert_with(|| {
-            // A frozen case already counted every input.
-            if frozen.is_none() {
-                self.source_evals.set(self.source_evals.get() + 1);
+        match prefix.get(index) {
+            Some(outcome) => f(outcome),
+            None => {
+                let frozen = frozen.expect("an unfrozen case is only walked in input order");
+                f(&frozen.source_outcome(index, arena))
             }
-            evaluate_source(self.compiled_src(), &self.inputs().input(index), arena)
-        });
-        f(outcome)
+        }
     }
 
     /// Signature compatibility: same parameter types (names may differ) and
@@ -918,7 +921,7 @@ impl<'a> SourceCache<'a> {
             return Ok(verdict);
         }
 
-        // Stage 1: probe, no compile (lazy outcomes, input order), so probe
+        // Stage 1: probe, no compile (in-order prefix outcomes), so probe
         // rejects cost the reference path's few source evaluations.
         if let Some(verdict) = self.probe(tgt, arena) {
             return Ok(verdict);
@@ -994,8 +997,8 @@ impl<'a> SourceCache<'a> {
 
     /// Renders a staged conclusion into the public [`Verdict`], building the
     /// Alive2-style counterexample only when a candidate was actually
-    /// refuted. The refuting input's source outcome comes from the lazy
-    /// table or a materialized frozen case; a refutation found against a
+    /// refuted. The refuting input's source outcome comes from the in-order
+    /// prefix or a materialized frozen case; a refutation found against a
     /// dense frozen case re-materializes that one outcome here (uncounted —
     /// see [`source_eval_count`](Self::source_eval_count)).
     fn render_staged(
@@ -1028,8 +1031,8 @@ impl<'a> SourceCache<'a> {
     /// source is swept on planes over every input straight into the dense
     /// comparison table (`DenseOutcomes::from_planes`) and no per-input
     /// outcome is materialized. Otherwise — or if any chunk falls outside
-    /// the plane domain — the source inputs no candidate has reached yet are
-    /// evaluated **in input order** and the filled lazy table moves into the
+    /// the plane domain — the inputs past the in-order prefix are evaluated
+    /// **in input order** and appended, and the prefix moves into the
     /// snapshot. Either way every input's outcome has now been computed, so
     /// after this call [`source_eval_count`](Self::source_eval_count) equals
     /// the input count.
@@ -1048,13 +1051,10 @@ impl<'a> SourceCache<'a> {
                 FrozenCase::dense(self.src.clone(), compiled_src.clone(), inputs.clone(), table)
             }
             None => {
-                for index in 0..inputs.len() {
-                    self.with_source_outcome(index, arena, |_| ());
+                let mut outcomes = std::mem::take(&mut *self.prefix.borrow_mut());
+                for index in outcomes.len()..inputs.len() {
+                    outcomes.push(evaluate_source(compiled_src, &inputs.input(index), arena));
                 }
-                let outcomes: Vec<SourceOutcome> = std::mem::take(&mut *self.outcomes.borrow_mut())
-                    .into_iter()
-                    .map(|o| o.expect("just filled"))
-                    .collect();
                 FrozenCase::materialized(
                     self.src.clone(),
                     compiled_src.clone(),
@@ -1064,7 +1064,6 @@ impl<'a> SourceCache<'a> {
                 )
             }
         };
-        self.source_evals.set(inputs.len());
         self.frozen.get_or_init(|| frozen).clone()
     }
 
@@ -1756,11 +1755,11 @@ mod tests {
             let case = SourceCache::new(&src, TvConfig::default());
             let reference = SourceCache::new(&src, TvConfig::default());
 
-            // A probe reject costs one source evaluation and one lazy slot.
+            // A probe reject costs one source evaluation, held in the prefix.
             let verdict = case.verify_with_driver(&early_wrong, &mut arena, &SerialDriver, 16);
             assert_eq!(verdict, reference.verify_reference(&early_wrong, &mut arena));
             assert_eq!(case.source_eval_count(), 1);
-            assert_eq!(case.outcomes.borrow().len(), 1, "lazy table grows only as far as reached");
+            assert_eq!(case.prefix.borrow().len(), 1, "the prefix grows only as far as reached");
 
             // The first survivor freezes the case: every input counted once,
             // and rendering the refutation at input 128 re-materializes that
@@ -1770,6 +1769,9 @@ mod tests {
             assert!(!verdict.is_correct());
             assert_eq!(case.source_eval_count(), 256);
             assert_eq!(case.frozen_case(&mut arena).is_dense(), dense, "{text}");
+            // The prefix keeps the probe window (a materialized case took it
+            // over): rendering input 128 did not grow it.
+            assert_eq!(case.prefix.borrow().len(), if dense { 16 } else { 0 }, "{text}");
 
             // Later survivors, and single-shard walks on the frozen cache,
             // stay put.
