@@ -40,10 +40,12 @@ use lpo_tv::refine::{Counterexample, Verdict, VerdictTier};
 /// r2: verdict blobs and checkpoint records carry the deciding
 /// [`VerdictTier`] (abstract pre-verification tier).
 ///
-/// r3: a poison or undef divisor of `udiv`/`sdiv`/`urem`/`srem` is immediate
-/// UB in every evaluator (it used to yield poison), so a target that divides
-/// by one no longer refines a source, and the constant folder no longer
-/// folds such a division. Records stored under r2 may hold the old verdict.
+/// r3: a poison divisor of `udiv`/`sdiv`/`urem`/`srem`, a literal `undef`
+/// one, and a zero one under a poison or undef dividend are immediate UB in
+/// every evaluator (they used to yield poison or undef), so a target that
+/// divides by one no longer refines a source, and the constant folder no
+/// longer folds such a division. Records stored under r2 may hold the old
+/// verdict.
 pub const PIPELINE_REVISION: u32 = 3;
 
 /// The version string store records carry: pipeline revision + model profile.

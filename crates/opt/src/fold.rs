@@ -89,8 +89,9 @@ mod tests {
     fn does_not_fold_ub_or_memory() {
         let out = fold_all("define i32 @f() {\n %d = udiv i32 1, 0\n ret i32 %d\n}");
         assert!(out.contains("udiv"));
-        // A poison or undef divisor is UB too, never a foldable poison.
-        for divisor in ["poison", "undef", "<i8 1, i8 poison>"] {
+        // A poison, undef or zero divisor is UB whatever the dividend, never
+        // a foldable poison.
+        for divisor in ["poison", "undef", "0", "<i8 1, i8 poison>", "<i8 1, i8 0>"] {
             let ty = if divisor.starts_with('<') { "<2 x i8>" } else { "i8" };
             let out = fold_all(&format!(
                 "define {ty} @f() {{\n %d = srem {ty} poison, {divisor}\n ret {ty} %d\n}}"
