@@ -37,6 +37,7 @@
 //! the probe window, suspect or refuting lanes, batched sweeps of
 //! non-plane candidates — materialize one on demand.
 
+use crate::buffers;
 use lpo_interp::memory::{Allocation, Memory};
 use lpo_interp::value::{EvalValue, PtrValue};
 use lpo_ir::apint::ApInt;
@@ -157,6 +158,16 @@ enum Layout {
     Rows(Vec<TestInput>),
 }
 
+impl Drop for InputSet {
+    /// The columns go back to this thread's spare buffers (see
+    /// [`crate::buffers`]) for the next case's inputs.
+    fn drop(&mut self) {
+        if let Layout::Columns { columns, .. } = &mut self.layout {
+            columns.drain(..).for_each(buffers::give);
+        }
+    }
+}
+
 impl InputSet {
     /// Generates the inputs for `func`'s signature: the same lanes, in the
     /// same order, as [`generate_inputs`].
@@ -181,7 +192,8 @@ impl InputSet {
                 let columns = widths
                     .iter()
                     .map(|&w| {
-                        let column = (0..lanes).map(|i| (i as u64 >> shift) & mask(w)).collect();
+                        let mut column = buffers::take(lanes);
+                        column.extend((0..lanes).map(|i| (i as u64 >> shift) & mask(w)));
                         shift += w;
                         column
                     })

@@ -51,6 +51,7 @@
 //! the "Translation validation hot path" section for the staged checker's
 //! design and invariants.
 
+mod buffers;
 pub mod frozen;
 pub mod inputs;
 pub mod refine;

@@ -71,6 +71,7 @@
 //! `tests/plane_differential.rs` fuzzes the plane tier against both
 //! retained evaluators over randomly generated functions.
 
+use crate::buffers;
 use crate::frozen::{FrozenCase, SerialDriver, SweepDriver, SweepShard, SweepSlot};
 use crate::inputs::{InputConfig, InputSet, TestInput};
 use lpo_absint::{certificate, Certificate, FunctionAnalysis};
@@ -495,6 +496,15 @@ pub(crate) struct DenseOutcomes {
     vals: Vec<u64>,
 }
 
+impl Drop for DenseOutcomes {
+    /// The arrays go back to this thread's spare buffers (see
+    /// [`crate::buffers`]) for the next case's table.
+    fn drop(&mut self) {
+        buffers::give(std::mem::take(&mut self.tags));
+        buffers::give(std::mem::take(&mut self.vals));
+    }
+}
+
 impl DenseOutcomes {
     /// Whether lane `offset` of a target plane provably refines input
     /// `index`'s cached source outcome. The tag order mirrors
@@ -547,8 +557,8 @@ impl DenseOutcomes {
         arena: &mut EvalArena,
     ) -> Option<DenseOutcomes> {
         let total = inputs.len();
-        let mut tags = Vec::with_capacity(total);
-        let mut vals = Vec::with_capacity(total);
+        let mut tags = buffers::take(total);
+        let mut vals = buffers::take(total);
         for start in (0..total).step_by(PLANE_LANES) {
             let end = (start + PLANE_LANES).min(total);
             let result =
@@ -597,8 +607,8 @@ pub(crate) fn dense_table<'o>(
     if !inputs.allocation_free() {
         return None;
     }
-    let mut tags = Vec::with_capacity(inputs.len());
-    let mut vals = Vec::with_capacity(inputs.len());
+    let mut tags = buffers::take(inputs.len());
+    let mut vals = buffers::take(inputs.len());
     for outcome in outcomes {
         let (tag, val) = match outcome {
             Err(_) => (DENSE_SRC_UB, 0),
@@ -1052,6 +1062,7 @@ impl<'a> SourceCache<'a> {
             }
             None => {
                 let mut outcomes = std::mem::take(&mut *self.prefix.borrow_mut());
+                outcomes.reserve_exact(inputs.len() - outcomes.len());
                 for index in outcomes.len()..inputs.len() {
                     outcomes.push(evaluate_source(compiled_src, &inputs.input(index), arena));
                 }
