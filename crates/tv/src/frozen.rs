@@ -22,7 +22,8 @@
 //! plane-eligible (and the plane tier is on), the frozen case is a **dense
 //! table** only — one tag byte and one `u64` per input, swept on planes with
 //! no per-input source outcome ever built; the rare lane the dense
-//! pre-filter can't clear re-evaluates the source on that one input.
+//! pre-filter can't clear rebuilds its source outcome from that lane's tag
+//! and bits.
 //! Otherwise (memory, vectors, control flow, wide returns) every outcome is
 //! **fully materialized**, plus the dense table when the return shape can
 //! carry one.
@@ -57,6 +58,7 @@ use crate::refine::{
 };
 use lpo_interp::compiled::{CompiledFunction, EvalArena};
 use lpo_ir::function::Function;
+use lpo_ir::types::Type;
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -85,7 +87,7 @@ struct FrozenInner {
     compiled_src: Arc<CompiledFunction>,
     inputs: Arc<InputSet>,
     /// The source outcome per input; `None` for a dense case, whose suspect
-    /// lanes re-evaluate `compiled_src` on demand.
+    /// lanes rebuild theirs from the dense table.
     outcomes: Option<Vec<SourceOutcome>>,
     /// Dense comparison table for the sweep's pre-filter; `None` when the
     /// case's shape can't carry it (memory, vectors, wide/void returns).
@@ -96,14 +98,19 @@ struct FrozenInner {
 
 impl FrozenInner {
     /// Input `index`'s source outcome: borrowed from the materialized table,
-    /// or evaluated on the spot for a dense case.
+    /// or rebuilt from the dense table for a dense case. A dense UB lane,
+    /// whose message the table does not keep, is evaluated on the spot.
     fn source_outcome(&self, index: usize, arena: &mut EvalArena) -> Cow<'_, SourceOutcome> {
-        match &self.outcomes {
-            Some(outcomes) => Cow::Borrowed(&outcomes[index]),
-            None => {
-                Cow::Owned(evaluate_source(&self.compiled_src, &self.inputs.input(index), arena))
-            }
+        if let Some(outcomes) = &self.outcomes {
+            return Cow::Borrowed(&outcomes[index]);
         }
+        let decoded = match (&self.dense, &self.src.ret_ty) {
+            (Some(table), Type::Int(w)) => table.outcome(index, *w, self.inputs.memory(index)),
+            _ => None,
+        };
+        Cow::Owned(decoded.unwrap_or_else(|| {
+            evaluate_source(&self.compiled_src, &self.inputs.input(index), arena)
+        }))
     }
 }
 

@@ -159,8 +159,8 @@ enum Layout {
 }
 
 impl Drop for InputSet {
-    /// The columns go back to this thread's spare buffers (see
-    /// [`crate::buffers`]) for the next case's inputs.
+    /// The columns go back to the pool of spare lane buffers
+    /// (`crates/tv/src/buffers.rs`) for the next case's inputs.
     fn drop(&mut self) {
         if let Layout::Columns { columns, .. } = &mut self.layout {
             columns.drain(..).for_each(buffers::give);

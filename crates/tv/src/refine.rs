@@ -497,7 +497,7 @@ pub(crate) struct DenseOutcomes {
 }
 
 impl Drop for DenseOutcomes {
-    /// The arrays go back to this thread's spare buffers (see
+    /// The arrays go back to the pool of spare lane buffers (see
     /// [`crate::buffers`]) for the next case's table.
     fn drop(&mut self) {
         buffers::give(std::mem::take(&mut self.tags));
@@ -511,7 +511,9 @@ impl DenseOutcomes {
     /// [`refutation`]: source UB admits anything, then target UB refutes,
     /// then the value-refinement lattice. `false` means *suspect* — the
     /// caller re-runs the lane through the full comparison, which stays
-    /// authoritative for the verdict and the refutation descriptor.
+    /// authoritative for the verdict and the refutation descriptor. A
+    /// suspect lane never has a UB source, so [`outcome`](Self::outcome)
+    /// can always rebuild its source side.
     pub(crate) fn lane_refines(&self, index: usize, lanes: &PlaneLanes, offset: usize) -> bool {
         match self.tags[index] {
             DENSE_SRC_UB => true,
@@ -542,6 +544,20 @@ impl DenseOutcomes {
             }
             _ => false,
         }
+    }
+
+    /// Input `index`'s source outcome rebuilt from its tag and bits, for a
+    /// `ret_width`-bit return and the input's initial `memory` (a
+    /// plane-eligible source touches no memory). `None` for a UB lane: the
+    /// table keeps no UB message.
+    pub(crate) fn outcome(&self, index: usize, ret_width: u32, memory: &Memory) -> Option<SourceOutcome> {
+        let value = match self.tags[index] {
+            DENSE_SRC_UB => return None,
+            DENSE_POISON => EvalValue::Poison,
+            DENSE_UNDEF => EvalValue::Undef,
+            _ => EvalValue::int(ret_width, self.vals[index] as u128),
+        };
+        Some(Ok((Some(value), memory.clone())))
     }
 
     /// Sweeps a plane-eligible source over every input straight into the
@@ -583,7 +599,8 @@ impl DenseOutcomes {
 
 /// Evaluates the compiled source on one input — the single source-side
 /// evaluation every materialized [`SourceOutcome`] comes from, whether the
-/// in-order prefix fills it or a frozen shard re-materializes a suspect lane.
+/// in-order prefix fills it, a materialized frozen case is built, or a
+/// dense case needs a UB lane's message.
 pub(crate) fn evaluate_source(
     compiled_src: &CompiledFunction,
     input: &TestInput,
@@ -723,7 +740,7 @@ impl<'a> SourceCache<'a> {
     /// k costs k+1 evaluations, as on the reference path. The first probe
     /// survivor freezes the case (see [`frozen_case`](Self::frozen_case)),
     /// which computes every outcome, so from then on this equals the input
-    /// total, and re-materializing a suspect or refuting lane's outcome
+    /// total, and rebuilding a suspect or refuting lane's outcome
     /// afterwards does not count again. Tests use this as the cache-hit
     /// oracle.
     pub fn source_eval_count(&self) -> usize {
@@ -1009,7 +1026,7 @@ impl<'a> SourceCache<'a> {
     /// Alive2-style counterexample only when a candidate was actually
     /// refuted. The refuting input's source outcome comes from the in-order
     /// prefix or a materialized frozen case; a refutation found against a
-    /// dense frozen case re-materializes that one outcome here (uncounted —
+    /// dense frozen case rebuilds that one outcome here (uncounted —
     /// see [`source_eval_count`](Self::source_eval_count)).
     fn render_staged(
         &self,
@@ -1773,7 +1790,7 @@ mod tests {
             assert_eq!(case.prefix.borrow().len(), 1, "the prefix grows only as far as reached");
 
             // The first survivor freezes the case: every input counted once,
-            // and rendering the refutation at input 128 re-materializes that
+            // and rendering the refutation at input 128 rebuilds that
             // outcome without counting it again.
             let verdict = case.verify_with_driver(&late_wrong, &mut arena, &SerialDriver, 16);
             assert_eq!(verdict, reference.verify_reference(&late_wrong, &mut arena));

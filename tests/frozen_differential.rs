@@ -3,7 +3,7 @@
 //! The staged walk's Stage 3 sweeps every survivor against a
 //! [`FrozenCase`](lpo_tv::prelude::FrozenCase). When the source is
 //! plane-eligible, that case holds only a dense table swept on planes, and a
-//! lane the table can't clear re-evaluates the source on that one input;
+//! lane the table can't clear rebuilds its source outcome from the table;
 //! otherwise (or with the plane tier off) every source outcome is
 //! materialized. Neither form may change a verdict or a byte of a rendered
 //! counterexample, so every pair here is checked three ways:

@@ -279,63 +279,39 @@ fn poison_or_undef_divisor_is_immediate_ub() {
     // immediate UB, whatever the dividend. A source that returns poison is
     // therefore *not* refined by a target that divides by one: the source
     // is defined on every input, the target never is.
-    let src = parse_function("define i8 @s(i8 %x) {\n ret i8 poison\n}").unwrap();
-    let mut arena = EvalArena::new();
+    let poison_src = "define i8 @s(i8 %x) {\n ret i8 poison\n}";
+    // (source, target, correct, survives the probe)
+    let mut cases: Vec<(&str, String, bool, bool)> = Vec::new();
     for op in ["udiv", "sdiv", "urem", "srem"] {
         for (dividend, divisor) in [("%x", "poison"), ("%x", "undef"), ("poison", "0"), ("undef", "0")] {
-            let text = format!("define i8 @t(i8 %x) {{\n %r = {op} i8 {dividend}, {divisor}\n ret i8 %r\n}}");
-            let tgt = parse_function(&text).unwrap();
-            for plane_sweep in [true, false] {
-                let config = TvConfig { plane_sweep, ..TvConfig::default() };
-                let reference = verify_refinement_reference(&src, &tgt, &config);
-                let case = SourceCache::new(&src, config);
-                let staged = case.verify_with(&tgt, &mut arena);
-                assert_eq!(staged, reference, "{text} (plane {plane_sweep})");
-                let cex = staged
-                    .counterexample()
-                    .unwrap_or_else(|| panic!("{text} must be Incorrect, got {staged:?}"));
-                assert_eq!(cex.reason, "Source is guaranteed to be defined, but target is not");
-                assert!(!case.verify_outcome_only(&tgt, &mut arena));
-            }
+            let tgt = format!("define i8 @t(i8 %x) {{\n %r = {op} i8 {dividend}, {divisor}\n ret i8 %r\n}}");
+            cases.push((poison_src, tgt, false, false));
         }
     }
-}
-
-#[test]
-fn divisor_ub_past_the_probe_window_matches_the_reference() {
-    // (source, target, correct, survives the probe). Survivors are decided
-    // by the Stage-3 sweep, so the plane and batched kernels see the
-    // divisor, not only the probe's evaluator.
-    let cases = [
-        // Poison divisor lanes for x >= 156: UB there, refuted.
+    // Probe survivors are decided by the Stage-3 sweep, so the plane and
+    // batched kernels see the divisor, not only the probe's evaluator.
+    let undef_divisor_src =
+        "define i8 @s(i8 %x) {\n %d = or i8 undef, 1\n %q = udiv i8 %x, %d\n ret i8 %q\n}";
+    let pairs = [
+        // Poison divisor lanes for x >= 156.
         (
-            "define i8 @s(i8 %x) {\n ret i8 poison\n}",
+            poison_src,
             "define i8 @t(i8 %x) {\n %d = add nuw i8 %x, 100\n %r = udiv i8 1, %d\n ret i8 %r\n}",
             false,
             true,
         ),
-        // A zero divisor under a poison dividend at x = 200: UB, refuted.
+        // A zero divisor under a poison dividend at x = 200.
         (
-            "define i8 @s(i8 %x) {\n ret i8 poison\n}",
+            poison_src,
             "define i8 @t(i8 %x) {\n %p = add nuw i8 %x, 100\n %d = sub i8 %x, 200\n %r = srem i8 %p, %d\n ret i8 %r\n}",
             false,
             true,
         ),
-        // A derived undef divisor is never zero and stays a taint, not UB:
-        // the source returns undef, so a target poisonous for x >= 156 is
-        // refuted instead of accepted against a UB source.
-        (
-            "define i8 @s(i8 %x) {\n %d = or i8 undef, 1\n %q = udiv i8 %x, %d\n ret i8 %q\n}",
-            "define i8 @t(i8 %x) {\n %p = add nuw i8 %x, 100\n ret i8 %p\n}",
-            false,
-            true,
-        ),
-        (
-            "define i8 @s(i8 %x) {\n %d = or i8 undef, 1\n %q = udiv i8 %x, %d\n ret i8 %q\n}",
-            "define i8 @t(i8 %x) {\n ret i8 0\n}",
-            true,
-            true,
-        ),
+        // A derived undef divisor is never zero here and stays a taint, not
+        // UB: the source returns undef, so a target poisonous for x >= 156
+        // is refuted rather than accepted against a UB source.
+        (undef_divisor_src, "define i8 @t(i8 %x) {\n %p = add nuw i8 %x, 100\n ret i8 %p\n}", false, true),
+        (undef_divisor_src, "define i8 @t(i8 %x) {\n ret i8 0\n}", true, true),
         // The source divides by a derived undef but returns %x: defined on
         // every input, so `ret i8 0` must not be accepted.
         (
@@ -345,19 +321,25 @@ fn divisor_ub_past_the_probe_window_matches_the_reference() {
             false,
         ),
     ];
+    cases.extend(pairs.map(|(src, tgt, correct, survives)| (src, tgt.to_string(), correct, survives)));
     let mut arena = EvalArena::new();
-    for (src_text, tgt_text, correct, survives_probe) in cases {
+    for (src_text, tgt_text, correct, survives_probe) in &cases {
         let src = parse_function(src_text).unwrap();
         let tgt = parse_function(tgt_text).unwrap();
+        let pair = format!("{src_text}\n→\n{tgt_text}");
         for plane_sweep in [true, false] {
             let config = TvConfig { plane_sweep, ..TvConfig::default() };
             let reference = verify_refinement_reference(&src, &tgt, &config);
             let case = SourceCache::new(&src, config);
             let staged = case.verify_with(&tgt, &mut arena);
-            assert_eq!(staged, reference, "{src_text}\n→\n{tgt_text} (plane {plane_sweep})");
-            assert_eq!(staged.is_correct(), correct, "{src_text}\n→\n{tgt_text}: {staged:?}");
-            assert_eq!(case.survivors(), usize::from(survives_probe), "{tgt_text}");
-            assert_eq!(case.verify_outcome_only(&tgt, &mut arena), correct);
+            assert_eq!(staged, reference, "{pair} (plane {plane_sweep})");
+            assert_eq!(staged.is_correct(), *correct, "{pair}: {staged:?}");
+            assert_eq!(case.survivors(), usize::from(*survives_probe), "{pair}");
+            if *src_text == poison_src {
+                let cex = staged.counterexample().expect("refuted");
+                assert_eq!(cex.reason, "Source is guaranteed to be defined, but target is not");
+            }
+            assert_eq!(case.verify_outcome_only(&tgt, &mut arena), *correct);
         }
     }
 }
