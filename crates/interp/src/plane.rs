@@ -1409,7 +1409,8 @@ mod tests {
                     let reference = crate::eval::evaluate_reference(&f, lane, Memory::new(), 100);
                     assert_eq!(planes.outcome(i, Memory::new()), reference, "{text} lane {i}");
                     assert_eq!(batch[i], reference, "{text} lane {i}");
-                    let zero = if op.ends_with("div") { "division by zero" } else { "remainder by zero" };
+                    let zero =
+                        if op.ends_with("div") { "division by zero" } else { "remainder by zero" };
                     let expected = match divisor {
                         "poison" | "undef" => Some(POISON_DIVISOR),
                         "0" => Some(zero),

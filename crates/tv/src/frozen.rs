@@ -164,7 +164,11 @@ impl FrozenCase {
     }
 
     /// Input `index`'s source outcome; see [`FrozenInner::source_outcome`].
-    pub(crate) fn source_outcome(&self, index: usize, arena: &mut EvalArena) -> Cow<'_, SourceOutcome> {
+    pub(crate) fn source_outcome(
+        &self,
+        index: usize,
+        arena: &mut EvalArena,
+    ) -> Cow<'_, SourceOutcome> {
         self.inner.source_outcome(index, arena)
     }
 

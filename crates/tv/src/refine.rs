@@ -550,7 +550,12 @@ impl DenseOutcomes {
     /// `ret_width`-bit return and the input's initial `memory` (a
     /// plane-eligible source touches no memory). `None` for a UB lane: the
     /// table keeps no UB message.
-    pub(crate) fn outcome(&self, index: usize, ret_width: u32, memory: &Memory) -> Option<SourceOutcome> {
+    pub(crate) fn outcome(
+        &self,
+        index: usize,
+        ret_width: u32,
+        memory: &Memory,
+    ) -> Option<SourceOutcome> {
         let value = match self.tags[index] {
             DENSE_SRC_UB => return None,
             DENSE_POISON => EvalValue::Poison,
@@ -763,7 +768,7 @@ impl<'a> SourceCache<'a> {
     /// input just past its end is evaluated and appended, which is how the
     /// probe and the reference path fill it. Any other index — a suspect
     /// lane or a refutation past the probe window — only arises once the
-    /// case is frozen, and a dense frozen case evaluates it on the spot.
+    /// case is frozen, and a dense frozen case rebuilds it from its table.
     fn with_source_outcome<R>(
         &self,
         index: usize,
