@@ -102,8 +102,11 @@ pub struct SouperResult {
     /// Because a run at `enum_depth = d` explores exactly the same candidates
     /// in the same order as the depth-`d` prefix of a deeper run (same budget
     /// counter, same pruning), `found_at_depth <= d` on a deep run tells you
-    /// precisely what a shallower run would have concluded — the drivers use
-    /// one `Enum = 2` search per case instead of re-running every level.
+    /// precisely what a shallower run would have concluded, as long as the
+    /// budget binds before the modelled timeout. Table 2's RQ1 driver relies
+    /// on this: it runs one `Enum = 2` search per case instead of one per
+    /// level. Table 4 and the corpus-discover benchmark still run every
+    /// level as its own search.
     pub found_at_depth: Option<u32>,
 }
 
@@ -320,6 +323,8 @@ fn search(
     if config.enum_depth >= 1 {
         pool.truncate(4); // keep the search space bounded like the real tool's pruning
         let args = pool.len();
+        // The modelled-timeout test as one integer compare per candidate.
+        let timeout_at = timeout_limit(config);
         // Operand pool: the (truncated) arguments, then every constant.
         let leaves: Vec<Leaf> = pool
             .iter()
@@ -332,11 +337,12 @@ fn search(
         if ret_ty == Type::i1() {
             // One scratch comparison, rewritten in place per verified (pred, a, b).
             let mut icmp_scratch: Option<Function> = None;
+            let limit = config.candidate_budget.min(timeout_at);
             for pred in ICmpPred::ALL {
                 for a in &leaves[..args] {
                     for b in &leaves {
                         tried += 1;
-                        if tried >= config.candidate_budget || modeled_time(tried, config) > config.timeout {
+                        if tried >= limit {
                             return finish(start, Outcome::Timeout, tried, config, None);
                         }
                         if a.ty != b.ty || !a.ty.is_int() || original_cost <= 1 {
@@ -370,15 +376,18 @@ fn search(
         const FRONTIER_CAP: usize = 256;
         // A frontier base is the chain of instructions it synthesized; it is
         // put on the tape, or built as a function, only when its level is
-        // reached and one of its candidates needs it.
+        // reached and one of its candidates needs it. A level records its
+        // extensions as (base, step) pairs and builds the next level's chains
+        // only once it completes, so a search that stops inside a level
+        // clones none.
         let mut frontier: Vec<Vec<Synth>> = vec![Vec::new()];
         for level in 0..config.enum_depth {
             let last_level = level + 1 == config.enum_depth;
             // Every candidate of this level has `level + 1` instructions; none
             // is verified unless that is cheaper than the source.
             let verifies = (level as usize + 1) < original_cost;
-            let mut next = Vec::new();
-            for chain in &frontier {
+            let mut next: Vec<(usize, Synth)> = Vec::new();
+            for (parent, chain) in frontier.iter().enumerate() {
                 let base_planes = match &mut filter {
                     Some(f) if verifies => f.enter_base(chain, &leaves),
                     _ => None,
@@ -399,7 +408,7 @@ fn search(
                                 continue;
                             }
                             tried += 1;
-                            if modeled_time(tried, config) > config.timeout {
+                            if tried >= timeout_at {
                                 return finish(start, Outcome::Timeout, tried, config, None);
                             }
                             let step = Synth { op, a, b };
@@ -428,15 +437,16 @@ fn search(
                                 }
                             }
                             if !last_level && next.len() < FRONTIER_CAP {
-                                let mut extended = chain.clone();
-                                extended.push(step);
-                                next.push(extended);
+                                next.push((parent, step));
                             }
                         }
                     }
                 }
             }
-            frontier = next;
+            frontier = next
+                .into_iter()
+                .map(|(parent, step)| [&frontier[parent][..], &[step]].concat())
+                .collect();
         }
     }
 
@@ -575,6 +585,28 @@ impl Extension {
 
 fn modeled_time(tried: usize, config: &SouperConfig) -> Duration {
     Duration::from_secs_f64(0.4 + tried as f64 * modeled_seconds_per_candidate(config.enum_depth))
+}
+
+/// The first `tried` in `0..=candidate_budget` whose [`modeled_time`]
+/// exceeds the timeout, or `usize::MAX` (a count no search reaches) when
+/// none does. `modeled_time` is monotone in `tried`, so `tried >= limit`
+/// is exactly `modeled_time(tried, config) > config.timeout` for every
+/// count the enumeration loops compare, which never exceeds the budget.
+fn timeout_limit(config: &SouperConfig) -> usize {
+    let exceeds = |tried| modeled_time(tried, config) > config.timeout;
+    let (mut lo, mut hi) = (0, config.candidate_budget);
+    if !exceeds(hi) {
+        return usize::MAX;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if exceeds(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 fn finish(

@@ -240,12 +240,11 @@ mod tests {
 
     /// Runs `functions` through `superoptimize_batch` on two workers and
     /// through the reference walk, asserts every result agrees, and returns
-    /// how many searches found a replacement at each depth.
-    fn assert_equivalent(functions: &[Function], config: &SouperConfig, label: &str) -> [usize; 4] {
+    /// the batch's results.
+    fn assert_equivalent(functions: &[Function], config: &SouperConfig, label: &str) -> Vec<SouperResult> {
         let batch = superoptimize_batch(functions, config, 2);
         let cache = CompileCache::new();
         let mut arena = EvalArena::new();
-        let mut found = [0usize; 4];
         for (i, (func, got)) in functions.iter().zip(&batch).enumerate() {
             let want = search(func, config, &cache, &mut arena);
             assert_eq!(
@@ -256,9 +255,15 @@ mod tests {
                 config.candidate_budget,
                 print_function(func)
             );
-            if let Some(depth) = got.found_at_depth {
-                found[depth as usize] += 1;
-            }
+        }
+        batch
+    }
+
+    /// How many searches found a replacement at each depth.
+    fn finds_by_depth(results: &[SouperResult]) -> [usize; 4] {
+        let mut found = [0usize; 4];
+        for depth in results.iter().filter_map(|r| r.found_at_depth) {
+            found[depth as usize] += 1;
         }
         found
     }
@@ -298,7 +303,7 @@ mod tests {
         let mut found = [0usize; 4];
         for enum_depth in 0..=3 {
             let config = SouperConfig { candidate_budget: 1200, ..SouperConfig::with_enum(enum_depth) };
-            let level = assert_equivalent(&sequences, &config, "table4");
+            let level = finds_by_depth(&assert_equivalent(&sequences, &config, "table4"));
             for (total, n) in found.iter_mut().zip(level) {
                 *total += n;
             }
@@ -317,9 +322,8 @@ mod tests {
 
     /// Hand-picked shapes: out-of-domain signatures (wide params or return,
     /// so no plane filter), sources with UB and poison lanes, and i1 returns.
-    #[test]
-    fn plane_search_matches_the_reference_walk_on_edge_shapes() {
-        let texts = [
+    fn edge_shapes() -> Vec<Function> {
+        [
             "define i128 @wide(i128 %x) {\n %a = add i128 %x, 0\n %b = xor i128 %a, 0\n ret i128 %b\n}",
             "define i8 @narrowed(i128 %x) {\n %t = trunc i128 %x to i8\n %r = and i8 %t, -1\n ret i8 %r\n}",
             "define i8 @divides(i8 %x, i8 %y) {\n %d = udiv i8 %x, %y\n %r = mul i8 %d, %y\n ret i8 %r\n}",
@@ -330,12 +334,58 @@ mod tests {
             "define i1 @signs(i32 %x, i32 %y) {\n %a = sub i32 %x, %y\n %c = icmp slt i32 %a, 0\n ret i1 %c\n}",
             "define i32 @traps(i32 %x) {\n %d = sdiv i32 %x, 0\n %r = add i32 %d, %x\n ret i32 %r\n}",
             "define i8 @phis(i1 %c, i8 %x) {\nentry:\n br i1 %c, label %a, label %b\na:\n br label %b\nb:\n %p = phi i8 [ %x, %entry ], [ %x, %a ]\n %r = add i8 %p, 0\n ret i8 %r\n}",
-        ];
-        let functions: Vec<Function> = texts.iter().map(|t| parse_function(t).unwrap()).collect();
+        ]
+        .iter()
+        .map(|t| parse_function(t).unwrap())
+        .collect()
+    }
+
+    #[test]
+    fn plane_search_matches_the_reference_walk_on_edge_shapes() {
+        let functions = edge_shapes();
         for enum_depth in 0..=3 {
             let config = SouperConfig { candidate_budget: 3000, ..SouperConfig::with_enum(enum_depth) };
             assert_equivalent(&functions, &config, "edge");
         }
+    }
+
+    /// Modelled timeouts that fire inside the enumeration, at counts from the
+    /// first enumerated candidate to deep in the budget. Each count `k` is
+    /// hit just below, exactly at and just above `modeled_time(k)`: at the
+    /// exact value the first count over the timeout is `k + 1`, so the
+    /// search's integer limit must match the reference walk's per-candidate
+    /// `modeled_time(tried) > timeout` test with no off-by-one.
+    #[test]
+    fn plane_search_matches_the_reference_walk_under_modelled_timeouts() {
+        let mut functions = table4_sequences(scaled(120, 16));
+        functions.extend(edge_shapes());
+        let nanosecond = Duration::from_nanos(1);
+        let mut fired = std::collections::BTreeSet::new();
+        for enum_depth in 1..=3 {
+            let base = SouperConfig { candidate_budget: 1200, ..SouperConfig::with_enum(enum_depth) };
+            for k in [0, 9, 33, 100, 257, 700] {
+                let at_k = modeled_time(k, &base);
+                for timeout in [at_k - nanosecond, at_k, at_k + nanosecond] {
+                    let config = SouperConfig { timeout, ..base.clone() };
+                    let results = assert_equivalent(&functions, &config, "timeouts");
+                    let timed_out = |r: &&SouperResult| r.outcome == Outcome::Timeout;
+                    fired.extend(
+                        results.iter().filter(timed_out).map(|r| r.candidates_tried).filter(|&n| n < 1200),
+                    );
+                    // Past the leaf scan, a search that times out does so at
+                    // the first count over the timeout.
+                    if timeout == at_k && k >= 100 {
+                        assert!(
+                            results.iter().filter(timed_out).any(|r| r.candidates_tried == k + 1),
+                            "Enum {enum_depth}: no search timed out at {} candidates",
+                            k + 1
+                        );
+                    }
+                }
+            }
+        }
+        eprintln!("timeouts: fired at {} distinct candidate counts", fired.len());
+        assert!(fired.len() >= 10, "modelled timeouts must fire at varied counts: {fired:?}");
     }
 
     /// Sources whose replacement needs two synthesized instructions: with an
@@ -356,7 +406,7 @@ mod tests {
                 timeout: Duration::from_secs(1 << 30),
                 candidate_budget: 30_000,
             };
-            let found = assert_equivalent(&functions, &config, "deep");
+            let found = finds_by_depth(&assert_equivalent(&functions, &config, "deep"));
             assert_eq!(found[2], functions.len(), "every source needs a depth-2 replacement: {found:?}");
         }
     }
@@ -396,7 +446,7 @@ mod tests {
         let mut found = [0usize; 4];
         for enum_depth in 0..=2 {
             let config = SouperConfig { candidate_budget: 1200, ..SouperConfig::with_enum(enum_depth) };
-            let level = assert_equivalent(&functions, &config, "random");
+            let level = finds_by_depth(&assert_equivalent(&functions, &config, "random"));
             for (total, n) in found.iter_mut().zip(level) {
                 *total += n;
             }

@@ -639,38 +639,9 @@ mod tests {
         }
     }
 
-    /// The base seed block plus, when `LPO_FUZZ_SEED` is set (decimal or
-    /// `0x` hex), a rotating block derived from it — the protocol of
-    /// `tests/plane_differential.rs`, so a failure replays with
-    /// `LPO_FUZZ_SEED=<seed> cargo test --release -p lpo-tv input_set`.
-    fn seed_block(count: usize, salt: u64) -> Vec<u64> {
-        let mut seeds: Vec<u64> = (0..count as u64)
-            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(salt))
-            .collect();
-        if let Ok(raw) = std::env::var("LPO_FUZZ_SEED") {
-            let raw = raw.trim();
-            let rotating = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => raw.parse(),
-            }
-            .unwrap_or_else(|_| {
-                panic!("LPO_FUZZ_SEED must be a u64 (decimal or 0x hex), got {raw:?}")
-            });
-            eprintln!(
-                "input-set fuzz: appending {} rotating seeds from LPO_FUZZ_SEED={rotating:#x}",
-                count / 4
-            );
-            seeds
-                .extend((0..count as u64 / 4).map(|i| {
-                    rotating.wrapping_add(salt).wrapping_add(i.wrapping_mul(0x9e37_79b9))
-                }));
-        }
-        seeds
-    }
-
     #[test]
     fn input_set_matches_generate_inputs_on_fuzz_signatures() {
-        for seed in seed_block(200, 0x1a9c_0f5e) {
+        for seed in crate::fuzz_seeds::seed_block(200, 0x1a9c_0f5e, "input-set") {
             let f = lpo_interp::fuzz::random_function(seed);
             // Thresholds on both sides of each signature's bit total, so the
             // block covers exhaustive and sampled sets alike.

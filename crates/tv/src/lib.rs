@@ -53,6 +53,8 @@
 
 mod buffers;
 pub mod frozen;
+#[cfg(test)]
+mod fuzz_seeds;
 pub mod inputs;
 pub mod refine;
 

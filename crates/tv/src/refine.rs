@@ -1152,10 +1152,14 @@ impl<'a> SourceCache<'a> {
 
     /// Outcome-only lane check of a candidate whose return value on input
     /// `i` is lane `i` of plane `plane` of a [`plane_tape`](Self::plane_tape).
-    /// Runs the plane on the probe window first and on the remaining lanes
-    /// only if the probe passes. Lanes the frozen case's dense table clears
-    /// are skipped; a suspect lane is re-checked on its materialized value
-    /// through the same source-outcome comparison the sweep uses.
+    /// Runs the plane lane-first on widening windows, `[0, 1)`, `[1, 4)`,
+    /// `[4, probe)` and `[probe, total)` (each end clamped to the input
+    /// total, empty windows skipped), and scans each window's lanes in input
+    /// order before running the next: most enumerated candidates are
+    /// refuted on input 0, so they pay for one lane instead of the whole
+    /// probe window. Lanes the frozen case's dense table clears are skipped;
+    /// a suspect lane is re-checked on its materialized value through the
+    /// same source-outcome comparison the sweep uses.
     ///
     /// `true` only when some input really refutes the candidate — so
     /// [`verify_outcome_only`](Self::verify_outcome_only) rejects it too —
@@ -1168,8 +1172,14 @@ impl<'a> SourceCache<'a> {
         let inputs = self.inputs();
         let total = inputs.len();
         debug_assert_eq!(tape.lanes(), total, "the tape must come from this case");
-        let probe = self.config.probe_inputs.min(total);
-        for window in [0..probe, probe..total] {
+        let mut start = 0;
+        for end in [1, 4, self.config.probe_inputs, total] {
+            let end = end.min(total);
+            if end <= start {
+                continue;
+            }
+            let window = start..end;
+            start = end;
             tape.run(plane, window.clone());
             let lanes = tape.view(plane);
             for index in window {
@@ -1432,6 +1442,10 @@ fn value_refinement_failure(src: &EvalValue, tgt: &EvalValue) -> Option<&'static
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lpo_ir::apint::ApInt;
+    use lpo_ir::constant::Constant;
+    use lpo_ir::flags::IntFlags;
+    use lpo_ir::instruction::{BinOp, ICmpPred, InstKind, Instruction, Value};
     use lpo_ir::parser::parse_function;
 
     fn check(src: &str, tgt: &str) -> Verdict {
@@ -1970,6 +1984,147 @@ mod tests {
         ) {
             Verdict::Correct { exhaustive, .. } => assert!(!exhaustive),
             other => panic!("unexpected verdict {other:?}"),
+        }
+    }
+
+    /// The reference answer for [`SourceCache::tape_refutes`]: runs `plane`
+    /// on every lane and checks each one against its source outcome,
+    /// without the dense table's clearing or any window schedule.
+    fn refutes_on_some_lane(
+        case: &SourceCache,
+        tape: &mut PlaneTape,
+        plane: usize,
+        arena: &mut EvalArena,
+    ) -> bool {
+        let total = tape.lanes();
+        tape.run(plane, 0..total);
+        let lanes = tape.view(plane);
+        (0..total).any(|index| {
+            let tgt_out = lanes.value(index).map(|v| (Some(v), case.inputs().memory(index).clone()));
+            case.check_input(index, &tgt_out, arena).is_some()
+        })
+    }
+
+    /// `op a, b` returned from a function with `src`'s signature.
+    fn binary_candidate(src: &Function, op: BinOp, a: &Value, b: &Value) -> Function {
+        let mut f = Function::new("t", src.ret_ty.clone());
+        f.params = src.params.clone();
+        let entry = f.entry();
+        let kind = InstKind::Binary { op, lhs: a.clone(), rhs: b.clone(), flags: IntFlags::none() };
+        let id = f.append_inst(entry, Instruction::new(kind, src.ret_ty.clone(), "r"));
+        let ret = InstKind::Ret { value: Some(Value::Inst(id)) };
+        f.append_inst(entry, Instruction::new(ret, Type::Void, ""));
+        f
+    }
+
+    /// Probe sizes on both sides of every window edge of the schedule, and
+    /// at and past the input total.
+    fn window_probes(total: usize) -> [usize; 9] {
+        [0, 1, 2, 3, 4, 5, 16, total, usize::MAX]
+    }
+
+    /// Over plane-eligible sources, input sets from one lane up and every
+    /// probe size, `tape_refutes` must agree with a check of every lane on
+    /// each `op a, b` candidate over the arguments and a few constants, and
+    /// a refuted candidate must be rejected by `verify_outcome_only`.
+    #[test]
+    fn tape_window_schedule_agrees_with_every_lane() {
+        let hand = [
+            "define i8 @none() {\n %r = add i8 7, 3\n ret i8 %r\n}",
+            "define i1 @one(i1 %x) {\n %r = xor i1 %x, true\n ret i1 %r\n}",
+            "define i1 @two(i1 %x, i1 %y) {\n %r = and i1 %x, %y\n ret i1 %r\n}",
+            "define i8 @mul(i8 %x) {\n %r = mul i8 %x, 2\n ret i8 %r\n}",
+            "define i4 @divides(i4 %x, i4 %y) {\n %d = udiv i4 %x, %y\n %r = mul i4 %d, %y\n ret i4 %r\n}",
+        ];
+        let mut sources: Vec<(Function, InputConfig)> =
+            hand.iter().map(|text| (parse_function(text).unwrap(), InputConfig::default())).collect();
+        let shape = lpo_interp::fuzz::FuzzConfig { max_params: 2, max_insts: 4 };
+        let count = if cfg!(debug_assertions) { 40 } else { 200 };
+        for seed in crate::fuzz_seeds::seed_block(count, 0x7a9e_5eed, "tape-window") {
+            // Exhaustive sets from one lane up to 1024, and small sampled ones.
+            let inputs =
+                InputConfig { exhaustive_bits: (seed % 11) as u32, random_samples: 4 + (seed % 20) as usize, seed };
+            sources.push((lpo_interp::fuzz::random_function_with(seed, &shape), inputs));
+        }
+        let (mut eligible, mut refuted_total, mut passed_total) = (0, 0, 0);
+        for (i, (src, inputs)) in sources.iter().enumerate() {
+            let total = InputSet::generate(src, inputs).len();
+            for probe_inputs in window_probes(total) {
+                let config = TvConfig { inputs: inputs.clone(), probe_inputs, ..TvConfig::default() };
+                let case = SourceCache::new(src, config);
+                let mut arena = EvalArena::new();
+                let Some(mut tape) = case.plane_tape(&mut arena) else {
+                    assert!(i >= hand.len(), "hand source {i} must be plane-eligible");
+                    continue;
+                };
+                eligible += 1;
+                let width = src.ret_ty.int_width().expect("plane-eligible sources return an integer");
+                let mut leaves: Vec<(Value, usize)> = (0..src.params.len())
+                    .filter(|&j| src.params[j].ty == src.ret_ty)
+                    .map(|j| (Value::Arg(j), j))
+                    .collect();
+                for c in [0, 1, 5, u128::MAX] {
+                    let value = ApInt::new(width, c);
+                    let plane = tape.constant(&value).expect("widths are at most 64");
+                    leaves.push((Value::Const(Constant::Int(value)), plane));
+                }
+                let fixed = tape.len();
+                for op in BinOp::ALL {
+                    for (a, pa) in &leaves {
+                        for (b, pb) in &leaves {
+                            let plane = tape.binary(op, IntFlags::none(), *pa, *pb);
+                            let refuted = case.tape_refutes(&mut tape, plane, &mut arena);
+                            let context = || {
+                                let src = printer::print_function(src);
+                                format!("{op:?} {a:?} {b:?}, probe {probe_inputs}, {total} lanes, source\n{src}")
+                            };
+                            let naive = refutes_on_some_lane(&case, &mut tape, plane, &mut arena);
+                            assert_eq!(refuted, naive, "{}", context());
+                            if refuted {
+                                refuted_total += 1;
+                                let candidate = binary_candidate(src, op, a, b);
+                                assert!(!case.verify_outcome_only(&candidate, &mut arena), "{}", context());
+                            } else {
+                                passed_total += 1;
+                            }
+                            tape.truncate(fixed);
+                        }
+                    }
+                }
+            }
+        }
+        eprintln!("tape windows: {eligible} eligible cases, {refuted_total} refuted, {passed_total} passed");
+        assert!(refuted_total > 0 && passed_total > 0);
+    }
+
+    /// A plane index reused after `truncate` keeps the previous candidate's
+    /// lanes until a window runs over them. Candidate A refutes only on the
+    /// last input, so every window runs and leaves a refining value in each
+    /// earlier lane; candidate B, pushed onto A's index, refutes only on
+    /// input `k`. Were any window up to `k` skipped, lane `k` would still
+    /// hold A's value and B would pass.
+    #[test]
+    fn tape_window_schedule_never_reads_stale_lanes() {
+        // Always false, so `icmp eq %x, k` refutes exactly on lane `k`
+        // (exhaustive i8 inputs: lane `k` holds `%x = k`).
+        let src =
+            parse_function("define i1 @s(i8 %x) {\n %c = icmp ult i8 %x, 0\n ret i1 %c\n}").unwrap();
+        for probe_inputs in window_probes(256) {
+            let case = SourceCache::new(&src, TvConfig { probe_inputs, ..TvConfig::default() });
+            let mut arena = EvalArena::new();
+            let mut tape = case.plane_tape(&mut arena).expect("the source is plane-eligible");
+            let last = tape.constant(&ApInt::new(8, 255)).unwrap();
+            for k in [1u128, 2, 3, 4, 5, 15, 16, 17, 200, 254] {
+                let plane_k = tape.constant(&ApInt::new(8, k)).unwrap();
+                let fixed = tape.len();
+                let stale = tape.icmp(ICmpPred::Eq, 0, last);
+                assert!(case.tape_refutes(&mut tape, stale, &mut arena));
+                tape.truncate(fixed);
+                let fresh = tape.icmp(ICmpPred::Eq, 0, plane_k);
+                assert_eq!(fresh, stale, "B must reuse A's plane storage");
+                assert!(case.tape_refutes(&mut tape, fresh, &mut arena), "input {k}, probe {probe_inputs}");
+                tape.truncate(fixed - 1);
+            }
         }
     }
 }
