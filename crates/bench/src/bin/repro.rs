@@ -36,11 +36,12 @@
 //! single-case scaling and overhead and fills the `exec` section;
 //! `bench-serve` measures the serving shell's protocol round-trips and warm
 //! cache-hit rate and fills the `serve` section. With
-//! `--check-baseline <file>` each exits non-zero when its throughput falls
-//! more than 30% below the checked-in baseline — the CI `bench-smoke`,
-//! `shard-smoke` and `serve-smoke` gates (`bench-exec`'s parallel-scaling
-//! check applies only on hosts with ≥ 4 cores; its overhead ratios are gated
-//! everywhere; `bench-serve`'s cache-hit rate is an exact floor).
+//! `--check-baseline <file>` the run checks every gate record of that file
+//! whose section it produced (a `throughput` gate fails more than 30% below
+//! its baseline unless its fallback holds, an `exact_floor` gate fails below
+//! its baseline, a `scaling` gate binds only at `--jobs` ≥ 4 on ≥ 4 cores),
+//! prints one line per gate and exits 1 if any fails — the CI `bench-smoke`,
+//! `shard-smoke` and `serve-smoke` gates. See `BENCH.md`.
 //!
 //! `serve` runs the engine as a long-lived server on `--addr` (job queue,
 //! streaming line-delimited JSON protocol — see `lpo-serve`); `serve-client`
@@ -48,24 +49,35 @@
 //! optional `--warm N` resubmissions, `--stats`, `--shutdown`.
 
 use lpo::prelude::{VerdictStore, DEFAULT_SHARD_SIZE};
-use lpo_bench::results::{
-    BenchResults, ExecEntry, InterpEntry, Json, OptEntry, RunEntries, ServeEntry, TableEntry,
-    TvEntry,
-};
+use lpo_bench::results::{check_gates, BenchResults, Json, RunEntries, TableEntry};
 use lpo_bench::{self as harness, StoreOptions, TableRun};
 use lpo_llm::prelude::rq1_models;
 use lpo_serve::prelude::{ServeClient, ServeConfig, Server, SubmitOptions};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// `<name> N`, strict: a present flag with a missing, negative or otherwise
-/// unparsable value is a hard usage error, never a silent fall-back to the
-/// default (that silence once hid `--jobs abc` running on every core).
+/// `<name> TEXT`, strict: a present flag whose value is missing or is itself
+/// a flag (`--…`) is a hard usage error, never a silent absence (that silence
+/// once let `--check-baseline` with no path run with no gate at all).
+fn arg_text<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+    let position = args.iter().position(|a| a == name)?;
+    match args.get(position + 1) {
+        Some(value) if !value.starts_with("--") => Some(value),
+        _ => {
+            eprintln!("{name} expects a value");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// `<name> N`, strict like [`arg_text`]: a present flag with a missing,
+/// negative or otherwise unparsable value is a hard usage error, never a
+/// silent fall-back to the default (that silence once hid `--jobs abc`
+/// running on every core).
 fn arg_value(args: &[String], name: &str, default: u64) -> u64 {
-    let Some(position) = args.iter().position(|a| a == name) else {
+    let Some(value) = arg_text(args, name) else {
         return default;
     };
-    let value = args.get(position + 1).map(String::as_str).unwrap_or("");
     match value.parse() {
         Ok(n) => n,
         Err(_) => {
@@ -73,10 +85,6 @@ fn arg_value(args: &[String], name: &str, default: u64) -> u64 {
             std::process::exit(2);
         }
     }
-}
-
-fn arg_text<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
 /// `--shard-size N` (`inf` = one shard per survivor sweep).
@@ -91,296 +99,6 @@ fn arg_shard_size(args: &[String]) -> usize {
                 std::process::exit(2);
             }
         },
-    }
-}
-
-/// Allowed relative regression vs the baseline.
-const REGRESSION_TOLERANCE: f64 = 0.30;
-
-/// One throughput gate's wiring: which baseline keys to read and how to
-/// describe the measurement in messages.
-struct Gate {
-    /// Baseline key for the absolute-throughput floor.
-    throughput_key: &'static str,
-    /// Baseline key for the machine-independent speedup fallback.
-    speedup_key: &'static str,
-    /// Unit shown in messages, e.g. `evals/s`.
-    unit: &'static str,
-    /// Subject shown in the failure message, e.g. `interpreter throughput`.
-    subject: &'static str,
-}
-
-/// Compares a fresh measurement against a checked-in baseline file.
-///
-/// The primary gate is absolute throughput (within 30% of the baseline). CI
-/// runners span hardware generations, so a slower host is exonerated by the
-/// machine-independent fallback: the speedup over the in-process reference
-/// implementation — measured on the same hardware in the same run — must
-/// then be within 30% of the baseline speedup. A regression fails both.
-///
-/// Known limitation: a regression in code *shared* by the measured and
-/// reference implementations slows them proportionally and is
-/// indistinguishable from a slower host by any in-process measurement, so
-/// only the absolute gate can catch it — and only when CI hardware is
-/// comparable to the recorded baseline host. Treat a "slower host" pass that
-/// coincides with a hot-path change as a prompt to re-baseline and compare
-/// absolute numbers by hand.
-fn check_gate(gate: &Gate, throughput: f64, speedup: f64, path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read baseline '{path}': {e}"))?;
-    let value = Json::parse(&text).map_err(|e| format!("cannot parse baseline '{path}': {e}"))?;
-    let baseline = value
-        .get(gate.throughput_key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("baseline '{path}' has no '{}' number", gate.throughput_key))?;
-    let floor = baseline * (1.0 - REGRESSION_TOLERANCE);
-    if throughput >= floor {
-        return Ok(format!(
-            "baseline check ok: {throughput:.0} {unit} vs baseline {baseline:.0} (floor {floor:.0})",
-            unit = gate.unit
-        ));
-    }
-    let shortfall = (1.0 - throughput / baseline) * 100.0;
-    if let Some(speedup_baseline) = value.get(gate.speedup_key).and_then(Json::as_num) {
-        let speedup_floor = speedup_baseline * (1.0 - REGRESSION_TOLERANCE);
-        if speedup >= speedup_floor {
-            return Ok(format!(
-                "baseline check ok (slower host): {throughput:.0} {unit} is {shortfall:.0}% under \
-                 baseline {baseline:.0}, but the speedup {speedup:.2}x holds vs baseline \
-                 {speedup_baseline:.2}x (floor {speedup_floor:.2}x)",
-                unit = gate.unit
-            ));
-        }
-    }
-    Err(format!(
-        "{subject} regressed: {throughput:.0} {unit} is below the floor {floor:.0} \
-         ({shortfall:.0}% under baseline {baseline:.0}), and the speedup {speedup:.2}x does not \
-         clear the machine-independent fallback",
-        subject = gate.subject,
-        unit = gate.unit
-    ))
-}
-
-/// The interpreter gate (`repro bench-interp --check-baseline`).
-fn check_baseline(entry: &InterpEntry, path: &str) -> Result<String, String> {
-    let gate = Gate {
-        throughput_key: "interp_evals_per_second",
-        speedup_key: "interp_speedup",
-        unit: "evals/s",
-        subject: "interpreter throughput",
-    };
-    check_gate(&gate, entry.evals_per_second, entry.speedup, path)
-}
-
-/// The canonicalization gate (`repro bench-opt --check-baseline`).
-fn check_opt_baseline(entry: &OptEntry, path: &str) -> Result<String, String> {
-    let gate = Gate {
-        throughput_key: "opt_canon_per_second",
-        speedup_key: "opt_speedup",
-        unit: "canon/s",
-        subject: "canonicalization throughput",
-    };
-    check_gate(&gate, entry.canon_per_second, entry.speedup, path)
-}
-
-/// The translation-validation gates (`repro bench-tv --check-baseline`):
-/// the refuted-candidate shape (the cost the staged checker exists to
-/// reduce), the survivor shape (the plane-compiled sweep — gated so it
-/// cannot silently regress toward the pre-plane parity numbers), the cold
-/// survivor shape (a fresh case per check, so the source sweep is gated
-/// too), the abstract-refutation tier's throughput, and the proved-survivor
-/// floor.
-fn check_tv_baseline(entry: &TvEntry, path: &str) -> Result<String, String> {
-    let refuted_gate = Gate {
-        throughput_key: "tv_refuted_per_second",
-        speedup_key: "tv_refuted_speedup",
-        unit: "checks/s",
-        subject: "refuted-candidate translation-validation throughput",
-    };
-    let survivor_gate = Gate {
-        throughput_key: "tv_survivor_per_second",
-        speedup_key: "tv_survivor_speedup",
-        unit: "checks/s",
-        subject: "survivor translation-validation throughput",
-    };
-    let cold_survivor_gate = Gate {
-        throughput_key: "tv_cold_survivor_per_second",
-        speedup_key: "tv_cold_survivor_speedup",
-        unit: "checks/s",
-        subject: "cold-survivor translation-validation throughput",
-    };
-    let absint_gate = Gate {
-        throughput_key: "tv_absint_refuted_per_second",
-        speedup_key: "tv_absint_speedup",
-        unit: "checks/s",
-        subject: "abstract-refutation throughput",
-    };
-    let checks = [
-        check_gate(&refuted_gate, entry.refuted_per_second, entry.refuted_speedup, path),
-        check_gate(&survivor_gate, entry.survivor_per_second, entry.survivor_speedup, path),
-        check_gate(
-            &cold_survivor_gate,
-            entry.cold_survivor_per_second,
-            entry.cold_survivor_speedup,
-            path,
-        ),
-        check_gate(&absint_gate, entry.absint_refuted_per_second, entry.absint_speedup, path),
-        check_tv_proved_fraction(entry, path),
-    ];
-    let failed = checks.iter().any(Result::is_err);
-    let combined = checks
-        .into_iter()
-        .map(|check| check.unwrap_or_else(|message| message))
-        .collect::<Vec<_>>()
-        .join("\n");
-    if failed {
-        Err(combined)
-    } else {
-        Ok(combined)
-    }
-}
-
-/// The proved-survivor floor: the fraction of self-verification survivors
-/// the abstract tier proves is deterministic (a property of the tier and the
-/// rq1 suite, not of the host), so the baseline value is itself the floor —
-/// no regression tolerance applies. A baseline without the key (written
-/// before the tier existed) skips the check.
-fn check_tv_proved_fraction(entry: &TvEntry, path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read baseline '{path}': {e}"))?;
-    let value = Json::parse(&text).map_err(|e| format!("cannot parse baseline '{path}': {e}"))?;
-    let Some(floor) = value.get("tv_proved_fraction").and_then(Json::as_num) else {
-        return Ok(format!(
-            "baseline '{path}' has no 'tv_proved_fraction' — proved-survivor check skipped"
-        ));
-    };
-    if entry.proved_fraction >= floor {
-        Ok(format!(
-            "proved-survivor check ok: {:.2} of survivor sweeps skipped (floor {floor:.2})",
-            entry.proved_fraction
-        ))
-    } else {
-        Err(format!(
-            "proved-survivor fraction regressed: {:.2} is below the deterministic floor {floor:.2} \
-             ({}/{} survivors proved abstractly)",
-            entry.proved_fraction, entry.proved_survivors, entry.cases
-        ))
-    }
-}
-
-/// The sharded-execution gates (`repro bench-exec --check-baseline`): the
-/// machine-independent overhead ratio everywhere (sharding at one worker
-/// must stay within tolerance of `verify_with`, one `SerialDriver` shard),
-/// plus the parallel-scaling floor on hosts where parallelism is actually
-/// available.
-fn check_exec_baseline(entry: &ExecEntry, path: &str) -> Result<String, String> {
-    let sweep_gate = Gate {
-        throughput_key: "exec_sweep_per_second",
-        speedup_key: "exec_sweep_overhead_ratio",
-        unit: "sweeps/s",
-        subject: "sharded input-sweep throughput",
-    };
-    let checks = [
-        check_gate(&sweep_gate, entry.sweep_serial_per_second, entry.sweep_overhead_ratio, path),
-        check_exec_scaling(entry, path),
-    ];
-    let failed = checks.iter().any(Result::is_err);
-    let combined = checks
-        .into_iter()
-        .map(|check| check.unwrap_or_else(|message| message))
-        .collect::<Vec<_>>()
-        .join("\n");
-    if failed {
-        Err(combined)
-    } else {
-        Ok(combined)
-    }
-}
-
-/// The single-case parallel-scaling floor: on a host with ≥ 4 cores, a
-/// `--jobs ≥ 4` sweep must speed up within 30% of the baseline speedup.
-/// Single-core hosts (and `--jobs 1` runs) cannot measure scaling, so the
-/// check is skipped — the overhead gate still applies there.
-fn check_exec_scaling(entry: &ExecEntry, path: &str) -> Result<String, String> {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if entry.jobs < 4 || cores < 4 {
-        return Ok(format!(
-            "parallel-scaling check skipped: jobs {} on a {cores}-core host (needs >= 4 of each)",
-            entry.jobs
-        ));
-    }
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read baseline '{path}': {e}"))?;
-    let value = Json::parse(&text).map_err(|e| format!("cannot parse baseline '{path}': {e}"))?;
-    let Some(baseline) = value.get("exec_sweep_speedup").and_then(Json::as_num) else {
-        return Ok(format!("baseline '{path}' has no 'exec_sweep_speedup' — scaling check skipped"));
-    };
-    let floor = baseline * (1.0 - REGRESSION_TOLERANCE);
-    if entry.sweep_speedup >= floor {
-        Ok(format!(
-            "parallel-scaling check ok: {:.2}x at jobs {} vs baseline {baseline:.2}x (floor {floor:.2}x)",
-            entry.sweep_speedup, entry.jobs
-        ))
-    } else {
-        Err(format!(
-            "single-case scaling regressed: {:.2}x at jobs {} on a {cores}-core host is below \
-             the floor {floor:.2}x (baseline {baseline:.2}x)",
-            entry.sweep_speedup, entry.jobs
-        ))
-    }
-}
-
-/// The serving-shell gates (`repro bench-serve --check-baseline`): protocol
-/// throughput (with the machine-independent warm-speedup fallback) plus the
-/// warm cache-hit floor. The hit rate is a counter delta, not a timing, so
-/// the baseline value is itself the floor — no regression tolerance.
-fn check_serve_baseline(entry: &ServeEntry, path: &str) -> Result<String, String> {
-    let gate = Gate {
-        throughput_key: "serve_requests_per_second",
-        speedup_key: "serve_warm_speedup",
-        unit: "req/s",
-        subject: "serving-shell protocol throughput",
-    };
-    let checks = [
-        check_gate(&gate, entry.requests_per_second, entry.warm_speedup, path),
-        check_serve_cache_hit_rate(entry, path),
-    ];
-    let failed = checks.iter().any(Result::is_err);
-    let combined = checks
-        .into_iter()
-        .map(|check| check.unwrap_or_else(|message| message))
-        .collect::<Vec<_>>()
-        .join("\n");
-    if failed {
-        Err(combined)
-    } else {
-        Ok(combined)
-    }
-}
-
-/// The warm cache-hit floor: warm resubmissions must answer from the shared
-/// verdict store. A baseline without the key (written before the serving
-/// shell existed) skips the check.
-fn check_serve_cache_hit_rate(entry: &ServeEntry, path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read baseline '{path}': {e}"))?;
-    let value = Json::parse(&text).map_err(|e| format!("cannot parse baseline '{path}': {e}"))?;
-    let Some(floor) = value.get("serve_cache_hit_rate").and_then(Json::as_num) else {
-        return Ok(format!(
-            "baseline '{path}' has no 'serve_cache_hit_rate' — warm cache-hit check skipped"
-        ));
-    };
-    if entry.cache_hit_rate >= floor {
-        Ok(format!(
-            "warm cache-hit check ok: {:.2} of warm verdict lookups hit the store (floor {floor:.2})",
-            entry.cache_hit_rate
-        ))
-    } else {
-        Err(format!(
-            "warm cache-hit rate regressed: {:.2} is below the floor {floor:.2} \
-             (warm submissions are recomputing Stage-3 verdicts instead of replaying them)",
-            entry.cache_hit_rate
-        ))
     }
 }
 
@@ -414,6 +132,26 @@ fn arg_store(args: &[String]) -> Option<StoreOptions> {
     }
 }
 
+/// The microbenchmark sections, in the order `all` runs them; `bench-<name>`
+/// fills the section `<name>`.
+const BENCHES: [&str; 5] = ["interp", "opt", "tv", "exec", "serve"];
+
+/// Runs the `bench-<name>` microbenchmark, prints its report and returns its
+/// `BENCH_results.json` section.
+fn run_bench(name: &str, jobs: usize, shard_size: usize) -> (String, Json) {
+    let report = match name {
+        "interp" => harness::bench_interp(jobs).map(|run| (run.text, run.entry.to_json())),
+        "opt" => harness::bench_opt(jobs).map(|run| (run.text, run.entry.to_json())),
+        "tv" => harness::bench_tv(jobs).map(|run| (run.text, run.entry.to_json())),
+        "exec" => harness::bench_exec(jobs, shard_size).map(|run| (run.text, run.entry.to_json())),
+        "serve" => harness::bench_serve(jobs).map(|run| (run.text, run.entry.to_json())),
+        _ => unreachable!("not a bench section: {name}"),
+    };
+    let (text, section) = measured(report);
+    println!("{text}");
+    (name.to_string(), section)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().map(String::as_str).unwrap_or("all");
@@ -426,6 +164,7 @@ fn main() {
     let samples = arg_value(&args, "--samples", 60) as usize;
     let jobs = arg_value(&args, "--jobs", 0) as usize;
     let shard_size = arg_shard_size(&args);
+    let baseline_path = arg_text(&args, "--check-baseline");
     let store = arg_store(&args);
     let store = store.as_ref();
     let quick_models = || {
@@ -442,11 +181,7 @@ fn main() {
     };
 
     let mut tables: Vec<TableEntry> = Vec::new();
-    let mut interp: Option<InterpEntry> = None;
-    let mut opt: Option<OptEntry> = None;
-    let mut tv: Option<TvEntry> = None;
-    let mut exec: Option<ExecEntry> = None;
-    let mut serve: Option<ServeEntry> = None;
+    let mut sections: Vec<(String, Json)> = Vec::new();
     let mut show = |name: &str, run: TableRun| {
         println!("{}", run.text);
         tables.push(TableEntry {
@@ -466,76 +201,33 @@ fn main() {
     match what {
         "table1" => println!("{}", harness::table1()),
         "table2" => {
-            show("table2", harness::table2_with_store(rounds, &quick_models(), jobs, shard_size, store))
+            show("table2", harness::table2(rounds, &quick_models(), jobs, shard_size, store))
         }
-        "table3" => show("table3", harness::table3_with_store(jobs, store)),
-        "table4" => show("table4", harness::table4_with_store(samples, jobs, shard_size, store)),
-        "table5" => show("table5", harness::table5_with_store(jobs, store)),
+        "table3" => show("table3", harness::table3(jobs, store)),
+        "table4" => show("table4", harness::table4(samples, jobs, shard_size, store)),
+        "table5" => show("table5", harness::table5(jobs, store)),
         "figure5" => show("figure5", harness::figure5(jobs)),
-        "bench-interp" => {
-            let run = measured(harness::bench_interp(jobs));
-            println!("{}", run.text);
-            interp = Some(run.entry);
-        }
-        "bench-opt" => {
-            let run = measured(harness::bench_opt(jobs));
-            println!("{}", run.text);
-            opt = Some(run.entry);
-        }
-        "bench-tv" => {
-            let run = measured(harness::bench_tv(jobs));
-            println!("{}", run.text);
-            tv = Some(run.entry);
-        }
-        "bench-exec" => {
-            let run = measured(harness::bench_exec(jobs, shard_size));
-            println!("{}", run.text);
-            exec = Some(run.entry);
-        }
-        "bench-serve" => {
-            let run = measured(harness::bench_serve(jobs));
-            println!("{}", run.text);
-            serve = Some(run.entry);
-        }
         "all" => {
             println!("{}", harness::table1());
-            show("table2", harness::table2_with_store(rounds, &quick_models(), jobs, shard_size, store));
-            show("table3", harness::table3_with_store(jobs, store));
-            show("table4", harness::table4_with_store(samples, jobs, shard_size, store));
-            show("table5", harness::table5_with_store(jobs, store));
+            show("table2", harness::table2(rounds, &quick_models(), jobs, shard_size, store));
+            show("table3", harness::table3(jobs, store));
+            show("table4", harness::table4(samples, jobs, shard_size, store));
+            show("table5", harness::table5(jobs, store));
             show("figure5", harness::figure5(jobs));
-            let run = measured(harness::bench_interp(jobs));
-            println!("{}", run.text);
-            interp = Some(run.entry);
-            let run = measured(harness::bench_opt(jobs));
-            println!("{}", run.text);
-            opt = Some(run.entry);
-            let run = measured(harness::bench_tv(jobs));
-            println!("{}", run.text);
-            tv = Some(run.entry);
-            let run = measured(harness::bench_exec(jobs, shard_size));
-            println!("{}", run.text);
-            exec = Some(run.entry);
-            let run = measured(harness::bench_serve(jobs));
-            println!("{}", run.text);
-            serve = Some(run.entry);
+            sections.extend(BENCHES.iter().map(|name| run_bench(name, jobs, shard_size)));
         }
-        other => {
-            eprintln!(
-                "unknown experiment '{other}'; expected table1..table5, figure5, bench-interp, bench-opt, bench-tv, bench-exec, bench-serve, serve, serve-client or all"
-            );
-            std::process::exit(2);
-        }
+        other => match other.strip_prefix("bench-").filter(|name| BENCHES.contains(name)) {
+            Some(name) => sections.push(run_bench(name, jobs, shard_size)),
+            None => {
+                eprintln!(
+                    "unknown experiment '{other}'; expected table1..table5, figure5, bench-interp, bench-opt, bench-tv, bench-exec, bench-serve, serve, serve-client or all"
+                );
+                std::process::exit(2);
+            }
+        },
     }
 
-    let entries = RunEntries {
-        tables,
-        interp: interp.clone(),
-        opt: opt.clone(),
-        tv: tv.clone(),
-        exec: exec.clone(),
-        serve: serve.clone(),
-    };
+    let entries = RunEntries { tables, sections: sections.clone() };
     if !entries.is_empty() {
         let path = "BENCH_results.json";
         match BenchResults::merge_into_file(path, what, jobs, entries) {
@@ -548,58 +240,36 @@ fn main() {
         }
     }
 
-    if let Some(baseline_path) = arg_text(&args, "--check-baseline") {
-        if interp.is_none() && opt.is_none() && tv.is_none() && exec.is_none() && serve.is_none() {
+    // `--check-baseline PATH`: one line per gate of PATH whose section this
+    // run produced; exit 1 if any fails or PATH is unreadable or malformed,
+    // exit 2 if the run produced no gated section.
+    if let Some(path) = baseline_path {
+        let ungated = || {
             eprintln!(
-                "--check-baseline requires the bench-interp, bench-opt, bench-tv, bench-exec, bench-serve (or all) subcommand"
+                "--check-baseline requires a gated section: the bench-interp, bench-opt, bench-tv, bench-exec, bench-serve (or all) subcommand"
             );
             std::process::exit(2);
+        };
+        if sections.is_empty() {
+            ungated();
         }
-        let mut failed = false;
-        if let Some(entry) = &interp {
-            match check_baseline(entry, baseline_path) {
-                Ok(message) => eprintln!("{message}"),
-                Err(message) => {
-                    eprintln!("{message}");
-                    failed = true;
-                }
-            }
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let gates = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read baseline '{path}': {e}"))
+            .and_then(|text| {
+                Json::parse(&text).map_err(|e| format!("cannot parse baseline '{path}': {e}"))
+            })
+            .and_then(|baseline| check_gates(&baseline, &sections, cores))
+            .unwrap_or_else(|message| {
+                eprintln!("{message}");
+                std::process::exit(1);
+            });
+        if gates.is_empty() {
+            ungated();
         }
-        if let Some(entry) = &opt {
-            match check_opt_baseline(entry, baseline_path) {
-                Ok(message) => eprintln!("{message}"),
-                Err(message) => {
-                    eprintln!("{message}");
-                    failed = true;
-                }
-            }
-        }
-        if let Some(entry) = &tv {
-            match check_tv_baseline(entry, baseline_path) {
-                Ok(message) => eprintln!("{message}"),
-                Err(message) => {
-                    eprintln!("{message}");
-                    failed = true;
-                }
-            }
-        }
-        if let Some(entry) = &exec {
-            match check_exec_baseline(entry, baseline_path) {
-                Ok(message) => eprintln!("{message}"),
-                Err(message) => {
-                    eprintln!("{message}");
-                    failed = true;
-                }
-            }
-        }
-        if let Some(entry) = &serve {
-            match check_serve_baseline(entry, baseline_path) {
-                Ok(message) => eprintln!("{message}"),
-                Err(message) => {
-                    eprintln!("{message}");
-                    failed = true;
-                }
-            }
+        let failed = gates.iter().any(Result::is_err);
+        for gate in gates {
+            eprintln!("{}", gate.unwrap_or_else(|line| line));
         }
         if failed {
             std::process::exit(1);

@@ -35,9 +35,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A driver's durable-store context: the open [`VerdictStore`] plus whether
-/// cases already checkpointed in it should be replayed (`--resume`). Every
-/// `*_with_store` driver takes an `Option<&StoreOptions>`; the plain-named
-/// variants delegate with `None`.
+/// cases already checkpointed in it should be replayed (`--resume`). The
+/// table drivers and their experiments (`table2`–`table5`, `rq1_experiment`
+/// –`rq3_experiment`, `table5_experiment`) take an `Option<&StoreOptions>`;
+/// `None` runs without a store.
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
     /// The open store, shared by every batch of the run.
@@ -390,21 +391,12 @@ fn minotaur_detects(case: &IssueCase) -> bool {
 /// Runs the RQ1 detection experiment (Table 2) with the given number of rounds
 /// per model (the paper uses 5) over the selected model profiles, fanning the
 /// 25 issues out over `jobs` workers (`0` = available parallelism).
+///
+/// With a durable `store`, Stage-3 verdicts are recorded/replayed
+/// pipeline-wide, every completed detection cell is checkpointed under a
+/// `table2/…` run key, and with [`StoreOptions::resume`]
+/// already-checkpointed cells replay instead of recomputing.
 pub fn rq1_experiment(
-    rounds: u64,
-    models: &[ModelProfile],
-    jobs: usize,
-    shard_size: usize,
-) -> Rq1Result {
-    rq1_experiment_with_store(rounds, models, jobs, shard_size, None)
-}
-
-/// [`rq1_experiment`] with an optional durable store: Stage-3 verdicts are
-/// recorded/replayed pipeline-wide, every completed detection cell is
-/// checkpointed under a `table2/…` run key, and with
-/// [`StoreOptions::resume`] already-checkpointed cells replay instead of
-/// recomputing.
-pub fn rq1_experiment_with_store(
     rounds: u64,
     models: &[ModelProfile],
     jobs: usize,
@@ -475,14 +467,9 @@ pub fn rq1_experiment_with_store(
     }
 }
 
-/// Renders Table 2.
-pub fn table2(rounds: u64, models: &[ModelProfile], jobs: usize, shard_size: usize) -> TableRun {
-    table2_with_store(rounds, models, jobs, shard_size, None)
-}
-
-/// [`table2`] with an optional durable store (see
-/// [`rq1_experiment_with_store`]).
-pub fn table2_with_store(
+/// Renders Table 2, with an optional durable store (see
+/// [`rq1_experiment`]).
+pub fn table2(
     rounds: u64,
     models: &[ModelProfile],
     jobs: usize,
@@ -490,7 +477,7 @@ pub fn table2_with_store(
     store: Option<&StoreOptions>,
 ) -> TableRun {
     let start = Instant::now();
-    let result = rq1_experiment_with_store(rounds, models, jobs, shard_size, store);
+    let result = rq1_experiment(rounds, models, jobs, shard_size, store);
     let mut out = format!("Table 2: RQ1 detection of 25 previously reported missed optimizations ({rounds} rounds)\n");
     let _ = write!(out, "{:<10}", "Issue");
     for m in &result.models {
@@ -569,15 +556,11 @@ impl Rq2Result {
 
 /// Runs the RQ2 baseline-comparison experiment over the 62 found
 /// optimizations, one case per work item on `jobs` workers.
-pub fn rq2_experiment(jobs: usize) -> Rq2Result {
-    rq2_experiment_with_store(jobs, None)
-}
-
-/// [`rq2_experiment`] with optional per-case checkpointing: each completed
-/// row's baseline bits are recorded under the `table3` run key, and with
-/// [`StoreOptions::resume`] recorded rows skip the (expensive) baseline
-/// searches entirely.
-pub fn rq2_experiment_with_store(jobs: usize, store: Option<&StoreOptions>) -> Rq2Result {
+///
+/// With a durable `store`, each completed row's baseline bits are recorded
+/// under the `table3` run key, and with [`StoreOptions::resume`] recorded
+/// rows skip the (expensive) baseline searches entirely.
+pub fn rq2_experiment(jobs: usize, store: Option<&StoreOptions>) -> Rq2Result {
     let suite = rq2_suite();
     let jobs = resolve_jobs(jobs, suite.len());
     let store_before = store.map(|opts| opts.store.stats()).unwrap_or_default();
@@ -627,16 +610,11 @@ fn decode_baseline_bits(blob: &str) -> Option<(bool, bool, bool)> {
     }
 }
 
-/// Renders Table 3.
-pub fn table3(jobs: usize) -> TableRun {
-    table3_with_store(jobs, None)
-}
-
-/// [`table3`] with optional per-case checkpointing (see
-/// [`rq2_experiment_with_store`]).
-pub fn table3_with_store(jobs: usize, store: Option<&StoreOptions>) -> TableRun {
+/// Renders Table 3, with optional per-case checkpointing (see
+/// [`rq2_experiment`]).
+pub fn table3(jobs: usize, store: Option<&StoreOptions>) -> TableRun {
     let start = Instant::now();
-    let result = rq2_experiment_with_store(jobs, store);
+    let result = rq2_experiment(jobs, store);
     let mut out = String::from("Table 3: the 62 missed optimizations found by LPO\n");
     let _ = writeln!(out, "{:<10} {:<14} {:>8} {:>8} {:>9}", "Issue", "Status", "SouperD", "SouperE", "Minotaur");
     for (issue, status, d, e, m) in &result.rows {
@@ -687,14 +665,11 @@ pub struct ThroughputRow {
 /// per translation unit), so cross-module duplicate sequences reach the
 /// engine and exercise its structural-hash dedup cache; the LPO rows and the
 /// Souper baselines all fan out over `jobs` workers.
-pub fn rq3_experiment(samples: usize, jobs: usize, shard_size: usize) -> (Vec<ThroughputRow>, DriverStats) {
-    rq3_experiment_with_store(samples, jobs, shard_size, None)
-}
-
-/// [`rq3_experiment`] with an optional durable store: each model profile's
-/// batch runs under its own `table4/…` run key, so a killed run resumes with
-/// the completed cases replayed from their checkpoints.
-pub fn rq3_experiment_with_store(
+///
+/// With a durable `store`, each model profile's batch runs under its own
+/// `table4/…` run key, so a killed run resumes with the completed cases
+/// replayed from their checkpoints.
+pub fn rq3_experiment(
     samples: usize,
     jobs: usize,
     shard_size: usize,
@@ -793,20 +768,15 @@ pub fn rq3_experiment_with_store(
     (rows, stats)
 }
 
-/// Renders Table 4.
-pub fn table4(samples: usize, jobs: usize, shard_size: usize) -> TableRun {
-    table4_with_store(samples, jobs, shard_size, None)
-}
-
-/// [`table4`] with an optional durable store (see
-/// [`rq3_experiment_with_store`]).
-pub fn table4_with_store(
+/// Renders Table 4, with an optional durable store (see
+/// [`rq3_experiment`]).
+pub fn table4(
     samples: usize,
     jobs: usize,
     shard_size: usize,
     store: Option<&StoreOptions>,
 ) -> TableRun {
-    let (rows, stats) = rq3_experiment_with_store(samples, jobs, shard_size, store);
+    let (rows, stats) = rq3_experiment(samples, jobs, shard_size, store);
     let mut out = format!("Table 4: throughput and cost over {} sampled instruction sequences\n", stats.cases);
     let _ = writeln!(out, "{:<20} {:>14} {:>10} {:>12}", "Tool", "Time/case (s)", "Timeouts", "Cost (USD)");
     for row in &rows {
@@ -837,15 +807,12 @@ pub struct PatchImpactRow {
 /// corpus, one patch per work item on `jobs` workers (each patch's base and
 /// patched pipelines are timed on the same worker, so the relative
 /// compile-time delta stays an apples-to-apples comparison).
-pub fn table5_experiment(jobs: usize) -> Vec<PatchImpactRow> {
-    table5_experiment_with_store(jobs, None).0
-}
-
-/// [`table5_experiment`] with optional per-patch checkpointing under the
-/// `table5` run key; returns `(rows, resumed_rows)`. A replayed row carries
-/// the *recorded* compile-time delta (a measurement of the checkpointed run,
-/// not of this one) — prevalence counts are deterministic either way.
-pub fn table5_experiment_with_store(
+///
+/// With a durable `store`, each patch is checkpointed under the `table5` run
+/// key; returns `(rows, resumed_rows)`. A replayed row carries the
+/// *recorded* compile-time delta (a measurement of the checkpointed run, not
+/// of this one) — prevalence counts are deterministic either way.
+pub fn table5_experiment(
     jobs: usize,
     store: Option<&StoreOptions>,
 ) -> (Vec<PatchImpactRow>, usize) {
@@ -944,17 +911,12 @@ fn patch_impact(corpus: &[lpo_corpus::Project], patch: lpo_opt::patches::Patch) 
     }
 }
 
-/// Renders Table 5.
-pub fn table5(jobs: usize) -> TableRun {
-    table5_with_store(jobs, None)
-}
-
-/// [`table5`] with optional per-patch checkpointing (see
-/// [`table5_experiment_with_store`]).
-pub fn table5_with_store(jobs: usize, store: Option<&StoreOptions>) -> TableRun {
+/// Renders Table 5, with optional per-patch checkpointing (see
+/// [`table5_experiment`]).
+pub fn table5(jobs: usize, store: Option<&StoreOptions>) -> TableRun {
     let start = Instant::now();
     let store_before = store.map(|opts| opts.store.stats()).unwrap_or_default();
-    let (rows, resumed) = table5_experiment_with_store(jobs, store);
+    let (rows, resumed) = table5_experiment(jobs, store);
     let mut out = String::from("Table 5: prevalence and compile-time impact of the accepted patches\n");
     let _ = writeln!(out, "{:<14} {:>9} {:>10} {:>20}", "Patch", "#IR files", "#Projects", "d Compile time (%)");
     for row in &rows {
@@ -1801,9 +1763,9 @@ pub struct ExecBenchRun {
 /// evaluates nothing fails the bench instead of yielding a number.
 ///
 /// Parallel speedups are wall-clock and only meaningful on multi-core hosts;
-/// the `repro bench-exec --check-baseline` gate applies the scaling check
-/// only when the host has ≥ 4 cores, and gates the (machine-independent)
-/// overhead ratio everywhere. This is the workload behind the CI
+/// the `exec.sweep_speedup` gate (kind `scaling`) binds only at `--jobs` ≥ 4
+/// on a host with ≥ 4 cores, while the sweep-throughput gate falls back to
+/// the (machine-independent) overhead ratio. This is the workload behind the CI
 /// `shard-smoke` job; measure with `--jobs 1` when comparing across builds.
 ///
 /// [`SweepShard`]: lpo_tv::frozen::SweepShard
@@ -1995,7 +1957,7 @@ pub struct ServeBenchRun {
 ///
 /// This is the workload behind `repro bench-serve` and the CI `serve-smoke`
 /// gate. The cache-hit rates come from store counter deltas, not timings, so
-/// they are exact: the `serve_cache_hit_rate` baseline key is a hard floor.
+/// they are exact: the `serve.cache_hit_rate` gate is an `exact_floor`.
 pub fn bench_serve(jobs: usize) -> Result<ServeBenchRun, String> {
     use lpo_serve::prelude::{ServeClient, ServeConfig, Server, SubmitOptions};
 
@@ -2106,7 +2068,7 @@ mod tests {
         // A scaled-down RQ1: 2 rounds, strongest vs weakest model. The *shape*
         // must hold: the reasoning model detects far more than Gemma3, Souper
         // lands in between, Minotaur detects only a few.
-        let result = rq1_experiment(2, &[gemma3(), gemini2_0t()], 4, DEFAULT_SHARD_SIZE);
+        let result = rq1_experiment(2, &[gemma3(), gemini2_0t()], 4, DEFAULT_SHARD_SIZE, None);
         assert_eq!(result.rows.len(), 25);
         let weak = result.total_detected("Gemma3");
         let strong = result.total_detected("Gemini2.0T");
@@ -2149,7 +2111,7 @@ mod tests {
 
     #[test]
     fn rq2_baselines_miss_most_found_optimizations() {
-        let result = rq2_experiment(4);
+        let result = rq2_experiment(4, None);
         assert_eq!(result.rows.len(), 62);
         let (d, e, m) = result.baseline_counts();
         assert!(d < e, "Souper-Default ({d}) must find fewer than Souper-Enum ({e})");

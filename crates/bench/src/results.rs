@@ -1,4 +1,5 @@
-//! Persistent benchmark results: the `BENCH_results.json` model.
+//! Persistent benchmark results and their gates: the `BENCH_results.json`
+//! model and the `BENCH_baseline.json` checker.
 //!
 //! The `repro` binary used to overwrite `BENCH_results.json` with only the
 //! tables of the current invocation, so running `repro table2` after
@@ -6,20 +7,24 @@
 //! accumulated. This module makes the file a *merged* store:
 //!
 //! * `tables` holds the **latest** entry per table name (merged by name);
-//! * `interp` / `opt` / `tv` hold the latest microbenchmark of each hot
-//!   path (`repro bench-interp` / `bench-opt` / `bench-tv`);
+//! * each named section (`interp`, `opt`, `tv`, `exec`, `serve`) holds the
+//!   latest run of one microbenchmark (`repro bench-interp` …
+//!   `bench-serve`);
 //! * `runs` is the recent history — one record per `repro` invocation
 //!   with the entries that invocation produced, capped at the newest
 //!   [`RUN_HISTORY`] records — so the recent trajectory is preserved
 //!   without the file growing without bound.
 //!
-//! The container has no crates.io access (no serde), so this file carries a
-//! small hand-rolled JSON reader/writer covering exactly the subset the
-//! schema needs: objects, arrays, strings, numbers, booleans and null.
+//! The typed entries ([`TableEntry`], [`InterpEntry`], …) only write JSON;
+//! [`BenchResults`] merges the file as parsed [`Json`], since the program
+//! wrote every entry itself. [`check_gates`] reads each `--check-baseline`
+//! gate's measurement from the same section object, so a new gate is a
+//! record in `BENCH_baseline.json` and needs no code.
+//!
+//! The workspace has no serde; [`Json`] is the small hand-rolled
+//! reader/writer that used to live here and moved to `lpo-serve`, where the
+//! wire protocol shares it. It is re-exported from its old path.
 
-// The hand-rolled JSON reader/writer that used to live here moved to
-// `lpo-serve`, where the wire protocol shares it; the results schema
-// keeps using it from its old path via this re-export.
 pub use lpo_serve::json::Json;
 
 /// One per-table entry (the latest run's numbers for that table).
@@ -52,7 +57,8 @@ pub struct TableEntry {
 }
 
 impl TableEntry {
-    fn to_json(&self) -> Json {
+    /// The entry as its `BENCH_results.json` object.
+    pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("name".into(), Json::Str(self.name.clone())),
             ("wall_seconds".into(), Json::Num(self.wall_seconds)),
@@ -65,24 +71,6 @@ impl TableEntry {
             ("absint_refuted".into(), Json::Num(self.absint_refuted as f64)),
             ("jobs".into(), Json::Num(self.jobs as f64)),
         ])
-    }
-
-    fn from_json(value: &Json) -> Option<TableEntry> {
-        Some(TableEntry {
-            name: value.get("name")?.as_str()?.to_string(),
-            wall_seconds: value.get("wall_seconds")?.as_num()?,
-            cases: value.get("cases")?.as_num()? as usize,
-            cases_per_second: value.get("cases_per_second")?.as_num()?,
-            cache_hits: value.get("cache_hits")?.as_num()? as usize,
-            // Absent in files written before failure accounting existed.
-            failed: value.get("failed").and_then(Json::as_num).unwrap_or(0.0) as usize,
-            resumed: value.get("resumed").and_then(Json::as_num).unwrap_or(0.0) as usize,
-            // Absent in files written before the abstract tier existed.
-            proved: value.get("proved").and_then(Json::as_num).unwrap_or(0.0) as usize,
-            absint_refuted: value.get("absint_refuted").and_then(Json::as_num).unwrap_or(0.0)
-                as usize,
-            jobs: value.get("jobs")?.as_num()? as usize,
-        })
     }
 }
 
@@ -106,7 +94,8 @@ pub struct InterpEntry {
 }
 
 impl InterpEntry {
-    fn to_json(&self) -> Json {
+    /// The entry as its `BENCH_results.json` object.
+    pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("evals_per_second".into(), Json::Num(self.evals_per_second)),
             ("steps_per_second".into(), Json::Num(self.steps_per_second)),
@@ -116,18 +105,6 @@ impl InterpEntry {
             ("evals".into(), Json::Num(self.evals as f64)),
             ("jobs".into(), Json::Num(self.jobs as f64)),
         ])
-    }
-
-    fn from_json(value: &Json) -> Option<InterpEntry> {
-        Some(InterpEntry {
-            evals_per_second: value.get("evals_per_second")?.as_num()?,
-            steps_per_second: value.get("steps_per_second")?.as_num()?,
-            reference_evals_per_second: value.get("reference_evals_per_second")?.as_num()?,
-            speedup: value.get("speedup")?.as_num()?,
-            cases: value.get("cases")?.as_num()? as usize,
-            evals: value.get("evals")?.as_num()? as usize,
-            jobs: value.get("jobs")?.as_num()? as usize,
-        })
     }
 }
 
@@ -155,7 +132,8 @@ pub struct OptEntry {
 }
 
 impl OptEntry {
-    fn to_json(&self) -> Json {
+    /// The entry as its `BENCH_results.json` object.
+    pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("canon_per_second".into(), Json::Num(self.canon_per_second)),
             ("reference_canon_per_second".into(), Json::Num(self.reference_canon_per_second)),
@@ -170,22 +148,6 @@ impl OptEntry {
             ("functions".into(), Json::Num(self.functions as f64)),
             ("jobs".into(), Json::Num(self.jobs as f64)),
         ])
-    }
-
-    fn from_json(value: &Json) -> Option<OptEntry> {
-        Some(OptEntry {
-            canon_per_second: value.get("canon_per_second")?.as_num()?,
-            reference_canon_per_second: value.get("reference_canon_per_second")?.as_num()?,
-            speedup: value.get("speedup")?.as_num()?,
-            case_canon_per_second: value.get("case_canon_per_second")?.as_num()?,
-            case_reference_canon_per_second: value
-                .get("case_reference_canon_per_second")?
-                .as_num()?,
-            case_speedup: value.get("case_speedup")?.as_num()?,
-            cases: value.get("cases")?.as_num()? as usize,
-            functions: value.get("functions")?.as_num()? as usize,
-            jobs: value.get("jobs")?.as_num()? as usize,
-        })
     }
 }
 
@@ -245,7 +207,8 @@ pub struct TvEntry {
 }
 
 impl TvEntry {
-    fn to_json(&self) -> Json {
+    /// The entry as its `BENCH_results.json` object.
+    pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("refuted_per_second".into(), Json::Num(self.refuted_per_second)),
             (
@@ -275,63 +238,6 @@ impl TvEntry {
             ("plane_cases".into(), Json::Num(self.plane_cases as f64)),
             ("jobs".into(), Json::Num(self.jobs as f64)),
         ])
-    }
-
-    fn from_json(value: &Json) -> Option<TvEntry> {
-        Some(TvEntry {
-            refuted_per_second: value.get("refuted_per_second")?.as_num()?,
-            reference_refuted_per_second: value
-                .get("reference_refuted_per_second")?
-                .as_num()?,
-            refuted_speedup: value.get("refuted_speedup")?.as_num()?,
-            survivor_per_second: value.get("survivor_per_second")?.as_num()?,
-            reference_survivor_per_second: value
-                .get("reference_survivor_per_second")?
-                .as_num()?,
-            survivor_speedup: value.get("survivor_speedup")?.as_num()?,
-            // Absent in records written before the cold shape existed.
-            cold_survivor_per_second: value
-                .get("cold_survivor_per_second")
-                .and_then(Json::as_num)
-                .unwrap_or(0.0),
-            reference_cold_survivor_per_second: value
-                .get("reference_cold_survivor_per_second")
-                .and_then(Json::as_num)
-                .unwrap_or(0.0),
-            cold_survivor_speedup: value
-                .get("cold_survivor_speedup")
-                .and_then(Json::as_num)
-                .unwrap_or(0.0),
-            // Absent in records written before the abstract tier existed.
-            absint_refuted_per_second: value
-                .get("absint_refuted_per_second")
-                .and_then(Json::as_num)
-                .unwrap_or(0.0),
-            absint_reference_per_second: value
-                .get("absint_reference_per_second")
-                .and_then(Json::as_num)
-                .unwrap_or(0.0),
-            absint_speedup: value.get("absint_speedup").and_then(Json::as_num).unwrap_or(0.0),
-            absint_cases: value
-                .get("absint_cases")
-                .and_then(Json::as_num)
-                .map(|n| n as usize)
-                .unwrap_or(0),
-            proved_survivors: value
-                .get("proved_survivors")
-                .and_then(Json::as_num)
-                .map(|n| n as usize)
-                .unwrap_or(0),
-            proved_fraction: value.get("proved_fraction").and_then(Json::as_num).unwrap_or(0.0),
-            cases: value.get("cases")?.as_num()? as usize,
-            // Absent in records written before the plane tier existed.
-            plane_cases: value
-                .get("plane_cases")
-                .and_then(|v| v.as_num())
-                .map(|n| n as usize)
-                .unwrap_or(0),
-            jobs: value.get("jobs")?.as_num()? as usize,
-        })
     }
 }
 
@@ -370,7 +276,8 @@ pub struct ExecEntry {
 }
 
 impl ExecEntry {
-    fn to_json(&self) -> Json {
+    /// The entry as its `BENCH_results.json` object.
+    pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("sweep_reference_per_second".into(), Json::Num(self.sweep_reference_per_second)),
             ("sweep_serial_per_second".into(), Json::Num(self.sweep_serial_per_second)),
@@ -383,21 +290,6 @@ impl ExecEntry {
             ("jobs".into(), Json::Num(self.jobs as f64)),
             ("shard_size".into(), Json::Num(self.shard_size as f64)),
         ])
-    }
-
-    fn from_json(value: &Json) -> Option<ExecEntry> {
-        Some(ExecEntry {
-            sweep_reference_per_second: value.get("sweep_reference_per_second")?.as_num()?,
-            sweep_serial_per_second: value.get("sweep_serial_per_second")?.as_num()?,
-            sweep_overhead_ratio: value.get("sweep_overhead_ratio")?.as_num()?,
-            sweep_parallel_per_second: value.get("sweep_parallel_per_second")?.as_num()?,
-            sweep_speedup: value.get("sweep_speedup")?.as_num()?,
-            shards_executed: value.get("shards_executed")?.as_num()? as usize,
-            shards_stolen: value.get("shards_stolen")?.as_num()? as usize,
-            shard_cancellations: value.get("shard_cancellations")?.as_num()? as usize,
-            jobs: value.get("jobs")?.as_num()? as usize,
-            shard_size: value.get("shard_size")?.as_num()? as usize,
-        })
     }
 }
 
@@ -436,7 +328,8 @@ pub struct ServeEntry {
 }
 
 impl ServeEntry {
-    fn to_json(&self) -> Json {
+    /// The entry as its `BENCH_results.json` object.
+    pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("requests_per_second".into(), Json::Num(self.requests_per_second)),
             ("cold_seconds".into(), Json::Num(self.cold_seconds)),
@@ -450,140 +343,36 @@ impl ServeEntry {
             ("jobs".into(), Json::Num(self.jobs as f64)),
         ])
     }
-
-    fn from_json(value: &Json) -> Option<ServeEntry> {
-        Some(ServeEntry {
-            requests_per_second: value.get("requests_per_second")?.as_num()?,
-            cold_seconds: value.get("cold_seconds")?.as_num()?,
-            warm_jobs_per_second: value.get("warm_jobs_per_second")?.as_num()?,
-            warm_speedup: value.get("warm_speedup")?.as_num()?,
-            cold_cache_hit_rate: value.get("cold_cache_hit_rate")?.as_num()?,
-            cache_hit_rate: value.get("cache_hit_rate")?.as_num()?,
-            cases: value.get("cases")?.as_num()? as usize,
-            warm_jobs: value.get("warm_jobs")?.as_num()? as usize,
-            requests: value.get("requests")?.as_num()? as usize,
-            jobs: value.get("jobs")?.as_num()? as usize,
-        })
-    }
 }
 
-/// One `repro` invocation in the append-only history.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunRecord {
-    /// 1-based run index (monotonic across the file's lifetime).
-    pub run: usize,
-    /// The subcommand that produced this record (e.g. `table2`, `all`).
-    pub command: String,
-    /// The `--jobs` value requested.
-    pub jobs_requested: usize,
-    /// The tables this invocation produced.
-    pub tables: Vec<TableEntry>,
-    /// The interpreter microbenchmark, when this invocation ran it.
-    pub interp: Option<InterpEntry>,
-    /// The canonicalization microbenchmark, when this invocation ran it.
-    pub opt: Option<OptEntry>,
-    /// The translation-validation microbenchmark, when this invocation ran it.
-    pub tv: Option<TvEntry>,
-    /// The sharded-execution microbenchmark, when this invocation ran it.
-    pub exec: Option<ExecEntry>,
-    /// The serving-shell benchmark, when this invocation ran it.
-    pub serve: Option<ServeEntry>,
-}
-
-impl RunRecord {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("run".into(), Json::Num(self.run as f64)),
-            ("command".into(), Json::Str(self.command.clone())),
-            ("jobs_requested".into(), Json::Num(self.jobs_requested as f64)),
-            ("tables".into(), Json::Arr(self.tables.iter().map(TableEntry::to_json).collect())),
-        ];
-        if let Some(interp) = &self.interp {
-            fields.push(("interp".into(), interp.to_json()));
-        }
-        if let Some(opt) = &self.opt {
-            fields.push(("opt".into(), opt.to_json()));
-        }
-        if let Some(tv) = &self.tv {
-            fields.push(("tv".into(), tv.to_json()));
-        }
-        if let Some(exec) = &self.exec {
-            fields.push(("exec".into(), exec.to_json()));
-        }
-        if let Some(serve) = &self.serve {
-            fields.push(("serve".into(), serve.to_json()));
-        }
-        Json::Obj(fields)
-    }
-
-    fn from_json(value: &Json) -> Option<RunRecord> {
-        Some(RunRecord {
-            run: value.get("run")?.as_num()? as usize,
-            command: value.get("command")?.as_str()?.to_string(),
-            jobs_requested: value.get("jobs_requested")?.as_num()? as usize,
-            tables: value
-                .get("tables")?
-                .as_arr()?
-                .iter()
-                .filter_map(TableEntry::from_json)
-                .collect(),
-            interp: value.get("interp").and_then(InterpEntry::from_json),
-            opt: value.get("opt").and_then(OptEntry::from_json),
-            tv: value.get("tv").and_then(TvEntry::from_json),
-            exec: value.get("exec").and_then(ExecEntry::from_json),
-            serve: value.get("serve").and_then(ServeEntry::from_json),
-        })
-    }
-}
-
-/// The measurement sections one `repro` invocation produced — the unit
-/// [`BenchResults::record`] merges. A future section is added here (plus its
-/// entry type and `RunRecord` field) without touching any call site.
+/// The measurements one `repro` invocation produced — the unit
+/// [`BenchResults::record`] merges.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunEntries {
     /// Table drivers this invocation ran.
     pub tables: Vec<TableEntry>,
-    /// The interpreter microbenchmark (`bench-interp`), if run.
-    pub interp: Option<InterpEntry>,
-    /// The canonicalization microbenchmark (`bench-opt`), if run.
-    pub opt: Option<OptEntry>,
-    /// The translation-validation microbenchmark (`bench-tv`), if run.
-    pub tv: Option<TvEntry>,
-    /// The sharded-execution microbenchmark (`bench-exec`), if run.
-    pub exec: Option<ExecEntry>,
-    /// The serving-shell benchmark (`bench-serve`), if run.
-    pub serve: Option<ServeEntry>,
+    /// Microbenchmark sections this invocation ran, each its name and its
+    /// entry's `to_json()` (e.g. `("tv", TvEntry::to_json)`).
+    pub sections: Vec<(String, Json)>,
 }
 
 impl RunEntries {
     /// Whether the invocation produced anything worth persisting.
     pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-            && self.interp.is_none()
-            && self.opt.is_none()
-            && self.tv.is_none()
-            && self.exec.is_none()
-            && self.serve.is_none()
+        self.tables.is_empty() && self.sections.is_empty()
     }
 }
 
-/// The whole `BENCH_results.json` store.
+/// The whole `BENCH_results.json` store, kept as parsed JSON: the program
+/// writes every entry itself, so merging needs no typed reader.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BenchResults {
     /// Latest entry per table name, in first-recorded order.
-    pub tables: Vec<TableEntry>,
-    /// Latest interpreter microbenchmark.
-    pub interp: Option<InterpEntry>,
-    /// Latest canonicalization microbenchmark.
-    pub opt: Option<OptEntry>,
-    /// Latest translation-validation microbenchmark.
-    pub tv: Option<TvEntry>,
-    /// Latest sharded-execution microbenchmark.
-    pub exec: Option<ExecEntry>,
-    /// Latest serving-shell benchmark.
-    pub serve: Option<ServeEntry>,
+    pub tables: Vec<Json>,
+    /// Latest object per section name, in first-recorded order.
+    pub sections: Vec<(String, Json)>,
     /// Invocation history, oldest first, at most [`RUN_HISTORY`] records.
-    pub runs: Vec<RunRecord>,
+    pub runs: Vec<Json>,
 }
 
 /// The schema version written by this build.
@@ -597,73 +386,67 @@ impl BenchResults {
     /// unknown-schema file yields an empty store (the history restarts
     /// rather than blocking the benchmark run, and a future-schema file is
     /// not silently half-parsed); a legacy schema-1 file contributes its
-    /// tables.
+    /// tables. Every other object-valued top-level key is a section; a
+    /// table without a string `name` or a run without a numeric `run` is
+    /// dropped.
     pub fn load(path: &str) -> BenchResults {
         let Ok(text) = std::fs::read_to_string(path) else {
             return BenchResults::default();
         };
-        let Ok(value) = Json::parse(&text) else {
+        let Ok(Json::Obj(fields)) = Json::parse(&text) else {
             return BenchResults::default();
         };
-        match value.get("schema").and_then(Json::as_num) {
-            Some(schema) if schema == 1.0 || schema == SCHEMA as f64 => {}
-            _ => return BenchResults::default(),
+        let schema = fields.iter().find(|(key, _)| key == "schema").and_then(|(_, v)| v.as_num());
+        if schema != Some(1.0) && schema != Some(SCHEMA as f64) {
+            return BenchResults::default();
         }
+        let named = |table: &Json| table.get("name").and_then(Json::as_str).is_some();
+        let numbered = |run: &Json| run.get("run").and_then(Json::as_num).is_some();
         let mut results = BenchResults::default();
-        if let Some(tables) = value.get("tables").and_then(Json::as_arr) {
-            results.tables = tables.iter().filter_map(TableEntry::from_json).collect();
-        }
-        results.interp = value.get("interp").and_then(InterpEntry::from_json);
-        results.opt = value.get("opt").and_then(OptEntry::from_json);
-        results.tv = value.get("tv").and_then(TvEntry::from_json);
-        results.exec = value.get("exec").and_then(ExecEntry::from_json);
-        results.serve = value.get("serve").and_then(ServeEntry::from_json);
-        if let Some(runs) = value.get("runs").and_then(Json::as_arr) {
-            results.runs = runs.iter().filter_map(RunRecord::from_json).collect();
+        for (key, value) in fields {
+            match (key.as_str(), value) {
+                ("tables", Json::Arr(tables)) => {
+                    results.tables = tables.into_iter().filter(named).collect();
+                }
+                ("runs", Json::Arr(runs)) => {
+                    results.runs = runs.into_iter().filter(numbered).collect();
+                }
+                ("schema" | "tables" | "runs", _) => {}
+                (_, section @ Json::Obj(_)) => results.sections.push((key, section)),
+                _ => {}
+            }
         }
         results
     }
 
     /// Merges one invocation into the store: per-table entries replace the
-    /// previous entry of the same name, the microbenchmark sections (when
-    /// present) replace the previous ones, and the invocation is appended to
-    /// `runs` with the next run index; records beyond the newest
-    /// [`RUN_HISTORY`] are dropped.
+    /// previous entry of the same name, each section replaces the previous
+    /// one of the same name, and the invocation is appended to `runs` with
+    /// the next run index; records beyond the newest [`RUN_HISTORY`] are
+    /// dropped.
     pub fn record(&mut self, command: &str, jobs_requested: usize, entries: RunEntries) {
-        let RunEntries { tables, interp, opt, tv, exec, serve } = entries;
-        for entry in &tables {
-            match self.tables.iter_mut().find(|t| t.name == entry.name) {
-                Some(slot) => *slot = entry.clone(),
-                None => self.tables.push(entry.clone()),
+        let tables: Vec<Json> = entries.tables.iter().map(TableEntry::to_json).collect();
+        for table in &tables {
+            match self.tables.iter_mut().find(|t| t.get("name") == table.get("name")) {
+                Some(slot) => *slot = table.clone(),
+                None => self.tables.push(table.clone()),
             }
         }
-        if interp.is_some() {
-            self.interp = interp.clone();
+        for (name, section) in &entries.sections {
+            match self.sections.iter_mut().find(|(key, _)| key == name) {
+                Some((_, slot)) => *slot = section.clone(),
+                None => self.sections.push((name.clone(), section.clone())),
+            }
         }
-        if opt.is_some() {
-            self.opt = opt.clone();
-        }
-        if tv.is_some() {
-            self.tv = tv.clone();
-        }
-        if exec.is_some() {
-            self.exec = exec.clone();
-        }
-        if serve.is_some() {
-            self.serve = serve.clone();
-        }
-        let run = self.runs.last().map(|r| r.run + 1).unwrap_or(1);
-        self.runs.push(RunRecord {
-            run,
-            command: command.to_string(),
-            jobs_requested,
-            tables,
-            interp,
-            opt,
-            tv,
-            exec,
-            serve,
-        });
+        let last = self.runs.last().and_then(|r| r.get("run")).and_then(Json::as_num);
+        let mut record = vec![
+            ("run".into(), Json::Num(last.unwrap_or(0.0) + 1.0)),
+            ("command".into(), Json::Str(command.to_string())),
+            ("jobs_requested".into(), Json::Num(jobs_requested as f64)),
+            ("tables".into(), Json::Arr(tables)),
+        ];
+        record.extend(entries.sections);
+        self.runs.push(Json::Obj(record));
         let excess = self.runs.len().saturating_sub(RUN_HISTORY);
         self.runs.drain(..excess);
     }
@@ -672,24 +455,10 @@ impl BenchResults {
     pub fn render(&self) -> String {
         let mut fields = vec![
             ("schema".into(), Json::Num(SCHEMA as f64)),
-            ("tables".into(), Json::Arr(self.tables.iter().map(TableEntry::to_json).collect())),
+            ("tables".into(), Json::Arr(self.tables.clone())),
         ];
-        if let Some(interp) = &self.interp {
-            fields.push(("interp".into(), interp.to_json()));
-        }
-        if let Some(opt) = &self.opt {
-            fields.push(("opt".into(), opt.to_json()));
-        }
-        if let Some(tv) = &self.tv {
-            fields.push(("tv".into(), tv.to_json()));
-        }
-        if let Some(exec) = &self.exec {
-            fields.push(("exec".into(), exec.to_json()));
-        }
-        if let Some(serve) = &self.serve {
-            fields.push(("serve".into(), serve.to_json()));
-        }
-        fields.push(("runs".into(), Json::Arr(self.runs.iter().map(RunRecord::to_json).collect())));
+        fields.extend(self.sections.iter().cloned());
+        fields.push(("runs".into(), Json::Arr(self.runs.clone())));
         Json::Obj(fields).render()
     }
 
@@ -711,6 +480,171 @@ impl BenchResults {
     }
 }
 
+/// Allowed relative regression below a `throughput` or `scaling` gate's
+/// baseline. A gate's kind fixes its tolerance (`exact_floor` has none), so
+/// tolerance is not a field of the gate records.
+const REGRESSION_TOLERANCE: f64 = 0.30;
+
+/// The keys a `BENCH_baseline.json` gate record may carry.
+const GATE_KEYS: [&str; 6] =
+    ["metric", "kind", "baseline", "fallback", "fallback_baseline", "comment"];
+
+/// How a gate compares its measurement with its baseline.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum GateKind {
+    /// A timing: passes at ≥ 70% of the baseline or, with a fallback, when
+    /// the same run's machine-independent fallback metric is ≥ 70% of its
+    /// own baseline (the "slower host" pass).
+    Throughput,
+    /// A deterministic count or ratio: the baseline itself is the floor.
+    ExactFloor,
+    /// A parallel speedup: checked like `Throughput` without a fallback, and
+    /// skipped unless the section ran at `jobs` ≥ 4 on a host with ≥ 4 cores.
+    Scaling,
+}
+
+/// One gate record of `BENCH_baseline.json`.
+#[derive(Debug)]
+struct Gate {
+    /// `<section>.<field>` of the measurement.
+    metric: String,
+    kind: GateKind,
+    baseline: f64,
+    /// `<section>.<field>` of the slower-host fallback, and its baseline.
+    fallback: Option<(String, f64)>,
+}
+
+impl Gate {
+    fn parse(record: &Json) -> Result<Gate, String> {
+        let Json::Obj(fields) = record else {
+            return Err(format!("gate record is not an object: {}", record.render_compact()));
+        };
+        if let Some((key, _)) = fields.iter().find(|(key, _)| !GATE_KEYS.contains(&key.as_str())) {
+            return Err(format!("gate record has unknown key '{key}'"));
+        }
+        let path = |key: &str| record.get(key).and_then(Json::as_str).filter(|p| p.contains('.'));
+        let number = |key: &str| record.get(key).and_then(Json::as_num);
+        let metric = path("metric").ok_or("gate record needs \"metric\": \"<section>.<field>\"")?;
+        let kind = match record.get("kind").and_then(Json::as_str) {
+            Some("throughput") => GateKind::Throughput,
+            Some("exact_floor") => GateKind::ExactFloor,
+            Some("scaling") => GateKind::Scaling,
+            other => {
+                return Err(format!(
+                    "gate {metric}: unknown kind {other:?} (expected throughput, exact_floor or scaling)"
+                ))
+            }
+        };
+        let baseline = number("baseline")
+            .ok_or_else(|| format!("gate {metric}: needs a numeric \"baseline\""))?;
+        let fallback = match (record.get("fallback"), record.get("fallback_baseline")) {
+            (None, None) => None,
+            _ => match (path("fallback"), number("fallback_baseline")) {
+                (Some(fallback), Some(value)) if kind == GateKind::Throughput => {
+                    Some((fallback.to_string(), value))
+                }
+                _ => {
+                    return Err(format!(
+                        "gate {metric}: a fallback needs \"fallback\": \"<section>.<field>\" and a \
+                         numeric \"fallback_baseline\", on a throughput gate"
+                    ))
+                }
+            },
+        };
+        Ok(Gate { metric: metric.to_string(), kind, baseline, fallback })
+    }
+
+    fn section(&self) -> &str {
+        self.metric.split_once('.').map_or("", |(section, _)| section)
+    }
+
+    /// The gate's line: `Ok` when it passes or is skipped, `Err` when it
+    /// fails. A metric the run's section does not carry is a failure.
+    fn check(&self, sections: &[(String, Json)], cores: usize) -> Result<String, String> {
+        let measured = |path: &str| {
+            let (section, field) = path.split_once('.').unwrap_or_default();
+            sections
+                .iter()
+                .find(|(name, _)| name == section)
+                .and_then(|(_, json)| json.get(field))
+                .and_then(Json::as_num)
+                .ok_or_else(|| format!("failed: {}, this run did not measure {path}", self.metric))
+        };
+        let value = measured(&self.metric)?;
+        if self.kind == GateKind::Scaling {
+            let jobs = measured(&format!("{}.jobs", self.section()))?;
+            if jobs < 4.0 || cores < 4 {
+                return Ok(format!(
+                    "skipped: {} at jobs {jobs} on a {cores}-core host (needs >= 4 of each)",
+                    self.metric
+                ));
+            }
+        }
+        let describe = |path: &str, value: f64, baseline: f64, floor: f64| {
+            format!("{path} {} vs baseline {} (floor {})", num(value), num(baseline), num(floor))
+        };
+        let floor = match self.kind {
+            GateKind::ExactFloor => self.baseline,
+            _ => self.baseline * (1.0 - REGRESSION_TOLERANCE),
+        };
+        let primary = describe(&self.metric, value, self.baseline, floor);
+        if value >= floor {
+            return Ok(format!("ok: {primary}"));
+        }
+        let Some((fallback, fallback_baseline)) = &self.fallback else {
+            return Err(format!("regressed: {primary}"));
+        };
+        let fallback_value = measured(fallback)?;
+        let fallback_floor = fallback_baseline * (1.0 - REGRESSION_TOLERANCE);
+        let secondary = describe(fallback, fallback_value, *fallback_baseline, fallback_floor);
+        if fallback_value >= fallback_floor {
+            Ok(format!("ok (slower host): {primary}, but {secondary}"))
+        } else {
+            Err(format!("regressed: {primary}, and {secondary}"))
+        }
+    }
+}
+
+/// A gate line's number: whole above 100, two decimals below.
+fn num(x: f64) -> String {
+    if x.abs() >= 100.0 {
+        format!("{x:.0}")
+    } else {
+        format!("{x:.2}")
+    }
+}
+
+/// Checks the gates of a parsed `BENCH_baseline.json` against the sections
+/// this run produced (each its name and `to_json()` object) on a host with
+/// `cores` cores. Only records whose section is among `sections` are
+/// checked; each yields one line, `Ok` when it passes (or a `scaling` gate
+/// is skipped) and `Err` when it fails.
+///
+/// A slower-host pass is only as good as its fallback: a regression in code
+/// *shared* by the measured and reference implementations slows both
+/// proportionally, so only the absolute floor catches it, and only on
+/// hardware comparable to the baseline host.
+///
+/// # Errors
+///
+/// A baseline without a `gates` array, or with a record that is malformed,
+/// has an unknown kind or key, or pairs a fallback with a non-throughput
+/// kind.
+pub fn check_gates(
+    baseline: &Json,
+    sections: &[(String, Json)],
+    cores: usize,
+) -> Result<Vec<Result<String, String>>, String> {
+    let records =
+        baseline.get("gates").and_then(Json::as_arr).ok_or("baseline has no \"gates\" array")?;
+    let gates = records.iter().map(Gate::parse).collect::<Result<Vec<_>, _>>()?;
+    Ok(gates
+        .iter()
+        .filter(|gate| sections.iter().any(|(name, _)| name == gate.section()))
+        .map(|gate| gate.check(sections, cores))
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -730,90 +664,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn merge_replaces_by_name_and_keeps_history() {
-        let mut results = BenchResults::default();
-        results.record("all", 4, RunEntries { tables: vec![table("table2", 5.0), table("table5", 7.0)], ..Default::default() });
-        results.record("table2", 1, RunEntries { tables: vec![table("table2", 9.0)], ..Default::default() });
-
-        assert_eq!(results.tables.len(), 2, "table5 must survive a table2-only run");
-        assert_eq!(
-            results.tables.iter().find(|t| t.name == "table2").unwrap().cases_per_second,
-            9.0
-        );
-        assert_eq!(results.runs.len(), 2);
-        assert_eq!(results.runs[0].run, 1);
-        assert_eq!(results.runs[1].run, 2);
-        assert_eq!(results.runs[1].command, "table2");
-
-        // Round-trips through the serialized form.
-        let rendered = results.render();
-        let value = Json::parse(&rendered).unwrap();
-        assert_eq!(value.get("schema").unwrap().as_num(), Some(SCHEMA as f64));
-        let reloaded = BenchResults {
-            tables: value
-                .get("tables")
-                .unwrap()
-                .as_arr()
-                .unwrap()
-                .iter()
-                .filter_map(TableEntry::from_json)
-                .collect(),
-            ..Default::default()
-        };
-        assert_eq!(reloaded.tables, results.tables);
-    }
-
-    #[test]
-    fn history_keeps_the_newest_runs() {
-        let mut results = BenchResults::default();
-        for i in 0..RUN_HISTORY {
-            results.record(&format!("run{i}"), 1, RunEntries::default());
-        }
-        assert_eq!(results.runs.len(), RUN_HISTORY);
-        results.record("overflow", 1, RunEntries::default());
-        assert_eq!(results.runs.len(), RUN_HISTORY, "the 21st run evicts the oldest");
-        assert_eq!(results.runs[0].command, "run1");
-        assert_eq!(results.runs.last().unwrap().command, "overflow");
-        assert_eq!(results.runs.last().unwrap().run, RUN_HISTORY + 1);
-        assert!(
-            results.runs.windows(2).all(|w| w[0].run < w[1].run),
-            "run indices keep increasing"
-        );
-    }
-
-    #[test]
-    fn load_accepts_legacy_schema_1_and_garbage() {
-        let dir = std::env::temp_dir().join("lpo_results_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let legacy = dir.join("legacy.json");
-        std::fs::write(
-            &legacy,
-            "{\n  \"schema\": 1,\n  \"jobs_requested\": 4,\n  \"tables\": [\n    {\"name\": \"table5\", \"wall_seconds\": 0.1, \"cases\": 15, \"cases_per_second\": 119.1, \"cache_hits\": 0, \"jobs\": 4}\n  ]\n}\n",
-        )
-        .unwrap();
-        let results = BenchResults::load(legacy.to_str().unwrap());
-        assert_eq!(results.tables.len(), 1);
-        assert_eq!(results.tables[0].name, "table5");
-        assert!(results.runs.is_empty());
-
-        let garbage = dir.join("garbage.json");
-        std::fs::write(&garbage, "not json").unwrap();
-        assert_eq!(BenchResults::load(garbage.to_str().unwrap()), BenchResults::default());
-        assert_eq!(BenchResults::load("/nonexistent/path.json"), BenchResults::default());
-
-        // A future schema restarts the store instead of half-parsing it.
-        let future = dir.join("future.json");
-        std::fs::write(
-            &future,
-            "{\n  \"schema\": 3,\n  \"tables\": [{\"name\": \"table5\", \"wall_seconds\": 1, \"cases\": 1, \"cases_per_second\": 1, \"cache_hits\": 0, \"jobs\": 1}]\n}\n",
-        )
-        .unwrap();
-        assert_eq!(BenchResults::load(future.to_str().unwrap()), BenchResults::default());
-    }
-
-    #[test]
-    fn interp_section_round_trips() {
+    /// One filled entry per microbenchmark section, as `repro` names them.
+    fn sample_sections() -> Vec<(String, Json)> {
         let interp = InterpEntry {
             evals_per_second: 1e6,
             steps_per_second: 5e6,
@@ -823,53 +675,17 @@ mod tests {
             evals: 100_000,
             jobs: 1,
         };
-        let mut results = BenchResults::default();
-        results.record("bench-interp", 1, RunEntries { interp: Some(interp.clone()), ..Default::default() });
-        let rendered = results.render();
-        let value = Json::parse(&rendered).unwrap();
-        assert_eq!(InterpEntry::from_json(value.get("interp").unwrap()), Some(interp.clone()));
-        assert_eq!(
-            InterpEntry::from_json(value.get("runs").unwrap().as_arr().unwrap()[0].get("interp").unwrap()),
-            Some(interp)
-        );
-    }
-
-    #[test]
-    fn exec_section_round_trips_and_merges() {
-        let exec = ExecEntry {
-            sweep_reference_per_second: 210.0,
-            sweep_serial_per_second: 205.0,
-            sweep_overhead_ratio: 0.976,
-            sweep_parallel_per_second: 640.0,
-            sweep_speedup: 3.12,
-            shards_executed: 4_096,
-            shards_stolen: 1_201,
-            shard_cancellations: 0,
-            jobs: 4,
-            shard_size: 256,
+        let opt = OptEntry {
+            canon_per_second: 41_000.0,
+            reference_canon_per_second: 12_000.0,
+            speedup: 3.4,
+            case_canon_per_second: 90_000.0,
+            case_reference_canon_per_second: 60_000.0,
+            case_speedup: 1.5,
+            cases: 25,
+            functions: 3,
+            jobs: 1,
         };
-        let mut results = BenchResults::default();
-        results.record("bench-exec", 4, RunEntries { exec: Some(exec.clone()), ..Default::default() });
-        // A later tables-only run must not erase the exec section.
-        results.record("table2", 1, RunEntries { tables: vec![table("table2", 9.0)], ..Default::default() });
-        let rendered = results.render();
-        let value = Json::parse(&rendered).unwrap();
-        assert_eq!(ExecEntry::from_json(value.get("exec").unwrap()), Some(exec.clone()));
-        assert_eq!(
-            ExecEntry::from_json(value.get("runs").unwrap().as_arr().unwrap()[0].get("exec").unwrap()),
-            Some(exec.clone())
-        );
-        let dir = std::env::temp_dir().join("lpo_results_exec_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("results.json");
-        std::fs::write(&path, rendered).unwrap();
-        let reloaded = BenchResults::load(path.to_str().unwrap());
-        assert_eq!(reloaded.exec, Some(exec));
-        assert_eq!(reloaded.runs.len(), 2);
-    }
-
-    #[test]
-    fn tv_section_round_trips_and_merges() {
         let tv = TvEntry {
             refuted_per_second: 5e5,
             reference_refuted_per_second: 1e5,
@@ -890,24 +706,351 @@ mod tests {
             plane_cases: 18,
             jobs: 1,
         };
+        let exec = ExecEntry {
+            sweep_reference_per_second: 210.0,
+            sweep_serial_per_second: 205.0,
+            sweep_overhead_ratio: 0.976,
+            sweep_parallel_per_second: 640.0,
+            sweep_speedup: 3.12,
+            shards_executed: 4_096,
+            shards_stolen: 1_201,
+            shard_cancellations: 0,
+            jobs: 4,
+            shard_size: 256,
+        };
+        let serve = ServeEntry {
+            requests_per_second: 420.0,
+            cold_seconds: 0.4,
+            warm_jobs_per_second: 40.0,
+            warm_speedup: 16.0,
+            cold_cache_hit_rate: 0.02,
+            cache_hit_rate: 1.0,
+            cases: 25,
+            warm_jobs: 80,
+            requests: 83,
+            jobs: 4,
+        };
+        vec![
+            ("interp".into(), interp.to_json()),
+            ("opt".into(), opt.to_json()),
+            ("tv".into(), tv.to_json()),
+            ("exec".into(), exec.to_json()),
+            ("serve".into(), serve.to_json()),
+        ]
+    }
+
+    fn temp_file(name: &str, text: &str) -> String {
+        let dir = std::env::temp_dir().join("lpo_results_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    #[test]
+    fn merge_replaces_by_name_and_keeps_history() {
         let mut results = BenchResults::default();
-        results.record("bench-tv", 1, RunEntries { tv: Some(tv.clone()), ..Default::default() });
-        // A later tables-only run must not erase the tv section.
-        results.record("table2", 1, RunEntries { tables: vec![table("table2", 9.0)], ..Default::default() });
+        results.record(
+            "all",
+            4,
+            RunEntries {
+                tables: vec![table("table2", 5.0), table("table5", 7.0)],
+                ..Default::default()
+            },
+        );
+        results.record(
+            "table2",
+            1,
+            RunEntries { tables: vec![table("table2", 9.0)], ..Default::default() },
+        );
+
+        assert_eq!(
+            results.tables,
+            vec![table("table2", 9.0).to_json(), table("table5", 7.0).to_json()]
+        );
+        assert_eq!(results.runs.len(), 2);
+        assert_eq!(results.runs[0].get("run"), Some(&Json::Num(1.0)));
+        assert_eq!(results.runs[1].get("run"), Some(&Json::Num(2.0)));
+        assert_eq!(results.runs[1].get("command").and_then(Json::as_str), Some("table2"));
+        let value = Json::parse(&results.render()).unwrap();
+        assert_eq!(value.get("schema").unwrap().as_num(), Some(SCHEMA as f64));
+    }
+
+    #[test]
+    fn history_keeps_the_newest_runs() {
+        let mut results = BenchResults::default();
+        for i in 0..RUN_HISTORY {
+            results.record(&format!("run{i}"), 1, RunEntries::default());
+        }
+        assert_eq!(results.runs.len(), RUN_HISTORY);
+        results.record("overflow", 1, RunEntries::default());
+        let command = |run: &Json| run.get("command").and_then(Json::as_str).unwrap().to_string();
+        let index = |run: &Json| run.get("run").and_then(Json::as_num).unwrap();
+        assert_eq!(results.runs.len(), RUN_HISTORY, "the 21st run evicts the oldest");
+        assert_eq!(command(&results.runs[0]), "run1");
+        assert_eq!(command(results.runs.last().unwrap()), "overflow");
+        assert_eq!(index(results.runs.last().unwrap()), (RUN_HISTORY + 1) as f64);
+        assert!(
+            results.runs.windows(2).all(|w| index(&w[0]) < index(&w[1])),
+            "run indices keep increasing"
+        );
+    }
+
+    #[test]
+    fn load_accepts_legacy_schema_1_and_garbage() {
+        let legacy = temp_file(
+            "legacy.json",
+            "{\n  \"schema\": 1,\n  \"jobs_requested\": 4,\n  \"tables\": [\n    {\"name\": \"table5\", \"wall_seconds\": 0.1, \"cases\": 15, \"cases_per_second\": 119.1, \"cache_hits\": 0, \"jobs\": 4}\n  ]\n}\n",
+        );
+        let results = BenchResults::load(&legacy);
+        assert_eq!(results.tables.len(), 1);
+        assert_eq!(results.tables[0].get("name").and_then(Json::as_str), Some("table5"));
+        assert!(results.sections.is_empty(), "a top-level number is not a section");
+        assert!(results.runs.is_empty());
+
+        let garbage = temp_file("garbage.json", "not json");
+        assert_eq!(BenchResults::load(&garbage), BenchResults::default());
+        assert_eq!(BenchResults::load("/nonexistent/path.json"), BenchResults::default());
+
+        // A future schema restarts the store instead of half-parsing it.
+        let future = temp_file(
+            "future.json",
+            "{\n  \"schema\": 3,\n  \"tables\": [{\"name\": \"table5\", \"wall_seconds\": 1, \"cases\": 1, \"cases_per_second\": 1, \"cache_hits\": 0, \"jobs\": 1}]\n}\n",
+        );
+        assert_eq!(BenchResults::load(&future), BenchResults::default());
+    }
+
+    #[test]
+    fn load_drops_unnamed_tables_and_unnumbered_runs() {
+        let path = temp_file(
+            "unnamed.json",
+            r#"{"schema": 2,
+                "tables": [{"name": "table2", "cases": 1}, {"cases": 2}, {"name": 3}],
+                "runs": [{"run": 1, "command": "table2"}, {"command": "lost"}, {"run": "2"}]}"#,
+        );
+        let results = BenchResults::load(&path);
+        assert_eq!(results.tables.len(), 1);
+        assert_eq!(results.runs.len(), 1);
+        assert_eq!(results.runs[0].get("command").and_then(Json::as_str), Some("table2"));
+    }
+
+    /// Records the sample entry of one section, then a tables-only run, and
+    /// checks that the section survives both in the store and on reload.
+    fn assert_section_round_trips(name: &str) {
+        let entry = sample_sections().into_iter().find(|(n, _)| n == name).unwrap();
+        let mut results = BenchResults::default();
+        results.record(
+            &format!("bench-{name}"),
+            1,
+            RunEntries { sections: vec![entry.clone()], ..Default::default() },
+        );
+        // A later tables-only run must not erase the section.
+        results.record(
+            "table2",
+            1,
+            RunEntries { tables: vec![table("table2", 9.0)], ..Default::default() },
+        );
         let rendered = results.render();
         let value = Json::parse(&rendered).unwrap();
-        assert_eq!(TvEntry::from_json(value.get("tv").unwrap()), Some(tv.clone()));
-        assert_eq!(
-            TvEntry::from_json(value.get("runs").unwrap().as_arr().unwrap()[0].get("tv").unwrap()),
-            Some(tv.clone())
-        );
-        // And the full loader sees it.
-        let dir = std::env::temp_dir().join("lpo_results_tv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("results.json");
-        std::fs::write(&path, rendered).unwrap();
-        let reloaded = BenchResults::load(path.to_str().unwrap());
-        assert_eq!(reloaded.tv, Some(tv));
+        assert_eq!(value.get(name), Some(&entry.1));
+        assert_eq!(value.get("runs").unwrap().as_arr().unwrap()[0].get(name), Some(&entry.1));
+        let reloaded = BenchResults::load(&temp_file(&format!("{name}_section.json"), &rendered));
+        assert_eq!(reloaded.sections, vec![entry]);
         assert_eq!(reloaded.runs.len(), 2);
+    }
+
+    #[test]
+    fn interp_section_round_trips() {
+        assert_section_round_trips("interp");
+    }
+
+    #[test]
+    fn exec_section_round_trips_and_merges() {
+        assert_section_round_trips("exec");
+    }
+
+    #[test]
+    fn tv_section_round_trips_and_merges() {
+        assert_section_round_trips("tv");
+    }
+
+    #[test]
+    fn every_section_round_trips_and_merges() {
+        let sections = sample_sections();
+        let mut results = BenchResults::default();
+        results.record(
+            "all",
+            1,
+            RunEntries { tables: vec![table("table2", 5.0)], sections: sections.clone() },
+        );
+        // A later tables-only run must not erase any section.
+        results.record(
+            "table2",
+            1,
+            RunEntries { tables: vec![table("table2", 9.0)], ..Default::default() },
+        );
+        let rendered = results.render();
+        let reloaded = BenchResults::load(&temp_file("sections.json", &rendered));
+        assert_eq!(reloaded, results);
+        assert_eq!(reloaded.sections, sections);
+        for (name, section) in &sections {
+            assert_eq!(reloaded.runs[0].get(name), Some(section), "run record keeps {name}");
+        }
+        assert_eq!(reloaded.runs.len(), 2);
+        assert_eq!(reloaded.render(), rendered, "re-rendering a loaded file is byte-identical");
+
+        // A later run of one section replaces it in place.
+        let tv = Json::parse(r#"{"refuted_per_second": 1, "jobs": 1}"#).unwrap();
+        results.record(
+            "bench-tv",
+            1,
+            RunEntries { sections: vec![("tv".into(), tv.clone())], ..Default::default() },
+        );
+        let names: Vec<&str> = results.sections.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["interp", "opt", "tv", "exec", "serve"]);
+        assert_eq!(results.sections[2].1, tv);
+        assert_eq!(results.sections[1], sections[1]);
+
+        let top: Vec<String> = match Json::parse(&results.render()).unwrap() {
+            Json::Obj(fields) => fields.into_iter().map(|(key, _)| key).collect(),
+            _ => unreachable!(),
+        };
+        assert_eq!(top, ["schema", "tables", "interp", "opt", "tv", "exec", "serve", "runs"]);
+    }
+
+    fn gates(records: &str) -> Json {
+        Json::parse(&format!(r#"{{"comment": "test", "gates": [{records}]}}"#)).unwrap()
+    }
+
+    fn section(name: &str, fields: &str) -> Vec<(String, Json)> {
+        vec![(name.to_string(), Json::parse(fields).unwrap())]
+    }
+
+    #[test]
+    fn gate_decisions() {
+        let throughput = r#"{"metric": "s.rate", "kind": "throughput", "baseline": 100}"#;
+        let with_fallback = r#"{"metric": "s.rate", "kind": "throughput", "baseline": 100,
+                                "fallback": "s.speedup", "fallback_baseline": 2.0}"#;
+        let floor = r#"{"metric": "s.fraction", "kind": "exact_floor", "baseline": 0.88}"#;
+        let scaling = r#"{"metric": "s.speedup", "kind": "scaling", "baseline": 2.0}"#;
+        // (record, section fields, host cores, passes, line prefix)
+        let cases = [
+            (
+                throughput,
+                r#"{"rate": 70}"#,
+                1,
+                true,
+                "ok: s.rate 70.00 vs baseline 100 (floor 70.00)",
+            ),
+            (throughput, r#"{"rate": 69.9}"#, 1, false, "regressed: s.rate 69.90"),
+            (with_fallback, r#"{"rate": 150, "speedup": 0.1}"#, 1, true, "ok: s.rate"),
+            (with_fallback, r#"{"rate": 10, "speedup": 1.4}"#, 1, true, "ok (slower host): s.rate"),
+            (with_fallback, r#"{"rate": 10, "speedup": 1.39}"#, 1, false, "regressed: s.rate"),
+            (
+                with_fallback,
+                r#"{"rate": 10}"#,
+                1,
+                false,
+                "failed: s.rate, this run did not measure s.speedup",
+            ),
+            (floor, r#"{"fraction": 0.88}"#, 1, true, "ok: s.fraction 0.88"),
+            (floor, r#"{"fraction": 0.8799}"#, 1, false, "regressed: s.fraction"),
+            (
+                scaling,
+                r#"{"speedup": 0.5, "jobs": 2}"#,
+                8,
+                true,
+                "skipped: s.speedup at jobs 2 on a 8-core host",
+            ),
+            (
+                scaling,
+                r#"{"speedup": 0.5, "jobs": 4}"#,
+                2,
+                true,
+                "skipped: s.speedup at jobs 4 on a 2-core host",
+            ),
+            (scaling, r#"{"speedup": 1.4, "jobs": 4}"#, 4, true, "ok: s.speedup"),
+            (scaling, r#"{"speedup": 1.39, "jobs": 4}"#, 4, false, "regressed: s.speedup"),
+            (
+                scaling,
+                r#"{"speedup": 1.4}"#,
+                4,
+                false,
+                "failed: s.speedup, this run did not measure s.jobs",
+            ),
+            (
+                throughput,
+                r#"{"other": 1}"#,
+                1,
+                false,
+                "failed: s.rate, this run did not measure s.rate",
+            ),
+        ];
+        for (record, fields, cores, passes, prefix) in cases {
+            let lines = check_gates(&gates(record), &section("s", fields), cores).unwrap();
+            assert_eq!(lines.len(), 1, "{record} on {fields}");
+            let (passed, line) = match &lines[0] {
+                Ok(line) => (true, line),
+                Err(line) => (false, line),
+            };
+            assert_eq!(passed, passes, "{record} on {fields} at {cores} cores: {line}");
+            assert!(line.starts_with(prefix), "expected '{prefix}…', got '{line}'");
+        }
+    }
+
+    #[test]
+    fn malformed_gate_records_are_errors() {
+        let records = [
+            r#"{"metric": "s.rate", "kind": "ratio", "baseline": 1}"#,
+            r#"{"metric": "s.rate", "baseline": 1}"#,
+            r#"{"metric": "rate", "kind": "throughput", "baseline": 1}"#,
+            r#"{"metric": "s.rate", "kind": "throughput", "baseline": "1"}"#,
+            r#"{"metric": "s.rate", "kind": "throughput", "baseline": 1, "tolerance": 0.5}"#,
+            r#"{"metric": "s.rate", "kind": "throughput", "baseline": 1, "fallback": "s.speedup"}"#,
+            r#"{"metric": "s.rate", "kind": "exact_floor", "baseline": 1, "fallback": "s.x", "fallback_baseline": 1}"#,
+            r#"["s.rate", "throughput", 1]"#,
+        ];
+        for record in records {
+            // Malformed even when its section was not run.
+            assert!(check_gates(&gates(record), &[], 1).is_err(), "{record} must be rejected");
+        }
+        assert!(check_gates(&Json::parse(r#"{"s_rate": 1}"#).unwrap(), &[], 1).is_err());
+    }
+
+    #[test]
+    fn gates_of_sections_not_run_are_not_checked() {
+        let baseline = gates(
+            r#"{"metric": "s.rate", "kind": "throughput", "baseline": 100},
+               {"metric": "t.rate", "kind": "exact_floor", "baseline": 1}"#,
+        );
+        let lines = check_gates(&baseline, &section("t", r#"{"rate": 1}"#), 1).unwrap();
+        assert_eq!(lines, vec![Ok("ok: t.rate 1.00 vs baseline 1.00 (floor 1.00)".to_string())]);
+        assert!(check_gates(&baseline, &[], 1).unwrap().is_empty());
+    }
+
+    #[test]
+    fn checked_in_baseline_gates_name_real_fields() {
+        let baseline = Json::parse(include_str!("../../../BENCH_baseline.json")).unwrap();
+        let records = baseline.get("gates").and_then(Json::as_arr).unwrap();
+        let gates: Vec<Gate> = records.iter().map(|r| Gate::parse(r).unwrap()).collect();
+        assert_eq!(gates.len(), 11);
+        let sections = sample_sections();
+        for gate in &gates {
+            let paths = std::iter::once(&gate.metric).chain(gate.fallback.as_ref().map(|(f, _)| f));
+            for path in paths {
+                let (name, field) = path.split_once('.').unwrap();
+                let section = sections.iter().find(|(n, _)| n == name).map(|(_, json)| json);
+                assert!(
+                    section.and_then(|json| json.get(field)).is_some(),
+                    "{path} names no field of the {name} entry's to_json"
+                );
+            }
+        }
+        // Every sample section is gated, and every gate line resolves.
+        let lines = check_gates(&baseline, &sections, 1).unwrap();
+        assert_eq!(lines.len(), 11);
+        assert!(lines
+            .iter()
+            .all(|line| !line.as_ref().unwrap_or_else(|e| e).starts_with("failed")));
     }
 }
