@@ -715,8 +715,9 @@ fn columns_fit(widths: &[u32], columns: &[&[u64]]) -> Option<usize> {
 /// plane, exactly as in sequential execution. Argument planes never trap;
 /// a constant inherits the previous plane's UB lanes. The tape has no step
 /// budget: it is meant for short chains far below the evaluators' step
-/// limits.
-#[derive(Clone, Debug)]
+/// limits. The default tape has no lanes and no planes, a buffer for
+/// [`load_columns`](Self::load_columns).
+#[derive(Clone, Debug, Default)]
 pub struct PlaneTape {
     lanes: usize,
     widths: Vec<u32>,
@@ -745,7 +746,8 @@ impl PlaneTape {
         if !inputs.iter().all(|args| fits(args)) {
             return None;
         }
-        PlaneTape::with_params(param_widths, inputs.len(), |j, vals, states| {
+        let mut tape = PlaneTape::default();
+        let filled = tape.fill_params(param_widths, inputs.len(), |j, vals, states| {
             for (i, args) in inputs.iter().enumerate() {
                 match &args[j] {
                     EvalValue::Int(v) => vals[i] = v.zext_value() as u64,
@@ -753,7 +755,8 @@ impl PlaneTape {
                     _ => states[i] = ST_UNDEF,
                 }
             }
-        })
+        });
+        filled.then_some(tape)
     }
 
     /// [`new`](Self::new) from concrete argument columns, with the layout
@@ -762,34 +765,45 @@ impl PlaneTape {
     /// the argument plane. `None` when the columns don't fit
     /// `param_widths` or a width is not in `1..=64`.
     pub fn from_columns(param_widths: &[u32], columns: &[&[u64]]) -> Option<PlaneTape> {
-        let n = columns_fit(param_widths, columns)?;
-        PlaneTape::with_params(param_widths, n, |j, vals, _| vals.copy_from_slice(columns[j]))
+        let mut tape = PlaneTape::default();
+        tape.load_columns(param_widths, columns).then_some(tape)
     }
 
-    /// A tape of `n` lanes whose argument plane `j` is written by
-    /// `fill(j, vals, states)` over zeroed storage.
-    fn with_params(
+    /// [`from_columns`](Self::from_columns) into this tape: every plane is
+    /// dropped and the argument planes are rewritten in the kept storage,
+    /// so a tape reloaded once per row of candidates allocates only to
+    /// grow. `false`, with the tape unchanged, when the columns don't fit.
+    pub fn load_columns(&mut self, param_widths: &[u32], columns: &[&[u64]]) -> bool {
+        match columns_fit(param_widths, columns) {
+            Some(n) => self.fill_params(param_widths, n, |j, vals, _| vals.copy_from_slice(columns[j])),
+            None => false,
+        }
+    }
+
+    /// Drops every plane and pushes one argument plane of `n` lanes per
+    /// width, plane `j` written by `fill(j, vals, states)` over zeroed
+    /// storage. `false`, with the tape unchanged, when a width is not in
+    /// `1..=64`.
+    fn fill_params(
+        &mut self,
         param_widths: &[u32],
         n: usize,
         mut fill: impl FnMut(usize, &mut [u64], &mut [u8]),
-    ) -> Option<PlaneTape> {
+    ) -> bool {
         if param_widths.iter().any(|&w| !(1..=64).contains(&w)) {
-            return None;
+            return false;
         }
-        let mut tape = PlaneTape {
-            lanes: n,
-            widths: Vec::new(),
-            steps: Vec::new(),
-            vals: Vec::new(),
-            states: Vec::new(),
-            ub: Vec::new(),
-        };
+        self.truncate(0);
+        self.lanes = n;
         for (j, &w) in param_widths.iter().enumerate() {
-            let p = tape.alloc(w, None);
+            let p = self.alloc(w, None);
             let span = p * n..(p + 1) * n;
-            fill(j, &mut tape.vals[span.clone()], &mut tape.states[span]);
+            self.vals[span.clone()].fill(0);
+            self.states[span.clone()].fill(0);
+            self.ub[span.clone()].fill(0);
+            fill(j, &mut self.vals[span.clone()], &mut self.states[span]);
         }
-        Some(tape)
+        true
     }
 
     /// Lanes per plane.
@@ -805,6 +819,11 @@ impl PlaneTape {
     /// Whether the tape has no planes (a parameterless function).
     pub fn is_empty(&self) -> bool {
         self.widths.is_empty()
+    }
+
+    /// Plane `plane`'s bit width.
+    pub fn width(&self, plane: usize) -> u32 {
+        self.widths[plane]
     }
 
     /// Drops every plane from index `len` on. Their storage is kept for
@@ -1488,5 +1507,37 @@ mod tests {
         assert!(PlaneTape::from_columns(&[65], &[&[1]]).is_none());
         assert!(PlaneTape::from_columns(&[0], &[&[0]]).is_none());
         assert_eq!(PlaneTape::from_columns(&[8, 1], &[&[7, 9], &[1, 0]]).unwrap().lanes(), 2);
+    }
+
+    /// A tape reloaded over storage that held poison, undef and UB lanes
+    /// evaluates like a fresh one; a load that doesn't fit changes nothing.
+    #[test]
+    fn reloaded_tape_matches_a_fresh_one() {
+        let (poison, undef, zero) = (EvalValue::Poison, EvalValue::Undef, EvalValue::int(8, 0));
+        let rows: [&[EvalValue]; 4] =
+            [&[poison, zero.clone()], &[undef, zero.clone()], &[zero.clone(), zero.clone()], &[zero.clone(), zero]];
+        let mut tape = PlaneTape::new(&[8, 8], &rows).unwrap();
+        let stale = tape.binary(BinOp::UDiv, IntFlags::none(), 0, 1);
+        tape.run(stale, 0..4);
+        assert!(tape.view(stale).is_ub(3));
+
+        let columns: [&[u64]; 2] = [&[6, 7, 8], &[3, 0, 2]];
+        assert!(tape.load_columns(&[8, 8], &columns));
+        let mut fresh = PlaneTape::from_columns(&[8, 8], &columns).unwrap();
+        for t in [&mut tape, &mut fresh] {
+            let q = t.binary(BinOp::UDiv, IntFlags::none(), 0, 1);
+            t.run(q, 0..3);
+        }
+        assert_eq!((tape.len(), tape.lanes(), tape.width(2)), (3, 3, 8));
+        for plane in 0..3 {
+            for lane in 0..3 {
+                let (got, want) = (tape.view(plane).value(lane), fresh.view(plane).value(lane));
+                assert_eq!(got, want, "plane {plane} lane {lane}");
+            }
+        }
+        assert!(tape.view(2).is_ub(1) && !tape.view(2).is_ub(0));
+
+        assert!(!tape.load_columns(&[8], &[&[256]]));
+        assert_eq!((tape.len(), tape.lanes()), (3, 3), "a failed load leaves the tape as it was");
     }
 }

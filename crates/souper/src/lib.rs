@@ -14,9 +14,11 @@
 //!   bounded size (`enum_depth`, the paper's `Enum` parameter, 0–3) over the
 //!   function arguments and a small constant pool;
 //! * verifies each candidate with the translation validator and accepts the
-//!   first strictly cheaper one — a candidate is first one plane step
-//!   checked against the case's frozen source table, and only one that step
-//!   cannot refute is built as a function and verified;
+//!   first strictly cheaper one — input 0 of every `op a, b` of a frontier
+//!   base is first screened in one plane step per op (a
+//!   [`RowScreen`]), a candidate that survives
+//!   is one plane step checked against the case's frozen source table, and
+//!   only one neither refutes is built as a function and verified;
 //! * models the cost of the search: enumerative synthesis time grows steeply
 //!   with `Enum`, so each run reports both the real elapsed time and a
 //!   *modelled* time derived from the number of candidates explored,
@@ -33,8 +35,9 @@ use lpo_ir::function::Function;
 use lpo_ir::instruction::{BinOp, ICmpPred, InstId, InstKind, Instruction, Value};
 use lpo_ir::types::Type;
 use lpo_tv::inputs::InputConfig;
-use lpo_tv::prelude::{EvalArena, PlaneTape};
+use lpo_tv::prelude::{EvalArena, PlaneTape, RowScreen};
 use lpo_tv::refine::{CompileCache, SourceCache, TvConfig};
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 #[cfg(test)]
@@ -389,13 +392,18 @@ fn search(
             let mut next: Vec<(usize, Synth)> = Vec::new();
             for (parent, chain) in frontier.iter().enumerate() {
                 let base_planes = match &mut filter {
-                    Some(f) if verifies => f.enter_base(chain, &leaves),
+                    Some(f) if verifies => f.enter_base(chain, &leaves, &ret_ty),
                     _ => None,
                 };
                 let mut extension: Option<Extension> = None;
                 let operands = (0..leaves.len()).map(Operand::Leaf).chain((0..chain.len()).map(Operand::Synth));
                 for op in BinOp::ALL {
-                    for a in operands.clone() {
+                    // Input 0 of every `op a, b` of the base in one plane
+                    // step; only candidates it passes reach the tape.
+                    if let (Some(f), Some(_)) = (&mut filter, &base_planes) {
+                        f.row.screen(&case, op, arena);
+                    }
+                    for (a_index, a) in operands.clone().enumerate() {
                         let a_ty = match a {
                             Operand::Leaf(i) => &leaves[i].ty,
                             Operand::Synth(_) => &ret_ty,
@@ -420,9 +428,12 @@ fn search(
                                             Operand::Synth(k) => Some(planes[k]),
                                         };
                                         match (plane_a, b_leaf.plane) {
-                                            (Some(pa), Some(pb)) => f.refutes(&case, arena, |tape| {
-                                                tape.binary(op, IntFlags::none(), pa, pb)
-                                            }),
+                                            (Some(pa), Some(pb)) => {
+                                                f.row.refuted(a_index, b)
+                                                    || f.refutes(&case, arena, |tape| {
+                                                        tape.binary(op, IntFlags::none(), pa, pb)
+                                                    })
+                                            }
                                             _ => false,
                                         }
                                     }
@@ -482,12 +493,20 @@ fn const_value(c: &ApInt) -> Value {
     Value::Const(lpo_ir::constant::Constant::Int(*c))
 }
 
+thread_local! {
+    /// Each worker's row screen between searches, so its buffers are reused.
+    static ROW_SCREEN: RefCell<RowScreen> = RefCell::default();
+}
+
 /// The plane filter of one search. The tape holds one plane per argument,
 /// then one per pool constant, then the current frontier base's chain.
 struct PlaneFilter {
     tape: PlaneTape,
     args: usize,
     consts: Vec<Option<usize>>,
+    /// Input 0 of every `op a, b` of the current base, one pair per lane:
+    /// operand `i` of the level loop's operand order against leaf `j`.
+    row: RowScreen,
 }
 
 impl PlaneFilter {
@@ -497,7 +516,7 @@ impl PlaneFilter {
         let mut tape = case.plane_tape(arena)?;
         let args = tape.len();
         let consts = constants.iter().map(|c| tape.constant(c)).collect();
-        Some(Self { tape, args, consts })
+        Some(Self { tape, args, consts, row: ROW_SCREEN.take() })
     }
 
     /// The plane holding an argument or pool constant.
@@ -528,8 +547,9 @@ impl PlaneFilter {
     }
 
     /// Replaces the tape's base chain with `chain`, evaluated on every lane,
-    /// and returns its planes; `None` when an operand has no plane.
-    fn enter_base(&mut self, chain: &[Synth], leaves: &[Leaf]) -> Option<Vec<usize>> {
+    /// loads the row screen with the base's `op a, b` pairs, and returns the
+    /// chain's planes; `None` when an operand has no plane.
+    fn enter_base(&mut self, chain: &[Synth], leaves: &[Leaf], ret_ty: &Type) -> Option<Vec<usize>> {
         self.tape.truncate(self.args + self.consts.len());
         let mut planes = Vec::with_capacity(chain.len());
         for step in chain {
@@ -541,7 +561,20 @@ impl PlaneFilter {
             self.tape.run(plane, 0..self.tape.lanes());
             planes.push(plane);
         }
+        // The row holds the pairs of return-width planes: exactly the pairs
+        // the level loop pushes, as every plane is an integer.
+        let leaf_planes: Vec<Option<usize>> = leaves.iter().map(|l| l.plane).collect();
+        let operands: Vec<Option<usize>> =
+            leaf_planes.iter().copied().chain(planes.iter().map(|&p| Some(p))).collect();
+        let width = ret_ty.int_width().expect("the plane domain returns an integer");
+        self.row.load(&self.tape, &operands, &leaf_planes, width);
         Some(planes)
+    }
+}
+
+impl Drop for PlaneFilter {
+    fn drop(&mut self) {
+        ROW_SCREEN.set(std::mem::take(&mut self.row));
     }
 }
 

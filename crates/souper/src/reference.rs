@@ -8,6 +8,10 @@
 //! `modeled`, over the Table 4 corpus at `Enum` 0–3, the RQ1 suite and
 //! random sources with division, remainder, shift, UB and poison lanes.
 //!
+//! `table4_souper_counts_are_pinned` pins the Table 4 counts themselves
+//! (searches, timeouts, finds, candidates tried), which a drift shared by
+//! both walks would leave equal.
+//!
 //! The random-source test walks a fixed seed block and appends a rotating
 //! block derived from `LPO_FUZZ_SEED` when set (same protocol as
 //! `tests/plane_differential.rs`), so any failure replays with
@@ -312,6 +316,37 @@ mod tests {
         assert!(found[0] > 0 && found[1] > 0, "the corpus must exercise leaf and depth-1 finds: {found:?}");
     }
 
+    /// Golden Souper counts on the Table 4 set at `Enum` 0–3, budget 1200:
+    /// searches, modelled timeouts, finds and candidates tried. The
+    /// equivalence tests compare the search with the reference walk and
+    /// the benchmark compares each pass with its own reference pass, so a
+    /// drift both sides share would slip past them; this catches it.
+    /// Release builds (CI fuzz-smoke) pin the full 545 sequences, debug
+    /// builds a prefix.
+    #[test]
+    fn table4_souper_counts_are_pinned() {
+        let (limit, want) = if cfg!(debug_assertions) {
+            (60, (240, 161, 18, 196_454))
+        } else {
+            (usize::MAX, (2180, 1266, 348, 1_576_528))
+        };
+        let sequences = table4_sequences(limit);
+        if limit == usize::MAX {
+            assert_eq!(sequences.len(), 545, "the Table 4 set");
+        }
+        let (mut searches, mut timeouts, mut found, mut tried) = (0, 0, 0, 0);
+        for enum_depth in 0..=3 {
+            let config = SouperConfig { candidate_budget: 1200, ..SouperConfig::with_enum(enum_depth) };
+            for result in superoptimize_batch(&sequences, &config, 2) {
+                searches += 1;
+                timeouts += usize::from(result.outcome == Outcome::Timeout);
+                found += usize::from(result.found());
+                tried += result.candidates_tried;
+            }
+        }
+        assert_eq!((searches, timeouts, found, tried), want, "(searches, timeouts, found, tried)");
+    }
+
     #[test]
     fn plane_search_matches_the_reference_walk_on_rq1() {
         let functions: Vec<Function> =
@@ -321,7 +356,8 @@ mod tests {
     }
 
     /// Hand-picked shapes: out-of-domain signatures (wide params or return,
-    /// so no plane filter), sources with UB and poison lanes, and i1 returns.
+    /// so no plane filter), sources with UB and poison lanes, i1 returns,
+    /// and frontier bases that trap on input 0.
     fn edge_shapes() -> Vec<Function> {
         [
             "define i128 @wide(i128 %x) {\n %a = add i128 %x, 0\n %b = xor i128 %a, 0\n ret i128 %b\n}",
@@ -333,6 +369,12 @@ mod tests {
             "define i1 @compares(i8 %x) {\n %a = xor i8 %x, 12\n %c = icmp eq i8 %a, 5\n ret i1 %c\n}",
             "define i1 @signs(i32 %x, i32 %y) {\n %a = sub i32 %x, %y\n %c = icmp slt i32 %a, 0\n ret i1 %c\n}",
             "define i32 @traps(i32 %x) {\n %d = sdiv i32 %x, 0\n %r = add i32 %d, %x\n ret i32 %r\n}",
+            // Its only i1 leaves are the pool constants 0, 1, 1, so the
+            // level-1 frontier bases `udiv i1 0, 0` (28th) and `udiv i1 1, 0`
+            // (31st, 34th) follow 27 add/sub/mul bases of 156 candidates
+            // each, from candidate 241: bases whose last plane is UB on
+            // input 0, which the row screen leaves to the per-candidate tape.
+            "define i1 @trapbase(i8 %x) {\n %s = mul i8 %x, %x\n %m = and i8 %s, 6\n %c = icmp eq i8 %m, 4\n ret i1 %c\n}",
             "define i8 @phis(i1 %c, i8 %x) {\nentry:\n br i1 %c, label %a, label %b\na:\n br label %b\nb:\n %p = phi i8 [ %x, %entry ], [ %x, %a ]\n %r = add i8 %p, 0\n ret i8 %r\n}",
         ]
         .iter()
@@ -340,11 +382,13 @@ mod tests {
         .collect()
     }
 
+    /// The budget reaches `@trapbase`'s trapping level-1 bases at `Enum` 2
+    /// and 3.
     #[test]
     fn plane_search_matches_the_reference_walk_on_edge_shapes() {
         let functions = edge_shapes();
         for enum_depth in 0..=3 {
-            let config = SouperConfig { candidate_budget: 3000, ..SouperConfig::with_enum(enum_depth) };
+            let config = SouperConfig { candidate_budget: 6000, ..SouperConfig::with_enum(enum_depth) };
             assert_equivalent(&functions, &config, "edge");
         }
     }

@@ -57,6 +57,7 @@ pub mod frozen;
 mod fuzz_seeds;
 pub mod inputs;
 pub mod refine;
+pub mod screen;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
@@ -70,6 +71,7 @@ pub mod prelude {
         verify_refinement, verify_refinement_reference, verify_refinement_with, CompileCache,
         Counterexample, SourceCache, TvConfig, Validator, Verdict, VerdictTier,
     };
+    pub use crate::screen::RowScreen;
     pub use lpo_interp::compiled::EvalArena;
     pub use lpo_interp::plane::PlaneTape;
 }

@@ -506,14 +506,21 @@ impl Drop for DenseOutcomes {
 }
 
 impl DenseOutcomes {
-    /// Whether lane `offset` of a target plane provably refines input
-    /// `index`'s cached source outcome. The tag order mirrors
-    /// [`refutation`]: source UB admits anything, then target UB refutes,
-    /// then the value-refinement lattice. `false` means *suspect* — the
-    /// caller re-runs the lane through the full comparison, which stays
-    /// authoritative for the verdict and the refutation descriptor. A
-    /// suspect lane never has a UB source, so [`outcome`](Self::outcome)
-    /// can always rebuild its source side.
+    /// Whether lane `offset` of a target plane refines input `index`'s
+    /// cached source outcome. The tag order mirrors [`refutation`]: source
+    /// UB admits anything, then target UB refutes, then the
+    /// value-refinement lattice.
+    ///
+    /// In the plane domain — integer parameters and return of at most 64
+    /// bits, allocation-free inputs, and a plane of the source's return
+    /// type — this is exact: `false` holds exactly when [`refutation`]
+    /// finds one for the lane's materialized value, because the memory half
+    /// of that comparison is vacuous and canonical bits of one width
+    /// compare as values (the `lane_refines_is_exact` table test). Callers
+    /// that only need the verdict bit take `false` as "refuted"; the sweep
+    /// still re-runs such a lane through the full comparison for the
+    /// refutation descriptor. A refuted lane never has a UB source, so
+    /// [`outcome`](Self::outcome) can always rebuild its source side.
     pub(crate) fn lane_refines(&self, index: usize, lanes: &PlaneLanes, offset: usize) -> bool {
         match self.tags[index] {
             DENSE_SRC_UB => true,
@@ -766,9 +773,9 @@ impl<'a> SourceCache<'a> {
     /// Runs `f` on input `index`'s source outcome. A materialized frozen
     /// case serves it directly. Otherwise the in-order prefix does: the
     /// input just past its end is evaluated and appended, which is how the
-    /// probe and the reference path fill it. Any other index — a suspect
-    /// lane or a refutation past the probe window — only arises once the
-    /// case is frozen, and a dense frozen case rebuilds it from its table.
+    /// probe and the reference path fill it. Any other index — a refutation
+    /// past the probe window — only arises once the case is frozen, and a
+    /// dense frozen case rebuilds it from its table.
     fn with_source_outcome<R>(
         &self,
         index: usize,
@@ -1151,26 +1158,27 @@ impl<'a> SourceCache<'a> {
     }
 
     /// Outcome-only lane check of a candidate whose return value on input
-    /// `i` is lane `i` of plane `plane` of a [`plane_tape`](Self::plane_tape).
-    /// Runs the plane lane-first on widening windows, `[0, 1)`, `[1, 4)`,
-    /// `[4, probe)` and `[probe, total)` (each end clamped to the input
-    /// total, empty windows skipped), and scans each window's lanes in input
-    /// order before running the next: most enumerated candidates are
-    /// refuted on input 0, so they pay for one lane instead of the whole
-    /// probe window. Lanes the frozen case's dense table clears are skipped;
-    /// a suspect lane is re-checked on its materialized value through the
-    /// same source-outcome comparison the sweep uses.
+    /// `i` is lane `i` of plane `plane` of a [`plane_tape`](Self::plane_tape);
+    /// the plane must have the source's return type. Runs the plane
+    /// lane-first on widening windows, `[0, 1)`, `[1, 4)`, `[4, probe)` and
+    /// `[probe, total)` (each end clamped to the input total, empty windows
+    /// skipped), and scans each window's lanes in input order before
+    /// running the next: most enumerated candidates are refuted on input 0,
+    /// so they pay for one lane instead of the whole probe window. The
+    /// frozen case's dense table decides every lane on its own: in the
+    /// plane domain it is exact (see `DenseOutcomes::lane_refines`), and
+    /// debug builds re-check each refuting lane on its materialized value.
     ///
-    /// `true` only when some input really refutes the candidate — so
+    /// `true` exactly when some input refutes the candidate — so
     /// [`verify_outcome_only`](Self::verify_outcome_only) rejects it too —
-    /// and `false` decides nothing. Counts nothing: a candidate is checked
-    /// only once it reaches a verify entry point.
+    /// and `false` decides nothing. Counts nothing and evaluates no source
+    /// input: a candidate is checked only once it reaches a verify entry
+    /// point.
     pub fn tape_refutes(&self, tape: &mut PlaneTape, plane: usize, arena: &mut EvalArena) -> bool {
-        let Some(table) = self.frozen.get().and_then(FrozenCase::dense_table) else {
+        let Some(table) = self.dense_table() else {
             return false;
         };
-        let inputs = self.inputs();
-        let total = inputs.len();
+        let total = self.inputs().len();
         debug_assert_eq!(tape.lanes(), total, "the tape must come from this case");
         let mut start = 0;
         for end in [1, 4, self.config.probe_inputs, total] {
@@ -1183,16 +1191,54 @@ impl<'a> SourceCache<'a> {
             tape.run(plane, window.clone());
             let lanes = tape.view(plane);
             for index in window {
-                if table.lane_refines(index, &lanes, index) {
-                    continue;
-                }
-                let tgt_out = lanes.value(index).map(|v| (Some(v), inputs.memory(index).clone()));
-                if self.check_input(index, &tgt_out, arena).is_some() {
+                if self.lane_refutes(table, index, &lanes, index, arena) {
                     return true;
                 }
             }
         }
         false
+    }
+
+    /// The frozen case's dense table, once the case is frozen in a shape
+    /// that carries one.
+    pub(crate) fn dense_table(&self) -> Option<&DenseOutcomes> {
+        self.frozen.get().and_then(FrozenCase::dense_table).map(|table| &**table)
+    }
+
+    /// Whether lane `lane` of `lanes`, as a candidate's return value on
+    /// input `index`, refutes the candidate: `!table.lane_refines(..)`,
+    /// exact in the plane domain. Debug builds confirm every refuting lane
+    /// through the materialized comparison the table stands for.
+    pub(crate) fn lane_refutes(
+        &self,
+        table: &DenseOutcomes,
+        index: usize,
+        lanes: &PlaneLanes,
+        lane: usize,
+        arena: &mut EvalArena,
+    ) -> bool {
+        let refuted = !table.lane_refines(index, lanes, lane);
+        debug_assert!(
+            !refuted || self.materialized_refutes(index, lanes, lane, arena),
+            "the dense table refuted lane {lane} on input {index}, the materialized comparison did not"
+        );
+        refuted
+    }
+
+    /// [`refutation`] of lane `lane`'s materialized value against input
+    /// `index`'s source outcome as the frozen case holds it. Touches no
+    /// prefix and no counter.
+    fn materialized_refutes(
+        &self,
+        index: usize,
+        lanes: &PlaneLanes,
+        lane: usize,
+        arena: &mut EvalArena,
+    ) -> bool {
+        let frozen = self.frozen.get().expect("a dense table belongs to a frozen case");
+        let memory = self.inputs().memory(index);
+        let tgt_out = lanes.value(lane).map(|v| (Some(v), memory.clone()));
+        refutation(memory, &frozen.source_outcome(index, arena), &tgt_out).is_some()
     }
 
     /// Checks `tgt` on the retained pre-staging path: unconditional compile,
@@ -1985,6 +2031,70 @@ mod tests {
             Verdict::Correct { exhaustive, .. } => assert!(!exhaustive),
             other => panic!("unexpected verdict {other:?}"),
         }
+    }
+
+    /// In the plane domain the dense table is exact: for every source tag
+    /// (UB, poison, undef, concrete) against every kind of target lane (UB,
+    /// poison, undef, an equal and a different value), at widths 1, 8 and
+    /// 64, `!lane_refines` holds exactly when the materialized comparison
+    /// finds a refutation, and the table rebuilds every non-UB source
+    /// outcome it was flattened from.
+    #[test]
+    fn lane_refines_is_exact() {
+        let parameterless = parse_function("define i8 @k() {\n ret i8 0\n}").unwrap();
+        let inputs = InputSet::generate(&parameterless, &InputConfig::default());
+        let (mut refuted, mut refined) = (0, 0);
+        for width in [1u32, 8, 64] {
+            let mask = u64::MAX >> (64 - width);
+            for value in [0, 1, mask, 1 << (width - 1), mask >> 1] {
+                let concrete = EvalValue::int(width, value as u128);
+                let other = EvalValue::int(width, (value ^ mask) as u128);
+                // `udiv x, 1` is `x` on every kind of lane, and `udiv x, 0` is UB.
+                let one = EvalValue::int(width, 1);
+                let rows: [[EvalValue; 2]; 5] = [
+                    [concrete.clone(), one.clone()],
+                    [other, one.clone()],
+                    [EvalValue::Poison, one.clone()],
+                    [EvalValue::Undef, one],
+                    [concrete.clone(), EvalValue::int(width, 0)],
+                ];
+                let rows: Vec<&[EvalValue]> = rows.iter().map(|r| r.as_slice()).collect();
+                let mut tape = PlaneTape::new(&[width, width], &rows).unwrap();
+                let plane = tape.binary(BinOp::UDiv, IntFlags::none(), 0, 1);
+                tape.run(plane, 0..rows.len());
+                let lanes = tape.view(plane);
+                let sources: [SourceOutcome; 4] = [
+                    Err(lanes.value(4).unwrap_err()),
+                    Ok((Some(EvalValue::Poison), Memory::new())),
+                    Ok((Some(EvalValue::Undef), Memory::new())),
+                    Ok((Some(concrete), Memory::new())),
+                ];
+                let table = dense_table(&inputs, sources.iter()).expect("scalar outcomes flatten");
+                assert_eq!(lanes.value(0).unwrap(), rows[0][0]);
+                assert_ne!(lanes.value(1).unwrap(), rows[0][0]);
+                assert!(lanes.is_poison(2) && lanes.is_undef(3) && lanes.is_ub(4));
+                for (index, src_out) in sources.iter().enumerate() {
+                    if src_out.is_ok() {
+                        assert_eq!(table.outcome(index, width, &Memory::new()).as_ref(), Some(src_out));
+                    }
+                    for lane in 0..rows.len() {
+                        let tgt_out = lanes.value(lane).map(|v| (Some(v), Memory::new()));
+                        let materialized = refutation(&Memory::new(), src_out, &tgt_out).is_some();
+                        assert_eq!(
+                            !table.lane_refines(index, &lanes, lane),
+                            materialized,
+                            "width {width}, value {value:#x}, source {src_out:?}, target {tgt_out:?}"
+                        );
+                        if materialized {
+                            refuted += 1;
+                        } else {
+                            refined += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(refuted > 0 && refined > 0);
     }
 
     /// The reference answer for [`SourceCache::tape_refutes`]: runs `plane`
