@@ -1426,10 +1426,12 @@ pub fn pin_return_bit(
 ///   real-world shape (most LLM/enumerated candidates are wrong), and where
 ///   the probe pays off: the staged path never compiles these.
 /// * **surviving candidates** — the source verified against itself: the full
-///   input sweep every accepted candidate must pay. Today this measures
-///   ≈0.94–1.0x the reference (the batched sweep's ~5% per-input gain
-///   roughly offsets the probe's slower direct evaluations); it is gated so
-///   it cannot silently regress further. A fresh per-case
+///   input sweep every accepted candidate must pay. Most rq1 cases have a
+///   plane form (`plane_cases`), so the staged sweep runs 256 inputs at a
+///   time on the plane tier against the reference's one-input-at-a-time
+///   compiled sweep; this is where the plane tier's gain shows, an order of
+///   magnitude or more (`BENCH_results.json` holds the latest figure). A
+///   fresh per-case
 ///   [`lpo_tv::prelude::SourceCache`] is built per pass and the survivor is
 ///   verified several times against it, so the source side amortizes the
 ///   way it does in a real case.

@@ -156,10 +156,9 @@ impl OptEntry {
 /// `refuted_*` measures the dominant real-world shape — a wrong candidate
 /// refuted on its earliest concrete input — where the staged checker's probe
 /// avoids `CompiledFunction::compile` entirely; `survivor_*` measures the
-/// full-input-sweep cost every accepted candidate pays (currently ≈ parity
-/// with the reference: the batched sweep's per-input gain roughly offsets
-/// the probe's direct evaluations on tiny functions — gated so it cannot
-/// silently regress).
+/// full-input-sweep cost every accepted candidate pays, where the plane
+/// tier's 256-lane sweep runs against the reference's serial compiled sweep
+/// (an order-of-magnitude speedup on the plane-eligible rq1 cases).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TvEntry {
     /// Refuted-candidate verifications per second on the staged checker.

@@ -126,7 +126,7 @@ pub struct TvSnapshot {
     pub absint_refuted: usize,
     /// Candidates refuted inside the probe window — no compile paid.
     pub probe_rejects: usize,
-    /// Candidates that survived the probe into compile + batched sweep.
+    /// Candidates that survived the probe into compile + survivor sweep.
     pub survivors: usize,
     /// Survivors whose post-probe sweep ran on the type-specialized plane
     /// evaluator (straight-line scalar-integer candidates).

@@ -108,17 +108,13 @@ struct CBlock {
 }
 
 /// Reusable evaluation state: the dense register file, the phi staging
-/// buffer, and the register matrix used by batched sweeps. Create one per
-/// worker thread and pass it to every [`CompiledFunction::evaluate`] call;
+/// buffer, and the plane evaluator's value planes. Create one per worker
+/// thread and pass it to every [`CompiledFunction::evaluate`] call;
 /// steady-state evaluation then allocates nothing.
 #[derive(Debug, Default)]
 pub struct EvalArena {
     regs: Vec<Option<EvalValue>>,
     phi_buf: Vec<(u32, EvalValue)>,
-    /// Flat `num_regs × lanes` register matrix for
-    /// [`CompiledFunction::evaluate_batch_with_limit`]; lane `m`'s register
-    /// file is the contiguous slice `[m * num_regs .. (m + 1) * num_regs]`.
-    batch_regs: Vec<Option<EvalValue>>,
     /// Flat `num_planes × lanes` value planes for the plane evaluator
     /// (see [`crate::plane`]); plane `p` occupies `[p * lanes .. (p + 1) * lanes]`.
     pub(crate) plane_vals: Vec<u64>,
@@ -173,10 +169,6 @@ pub struct CompiledFunction {
     blocks: Vec<CBlock>,
     num_regs: usize,
     num_params: usize,
-    /// One block, no phis, no branches: the shape
-    /// [`evaluate_batch_with_limit`](Self::evaluate_batch_with_limit) can
-    /// drive lane-by-lane through a single walk of the step list.
-    straightline: bool,
     /// The plane-form lowering, present iff the function is straight-line
     /// scalar-integer and memory-free (see [`crate::plane::PlanePlan`]).
     plane: Option<crate::plane::PlanePlan>,
@@ -199,19 +191,16 @@ impl CompiledFunction {
         }
         let blocks: Vec<CBlock> =
             func.blocks().iter().map(|b| compile_block(func, &b.insts)).collect();
-        let straightline = blocks.len() == 1
-            && blocks[0].phis.is_empty()
-            && blocks[0].steps.iter().all(|s| !matches!(s, CStep::Br { .. } | CStep::Phi));
         let plane = crate::plane::PlanePlan::compile(func);
-        Self { blocks, num_regs, num_params: func.params.len(), straightline, plane }
+        Self { blocks, num_regs, num_params: func.params.len(), plane }
     }
 
     /// The plane-form lowering of this function, if it is eligible (see
     /// [`PlanePlan::compile`](crate::plane::PlanePlan::compile) for the
     /// eligibility rules). Callers sweeping many scalar-integer inputs
     /// should prefer [`PlanePlan::evaluate_lanes`](crate::plane::PlanePlan::evaluate_lanes)
-    /// and fall back to [`evaluate_batch_with_limit`](Self::evaluate_batch_with_limit)
-    /// when this returns `None`.
+    /// and fall back to [`evaluate_with_limit`](Self::evaluate_with_limit),
+    /// one input at a time, when this returns `None`.
     pub fn plane(&self) -> Option<&crate::plane::PlanePlan> {
         self.plane.as_ref()
     }
@@ -335,140 +324,6 @@ impl CompiledFunction {
     /// How many registers one evaluation of this function uses.
     pub fn register_count(&self) -> usize {
         self.num_regs
-    }
-
-    /// Evaluates `lanes` independent inputs through **one walk of the decoded
-    /// step list** — the survivor-sweep shape of staged translation
-    /// validation, where one compiled candidate is checked against thousands
-    /// of inputs.
-    ///
-    /// Each lane is `(argument values, initial memory)`; the result vector is
-    /// in lane order and every entry is exactly what
-    /// [`evaluate_with_limit`](Self::evaluate_with_limit) returns for that
-    /// lane — same values, same UB messages, same step counts, same final
-    /// memory.
-    ///
-    /// For straight-line functions (one block, no phis or branches — the
-    /// overwhelmingly common shape of extracted peephole sequences) the lanes
-    /// advance *together*, step by step: the arena holds a flat
-    /// `num_regs × lanes` register matrix and the inner loop runs each decoded
-    /// step across all live lanes before moving to the next step, so the step
-    /// decode, the match dispatch and the per-step metadata are touched once
-    /// per step instead of once per `(step, input)`. Functions with control
-    /// flow fall back to a per-lane loop over the same decoded step lists
-    /// (still compiled once).
-    pub fn evaluate_batch_with_limit(
-        &self,
-        arena: &mut EvalArena,
-        lanes: Vec<(&[EvalValue], Memory)>,
-        step_limit: usize,
-    ) -> Vec<Result<EvalOutcome, Ub>> {
-        if !self.straightline {
-            return lanes
-                .into_iter()
-                .map(|(args, memory)| self.evaluate_with_limit(arena, args, memory, step_limit))
-                .collect();
-        }
-
-        let lane_count = lanes.len();
-        let mut outcomes: Vec<Option<Result<EvalOutcome, Ub>>> = Vec::with_capacity(lane_count);
-        let mut memories: Vec<Memory> = Vec::with_capacity(lane_count);
-        let mut args_of: Vec<&[EvalValue]> = Vec::with_capacity(lane_count);
-        for (args, memory) in lanes {
-            outcomes.push(if args.len() == self.num_params {
-                None
-            } else {
-                Some(Err(Ub::new(format!(
-                    "called with {} arguments but the function has {} parameters",
-                    args.len(),
-                    self.num_params
-                ))))
-            });
-            memories.push(memory);
-            args_of.push(args);
-        }
-
-        arena.batch_regs.clear();
-        arena.batch_regs.resize(self.num_regs * lane_count, None);
-        let regs_matrix = &mut arena.batch_regs;
-
-        // The step list is walked ONCE: each step is decoded and dispatched
-        // a single time, and its arm loops over the live lanes — so the
-        // dispatch cost and the step metadata amortize over the batch, and
-        // the op match inside `eval_op` hits the same arm for every lane.
-        let mut remaining = outcomes.iter().filter(|slot| slot.is_none()).count();
-        let mut steps = 0usize;
-        for step in &self.blocks[0].steps {
-            if remaining == 0 {
-                break;
-            }
-            steps += 1;
-            if steps > step_limit {
-                for slot in outcomes.iter_mut().filter(|slot| slot.is_none()) {
-                    *slot = Some(Err(Ub::new("execution step limit exceeded")));
-                }
-                break;
-            }
-            match step {
-                // `straightline` excludes Phi and Br steps.
-                CStep::Phi | CStep::Br { .. } => unreachable!("excluded by straightline"),
-                CStep::Ret(value) => {
-                    // A Ret (like Unreachable) finishes every live lane: the
-                    // lanes advance in lockstep, so they all reach it here.
-                    for m in 0..lane_count {
-                        if outcomes[m].is_some() {
-                            continue;
-                        }
-                        let regs = &regs_matrix[m * self.num_regs..(m + 1) * self.num_regs];
-                        let result = match value {
-                            Some(v) => match read(v, args_of[m], regs) {
-                                Ok(v) => Some(v),
-                                Err(ub) => {
-                                    outcomes[m] = Some(Err(ub));
-                                    continue;
-                                }
-                            },
-                            None => None,
-                        };
-                        let memory = std::mem::replace(&mut memories[m], Memory::new());
-                        outcomes[m] = Some(Ok(EvalOutcome { result, memory, steps }));
-                    }
-                    break;
-                }
-                CStep::Unreachable => {
-                    for slot in outcomes.iter_mut().filter(|slot| slot.is_none()) {
-                        *slot = Some(Err(Ub::new("executed an unreachable instruction")));
-                    }
-                    break;
-                }
-                CStep::Inst { dst, op } => {
-                    for m in 0..lane_count {
-                        if outcomes[m].is_some() {
-                            continue;
-                        }
-                        let regs = &regs_matrix[m * self.num_regs..(m + 1) * self.num_regs];
-                        match eval_op(op, args_of[m], regs, &mut memories[m]) {
-                            Ok(v) => {
-                                regs_matrix[m * self.num_regs + *dst as usize] = Some(v);
-                            }
-                            Err(ub) => {
-                                outcomes[m] = Some(Err(ub));
-                                remaining -= 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        outcomes
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(Ub::new("basic block fell through without a terminator"))
-                })
-            })
-            .collect()
     }
 }
 
@@ -1222,41 +1077,52 @@ mod tests {
         }
     }
 
+    /// A sweep evaluates input after input on one reused arena, as the
+    /// survivor sweep's non-plane tail does. The arena carries no state from
+    /// one input to the next: every input matches a fresh-arena evaluation.
     #[test]
     fn batched_sweep_matches_serial_everywhere() {
         let mut arena = EvalArena::new();
+        let sweep = |compiled: &CompiledFunction,
+                     arena: &mut EvalArena,
+                     inputs: &[(Vec<EvalValue>, Memory)],
+                     limit: usize| {
+            inputs
+                .iter()
+                .map(|(args, memory)| compiled.evaluate_with_limit(arena, args, memory.clone(), limit))
+                .collect::<Vec<_>>()
+        };
         for text in SHAPES {
             let func = parse_function(text).unwrap();
             let compiled = CompiledFunction::compile(&func);
             for limit in [4, DEFAULT_STEP_LIMIT] {
                 let inputs = shape_inputs(text);
-                let serial: Vec<_> = inputs
+                let swept = sweep(&compiled, &mut arena, &inputs, limit);
+                let fresh: Vec<_> = inputs
                     .iter()
                     .map(|(args, memory)| {
-                        compiled.evaluate_with_limit(&mut arena, args, memory.clone(), limit)
+                        compiled.evaluate_with_limit(&mut EvalArena::new(), args, memory.clone(), limit)
                     })
                     .collect();
-                let lanes: Vec<(&[EvalValue], Memory)> =
-                    inputs.iter().map(|(args, memory)| (args.as_slice(), memory.clone())).collect();
-                let batched = compiled.evaluate_batch_with_limit(&mut arena, lanes, limit);
-                assert_eq!(serial, batched, "batch diverged on {text} (limit {limit})");
+                assert_eq!(swept, fresh, "sweep diverged on {text} (limit {limit})");
             }
         }
-        // Empty batch and wrong-arity lanes.
+        // An empty input list and a wrong-arity input.
         let func = parse_function("define i32 @f(i32 %x) {\n ret i32 %x\n}").unwrap();
         let compiled = CompiledFunction::compile(&func);
-        assert!(compiled
-            .evaluate_batch_with_limit(&mut arena, Vec::new(), DEFAULT_STEP_LIMIT)
-            .is_empty());
-        let bad: Vec<(&[EvalValue], Memory)> = vec![(&[], Memory::new())];
-        let out = compiled.evaluate_batch_with_limit(&mut arena, bad, DEFAULT_STEP_LIMIT);
+        assert!(sweep(&compiled, &mut arena, &[], DEFAULT_STEP_LIMIT).is_empty());
+        let bad = [(Vec::new(), Memory::new())];
+        let out = sweep(&compiled, &mut arena, &bad, DEFAULT_STEP_LIMIT);
+        let fresh = compiled.evaluate_with_limit(&mut EvalArena::new(), &[], Memory::new(), DEFAULT_STEP_LIMIT);
         assert!(out[0].is_err());
+        assert_eq!(out[0], fresh);
     }
 
     #[test]
     fn batched_sweep_isolates_lanes() {
-        // Memory and registers must not leak between lanes: every lane
-        // stores a different value through the same code.
+        // Memory and registers must not leak between consecutive inputs on
+        // one arena: every input stores a different value through the same
+        // code, into its own memory.
         let func = parse_function(
             "define i32 @f(ptr %p, i32 %x) {\n\
              store i32 %x, ptr %p, align 4\n\
@@ -1266,30 +1132,17 @@ mod tests {
         .unwrap();
         let compiled = CompiledFunction::compile(&func);
         let mut arena = EvalArena::new();
-        let args: Vec<Vec<EvalValue>> = (0..10u128)
-            .map(|i| {
-                let mut mem = Memory::new();
-                let alloc = mem.allocate_zeroed(16);
-                let _ = mem;
-                vec![EvalValue::Ptr(PtrValue { alloc, offset: 0 }), EvalValue::int(32, i * 11)]
-            })
-            .collect();
-        let lanes: Vec<(&[EvalValue], Memory)> = args
-            .iter()
-            .map(|a| {
-                let mut mem = Memory::new();
-                mem.allocate_zeroed(16);
-                (a.as_slice(), mem)
-            })
-            .collect();
-        let out = compiled.evaluate_batch_with_limit(&mut arena, lanes, DEFAULT_STEP_LIMIT);
-        for (i, lane) in out.into_iter().enumerate() {
-            let outcome = lane.unwrap();
-            assert_eq!(outcome.result, Some(EvalValue::int(32, (i as u128) * 11)));
+        for i in 0..10u128 {
+            let mut mem = Memory::new();
+            let alloc = mem.allocate_zeroed(16);
+            let args = [EvalValue::Ptr(PtrValue { alloc, offset: 0 }), EvalValue::int(32, i * 11)];
+            let outcome =
+                compiled.evaluate_with_limit(&mut arena, &args, mem, DEFAULT_STEP_LIMIT).unwrap();
+            assert_eq!(outcome.result, Some(EvalValue::int(32, i * 11)));
             assert_eq!(outcome.steps, 3);
-            // Each lane's final memory holds its own stored value.
+            // Each input's final memory holds its own stored value.
             let bytes = outcome.memory.allocation(0).unwrap().bytes().to_vec();
-            assert_eq!(bytes[0] as u128, (i as u128 * 11) & 0xff);
+            assert_eq!(bytes[0] as u128, (i * 11) & 0xff);
         }
     }
 

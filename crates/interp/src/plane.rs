@@ -1,9 +1,9 @@
 //! Type-specialized *plane* evaluation for straight-line scalar-integer
 //! functions.
 //!
-//! The batched evaluator ([`CompiledFunction::evaluate_batch_with_limit`](crate::compiled::CompiledFunction::evaluate_batch_with_limit))
-//! already amortizes step decode over a batch of inputs, but every lane of
-//! every step still flows through `EvalValue` — an enum whose discriminant
+//! The compiled evaluator ([`CompiledFunction::evaluate_with_limit`](crate::compiled::CompiledFunction::evaluate_with_limit))
+//! decodes a function once for all its inputs, but every value of every
+//! step still flows through `EvalValue` — an enum whose discriminant
 //! check, `ApInt` width bookkeeping and per-lane `Result` plumbing dominate
 //! the cost of the actual arithmetic. For the functions the LPO corpora are
 //! made of (one block, integer scalars ≤ 64 bits, no memory), all of that
@@ -24,8 +24,8 @@
 //! the translation validator's `CompileCache` in particular — get the plane
 //! program for free. Ineligible functions (memory, vectors, floats, control
 //! flow, wide integers) simply compile with `plane: None` and keep using the
-//! batched evaluator; [`PlanePlan::compile`] returning `None` *is* the
-//! fallback contract.
+//! compiled evaluator, one input at a time; [`PlanePlan::compile`] returning
+//! `None` *is* the fallback contract.
 //!
 //! Inputs enter a plan in one of two forms. [`PlanePlan::evaluate_columns`]
 //! takes one canonical `u64` column per parameter and copies each straight
@@ -36,13 +36,13 @@
 //!
 //! # Semantics
 //!
-//! [`PlanePlan::evaluate_lanes`] reproduces the batched evaluator bit for
+//! [`PlanePlan::evaluate_lanes`] reproduces the compiled evaluator bit for
 //! bit on eligible functions and inputs:
 //!
 //! * identical results, poison/undef propagation and UB messages per lane
 //!   (the differential fuzz suite in `tests/plane_differential.rs` proves
 //!   this over thousands of random functions);
-//! * identical lock-step step accounting — instruction `j` executes only if
+//! * identical step accounting — instruction `j` executes only if
 //!   `j + 1 <= step_limit`, the `ret` costs one more step, and lanes still
 //!   live when the limit trips report `execution step limit exceeded`;
 //! * per-lane isolation: one lane's UB or poison never leaks into another.
@@ -204,7 +204,7 @@ impl PlaneResult {
     }
 
     /// Materializes the lane's outcome in the interpreter's native form,
-    /// identical to what [`CompiledFunction::evaluate_batch_with_limit`](crate::compiled::CompiledFunction::evaluate_batch_with_limit)
+    /// identical to what [`CompiledFunction::evaluate_with_limit`](crate::compiled::CompiledFunction::evaluate_with_limit)
     /// returns for the same input. `memory` is threaded through unchanged
     /// (eligible functions never touch it).
     ///
@@ -345,7 +345,7 @@ impl PlanePlan {
     /// over operands that are parameters, earlier instructions in the same
     /// block, or integer/`undef`/`poison` constants of matching width.
     /// Memory, floats, vectors, pointers, wide integers and control flow all
-    /// disqualify — those shapes keep the batched evaluator.
+    /// disqualify — those shapes keep the compiled evaluator.
     pub fn compile(func: &Function) -> Option<PlanePlan> {
         if func.blocks().len() != 1 {
             return None;
@@ -438,7 +438,7 @@ impl PlanePlan {
                     let from_w = int_w(&func.value_type(value))?;
                     // Only strictly-narrowing truncs and strictly-widening
                     // extensions are lowered; malformed same-width casts
-                    // keep the batched evaluator's behaviour.
+                    // keep the compiled evaluator's behaviour.
                     match op {
                         CastOp::Trunc if from_w > to_w => {}
                         CastOp::ZExt | CastOp::SExt if from_w < to_w => {}
@@ -573,12 +573,12 @@ impl PlanePlan {
 
     /// Runs the plan over `lanes` inputs in lock step.
     ///
-    /// Returns `None` (caller should fall back to the batched evaluator)
+    /// Returns `None` (caller should fall back to the compiled evaluator)
     /// if any lane's arguments fail [`accepts_args`](Self::accepts_args).
     /// Otherwise the result holds, per lane, exactly what
-    /// [`CompiledFunction::evaluate_batch_with_limit`](crate::compiled::CompiledFunction::evaluate_batch_with_limit) would produce for
-    /// the same input and `step_limit` — same values, same poison/undef,
-    /// same UB diagnostics, same step counts.
+    /// [`CompiledFunction::evaluate_with_limit`](crate::compiled::CompiledFunction::evaluate_with_limit)
+    /// would produce for the same input and `step_limit` — same values, same
+    /// poison/undef, same UB diagnostics, same step counts.
     ///
     /// This is [`evaluate_columns`](Self::evaluate_columns) for argument
     /// lists: it packs the lanes into the parameter planes (poison and undef
@@ -655,7 +655,7 @@ impl PlanePlan {
             states[base..base + n].fill(st);
         }
 
-        // Lock-step execution with the batched evaluator's step accounting:
+        // Lock-step execution with the compiled evaluator's step accounting:
         // instruction `j` runs only when `j + 1 <= step_limit`.
         let exec = self.steps.len().min(step_limit);
         for step in &self.steps[..exec] {
@@ -1358,6 +1358,8 @@ mod tests {
         assert!(plan("define double @f(double %x) {\n ret double %x\n}").is_none());
     }
 
+    /// The plane evaluator against the serial compiled evaluator, lane by
+    /// lane, over a grid that includes every division-by-zero lane.
     #[test]
     fn plane_matches_batch_on_exhaustive_i8() {
         let f = parse_function(
@@ -1379,10 +1381,9 @@ mod tests {
             .collect();
         let refs: Vec<&[EvalValue]> = args.iter().map(|a| a.as_slice()).collect();
         let result = plan.evaluate_lanes(&mut arena, &refs, 1 << 14).unwrap();
-        let lanes: Vec<(&[EvalValue], Memory)> =
-            args.iter().map(|a| (a.as_slice(), Memory::new())).collect();
-        let batch = compiled.evaluate_batch_with_limit(&mut EvalArena::new(), lanes, 1 << 14);
-        for (i, expect) in batch.into_iter().enumerate() {
+        let mut serial = EvalArena::new();
+        for (i, lane) in args.iter().enumerate() {
+            let expect = compiled.evaluate_with_limit(&mut serial, lane, Memory::new(), 1 << 14);
             assert_eq!(result.outcome(i, Memory::new()), expect, "lane {i}");
         }
     }
@@ -1422,12 +1423,13 @@ mod tests {
                 let compiled = CompiledFunction::compile(&f);
                 let plan = compiled.plane().expect("eligible");
                 let planes = plan.evaluate_lanes(&mut EvalArena::new(), &refs, 100).unwrap();
-                let lanes = args.iter().map(|a| (a.as_slice(), Memory::new())).collect();
-                let batch = compiled.evaluate_batch_with_limit(&mut EvalArena::new(), lanes, 100);
+                let mut serial = EvalArena::new();
                 for (i, lane) in args.iter().enumerate() {
                     let reference = crate::eval::evaluate_reference(&f, lane, Memory::new(), 100);
+                    let compiled_out =
+                        compiled.evaluate_with_limit(&mut serial, lane, Memory::new(), 100);
                     assert_eq!(planes.outcome(i, Memory::new()), reference, "{text} lane {i}");
-                    assert_eq!(batch[i], reference, "{text} lane {i}");
+                    assert_eq!(compiled_out, reference, "{text} lane {i}");
                     let zero =
                         if op.ends_with("div") { "division by zero" } else { "remainder by zero" };
                     let expected = match divisor {
@@ -1445,6 +1447,8 @@ mod tests {
         }
     }
 
+    /// Every step limit around a two-instruction body trips on the same
+    /// step as the serial compiled evaluator.
     #[test]
     fn step_limit_matches_batch() {
         let f = parse_function(
@@ -1457,12 +1461,9 @@ mod tests {
         let refs: Vec<&[EvalValue]> = args.iter().map(|a| a.as_slice()).collect();
         for limit in 0..5 {
             let r = plan.evaluate_lanes(&mut EvalArena::new(), &refs, limit).unwrap();
-            let batch = compiled.evaluate_batch_with_limit(
-                &mut EvalArena::new(),
-                vec![(args[0].as_slice(), Memory::new())],
-                limit,
-            );
-            assert_eq!(r.outcome(0, Memory::new()), batch[0].clone(), "limit {limit}");
+            let serial =
+                compiled.evaluate_with_limit(&mut EvalArena::new(), &args[0], Memory::new(), limit);
+            assert_eq!(r.outcome(0, Memory::new()), serial, "limit {limit}");
         }
     }
 

@@ -5,8 +5,8 @@
 //!   a couple of direct-evaluator calls; the reference pays
 //!   `CompiledFunction::compile` plus one sweep step.
 //! * `full_sweep_staged` / `full_sweep_reference` — a correct candidate over
-//!   a 256-input exhaustive space: the survivor cost, where the batched
-//!   sweep amortizes step decoding across inputs.
+//!   a 256-input exhaustive space: the survivor cost, where the plane tier
+//!   sweeps the inputs 256 lanes at a time.
 //! * `cached_survivor` — the same survivor verified through a warm
 //!   `CompileCache`, the cross-candidate steady state.
 //!

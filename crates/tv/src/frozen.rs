@@ -16,7 +16,7 @@
 //! their parameter planes, or one [`TestInput`](crate::inputs::TestInput)
 //! per lane otherwise. A column lane becomes a `TestInput` only where one
 //! is needed — a suspect lane whose source outcome is evaluated on the
-//! spot, or a batched chunk of a candidate with no plane form.
+//! spot, or a lane of the serial tail of a candidate with no plane form.
 //!
 //! The source outcomes take one of two forms. When the source is
 //! plane-eligible (and the plane tier is on), the frozen case is a **dense
@@ -31,9 +31,10 @@
 //! On top of it, a [`SweepShard`] is one stealable unit of Stage-3 work: the
 //! half-open input range `[start, end)` of one candidate's survivor sweep.
 //! [`SweepShard::run`] is the staged walk's only sweep — plane chunks of 256
-//! lanes while the inputs stay in the plane domain, then 32-lane batched
-//! chunks — and stops at the shard's first refuting input. The serial entry
-//! points run the whole sweep as one shard on [`SerialDriver`].
+//! lanes while the inputs stay in the plane domain, then one input at a
+//! time on the compiled evaluator — and stops at the shard's first refuting
+//! input. The serial entry points run the whole sweep as one shard on
+//! [`SerialDriver`].
 //!
 //! # Ordered merge and cancellation
 //!
@@ -54,7 +55,7 @@
 use crate::inputs::InputSet;
 use crate::refine::{
     dense_table, evaluate_source, refutation, DenseOutcomes, Refutation, SourceOutcome,
-    TargetOutcome, PLANE_LANES, STEP_LIMIT, SWEEP_LANES,
+    TargetOutcome, PLANE_LANES, STEP_LIMIT,
 };
 use lpo_interp::compiled::{CompiledFunction, EvalArena};
 use lpo_ir::function::Function;
@@ -226,10 +227,10 @@ impl SweepShard {
 
     /// Sweeps the shard's input range: plane chunks of `PLANE_LANES` while
     /// the candidate has a plane form and the inputs stay in the plane
-    /// domain, then `SWEEP_LANES` batched chunks. Stops at the shard's first
-    /// refuting input.
+    /// domain, then the serial tail, one input at a time on the compiled
+    /// evaluator. Stops at the shard's first refuting input.
     ///
-    /// A chunk outside the plane domain drops this shard to the batched tier
+    /// A chunk outside the plane domain drops this shard to the serial tail
     /// for its own remainder only; later shards retry the plane. The tiers
     /// produce identical outcomes (proven by `tests/plane_differential.rs`),
     /// so the verdict and the refuting input do not depend on the shard
@@ -276,33 +277,46 @@ impl SweepShard {
                 }
             }
         }
-        let mut buf = Vec::new();
-        while index < self.end {
-            let chunk_end = (index + SWEEP_LANES).min(self.end);
-            let window = inner.inputs.window(index..chunk_end, &mut buf);
-            let lanes =
-                window.iter().map(|input| (input.args.as_slice(), input.memory.clone())).collect();
-            let lane_outs = self.tgt.evaluate_batch_with_limit(arena, lanes, STEP_LIMIT);
-            for (offset, lane_out) in lane_outs.into_iter().enumerate() {
-                let lane_index = index + offset;
-                let tgt_out = lane_out.map(|o| (o.result, o.memory));
-                // Same pre-filter as the plane loop, on the materialized lane.
-                if let Some(table) = &inner.dense {
-                    if table.outcome_refines(lane_index, &tgt_out) {
-                        continue;
-                    }
-                }
-                let src_out = inner.source_outcome(lane_index, arena);
-                if let Some(refutation) = refutation(&window[offset].memory, &src_out, &tgt_out) {
-                    return SweepOutcome {
-                        finding: Some(SweepFinding { index: lane_index, tgt_out, refutation }),
-                        used_plane,
-                    };
+        let finding = if index < self.end { self.run_serial(index, arena) } else { None };
+        SweepOutcome { finding, used_plane }
+    }
+
+    /// Sweeps inputs `[start, end)` of the shard one at a time on
+    /// [`CompiledFunction::evaluate_with_limit`]: the tail for candidates
+    /// with no plane form and for inputs outside the plane domain. Each lane
+    /// takes the dense pre-filter when the case has a table, then the
+    /// authoritative comparison. Returns the first refuting input.
+    ///
+    /// Under 1% of swept lanes reach this tail on every perfbench workload.
+    /// It is kept out of line and cold because an inlined tail lost
+    /// corpus-discover `cases_per_s` on 16 of 20 interleaved pairs (median
+    /// 6–11% lower on seeds 1, 3 and 7) while traced runs showed no
+    /// difference in the TV layer: a code-layout effect on the plane loop,
+    /// not work done here. A repeat on a noisier 2-vCPU host, 8 pairs per
+    /// seed, saw no difference beyond its run-to-run spread (out-of-line vs
+    /// inlined medians −5% to +2%, quartile spread 20–43%).
+    #[cold]
+    #[inline(never)]
+    fn run_serial(&self, start: usize, arena: &mut EvalArena) -> Option<SweepFinding> {
+        let inner = &*self.case.inner;
+        for lane_index in start..self.end {
+            let input = inner.inputs.input(lane_index);
+            let tgt_out = self
+                .tgt
+                .evaluate_with_limit(arena, &input.args, input.memory.clone(), STEP_LIMIT)
+                .map(|o| (o.result, o.memory));
+            // Same pre-filter as the plane loop, on the materialized lane.
+            if let Some(table) = &inner.dense {
+                if table.outcome_refines(lane_index, &tgt_out) {
+                    continue;
                 }
             }
-            index = chunk_end;
+            let src_out = inner.source_outcome(lane_index, arena);
+            if let Some(refutation) = refutation(&input.memory, &src_out, &tgt_out) {
+                return Some(SweepFinding { index: lane_index, tgt_out, refutation });
+            }
         }
-        SweepOutcome { finding: None, used_plane }
+        None
     }
 }
 

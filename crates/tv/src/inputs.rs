@@ -34,7 +34,7 @@
 //!
 //! Either way [`InputSet::input`] yields lane `i` exactly as
 //! `generate_inputs(..)[i]`, so the few lanes that need a [`TestInput`] —
-//! the probe window, suspect or refuting lanes, batched sweeps of
+//! the probe window, suspect or refuting lanes, the serial sweep of
 //! non-plane candidates — materialize one on demand.
 
 use crate::buffers;
@@ -244,11 +244,14 @@ impl InputSet {
     pub fn input(&self, index: usize) -> Cow<'_, TestInput> {
         match &self.layout {
             Layout::Rows(rows) => Cow::Borrowed(&rows[index]),
-            Layout::Columns { .. } => {
-                let mut input = TestInput { args: Vec::new(), memory: Memory::new() };
-                self.fill_args(index, &mut input.args);
-                Cow::Owned(input)
-            }
+            Layout::Columns { widths, columns, .. } => Cow::Owned(TestInput {
+                args: widths
+                    .iter()
+                    .zip(columns)
+                    .map(|(&w, c)| EvalValue::Int(ApInt::new(w, c[index] as u128)))
+                    .collect(),
+                memory: Memory::new(),
+            }),
         }
     }
 
@@ -276,27 +279,6 @@ impl InputSet {
         self.columns().map(|columns| columns.iter().map(|c| &c[range.clone()]).collect())
     }
 
-    /// Inputs `range` as [`TestInput`]s: borrowed from the rows, or
-    /// materialized from the columns into `buf`, whose slots (and their
-    /// argument vectors) are reused from call to call.
-    pub(crate) fn window<'s>(
-        &'s self,
-        range: Range<usize>,
-        buf: &'s mut Vec<TestInput>,
-    ) -> &'s [TestInput] {
-        if let Layout::Rows(rows) = &self.layout {
-            return &rows[range];
-        }
-        let len = range.len();
-        if buf.len() < len {
-            buf.resize_with(len, || TestInput { args: Vec::new(), memory: Memory::new() });
-        }
-        for (slot, index) in buf.iter_mut().zip(range) {
-            self.fill_args(index, &mut slot.args);
-        }
-        &buf[..len]
-    }
-
     /// Whether no input carries an allocation — true by construction for
     /// columns.
     pub(crate) fn allocation_free(&self) -> bool {
@@ -304,20 +286,6 @@ impl InputSet {
             Layout::Columns { .. } => true,
             Layout::Rows(rows) => rows.iter().all(|input| input.memory.allocation_count() == 0),
         }
-    }
-
-    /// Overwrites `args` with column input `index`'s arguments.
-    fn fill_args(&self, index: usize, args: &mut Vec<EvalValue>) {
-        let Layout::Columns { widths, columns, .. } = &self.layout else {
-            unreachable!("only column sets materialize arguments");
-        };
-        args.clear();
-        args.extend(
-            widths
-                .iter()
-                .zip(columns)
-                .map(|(&w, c)| EvalValue::Int(ApInt::new(w, c[index] as u128))),
-        );
     }
 }
 
@@ -606,26 +574,6 @@ mod tests {
                     );
                 }
             }
-        }
-        // Windows, refilled through one reused buffer, in uneven steps.
-        let mut buf = Vec::new();
-        let mut start = 0;
-        for step in [3, 32, 1, 7].into_iter().cycle() {
-            if start >= rows.len() {
-                break;
-            }
-            let end = (start + step).min(rows.len());
-            let window = set.window(start..end, &mut buf);
-            assert_eq!(window.len(), end - start, "{what}: window length");
-            for (offset, input) in window.iter().enumerate() {
-                assert_eq!(
-                    args_text(&input.args),
-                    args_text(&rows[start + offset].args),
-                    "{what}: window lane {}",
-                    start + offset
-                );
-            }
-            start = end;
         }
     }
 

@@ -21,8 +21,9 @@
 //! Checking is *staged* so that refutation is cheap and verification cost
 //! concentrates on survivors: a probe over the first few inputs on the
 //! uncompiled evaluator, lazy compilation (through the shared
-//! [`refine::CompileCache`]) only for probe survivors, and a batched sweep
-//! over the remaining inputs. Callers verifying many candidates of one
+//! [`refine::CompileCache`]) only for probe survivors, and a sweep over the
+//! remaining inputs — 256 at a time on the plane tier, one at a time on the
+//! compiled evaluator for candidates without a plane form. Callers verifying many candidates of one
 //! source build a per-case [`refine::SourceCache`]:
 //!
 //! ```

@@ -39,10 +39,10 @@
 //!    Within a shard, straight-line scalar-integer candidates, whose
 //!    compiled form carries a [`lpo_interp::plane::PlanePlan`], sweep 256
 //!    inputs at a time over native `u64` register planes; everything else
-//!    (memory, vectors, control flow) falls back to
-//!    [`CompiledFunction::evaluate_batch_with_limit`], which drives
-//!    32 lanes through one walk of the decoded step list. The
-//!    plane tier can be switched off with [`TvConfig::plane_sweep`].
+//!    (memory, vectors, control flow) runs one input at a time on
+//!    [`CompiledFunction::evaluate_with_limit`], the same serial call
+//!    [`SourceCache::verify_reference`] makes. The plane tier can be
+//!    switched off with [`TvConfig::plane_sweep`].
 //!
 //! Ahead of the probe sits **Stage 3a₀, abstract pre-verification**
 //! ([`TvConfig::absint`]): source and candidate are pushed through
@@ -92,9 +92,6 @@ use std::sync::{Arc, Mutex};
 
 /// How many instructions a single evaluation may execute.
 pub(crate) const STEP_LIMIT: usize = 1 << 14;
-
-/// How many inputs one batched survivor-sweep call covers.
-pub(crate) const SWEEP_LANES: usize = 32;
 
 /// How many inputs one plane survivor-sweep call covers. Planes are flat
 /// `u64` slices, so wider chunks amortize the per-step loop overhead and
@@ -178,8 +175,8 @@ pub struct TvConfig {
     pub probe_inputs: usize,
     /// Whether probe survivors whose compiled form carries a
     /// [`PlanePlan`] sweep the remaining inputs on the type-specialized
-    /// plane evaluator. Off, every survivor takes the general batched
-    /// sweep; verdicts are identical either way.
+    /// plane evaluator. Off, every survivor sweeps one input at a time on
+    /// the compiled evaluator; verdicts are identical either way.
     pub plane_sweep: bool,
     /// Whether candidates run through the abstract pre-verification tier
     /// (Stage 3a₀) before any concrete evaluation: `lpo_absint` certificates
@@ -408,8 +405,8 @@ pub fn verify_refinement_reference(src: &Function, tgt: &Function, config: &TvCo
 /// value and final memory, or the UB it exhibited.
 pub(crate) type SourceOutcome = Result<(Option<EvalValue>, Memory), Ub>;
 
-/// The same shape for the target side (probe, batched or compiled-serial —
-/// all three evaluators produce identical outcomes).
+/// The same shape for the target side (probe, plane or compiled — all
+/// three evaluators produce identical outcomes).
 pub(crate) type TargetOutcome = Result<(Option<EvalValue>, Memory), Ub>;
 
 /// What the staged walk concluded, before any diagnostic rendering.
@@ -536,7 +533,8 @@ impl DenseOutcomes {
     }
 
     /// [`lane_refines`](Self::lane_refines) for a materialized target
-    /// outcome (the batched sweep's lanes). Same tag order, same contract:
+    /// outcome (the lanes of the sweep's serial, non-plane tail). Same tag
+    /// order, same contract:
     /// `false` only means *suspect*. The signature check guarantees source
     /// and target return the same integer type, so comparing canonical bits
     /// is comparing values.
@@ -710,8 +708,8 @@ impl<'a> SourceCache<'a> {
     }
 
     /// Survivors whose *first* post-probe shard ran at least one chunk on
-    /// the type-specialized plane evaluator rather than the general batched
-    /// interpreter. A subset of [`survivors`](Self::survivors);
+    /// the type-specialized plane evaluator rather than the serial compiled
+    /// evaluator. A subset of [`survivors`](Self::survivors);
     /// deterministic for a given case, candidate sequence and shard size
     /// (shard 0 is never cancelled). With one shard, as on
     /// [`verify_with`](Self::verify_with), it covers the whole sweep.

@@ -17,8 +17,8 @@
 //! at shard sizes 1, 7, 256 and unbounded. The pairs are fuzz pairs from
 //! [`lpo_interp::fuzz::random_pair`], the rq1/rq2 corpora with their twisted
 //! returns, branchy and phi targets checked against plane-eligible sources
-//! (the batched sweep's dense pre-filter), and sources whose outcomes mix
-//! UB, poison and undef lanes.
+//! (the dense pre-filter of the sweep's serial, non-plane tail), and
+//! sources whose outcomes mix UB, poison and undef lanes.
 //!
 //! The fuzz test walks a fixed seed block and appends a rotating block
 //! derived from `LPO_FUZZ_SEED` when set — the CI fuzz-smoke step derives it
@@ -82,8 +82,8 @@ fn rendered(verdict: &Verdict) -> String {
 struct Coverage {
     /// Survivors swept against a dense frozen case.
     dense: usize,
-    /// Of those, survivors whose sweep ran the batched tier (a target with
-    /// no plane form), i.e. the batched dense pre-filter.
+    /// Of those, survivors whose sweep ran no plane chunk (a target with no
+    /// plane form), i.e. the serial tail's dense pre-filter.
     dense_batched: usize,
     /// Survivors swept against a materialized frozen case.
     materialized: usize,
@@ -176,6 +176,9 @@ fn dense_frozen_cases_match_on_the_corpora() {
     assert!(coverage.materialized > 0, "no materialized corpus case");
 }
 
+/// Branchy and phi targets have no plane form, so against a dense frozen
+/// case every lane goes through the serial compiled tail and its
+/// `outcome_refines` pre-filter.
 #[test]
 fn branchy_targets_use_the_batched_dense_prefilter() {
     let src = parse("define i8 @s(i8 %x) {\n %r = add i8 %x, 1\n ret i8 %r\n}");
@@ -195,15 +198,15 @@ fn branchy_targets_use_the_batched_dense_prefilter() {
         check_pair(&src, &parse(text), &InputConfig::default(), &mut arena, &mut coverage);
     }
     assert_eq!(coverage.dense, targets.len(), "every survivor froze a dense case");
-    assert_eq!(coverage.dense_batched, targets.len(), "every survivor took the batched sweep");
+    assert_eq!(coverage.dense_batched, targets.len(), "every survivor took the serial tail");
     assert_eq!(coverage.refuted, 3);
 }
 
 #[test]
 fn ub_poison_and_undef_source_lanes_agree() {
     // Each source mixes defined lanes with UB, poison or undef lanes; the
-    // targets are checked on the plane tier (straight-line) and the batched
-    // tier (branchy), refining and refuting.
+    // targets are checked on the plane tier (straight-line) and the serial
+    // compiled tail (branchy), refining and refuting.
     let cases: [(&str, &[&str]); 3] = [
         (
             // UB at x == 0.
@@ -246,6 +249,6 @@ fn ub_poison_and_undef_source_lanes_agree() {
             check_pair(&src, &parse(text), &InputConfig::default(), &mut arena, &mut coverage);
         }
     }
-    assert!(coverage.dense_batched >= 4, "branchy targets missed the batched pre-filter");
+    assert!(coverage.dense_batched >= 4, "branchy targets missed the serial tail's pre-filter");
     assert!(coverage.refuted >= 5, "too few refutations: {}", coverage.refuted);
 }

@@ -8,13 +8,16 @@
 //! — the exact domain the [`PlanePlan`] tier claims — and every one is
 //! checked three ways:
 //!
-//! * **plane ≡ batch ≡ reference** on full outcomes (values, poison/undef,
-//!   UB messages, step counts), including tiny step limits;
-//! * **lane isolation**: a batched plane sweep is bit-identical to running
+//! * **plane ≡ compiled ≡ reference** on full outcomes (values,
+//!   poison/undef, UB messages, step counts), including tiny step limits,
+//!   where "compiled" is [`CompiledFunction::evaluate_with_limit`] run on
+//!   one lane at a time;
+//! * **lane isolation**: a many-lane plane sweep is bit-identical to running
 //!   each lane alone, so a trapping lane cannot contaminate a neighbour;
 //! * **TV parity**: `SourceCache` verdicts and source-eval counts are
 //!   identical with the plane tier on and off, and a survivor only falls
-//!   back to the batched sweep when its compiled form really has no plan;
+//!   back to the serial compiled sweep when its compiled form really has no
+//!   plan;
 //! * **digest sanity**: structurally distinct fuzz functions never share a
 //!   [`hash_function`] digest (the compile cache's correctness assumption);
 //! * **tape ≡ plan**: a [`PlaneTape`] grown one binary/icmp instruction at a
@@ -22,7 +25,7 @@
 //!   [`PlanePlan::evaluate_lanes`] of every program prefix on every lane;
 //! * **columns ≡ lanes**: fed the verifier's [`InputSet`] columns,
 //!   [`PlanePlan::evaluate_columns`] equals [`PlanePlan::evaluate_lanes`]
-//!   and the batched evaluator on every lane, and
+//!   and the serial compiled evaluator on every lane, and
 //!   [`PlaneTape::from_columns`] equals [`PlaneTape::new`] on every plane of
 //!   the replayed chain.
 //!
@@ -36,7 +39,6 @@ use lpo_bench::twist_return;
 use lpo_interp::compiled::{CompiledFunction, EvalArena};
 use lpo_interp::eval::evaluate_reference;
 use lpo_interp::fuzz::random_function;
-use lpo_interp::memory::Memory;
 use lpo_interp::plane::{PlanePlan, PlaneTape};
 use lpo_interp::value::EvalValue;
 use lpo_ir::constant::Constant;
@@ -94,8 +96,9 @@ fn input_config(seed: u64) -> InputConfig {
     InputConfig { exhaustive_bits: 8, random_samples: 24, seed }
 }
 
-/// All three evaluators on the same function and inputs; asserts full
-/// outcome equality (result, memory, steps, UB message) per lane.
+/// All three evaluators on the same function and inputs — the plane plan,
+/// the compiled evaluator one lane at a time, and the reference; asserts
+/// full outcome equality (result, memory, steps, UB message) per lane.
 fn check_three_ways(seed: u64, arena: &mut EvalArena, step_limit: usize) -> usize {
     let func = random_function(seed);
     let compiled = CompiledFunction::compile(&func);
@@ -108,15 +111,14 @@ fn check_three_ways(seed: u64, arena: &mut EvalArena, step_limit: usize) -> usiz
     let result = plan
         .evaluate_lanes(arena, &lanes, step_limit)
         .expect("generated inputs always fit the plan's own signature");
-    let batch_lanes: Vec<(&[EvalValue], Memory)> =
-        inputs[..take].iter().map(|i| (i.args.as_slice(), i.memory.clone())).collect();
-    let batch = compiled.evaluate_batch_with_limit(arena, batch_lanes, step_limit);
-    for (lane, (input, batch_out)) in inputs[..take].iter().zip(&batch).enumerate() {
+    for (lane, input) in inputs[..take].iter().enumerate() {
         let plane_out = result.outcome(lane, input.memory.clone());
+        let compiled_out =
+            compiled.evaluate_with_limit(arena, &input.args, input.memory.clone(), step_limit);
         assert_eq!(
-            &plane_out,
-            batch_out,
-            "plane vs batch diverged: seed {seed:#x} lane {lane} limit {step_limit} args {:?}\n{}",
+            plane_out,
+            compiled_out,
+            "plane vs compiled diverged: seed {seed:#x} lane {lane} limit {step_limit} args {:?}\n{}",
             input.args,
             print_function(&func)
         );
@@ -157,9 +159,9 @@ fn plane_matches_batch_and_reference_at_tiny_step_limits() {
 
 #[test]
 fn batched_lanes_match_isolated_lanes() {
-    // A full-width sweep must be bit-identical to evaluating every lane on
-    // its own — UB, poison or a step-limit hit in one lane cannot leak into
-    // a neighbour's planes.
+    // A full-width plane sweep must be bit-identical to evaluating every
+    // lane on its own — UB, poison or a step-limit hit in one lane cannot
+    // leak into a neighbour's planes.
     let mut arena = EvalArena::new();
     let mut solo_arena = EvalArena::new();
     for seed in seed_block(200, 0x1a9e_1501) {
@@ -428,12 +430,11 @@ fn evaluate_columns_matches_evaluate_lanes_and_batch() {
             let by_columns =
                 plan.evaluate_columns(&mut arena, &columns, limit).expect("columns fit");
             let by_lanes = plan.evaluate_lanes(&mut arena, &lanes, limit).expect("lanes fit");
-            let batch_lanes: Vec<(&[EvalValue], Memory)> =
-                inputs.iter().map(|i| (i.args.as_slice(), i.memory.clone())).collect();
-            let batch = compiled.evaluate_batch_with_limit(&mut arena, batch_lanes, limit);
             assert_eq!(by_columns.lanes(), inputs.len());
             for (lane, input) in inputs.iter().enumerate() {
                 let want = by_lanes.outcome(lane, input.memory.clone());
+                let compiled_out =
+                    compiled.evaluate_with_limit(&mut arena, &input.args, input.memory.clone(), limit);
                 assert_eq!(
                     by_columns.outcome(lane, input.memory.clone()),
                     want,
@@ -442,8 +443,8 @@ fn evaluate_columns_matches_evaluate_lanes_and_batch() {
                 );
                 assert_eq!(
                     want,
-                    batch[lane],
-                    "lanes vs batch diverged: seed {seed:#x} lane {lane} limit {limit}\n{}",
+                    compiled_out,
+                    "lanes vs compiled diverged: seed {seed:#x} lane {lane} limit {limit}\n{}",
                     print_function(&func)
                 );
                 checked += 1;

@@ -20,7 +20,7 @@ use lpo_ir::parser::parse_function;
 use lpo_llm::strategies::{apply_strategy, library};
 use lpo_llm::prelude::{gemini2_0t, SimulatedModelFactory};
 use lpo_tv::inputs::InputConfig;
-use lpo_tv::prelude::{CompileCache, EvalArena, SourceCache, TvConfig};
+use lpo_tv::prelude::{CompileCache, EvalArena, SerialDriver, SourceCache, TvConfig};
 use lpo_tv::refine::{verify_refinement_reference, verify_refinement_with};
 
 /// A compact input set so sweeping the whole corpus stays fast in debug
@@ -86,7 +86,10 @@ fn staged_matches_reference_over_the_corpora() {
 fn staged_matches_reference_on_ub_memory_and_control_flow() {
     // (src, tgt) pairs hitting the refinement rules the corpora underexercise:
     // UB introduction/removal, memory mismatches, poison, infinite loops
-    // (step-limit UB) and multi-block targets (the batched sweep's fallback).
+    // (step-limit UB), vectors and multi-block targets. The memory, vector
+    // and control-flow targets have no plane form, so their swept lanes run
+    // on the serial compiled tail — checked here at every shard size, whose
+    // boundaries decide where that tail starts and stops.
     let pairs = [
         // Target introduces UB (udiv by a parameter).
         (
@@ -133,8 +136,30 @@ fn staged_matches_reference_on_ub_memory_and_control_flow() {
              entry:\n  br label %loop\n\
              loop:\n  br label %loop\n}",
         ),
-        // Multi-block, phi-carrying target (batched sweep falls back to the
-        // per-lane path) that is nevertheless correct.
+        // Memory: the stored value depends on the argument, equal on every
+        // input.
+        (
+            "define void @s(ptr %p, i32 %x) {\n %v = shl i32 %x, 1\n store i32 %v, ptr %p, align 4\n ret void\n}",
+            "define void @t(ptr %p, i32 %x) {\n %v = add i32 %x, %x\n store i32 %v, ptr %p, align 4\n ret void\n}",
+        ),
+        // Memory: the stored value depends on the argument and differs for
+        // large ones.
+        (
+            "define void @s(ptr %p, i32 %x) {\n %v = shl i32 %x, 1\n store i32 %v, ptr %p, align 4\n ret void\n}",
+            "define void @t(ptr %p, i32 %x) {\n\
+             %c = icmp ult i32 %x, 1000\n\
+             %d = shl i32 %x, 1\n\
+             %e = or i32 %d, 1\n\
+             %v = select i1 %c, i32 %d, i32 %e\n\
+             store i32 %v, ptr %p, align 4\n ret void\n}",
+        ),
+        // Vectors: a lane-wise identity over sampled `<4 x i8>` inputs.
+        (
+            "define <4 x i8> @s(<4 x i8> %x) {\n %r = shl <4 x i8> %x, splat (i8 1)\n ret <4 x i8> %r\n}",
+            "define <4 x i8> @t(<4 x i8> %x) {\n %r = add <4 x i8> %x, %x\n ret <4 x i8> %r\n}",
+        ),
+        // Multi-block, phi-carrying target (no plane form: the sweep runs
+        // one input at a time) that is nevertheless correct.
         (
             "define i32 @s(i32 %x) {\n %r = add i32 %x, 1\n ret i32 %r\n}",
             "define i32 @t(i32 %x) {\n\
@@ -149,6 +174,7 @@ fn staged_matches_reference_on_ub_memory_and_control_flow() {
             "define i32 @t(i32 %x, i32 %y) {\n ret i32 %x\n}",
         ),
     ];
+    let mut arena = EvalArena::new();
     for (src_text, tgt_text) in pairs {
         let src = parse_function(src_text).unwrap();
         let tgt = parse_function(tgt_text).unwrap();
@@ -157,6 +183,24 @@ fn staged_matches_reference_on_ub_memory_and_control_flow() {
             let staged = verify_refinement_with(&src, &tgt, &config);
             let reference = verify_refinement_reference(&src, &tgt, &config);
             assert_eq!(staged, reference, "pair diverged (probe {probe}):\n{src_text}\n→\n{tgt_text}");
+            // The sharded walk on the in-order driver, with the abstract
+            // tier off too so provable pairs still reach the sweep.
+            for absint in [true, false] {
+                let config = TvConfig { absint, ..config.clone() };
+                let reference = SourceCache::new(&src, config.clone()).verify_reference(&tgt, &mut arena);
+                for shard_size in [1, 7, 256, usize::MAX] {
+                    let sharded = SourceCache::new(&src, config.clone()).verify_with_driver(
+                        &tgt,
+                        &mut arena,
+                        &SerialDriver,
+                        shard_size,
+                    );
+                    assert_eq!(
+                        sharded, reference,
+                        "sharded walk diverged (probe {probe}, absint {absint}, shard {shard_size}):\n{src_text}\n→\n{tgt_text}"
+                    );
+                }
+            }
         }
     }
 }
@@ -288,8 +332,9 @@ fn poison_or_undef_divisor_is_immediate_ub() {
             cases.push((poison_src, tgt, false, false));
         }
     }
-    // Probe survivors are decided by the Stage-3 sweep, so the plane and
-    // batched kernels see the divisor, not only the probe's evaluator.
+    // Probe survivors are decided by the Stage-3 sweep, so the plane kernels
+    // and the serial compiled tail see the divisor, not only the probe's
+    // evaluator.
     let undef_divisor_src =
         "define i8 @s(i8 %x) {\n %d = or i8 undef, 1\n %q = udiv i8 %x, %d\n ret i8 %q\n}";
     let pairs = [
