@@ -48,9 +48,9 @@
 //! scripts a session against one: a `--corpus`/`--module FILE` submission,
 //! optional `--warm N` resubmissions, `--stats`, `--shutdown`.
 
-use lpo::prelude::{VerdictStore, DEFAULT_SHARD_SIZE};
+use lpo::prelude::{ExecConfig, VerdictStore, DEFAULT_SHARD_SIZE};
 use lpo_bench::results::{check_gates, BenchResults, Json, RunEntries, TableEntry};
-use lpo_bench::{self as harness, StoreOptions, TableRun};
+use lpo_bench::{self as harness, RunOptions, TableRun};
 use lpo_llm::prelude::rq1_models;
 use lpo_serve::prelude::{ServeClient, ServeConfig, Server, SubmitOptions};
 use std::sync::Arc;
@@ -111,25 +111,31 @@ fn measured<T>(result: Result<T, String>) -> T {
     })
 }
 
-/// `--store PATH` / `--resume`: opens (or creates) the durable verdict and
-/// checkpoint store. `--resume` without `--store` is a usage error — there is
-/// nothing to resume from.
-fn arg_store(args: &[String]) -> Option<StoreOptions> {
+/// `--jobs N`, `--shard-size M`, `--store PATH` and `--resume`: the table
+/// drivers' [`RunOptions`]. `--store` opens (or creates) the durable verdict
+/// and checkpoint store; `--resume` without `--store` is a usage error —
+/// there is nothing to resume from.
+fn arg_run(args: &[String]) -> RunOptions {
+    let exec = ExecConfig {
+        jobs: arg_value(args, "--jobs", 0) as usize,
+        shard_size: arg_shard_size(args),
+    };
     let resume = args.iter().any(|a| a == "--resume");
-    let Some(path) = arg_text(args, "--store") else {
-        if resume {
+    let store = match arg_text(args, "--store") {
+        None if resume => {
             eprintln!("--resume requires --store PATH (the store the previous run wrote)");
             std::process::exit(2);
         }
-        return None;
+        None => None,
+        Some(path) => match VerdictStore::open(path) {
+            Ok(store) => Some(Arc::new(store)),
+            Err(error) => {
+                eprintln!("cannot open store '{path}': {error}");
+                std::process::exit(2);
+            }
+        },
     };
-    match VerdictStore::open(path) {
-        Ok(store) => Some(StoreOptions { store: Arc::new(store), resume }),
-        Err(error) => {
-            eprintln!("cannot open store '{path}': {error}");
-            std::process::exit(2);
-        }
-    }
+    RunOptions { exec, store, resume }
 }
 
 /// The microbenchmark sections, in the order `all` runs them; `bench-<name>`
@@ -162,11 +168,8 @@ fn main() {
     }
     let rounds = arg_value(&args, "--rounds", 2);
     let samples = arg_value(&args, "--samples", 60) as usize;
-    let jobs = arg_value(&args, "--jobs", 0) as usize;
-    let shard_size = arg_shard_size(&args);
+    let run = arg_run(&args);
     let baseline_path = arg_text(&args, "--check-baseline");
-    let store = arg_store(&args);
-    let store = store.as_ref();
     let quick_models = || {
         if args.iter().any(|a| a == "--all-models") {
             rq1_models()
@@ -182,42 +185,42 @@ fn main() {
 
     let mut tables: Vec<TableEntry> = Vec::new();
     let mut sections: Vec<(String, Json)> = Vec::new();
-    let mut show = |name: &str, run: TableRun| {
-        println!("{}", run.text);
+    let mut show = |name: &str, table: TableRun| {
+        println!("{}", table.text);
         tables.push(TableEntry {
             name: name.to_string(),
-            wall_seconds: run.stats.wall.as_secs_f64(),
-            cases: run.stats.cases,
-            cases_per_second: run.stats.cases_per_second(),
-            cache_hits: run.stats.cache_hits,
-            failed: run.stats.failed,
-            resumed: run.stats.resumed,
-            proved: run.stats.tv.proved,
-            absint_refuted: run.stats.tv.absint_refuted,
-            jobs: run.stats.jobs,
+            wall_seconds: table.stats.wall_time.as_secs_f64(),
+            cases: table.stats.cases,
+            cases_per_second: table.stats.cases_per_second(),
+            cache_hits: table.stats.cache_hits,
+            failed: table.stats.failed_cases,
+            resumed: table.stats.resumed_cases,
+            proved: table.stats.tv.proved,
+            absint_refuted: table.stats.tv.absint_refuted,
+            jobs: table.stats.jobs,
         });
     };
 
     match what {
         "table1" => println!("{}", harness::table1()),
-        "table2" => {
-            show("table2", harness::table2(rounds, &quick_models(), jobs, shard_size, store))
-        }
-        "table3" => show("table3", harness::table3(jobs, store)),
-        "table4" => show("table4", harness::table4(samples, jobs, shard_size, store)),
-        "table5" => show("table5", harness::table5(jobs, store)),
-        "figure5" => show("figure5", harness::figure5(jobs)),
+        "table2" => show("table2", harness::table2(rounds, &quick_models(), &run)),
+        "table3" => show("table3", harness::table3(&run)),
+        "table4" => show("table4", harness::table4(samples, &run)),
+        "table5" => show("table5", harness::table5(&run)),
+        "figure5" => show("figure5", harness::figure5(&run)),
         "all" => {
             println!("{}", harness::table1());
-            show("table2", harness::table2(rounds, &quick_models(), jobs, shard_size, store));
-            show("table3", harness::table3(jobs, store));
-            show("table4", harness::table4(samples, jobs, shard_size, store));
-            show("table5", harness::table5(jobs, store));
-            show("figure5", harness::figure5(jobs));
-            sections.extend(BENCHES.iter().map(|name| run_bench(name, jobs, shard_size)));
+            show("table2", harness::table2(rounds, &quick_models(), &run));
+            show("table3", harness::table3(&run));
+            show("table4", harness::table4(samples, &run));
+            show("table5", harness::table5(&run));
+            show("figure5", harness::figure5(&run));
+            sections.extend(
+                BENCHES.iter().map(|name| run_bench(name, run.exec.jobs, run.exec.shard_size)),
+            );
         }
         other => match other.strip_prefix("bench-").filter(|name| BENCHES.contains(name)) {
-            Some(name) => sections.push(run_bench(name, jobs, shard_size)),
+            Some(name) => sections.push(run_bench(name, run.exec.jobs, run.exec.shard_size)),
             None => {
                 eprintln!(
                     "unknown experiment '{other}'; expected table1..table5, figure5, bench-interp, bench-opt, bench-tv, bench-exec, bench-serve, serve, serve-client or all"
@@ -230,7 +233,7 @@ fn main() {
     let entries = RunEntries { tables, sections: sections.clone() };
     if !entries.is_empty() {
         let path = "BENCH_results.json";
-        match BenchResults::merge_into_file(path, what, jobs, entries) {
+        match BenchResults::merge_into_file(path, what, run.exec.jobs, entries) {
             Ok(merged) => eprintln!(
                 "merged into {path} ({} tables, {} runs recorded)",
                 merged.tables.len(),

@@ -6,12 +6,14 @@
 //! and the Criterion benches exercise the performance-sensitive components.
 //!
 //! Every experiment driver runs on the parallel execution engine of
-//! `lpo-core` (see `ARCHITECTURE.md` § Execution engine): a `jobs` parameter
-//! fans the embarrassingly parallel case/patch/benchmark loops out over a
-//! worker pool, with results reassembled in input order so any worker count
-//! produces bit-identical results (wall-clock *measurements* — the `[engine]`
-//! footers and Table 5's compile-time-delta column — are the only exception). Drivers report their worker/cache/wall
-//! accounting as [`DriverStats`], which the `repro` binary also serializes to
+//! `lpo-core` (see `ARCHITECTURE.md` § Execution engine): one [`RunOptions`]
+//! argument sets the worker count, the Stage-3 shard size and the durable
+//! store, and the embarrassingly parallel case/patch/benchmark loops fan out
+//! over a worker pool, with results reassembled in input order so any worker
+//! count produces bit-identical results (wall-clock *measurements* — the
+//! `[engine]` footers and Table 5's compile-time-delta column — are the only
+//! exception). Drivers report their worker/cache/store/wall accounting as one
+//! [`ExecStats`], which the `repro` binary also serializes to
 //! `BENCH_results.json` for tracking the perf trajectory.
 //!
 //! The experiment drivers are library functions so that integration tests and
@@ -34,128 +36,144 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A driver's durable-store context: the open [`VerdictStore`] plus whether
-/// cases already checkpointed in it should be replayed (`--resume`). The
-/// table drivers and their experiments (`table2`–`table5`, `rq1_experiment`
-/// –`rq3_experiment`, `table5_experiment`) take an `Option<&StoreOptions>`;
-/// `None` runs without a store.
-#[derive(Clone, Debug)]
-pub struct StoreOptions {
-    /// The open store, shared by every batch of the run.
-    pub store: Arc<VerdictStore>,
-    /// Replay checkpointed cases instead of recomputing them.
+/// How a table driver runs: the engine configuration (`--jobs`,
+/// `--shard-size`) and the durable store (`--store`, `--resume`). Every
+/// table driver and its experiment (`table2`–`table5`, `figure5`,
+/// `rq1_experiment`–`rq3_experiment`, `table5_experiment`) takes one
+/// `&RunOptions`; the default runs on every core at the default shard size
+/// without a store.
+#[derive(Clone, Debug, Default)]
+pub struct RunOptions {
+    /// Worker count and Stage-3 sweep shard size.
+    pub exec: ExecConfig,
+    /// The open store, shared by every batch of the run; `None` runs without
+    /// one.
+    pub store: Option<Arc<VerdictStore>>,
+    /// Replay cases already checkpointed in `store` instead of recomputing
+    /// them.
     pub resume: bool,
 }
 
-/// Worker/cache/wall-clock accounting for one experiment driver run — the
-/// numbers `BENCH_results.json` tracks from PR to PR.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DriverStats {
-    /// Worker threads used for the driver's outermost parallel loop.
-    pub jobs: usize,
-    /// Work items the driver processed (cases, patches or benchmarks).
-    pub cases: usize,
-    /// Sequences replayed from the engine's structural-hash dedup cache.
-    pub cache_hits: usize,
-    /// Cases that ended `Failed` (typed session errors / contained panics)
-    /// instead of completing. Zero on healthy runs.
-    pub failed: usize,
-    /// Cases replayed from the checkpoint store instead of computed
-    /// (`--resume`).
-    pub resumed: usize,
-    /// Durable verdict/checkpoint store traffic during the driver (all zero
-    /// without `--store`).
-    pub store: StoreStats,
-    /// Real wall-clock time of the whole driver.
-    pub wall: Duration,
-    /// Stage 3 accounting for drivers that run the LPO engine (zeroed for
-    /// drivers that never touch translation validation).
-    pub tv: TvSnapshot,
-}
-
-impl DriverStats {
-    /// Work items per wall-clock second.
-    pub fn cases_per_second(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.cases as f64 / secs
-        } else {
-            0.0
+impl RunOptions {
+    /// `lpo` with its Stage-3 verdicts recorded in and replayed from the
+    /// store (unchanged without one).
+    fn attach(&self, lpo: Lpo) -> Lpo {
+        match &self.store {
+            Some(store) => lpo.with_verdict_store(store.clone()),
+            None => lpo,
         }
     }
 
-    fn footer(&self) -> String {
-        let mut out = format!(
-            "[engine] jobs: {}  cases: {}  cache hits: {}  wall: {:.2}s  cases/s: {:.1}\n",
-            self.jobs,
-            self.cases,
-            self.cache_hits,
-            self.wall.as_secs_f64(),
-            self.cases_per_second()
+    /// The checkpoint context of an engine batch run under `run_key`.
+    fn persist<'a>(&'a self, run_key: &'a str) -> Option<Persist<'a>> {
+        self.store.as_deref().map(|store| Persist { store, run_key, resume: self.resume })
+    }
+
+    /// The store's counters now (all zero without a store).
+    fn store_stats(&self) -> StoreStats {
+        self.store.as_ref().map(|store| store.stats()).unwrap_or_default()
+    }
+
+    /// Runs a driver and completes the accounting it returns with the
+    /// driver's wall time and the store traffic during it.
+    fn measured<R>(&self, driver: impl FnOnce() -> (R, ExecStats)) -> (R, ExecStats) {
+        let start = Instant::now();
+        let store_before = self.store_stats();
+        let (result, mut stats) = driver();
+        stats.wall_time = start.elapsed();
+        stats.store = self.store_stats().since(store_before);
+        (result, stats)
+    }
+
+    /// Maps `compute` over `items` on the run's workers, one checkpointed
+    /// row per item, for the drivers that run no engine batch. With
+    /// `resume`, the row recorded under `(run_key, key(item))` replays (a
+    /// blob `decode` rejects is recomputed); otherwise the row is computed
+    /// and, with a store, recorded. The stats count the items and the
+    /// replayed rows.
+    fn checkpointed_rows<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        run_key: &str,
+        key: impl Fn(&T) -> String + Sync,
+        decode: impl Fn(&T, &str) -> Option<R> + Sync,
+        encode: impl Fn(&R) -> String + Sync,
+        compute: impl Fn(&T) -> R + Sync,
+    ) -> (Vec<R>, ExecStats) {
+        let jobs = self.exec.effective_jobs(items.len());
+        let tagged = map_on_runtime(items, jobs, |item, _| {
+            let key = key(item);
+            let replayed = self
+                .store
+                .as_ref()
+                .filter(|_| self.resume)
+                .and_then(|store| store.case(run_key, &key))
+                .and_then(|blob| decode(item, &blob));
+            if let Some(row) = replayed {
+                return (row, true);
+            }
+            let row = compute(item);
+            if let Some(store) = &self.store {
+                store.record_case(run_key, &key, &encode(&row));
+            }
+            (row, false)
+        });
+        let resumed_cases = tagged.iter().filter(|(_, resumed)| *resumed).count();
+        let rows = tagged.into_iter().map(|(row, _)| row).collect();
+        (rows, ExecStats { jobs, cases: items.len(), resumed_cases, ..ExecStats::default() })
+    }
+}
+
+/// The accounting footer of a rendered table: `[engine]` always, then
+/// `[stage3]`, `[shards]`, `[failures]` and `[store]` when they have
+/// anything to report.
+fn footer(stats: &ExecStats) -> String {
+    let mut out = format!(
+        "[engine] jobs: {}  cases: {}  cache hits: {}  wall: {:.2}s  cases/s: {:.1}\n",
+        stats.jobs,
+        stats.cases,
+        stats.cache_hits,
+        stats.wall_time.as_secs_f64(),
+        stats.cases_per_second()
+    );
+    let tv = &stats.tv;
+    if tv.candidates > 0 {
+        let _ = writeln!(
+            out,
+            "[stage3] candidates: {}  proved: {}  refuted-abstract: {}  probe rejects: {}  survivors: {}  plane sweeps: {}  compiles: {}  compile-cache hits: {}",
+            tv.candidates,
+            tv.proved,
+            tv.absint_refuted,
+            tv.probe_rejects,
+            tv.survivors,
+            tv.plane_sweeps,
+            tv.compiles,
+            tv.compile_cache_hits
         );
-        if self.tv.candidates > 0 {
-            let _ = writeln!(
-                out,
-                "[stage3] candidates: {}  proved: {}  refuted-abstract: {}  probe rejects: {}  survivors: {}  plane sweeps: {}  compiles: {}  compile-cache hits: {}",
-                self.tv.candidates,
-                self.tv.proved,
-                self.tv.absint_refuted,
-                self.tv.probe_rejects,
-                self.tv.survivors,
-                self.tv.plane_sweeps,
-                self.tv.compiles,
-                self.tv.compile_cache_hits
-            );
-        }
-        if self.tv.shards_executed > 0 {
-            // Scheduling-dependent observability (`stolen` especially):
-            // report, never compare across runs.
-            let _ = writeln!(
-                out,
-                "[shards] executed: {}  stolen: {}  cancelled: {}",
-                self.tv.shards_executed, self.tv.shards_stolen, self.tv.shard_cancellations
-            );
-        }
-        if self.failed > 0 {
-            let _ = writeln!(out, "[failures] failed cases: {}", self.failed);
-        }
-        if self.resumed > 0 || !self.store.is_empty() {
-            let _ = writeln!(
-                out,
-                "[store] verdict hits: {}  verdict misses: {}  case replays: {}  resumed cases: {}",
-                self.store.verdict_hits,
-                self.store.verdict_misses,
-                self.store.case_replays,
-                self.resumed
-            );
-        }
-        out
     }
-}
-
-impl DriverStats {
-    /// Accounting for a driver that never runs an engine batch (souper /
-    /// minotaur baselines, pass-pipeline timings): no dedup cache or Stage 3
-    /// state is in play, so those counters are structurally zero — not
-    /// unplumbed placeholders.
-    fn engineless(jobs: usize, cases: usize, wall: Duration) -> Self {
-        Self { jobs, cases, wall, ..Self::default() }
+    if tv.shards_executed > 0 {
+        // Scheduling-dependent observability (`stolen` especially):
+        // report, never compare across runs.
+        let _ = writeln!(
+            out,
+            "[shards] executed: {}  stolen: {}  cancelled: {}",
+            tv.shards_executed, tv.shards_stolen, tv.shard_cancellations
+        );
     }
-}
-
-impl From<ExecStats> for DriverStats {
-    fn from(stats: ExecStats) -> Self {
-        Self {
-            jobs: stats.jobs,
-            cases: stats.cases,
-            cache_hits: stats.cache_hits,
-            failed: stats.failed_cases,
-            resumed: stats.resumed_cases,
-            store: stats.store,
-            wall: stats.wall_time,
-            tv: stats.tv,
-        }
+    if stats.failed_cases > 0 {
+        let _ = writeln!(out, "[failures] failed cases: {}", stats.failed_cases);
     }
+    if stats.resumed_cases > 0 || !stats.store.is_empty() {
+        let _ = writeln!(
+            out,
+            "[store] verdict hits: {}  verdict misses: {}  case replays: {}  resumed cases: {}",
+            stats.store.verdict_hits,
+            stats.store.verdict_misses,
+            stats.store.case_replays,
+            stats.resumed_cases
+        );
+    }
+    out
 }
 
 /// A rendered table plus the execution accounting of the run that made it.
@@ -163,8 +181,9 @@ impl From<ExecStats> for DriverStats {
 pub struct TableRun {
     /// The rendered table text (with an `[engine]` stats footer).
     pub text: String,
-    /// The run's accounting.
-    pub stats: DriverStats,
+    /// The run's accounting. `unique_cases` stays 0: a driver counts its
+    /// work items, which are not one engine batch's dedup classes.
+    pub stats: ExecStats,
 }
 
 fn resolve_jobs(jobs: usize, work: usize) -> usize {
@@ -263,18 +282,6 @@ pub struct Rq1Result {
     pub rounds: u64,
     /// Model names, in table order.
     pub models: Vec<String>,
-    /// Stage 3 accounting aggregated over every LPO run of the experiment.
-    pub tv: TvSnapshot,
-    /// Dedup-cache replays summed over every engine batch the experiment ran
-    /// (single-case batches, so this stays 0 unless batching changes — but it
-    /// is measured, not assumed).
-    pub cache_hits: usize,
-    /// Cases that ended `Failed` across every batch.
-    pub failed: usize,
-    /// Cases replayed from the checkpoint store (`--resume`).
-    pub resumed: usize,
-    /// Verdict/checkpoint store traffic over the whole experiment.
-    pub store: StoreStats,
 }
 
 impl Rq1Result {
@@ -317,7 +324,9 @@ impl Rq1Result {
     }
 }
 
-/// One LPO detection run for a Table 2 cell. The pipeline is shared across
+/// One LPO detection run for a Table 2 cell: the number of `rounds` in
+/// which `lpo` finds the case, each round checkpointed under `run_key` and
+/// its batch accounting added to `tally`. The pipeline is shared across
 /// cases (its Stage 3 compile cache then serves every case of the
 /// experiment); outcomes depend only on the factory seeding, so sharing is
 /// invisible to the calibrated numbers.
@@ -326,40 +335,35 @@ fn detect_with_lpo(
     lpo: &Lpo,
     profile: &ModelProfile,
     rounds: u64,
-    seed: u64,
-    config: &ExecConfig,
-    persist: Option<(&StoreOptions, &str)>,
-) -> DetectCell {
+    run: &RunOptions,
+    run_key: &str,
+    tally: &mut ExecStats,
+) -> usize {
     // One factory per (case, model): sessions at case index 0 reproduce the
     // historical per-issue seeding, so the calibrated Table 2 numbers hold.
-    let factory = SimulatedModelFactory::new(profile.clone(), seed);
+    let factory = SimulatedModelFactory::new(profile.clone(), case.issue_id as u64);
     let sequence = std::slice::from_ref(&case.function);
-    let mut cell = DetectCell::default();
-    cell.detections = (0..rounds)
+    // The detection cells stay one-case-per-batch (the calibrated seeding),
+    // so each inner run is serial — but its Stage 3 sweeps still go through
+    // the shard engine at the requested shard size.
+    let config = ExecConfig { shard_size: run.exec.shard_size, ..ExecConfig::serial() };
+    let persist = run.persist(run_key);
+    (0..rounds)
         .filter(|&round| {
-            let persist = persist.map(|(opts, run_key)| Persist {
-                store: opts.store.as_ref(),
-                run_key,
-                resume: opts.resume,
-            });
             let batch =
-                lpo.run_sequences_persisted(&factory, round, sequence, config, persist.as_ref());
-            cell.cache_hits += batch.stats.cache_hits;
-            cell.failed += batch.stats.failed_cases;
-            cell.resumed += batch.stats.resumed_cases;
+                lpo.run_sequences_persisted(&factory, round, sequence, &config, persist.as_ref());
+            tally_batch(tally, &batch.stats);
             batch.reports[0].outcome.is_found()
         })
-        .count();
-    cell
+        .count()
 }
 
-/// Accounting of one Table 2 detection cell (one case × model × pipeline).
-#[derive(Clone, Copy, Debug, Default)]
-struct DetectCell {
-    detections: usize,
-    cache_hits: usize,
-    failed: usize,
-    resumed: usize,
+/// Adds one engine batch's case accounting (dedup replays, failed and
+/// resumed cases) to a driver's running total.
+fn tally_batch(total: &mut ExecStats, batch: &ExecStats) {
+    total.cache_hits += batch.cache_hits;
+    total.failed_cases += batch.failed_cases;
+    total.resumed_cases += batch.resumed_cases;
 }
 
 /// One shared enumerative search per case, replacing the old
@@ -390,94 +394,67 @@ fn minotaur_detects(case: &IssueCase) -> bool {
 
 /// Runs the RQ1 detection experiment (Table 2) with the given number of rounds
 /// per model (the paper uses 5) over the selected model profiles, fanning the
-/// 25 issues out over `jobs` workers (`0` = available parallelism).
+/// 25 issues out over the run's workers.
 ///
-/// With a durable `store`, Stage-3 verdicts are recorded/replayed
+/// With a durable store, Stage-3 verdicts are recorded/replayed
 /// pipeline-wide, every completed detection cell is checkpointed under a
-/// `table2/…` run key, and with [`StoreOptions::resume`]
-/// already-checkpointed cells replay instead of recomputing.
+/// `table2/…` run key, and with [`RunOptions::resume`] already-checkpointed
+/// cells replay instead of recomputing. The stats sum every detection
+/// batch; their Stage 3 accounting covers both shared pipelines.
 pub fn rq1_experiment(
     rounds: u64,
     models: &[ModelProfile],
-    jobs: usize,
-    shard_size: usize,
-    store: Option<&StoreOptions>,
-) -> Rq1Result {
-    let suite = rq1_suite();
-    let jobs = resolve_jobs(jobs, suite.len());
-    let store_before = store.map(|opts| opts.store.stats()).unwrap_or_default();
-    // Two shared pipelines (LPO / LPO⁻), so the Stage 3 compile cache spans
-    // every (case, model, round) cell and the experiment's probe/survivor
-    // accounting can be reported in one snapshot.
-    let attach = |lpo: Lpo| match store {
-        Some(opts) => lpo.with_verdict_store(opts.store.clone()),
-        None => lpo,
-    };
-    let lpo_plus = attach(Lpo::new(LpoConfig::default()));
-    let lpo_minus = attach(Lpo::new(LpoConfig::without_feedback()));
-    // The detection cells stay one-case-per-batch (the calibrated seeding),
-    // so each inner run is serial — but its Stage 3 sweeps still go through
-    // the shard engine at the requested shard size.
-    let detect_config = ExecConfig { shard_size, ..ExecConfig::serial() };
-    let cells = map_on_runtime(&suite, jobs, |case, _| {
-        let (souper_default, souper_enum) = souper_detects_shared(case);
-        let mut row = Rq1Row {
-            issue: case.issue_id,
-            souper_default,
-            souper_enum,
-            minotaur: minotaur_detects(case),
-            ..Default::default()
-        };
-        let mut tally = DetectCell::default();
-        for profile in models {
-            // Distinct run keys per (pipeline, model, issue): checkpoints of
-            // one cell must never be replayed by another.
-            let minus_key = format!("table2/lpo-/{}/issue{}", profile.name, case.issue_id);
-            let plus_key = format!("table2/lpo/{}/issue{}", profile.name, case.issue_id);
-            let minus = detect_with_lpo(
-                case, &lpo_minus, profile, rounds, case.issue_id as u64, &detect_config,
-                store.map(|opts| (opts, minus_key.as_str())),
-            );
-            let plus = detect_with_lpo(
-                case, &lpo_plus, profile, rounds, case.issue_id as u64, &detect_config,
-                store.map(|opts| (opts, plus_key.as_str())),
-            );
-            tally.cache_hits += minus.cache_hits + plus.cache_hits;
-            tally.failed += minus.failed + plus.failed;
-            tally.resumed += minus.resumed + plus.resumed;
-            row.per_model.push((profile.name.to_string(), minus.detections, plus.detections));
+    run: &RunOptions,
+) -> (Rq1Result, ExecStats) {
+    run.measured(|| {
+        let suite = rq1_suite();
+        let jobs = run.exec.effective_jobs(suite.len());
+        // Two shared pipelines (LPO / LPO⁻), so the Stage 3 compile cache
+        // spans every (case, model, round) cell and the experiment's
+        // probe/survivor accounting can be reported in one snapshot.
+        let lpo_plus = run.attach(Lpo::new(LpoConfig::default()));
+        let lpo_minus = run.attach(Lpo::new(LpoConfig::without_feedback()));
+        let cells = map_on_runtime(&suite, jobs, |case, _| {
+            let (souper_default, souper_enum) = souper_detects_shared(case);
+            let mut row = Rq1Row {
+                issue: case.issue_id,
+                souper_default,
+                souper_enum,
+                minotaur: minotaur_detects(case),
+                ..Default::default()
+            };
+            let mut tally = ExecStats::default();
+            for profile in models {
+                // Distinct run keys per (pipeline, model, issue): checkpoints
+                // of one cell must never be replayed by another.
+                let minus_key = format!("table2/lpo-/{}/issue{}", profile.name, case.issue_id);
+                let plus_key = format!("table2/lpo/{}/issue{}", profile.name, case.issue_id);
+                let minus =
+                    detect_with_lpo(case, &lpo_minus, profile, rounds, run, &minus_key, &mut tally);
+                let plus =
+                    detect_with_lpo(case, &lpo_plus, profile, rounds, run, &plus_key, &mut tally);
+                row.per_model.push((profile.name.to_string(), minus, plus));
+            }
+            (row, tally)
+        });
+        let mut stats = ExecStats { jobs, cases: cells.len(), ..ExecStats::default() };
+        for (_, tally) in &cells {
+            tally_batch(&mut stats, tally);
         }
-        (row, tally)
-    });
-    let cache_hits = cells.iter().map(|(_, tally)| tally.cache_hits).sum();
-    let failed = cells.iter().map(|(_, tally)| tally.failed).sum();
-    let resumed = cells.iter().map(|(_, tally)| tally.resumed).sum();
-    let rows = cells.into_iter().map(|(row, _)| row).collect();
-    let mut tv = lpo_plus.tv_snapshot();
-    tv.absorb(lpo_minus.tv_snapshot());
-    Rq1Result {
-        rows,
-        rounds,
-        models: models.iter().map(|m| m.name.to_string()).collect(),
-        tv,
-        cache_hits,
-        failed,
-        resumed,
-        store: store.map(|opts| opts.store.stats().since(store_before)).unwrap_or_default(),
-    }
+        stats.tv = lpo_plus.tv_snapshot();
+        stats.tv.absorb(lpo_minus.tv_snapshot());
+        let result = Rq1Result {
+            rows: cells.into_iter().map(|(row, _)| row).collect(),
+            rounds,
+            models: models.iter().map(|m| m.name.to_string()).collect(),
+        };
+        (result, stats)
+    })
 }
 
-/// Renders Table 2, with an optional durable store (see
-/// [`rq1_experiment`]).
-pub fn table2(
-    rounds: u64,
-    models: &[ModelProfile],
-    jobs: usize,
-    shard_size: usize,
-    store: Option<&StoreOptions>,
-) -> TableRun {
-    let start = Instant::now();
-    let result = rq1_experiment(rounds, models, jobs, shard_size, store);
+/// Renders Table 2 (see [`rq1_experiment`]).
+pub fn table2(rounds: u64, models: &[ModelProfile], run: &RunOptions) -> TableRun {
+    let (result, stats) = rq1_experiment(rounds, models, run);
     let mut out = format!("Table 2: RQ1 detection of 25 previously reported missed optimizations ({rounds} rounds)\n");
     let _ = write!(out, "{:<10}", "Issue");
     for m in &result.models {
@@ -510,17 +487,7 @@ pub fn table2(
     }
     let _ = writeln!(out, "  Souper (any Enum): {}", result.souper_total());
     let _ = writeln!(out, "  Minotaur:          {}", result.minotaur_total());
-    let stats = DriverStats {
-        jobs: resolve_jobs(jobs, result.rows.len()),
-        cases: result.rows.len(),
-        cache_hits: result.cache_hits,
-        failed: result.failed,
-        resumed: result.resumed,
-        store: result.store,
-        wall: start.elapsed(),
-        tv: result.tv,
-    };
-    out.push_str(&stats.footer());
+    out.push_str(&footer(&stats));
     TableRun { text: out, stats }
 }
 
@@ -529,10 +496,6 @@ pub fn table2(
 pub struct Rq2Result {
     /// `(issue, status, souper_default, souper_enum, minotaur)` per case.
     pub rows: Vec<(u32, Status, bool, bool, bool)>,
-    /// Rows replayed from the checkpoint store (`--resume`).
-    pub resumed: usize,
-    /// Checkpoint-store traffic over the experiment.
-    pub store: StoreStats,
 }
 
 impl Rq2Result {
@@ -555,38 +518,29 @@ impl Rq2Result {
 }
 
 /// Runs the RQ2 baseline-comparison experiment over the 62 found
-/// optimizations, one case per work item on `jobs` workers.
+/// optimizations, one case per work item on the run's workers.
 ///
-/// With a durable `store`, each completed row's baseline bits are recorded
-/// under the `table3` run key, and with [`StoreOptions::resume`] recorded
+/// With a durable store, each completed row's baseline bits are recorded
+/// under the `table3` run key, and with [`RunOptions::resume`] recorded
 /// rows skip the (expensive) baseline searches entirely.
-pub fn rq2_experiment(jobs: usize, store: Option<&StoreOptions>) -> Rq2Result {
-    let suite = rq2_suite();
-    let jobs = resolve_jobs(jobs, suite.len());
-    let store_before = store.map(|opts| opts.store.stats()).unwrap_or_default();
-    let rows = map_on_runtime(&suite, jobs, |case, _| {
-        let key = format!("issue{}", case.issue_id);
-        if let Some(opts) = store.filter(|opts| opts.resume) {
-            if let Some((d, e, m)) =
-                opts.store.case("table3", &key).and_then(|blob| decode_baseline_bits(&blob))
-            {
-                return ((case.issue_id, case.status, d, e, m), true);
-            }
-        }
-        let (souper_default, souper_enum) = souper_detects_shared(case);
-        let minotaur = minotaur_detects(case);
-        if let Some(opts) = store {
-            let blob = encode_baseline_bits(souper_default, souper_enum, minotaur);
-            opts.store.record_case("table3", &key, &blob);
-        }
-        ((case.issue_id, case.status, souper_default, souper_enum, minotaur), false)
-    });
-    let resumed = rows.iter().filter(|(_, resumed)| *resumed).count();
-    Rq2Result {
-        rows: rows.into_iter().map(|(row, _)| row).collect(),
-        resumed,
-        store: store.map(|opts| opts.store.stats().since(store_before)).unwrap_or_default(),
-    }
+pub fn rq2_experiment(run: &RunOptions) -> (Rq2Result, ExecStats) {
+    run.measured(|| {
+        let (rows, stats) = run.checkpointed_rows(
+            &rq2_suite(),
+            "table3",
+            |case| format!("issue{}", case.issue_id),
+            |case, blob| {
+                let (d, e, m) = decode_baseline_bits(blob)?;
+                Some((case.issue_id, case.status, d, e, m))
+            },
+            |&(_, _, d, e, m)| encode_baseline_bits(d, e, m),
+            |case| {
+                let (souper_default, souper_enum) = souper_detects_shared(case);
+                (case.issue_id, case.status, souper_default, souper_enum, minotaur_detects(case))
+            },
+        );
+        (Rq2Result { rows }, stats)
+    })
 }
 
 /// `(souper_default, souper_enum, minotaur)` → a three-bit checkpoint blob.
@@ -610,11 +564,9 @@ fn decode_baseline_bits(blob: &str) -> Option<(bool, bool, bool)> {
     }
 }
 
-/// Renders Table 3, with optional per-case checkpointing (see
-/// [`rq2_experiment`]).
-pub fn table3(jobs: usize, store: Option<&StoreOptions>) -> TableRun {
-    let start = Instant::now();
-    let result = rq2_experiment(jobs, store);
+/// Renders Table 3 (see [`rq2_experiment`]).
+pub fn table3(run: &RunOptions) -> TableRun {
+    let (result, stats) = rq2_experiment(run);
     let mut out = String::from("Table 3: the 62 missed optimizations found by LPO\n");
     let _ = writeln!(out, "{:<10} {:<14} {:>8} {:>8} {:>9}", "Issue", "Status", "SouperD", "SouperE", "Minotaur");
     for (issue, status, d, e, m) in &result.rows {
@@ -631,16 +583,7 @@ pub fn table3(jobs: usize, store: Option<&StoreOptions>) -> TableRun {
     let _ = writeln!(out, "\nStatus counts: {:?}", result.status_counts());
     let (d, e, m) = result.baseline_counts();
     let _ = writeln!(out, "Detected by Souper-Default: {d}, Souper-Enum: {e}, Minotaur: {m} (out of 62)");
-    let stats = DriverStats {
-        resumed: result.resumed,
-        store: result.store,
-        ..DriverStats::engineless(
-            resolve_jobs(jobs, result.rows.len()),
-            result.rows.len(),
-            start.elapsed(),
-        )
-    };
-    out.push_str(&stats.footer());
+    out.push_str(&footer(&stats));
     TableRun { text: out, stats }
 }
 
@@ -664,119 +607,92 @@ pub struct ThroughputRow {
 /// Extraction is sharded per module (as a production deployment would shard
 /// per translation unit), so cross-module duplicate sequences reach the
 /// engine and exercise its structural-hash dedup cache; the LPO rows and the
-/// Souper baselines all fan out over `jobs` workers.
+/// Souper baselines all fan out over the run's workers.
 ///
-/// With a durable `store`, each model profile's batch runs under its own
+/// With a durable store, each model profile's batch runs under its own
 /// `table4/…` run key, so a killed run resumes with the completed cases
 /// replayed from their checkpoints.
-pub fn rq3_experiment(
-    samples: usize,
-    jobs: usize,
-    shard_size: usize,
-    store: Option<&StoreOptions>,
-) -> (Vec<ThroughputRow>, DriverStats) {
+pub fn rq3_experiment(samples: usize, run: &RunOptions) -> (Vec<ThroughputRow>, ExecStats) {
     use lpo_extract::{ExtractConfig, Extractor};
-    let start = Instant::now();
-    let store_before = store.map(|opts| opts.store.stats()).unwrap_or_default();
-    let corpus = lpo_corpus::generate_corpus(&lpo_corpus::CorpusConfig {
-        modules_per_project: 4,
-        functions_per_module: 4,
-        ..Default::default()
-    });
-    let mut sequences = Vec::new();
-    'outer: for project in &corpus {
-        for module in &project.modules {
-            let mut extractor =
-                Extractor::new(ExtractConfig { min_instructions: 2, ..Default::default() });
-            for seq in extractor.extract_module(module) {
-                sequences.push(seq.function);
-                if sequences.len() >= samples {
-                    break 'outer;
+    run.measured(|| {
+        let corpus = lpo_corpus::generate_corpus(&lpo_corpus::CorpusConfig {
+            modules_per_project: 4,
+            functions_per_module: 4,
+            ..Default::default()
+        });
+        let mut sequences = Vec::new();
+        'outer: for project in &corpus {
+            for module in &project.modules {
+                let mut extractor =
+                    Extractor::new(ExtractConfig { min_instructions: 2, ..Default::default() });
+                for seq in extractor.extract_module(module) {
+                    sequences.push(seq.function);
+                    if sequences.len() >= samples {
+                        break 'outer;
+                    }
                 }
             }
         }
-    }
 
-    let mut cache_hits = 0;
-    let mut failed = 0;
-    let mut resumed = 0;
-    let mut tv = TvSnapshot::default();
-    let mut rows = Vec::new();
-    // One pipeline for both model profiles: they verify candidates over the
-    // same sequence list, so the second profile's probe survivors hit the
-    // compiled-function cache the first profile populated.
-    let lpo = match store {
-        Some(opts) => Lpo::new(LpoConfig::default()).with_verdict_store(opts.store.clone()),
-        None => Lpo::new(LpoConfig::default()),
-    };
-    let exec_config = ExecConfig { shard_size, ..ExecConfig::with_jobs(jobs) };
-    for profile in [llama3_3(), gemini2_5()] {
-        let factory = SimulatedModelFactory::new(profile.clone(), 0xbeef);
-        let run_key = format!("table4/{}", profile.name);
-        let persist = store.map(|opts| Persist {
-            store: opts.store.as_ref(),
-            run_key: &run_key,
-            resume: opts.resume,
-        });
-        let batch = lpo.run_sequences_persisted(&factory, 0, &sequences, &exec_config, persist.as_ref());
-        // Both model runs share one sequence list, so their hit counts are
-        // equal — report the per-list count, not the sum over runs.
-        cache_hits = batch.stats.cache_hits;
-        failed += batch.stats.failed_cases;
-        resumed += batch.stats.resumed_cases;
-        tv.absorb(batch.stats.tv);
-        rows.push(ThroughputRow {
-            tool: format!("LPO ({})", profile.name),
-            seconds_per_case: batch.summary.seconds_per_case(),
-            timeouts: 0,
-            total_cost_usd: batch.summary.total_cost_usd,
-        });
-    }
-    for enum_depth in 0..=3u32 {
-        let mut config = SouperConfig::with_enum(enum_depth);
-        config.candidate_budget = 1200;
-        let mut total = Duration::ZERO;
-        let mut timeouts = 0;
-        for r in souper_batch(&sequences, &config, jobs) {
-            total += r.modeled;
-            if matches!(r.outcome, lpo_souper::Outcome::Timeout) {
-                timeouts += 1;
-            }
-        }
-        let name = if enum_depth == 0 {
-            "Souper (Default)".to_string()
-        } else {
-            format!("Souper (Enum={enum_depth})")
+        let mut stats = ExecStats {
+            jobs: run.exec.effective_jobs(sequences.len()),
+            cases: sequences.len(),
+            ..ExecStats::default()
         };
-        rows.push(ThroughputRow {
-            tool: name,
-            seconds_per_case: total.as_secs_f64() / sequences.len().max(1) as f64,
-            timeouts,
-            total_cost_usd: 0.0,
-        });
-    }
-    let stats = DriverStats {
-        jobs: resolve_jobs(jobs, sequences.len()),
-        cases: sequences.len(),
-        cache_hits,
-        failed,
-        resumed,
-        store: store.map(|opts| opts.store.stats().since(store_before)).unwrap_or_default(),
-        wall: start.elapsed(),
-        tv,
-    };
-    (rows, stats)
+        let mut rows = Vec::new();
+        // One pipeline for both model profiles: they verify candidates over the
+        // same sequence list, so the second profile's probe survivors hit the
+        // compiled-function cache the first profile populated.
+        let lpo = run.attach(Lpo::new(LpoConfig::default()));
+        for profile in [llama3_3(), gemini2_5()] {
+            let factory = SimulatedModelFactory::new(profile.clone(), 0xbeef);
+            let run_key = format!("table4/{}", profile.name);
+            let persist = run.persist(&run_key);
+            let batch =
+                lpo.run_sequences_persisted(&factory, 0, &sequences, &run.exec, persist.as_ref());
+            // Both model runs share one sequence list, so their hit counts are
+            // equal — report the per-list count, not the sum over runs.
+            stats.cache_hits = batch.stats.cache_hits;
+            stats.failed_cases += batch.stats.failed_cases;
+            stats.resumed_cases += batch.stats.resumed_cases;
+            stats.tv.absorb(batch.stats.tv);
+            rows.push(ThroughputRow {
+                tool: format!("LPO ({})", profile.name),
+                seconds_per_case: batch.summary.seconds_per_case(),
+                timeouts: 0,
+                total_cost_usd: batch.summary.total_cost_usd,
+            });
+        }
+        for enum_depth in 0..=3u32 {
+            let mut config = SouperConfig::with_enum(enum_depth);
+            config.candidate_budget = 1200;
+            let mut total = Duration::ZERO;
+            let mut timeouts = 0;
+            for r in souper_batch(&sequences, &config, run.exec.jobs) {
+                total += r.modeled;
+                if matches!(r.outcome, lpo_souper::Outcome::Timeout) {
+                    timeouts += 1;
+                }
+            }
+            let name = if enum_depth == 0 {
+                "Souper (Default)".to_string()
+            } else {
+                format!("Souper (Enum={enum_depth})")
+            };
+            rows.push(ThroughputRow {
+                tool: name,
+                seconds_per_case: total.as_secs_f64() / sequences.len().max(1) as f64,
+                timeouts,
+                total_cost_usd: 0.0,
+            });
+        }
+        (rows, stats)
+    })
 }
 
-/// Renders Table 4, with an optional durable store (see
-/// [`rq3_experiment`]).
-pub fn table4(
-    samples: usize,
-    jobs: usize,
-    shard_size: usize,
-    store: Option<&StoreOptions>,
-) -> TableRun {
-    let (rows, stats) = rq3_experiment(samples, jobs, shard_size, store);
+/// Renders Table 4 (see [`rq3_experiment`]).
+pub fn table4(samples: usize, run: &RunOptions) -> TableRun {
+    let (rows, stats) = rq3_experiment(samples, run);
     let mut out = format!("Table 4: throughput and cost over {} sampled instruction sequences\n", stats.cases);
     let _ = writeln!(out, "{:<20} {:>14} {:>10} {:>12}", "Tool", "Time/case (s)", "Timeouts", "Cost (USD)");
     for row in &rows {
@@ -786,7 +702,7 @@ pub fn table4(
             row.tool, row.seconds_per_case, row.timeouts, row.total_cost_usd
         );
     }
-    out.push_str(&stats.footer());
+    out.push_str(&footer(&stats));
     TableRun { text: out, stats }
 }
 
@@ -804,42 +720,31 @@ pub struct PatchImpactRow {
 }
 
 /// Runs the Table 5 prevalence / compile-time experiment over the synthetic
-/// corpus, one patch per work item on `jobs` workers (each patch's base and
-/// patched pipelines are timed on the same worker, so the relative
+/// corpus, one patch per work item on the run's workers (each patch's base
+/// and patched pipelines are timed on the same worker, so the relative
 /// compile-time delta stays an apples-to-apples comparison).
 ///
-/// With a durable `store`, each patch is checkpointed under the `table5` run
-/// key; returns `(rows, resumed_rows)`. A replayed row carries the
-/// *recorded* compile-time delta (a measurement of the checkpointed run, not
-/// of this one) — prevalence counts are deterministic either way.
-pub fn table5_experiment(
-    jobs: usize,
-    store: Option<&StoreOptions>,
-) -> (Vec<PatchImpactRow>, usize) {
-    let corpus = lpo_corpus::generate_corpus(&lpo_corpus::CorpusConfig {
-        modules_per_project: 8,
-        functions_per_module: 4,
-        pattern_rate: 0.8,
-        ..Default::default()
-    });
-    let patches = all_patches();
-    let jobs = resolve_jobs(jobs, patches.len());
-    let rows = map_on_runtime(&patches, jobs, |&patch, _| {
-        if let Some(opts) = store.filter(|opts| opts.resume) {
-            if let Some(row) =
-                opts.store.case("table5", patch.id).and_then(|blob| decode_patch_row(patch.id, &blob))
-            {
-                return (row, true);
-            }
-        }
-        let row = patch_impact(&corpus, patch);
-        if let Some(opts) = store {
-            opts.store.record_case("table5", patch.id, &encode_patch_row(&row));
-        }
-        (row, false)
-    });
-    let resumed = rows.iter().filter(|(_, resumed)| *resumed).count();
-    (rows.into_iter().map(|(row, _)| row).collect(), resumed)
+/// With a durable store, each patch is checkpointed under the `table5` run
+/// key. A replayed row carries the *recorded* compile-time delta (a
+/// measurement of the checkpointed run, not of this one) — prevalence
+/// counts are deterministic either way.
+pub fn table5_experiment(run: &RunOptions) -> (Vec<PatchImpactRow>, ExecStats) {
+    run.measured(|| {
+        let corpus = lpo_corpus::generate_corpus(&lpo_corpus::CorpusConfig {
+            modules_per_project: 8,
+            functions_per_module: 4,
+            pattern_rate: 0.8,
+            ..Default::default()
+        });
+        run.checkpointed_rows(
+            &all_patches(),
+            "table5",
+            |patch| patch.id.to_string(),
+            |patch, blob| decode_patch_row(patch.id, blob),
+            encode_patch_row,
+            |&patch| patch_impact(&corpus, patch),
+        )
+    })
 }
 
 /// Serializes one Table 5 row for checkpointing (delta exact via
@@ -911,12 +816,9 @@ fn patch_impact(corpus: &[lpo_corpus::Project], patch: lpo_opt::patches::Patch) 
     }
 }
 
-/// Renders Table 5, with optional per-patch checkpointing (see
-/// [`table5_experiment`]).
-pub fn table5(jobs: usize, store: Option<&StoreOptions>) -> TableRun {
-    let start = Instant::now();
-    let store_before = store.map(|opts| opts.store.stats()).unwrap_or_default();
-    let (rows, resumed) = table5_experiment(jobs, store);
+/// Renders Table 5 (see [`table5_experiment`]).
+pub fn table5(run: &RunOptions) -> TableRun {
+    let (rows, stats) = table5_experiment(run);
     let mut out = String::from("Table 5: prevalence and compile-time impact of the accepted patches\n");
     let _ = writeln!(out, "{:<14} {:>9} {:>10} {:>20}", "Patch", "#IR files", "#Projects", "d Compile time (%)");
     for row in &rows {
@@ -926,12 +828,7 @@ pub fn table5(jobs: usize, store: Option<&StoreOptions>) -> TableRun {
             row.id, row.impacted_files, row.impacted_projects, row.compile_time_delta_pct
         );
     }
-    let stats = DriverStats {
-        resumed,
-        store: store.map(|opts| opts.store.stats().since(store_before)).unwrap_or_default(),
-        ..DriverStats::engineless(resolve_jobs(jobs, rows.len()), rows.len(), start.elapsed())
-    };
-    out.push_str(&stats.footer());
+    out.push_str(&footer(&stats));
     TableRun { text: out, stats }
 }
 
@@ -1928,17 +1825,21 @@ pub fn bench_exec(jobs: usize, shard_size: usize) -> Result<ExecBenchRun, String
     Ok(ExecBenchRun { text, entry })
 }
 
-/// Renders Figure 5 as text.
-pub fn figure5(jobs: usize) -> TableRun {
-    let start = Instant::now();
-    let points = figure5_experiment(jobs);
+/// Renders Figure 5 as text. It has no store to use: its accounting is
+/// the configuration count and the wall time.
+pub fn figure5(run: &RunOptions) -> TableRun {
+    let (points, stats) = run.measured(|| {
+        let points = figure5_experiment(run.exec.jobs);
+        let jobs = run.exec.effective_jobs(points.len());
+        let cases = points.len();
+        (points, ExecStats { jobs, cases, ..ExecStats::default() })
+    });
     let mut out = String::from("Figure 5: geometric-mean speedup on the SPEC-like suite (1.00x = baseline)\n");
     for p in &points {
         let bar = "#".repeat(((p.speedup - 0.90).max(0.0) * 200.0) as usize);
         let _ = writeln!(out, "{:<14} {:>6.3}x {}", p.label, p.speedup, bar);
     }
-    let stats = DriverStats::engineless(resolve_jobs(jobs, points.len()), points.len(), start.elapsed());
-    out.push_str(&stats.footer());
+    out.push_str(&footer(&stats));
     TableRun { text: out, stats }
 }
 
@@ -2070,7 +1971,8 @@ mod tests {
         // A scaled-down RQ1: 2 rounds, strongest vs weakest model. The *shape*
         // must hold: the reasoning model detects far more than Gemma3, Souper
         // lands in between, Minotaur detects only a few.
-        let result = rq1_experiment(2, &[gemma3(), gemini2_0t()], 4, DEFAULT_SHARD_SIZE, None);
+        let run = RunOptions { exec: ExecConfig::with_jobs(4), ..RunOptions::default() };
+        let (result, _) = rq1_experiment(2, &[gemma3(), gemini2_0t()], &run);
         assert_eq!(result.rows.len(), 25);
         let weak = result.total_detected("Gemma3");
         let strong = result.total_detected("Gemini2.0T");
@@ -2113,7 +2015,8 @@ mod tests {
 
     #[test]
     fn rq2_baselines_miss_most_found_optimizations() {
-        let result = rq2_experiment(4, None);
+        let run = RunOptions { exec: ExecConfig::with_jobs(4), ..RunOptions::default() };
+        let (result, _) = rq2_experiment(&run);
         assert_eq!(result.rows.len(), 62);
         let (d, e, m) = result.baseline_counts();
         assert!(d < e, "Souper-Default ({d}) must find fewer than Souper-Enum ({e})");
@@ -2123,6 +2026,55 @@ mod tests {
         let counts = result.status_counts();
         assert_eq!(counts["Confirmed"], 28);
         assert_eq!(counts["Fixed"], 13);
+    }
+
+    #[test]
+    fn table_bodies_survive_a_store_and_a_resume() {
+        // Each checkpointing driver runs storeless, on a fresh store and
+        // resumed on that store: the table bodies (everything but the `[…]`
+        // footers) must agree, and the resumed run must replay. Table 5's
+        // last column measures compile time, so only its file and project
+        // counts are compared.
+        fn body(text: &str, measured_last_column: bool) -> Vec<&str> {
+            text.lines()
+                .filter(|line| !line.starts_with('['))
+                .map(|line| match line.trim_end().rsplit_once(' ') {
+                    Some((counts, _)) if measured_last_column => counts.trim_end(),
+                    _ => line,
+                })
+                .collect()
+        }
+        let dir = std::env::temp_dir().join(format!("lpo-bench-resume-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let models = [gemma3(), gemini2_0t()];
+        let driver = |name: &str, run: &RunOptions| match name {
+            "table2" => table2(1, &models, run),
+            "table3" => table3(run),
+            "table4" => table4(20, run),
+            _ => table5(run),
+        };
+        for name in ["table2", "table3", "table4", "table5"] {
+            let path = dir.join(name);
+            let run = |store: Option<&std::path::Path>, resume| RunOptions {
+                exec: ExecConfig::with_jobs(2),
+                store: store.map(|path| Arc::new(VerdictStore::open(path).unwrap())),
+                resume,
+            };
+            let storeless = driver(name, &run(None, false));
+            let fresh = driver(name, &run(Some(&path), false));
+            let resumed = driver(name, &run(Some(&path), true));
+            let table5 = name == "table5";
+            let expected = body(&storeless.text, table5);
+            assert_eq!(body(&fresh.text, table5), expected, "{name}: fresh store");
+            assert_eq!(body(&resumed.text, table5), expected, "{name}: resumed");
+            assert_eq!(fresh.stats.resumed_cases, 0, "{name}: nothing to replay yet");
+            assert!(resumed.stats.resumed_cases > 0, "{name}: the resumed run replayed nothing");
+            if name == "table3" || table5 {
+                let (resumed, cases) = (resumed.stats.resumed_cases, resumed.stats.cases);
+                assert_eq!(resumed, cases, "{name}: every row replays");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

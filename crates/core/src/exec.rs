@@ -58,9 +58,6 @@ pub const DEFAULT_SHARD_SIZE: usize = 256;
 pub struct ExecConfig {
     /// Worker threads. `0` means "use [`std::thread::available_parallelism`]".
     pub jobs: usize,
-    /// Whether structurally identical sequences are collapsed into one
-    /// prompted/verified case plus cache replays. On by default.
-    pub dedup: bool,
     /// Inputs per Stage-3 sweep shard ([`usize::MAX`] = one shard per
     /// survivor, i.e. sharding without splitting). Clamped to at least 1.
     pub shard_size: usize,
@@ -68,7 +65,7 @@ pub struct ExecConfig {
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        Self { jobs: 0, dedup: true, shard_size: DEFAULT_SHARD_SIZE }
+        Self { jobs: 0, shard_size: DEFAULT_SHARD_SIZE }
     }
 }
 
@@ -334,7 +331,7 @@ pub fn run_batch_hooked(
     hooks: BatchHooks<'_>,
 ) -> BatchResult {
     let start = Instant::now();
-    let plan = DedupPlan::new(sequences, config.dedup);
+    let plan = DedupPlan::new(sequences, true);
     let shard_size = config.shard_size.max(1);
     let store_before = persist.map(|p| p.store.stats()).unwrap_or_default();
 

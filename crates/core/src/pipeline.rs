@@ -495,20 +495,6 @@ impl Lpo {
         run_batch_persisted(self, factory, round, sequences, exec, persist)
     }
 
-    /// Serial-compatible wrapper: runs a batch through one shared session,
-    /// exactly like the engine with `--jobs 1` but without spawning sessions
-    /// (useful for driving a hand-constructed [`ModelSession`]).
-    pub fn run_sequences_serial(
-        &self,
-        session: &mut dyn ModelSession,
-        sequences: &[Function],
-    ) -> (Vec<CaseReport>, RunSummary) {
-        let reports: Vec<CaseReport> =
-            sequences.iter().map(|f| self.optimize_sequence(session, f)).collect();
-        let summary = RunSummary::from_reports(&reports);
-        (reports, summary)
-    }
-
     /// The full workflow of Figure 2: extract sequences from a corpus of
     /// modules, then fan the optimize–verify loop over the unique sequences
     /// on the execution engine.

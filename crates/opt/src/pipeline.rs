@@ -172,12 +172,6 @@ impl Pipeline {
         self
     }
 
-    /// Adds a single extra rule.
-    pub fn with_rule(mut self, rule: NamedRule) -> Self {
-        self.rules.push(rule);
-        self
-    }
-
     /// Number of rules installed (useful for ablation reporting).
     pub fn rule_count(&self) -> usize {
         self.rules.len()

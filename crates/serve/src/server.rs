@@ -522,11 +522,7 @@ fn handle_submit(
     let factory = shared.provider.build(profile, submit.seed);
     let run_key = run_key(&submit, &functions);
     let persist = Persist { store: &shared.store, run_key: &run_key, resume: submit.resume };
-    let exec = ExecConfig {
-        jobs: shared.config.jobs,
-        shard_size: shared.config.shard_size,
-        ..ExecConfig::default()
-    };
+    let exec = ExecConfig { jobs: shared.config.jobs, shard_size: shared.config.shard_size };
     let store_before = shared.store.stats();
     let observer = |index: usize, report: &lpo::prelude::CaseReport, resumed: bool| {
         if write_line(writer, &case_frame(job, index, report, resumed, false)).is_err() {

@@ -220,11 +220,6 @@ impl SweepShard {
         Self { case, tgt, start, end }
     }
 
-    /// The input range this shard covers.
-    pub fn range(&self) -> (usize, usize) {
-        (self.start, self.end)
-    }
-
     /// Sweeps the shard's input range: plane chunks of `PLANE_LANES` while
     /// the candidate has a plane form and the inputs stay in the plane
     /// domain, then the serial tail, one input at a time on the compiled
