@@ -89,8 +89,8 @@ impl RunOptions {
     /// row per item, for the drivers that run no engine batch. With
     /// `resume`, the row recorded under `(run_key, key(item))` replays (a
     /// blob `decode` rejects is recomputed); otherwise the row is computed
-    /// and, with a store, recorded. The stats count the items and the
-    /// replayed rows.
+    /// and, with a store, recorded. The stats count the items, each one
+    /// unique, and the replayed rows.
     fn checkpointed_rows<T: Sync, R: Send>(
         &self,
         items: &[T],
@@ -120,7 +120,8 @@ impl RunOptions {
         });
         let resumed_cases = tagged.iter().filter(|(_, resumed)| *resumed).count();
         let rows = tagged.into_iter().map(|(row, _)| row).collect();
-        (rows, ExecStats { jobs, cases: items.len(), resumed_cases, ..ExecStats::default() })
+        let cases = items.len();
+        (rows, ExecStats { jobs, cases, unique_cases: cases, resumed_cases, ..ExecStats::default() })
     }
 }
 
@@ -166,11 +167,12 @@ fn footer(stats: &ExecStats) -> String {
     if stats.resumed_cases > 0 || !stats.store.is_empty() {
         let _ = writeln!(
             out,
-            "[store] verdict hits: {}  verdict misses: {}  case replays: {}  resumed cases: {}",
+            "[store] verdict hits: {}  verdict misses: {}  case replays: {}  resumed cases: {} of {}",
             stats.store.verdict_hits,
             stats.store.verdict_misses,
             stats.store.case_replays,
-            stats.resumed_cases
+            stats.resumed_cases,
+            stats.unique_cases
         );
     }
     out
@@ -181,8 +183,11 @@ fn footer(stats: &ExecStats) -> String {
 pub struct TableRun {
     /// The rendered table text (with an `[engine]` stats footer).
     pub text: String,
-    /// The run's accounting. `unique_cases` stays 0: a driver counts its
-    /// work items, which are not one engine batch's dedup classes.
+    /// The run's accounting, in the unit of the `[engine]` footer line:
+    /// the driver's work items (`cases`), those left after dedup replays
+    /// (`unique_cases`, `cases - cache_hits`), and those of them whose
+    /// checkpointed work all replayed (`resumed_cases`, at most
+    /// `unique_cases`).
     pub stats: ExecStats,
 }
 
@@ -358,9 +363,10 @@ fn detect_with_lpo(
         .count()
 }
 
-/// Adds one engine batch's case accounting (dedup replays, failed and
-/// resumed cases) to a driver's running total.
+/// Adds one engine batch's case accounting (unique, dedup-replayed, failed
+/// and resumed cases) to a Table 2 cell's running total.
 fn tally_batch(total: &mut ExecStats, batch: &ExecStats) {
+    total.unique_cases += batch.unique_cases;
     total.cache_hits += batch.cache_hits;
     total.failed_cases += batch.failed_cases;
     total.resumed_cases += batch.resumed_cases;
@@ -437,9 +443,14 @@ pub fn rq1_experiment(
             }
             (row, tally)
         });
-        let mut stats = ExecStats { jobs, cases: cells.len(), ..ExecStats::default() };
+        // One case per issue cell: a cell is resumed when every detection
+        // batch in it replayed.
+        let cases = cells.len();
+        let mut stats = ExecStats { jobs, cases, unique_cases: cases, ..ExecStats::default() };
         for (_, tally) in &cells {
-            tally_batch(&mut stats, tally);
+            stats.cache_hits += tally.cache_hits;
+            stats.failed_cases += tally.failed_cases;
+            stats.resumed_cases += usize::from(tally.unique_cases > 0 && tally.resumed_cases == tally.unique_cases);
         }
         stats.tv = lpo_plus.tv_snapshot();
         stats.tv.absorb(lpo_minus.tv_snapshot());
@@ -640,6 +651,7 @@ pub fn rq3_experiment(samples: usize, run: &RunOptions) -> (Vec<ThroughputRow>, 
             ..ExecStats::default()
         };
         let mut rows = Vec::new();
+        let mut resumed = Vec::new();
         // One pipeline for both model profiles: they verify candidates over the
         // same sequence list, so the second profile's probe survivors hit the
         // compiled-function cache the first profile populated.
@@ -650,11 +662,15 @@ pub fn rq3_experiment(samples: usize, run: &RunOptions) -> (Vec<ThroughputRow>, 
             let persist = run.persist(&run_key);
             let batch =
                 lpo.run_sequences_persisted(&factory, 0, &sequences, &run.exec, persist.as_ref());
-            // Both model runs share one sequence list, so their hit counts are
-            // equal — report the per-list count, not the sum over runs.
+            // Both model runs share one sequence list, so their hit and unique
+            // counts are equal — report the per-list count, not the sum over
+            // runs. A sequence is resumed when both runs replayed it: the
+            // second profile's batch starts only once the first's is done,
+            // so the smaller replay count is the per-list one.
             stats.cache_hits = batch.stats.cache_hits;
+            stats.unique_cases = batch.stats.unique_cases;
             stats.failed_cases += batch.stats.failed_cases;
-            stats.resumed_cases += batch.stats.resumed_cases;
+            resumed.push(batch.stats.resumed_cases);
             stats.tv.absorb(batch.stats.tv);
             rows.push(ThroughputRow {
                 tool: format!("LPO ({})", profile.name),
@@ -663,6 +679,7 @@ pub fn rq3_experiment(samples: usize, run: &RunOptions) -> (Vec<ThroughputRow>, 
                 total_cost_usd: batch.summary.total_cost_usd,
             });
         }
+        stats.resumed_cases = resumed.into_iter().min().unwrap_or(0);
         for enum_depth in 0..=3u32 {
             let mut config = SouperConfig::with_enum(enum_depth);
             config.candidate_budget = 1200;
@@ -1832,7 +1849,7 @@ pub fn figure5(run: &RunOptions) -> TableRun {
         let points = figure5_experiment(run.exec.jobs);
         let jobs = run.exec.effective_jobs(points.len());
         let cases = points.len();
-        (points, ExecStats { jobs, cases, ..ExecStats::default() })
+        (points, ExecStats { jobs, cases, unique_cases: cases, ..ExecStats::default() })
     });
     let mut out = String::from("Figure 5: geometric-mean speedup on the SPEC-like suite (1.00x = baseline)\n");
     for p in &points {
@@ -2068,11 +2085,14 @@ mod tests {
             assert_eq!(body(&fresh.text, table5), expected, "{name}: fresh store");
             assert_eq!(body(&resumed.text, table5), expected, "{name}: resumed");
             assert_eq!(fresh.stats.resumed_cases, 0, "{name}: nothing to replay yet");
-            assert!(resumed.stats.resumed_cases > 0, "{name}: the resumed run replayed nothing");
-            if name == "table3" || table5 {
-                let (resumed, cases) = (resumed.stats.resumed_cases, resumed.stats.cases);
-                assert_eq!(resumed, cases, "{name}: every row replays");
-            }
+            // A fully resumed run replays every unique case, counted in the
+            // unit of the `[engine]` line, and its footer says so.
+            let stats = &resumed.stats;
+            assert!(stats.resumed_cases > 0, "{name}: the resumed run replayed nothing");
+            assert_eq!(stats.unique_cases, stats.cases - stats.cache_hits, "{name}: unique cases");
+            assert_eq!(stats.resumed_cases, stats.unique_cases, "{name}: every case replays");
+            let line = format!("resumed cases: {0} of {0}\n", stats.unique_cases);
+            assert!(resumed.text.contains(&line), "{name}: footer lacks {line:?} in\n{}", resumed.text);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

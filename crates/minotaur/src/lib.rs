@@ -16,7 +16,7 @@ use lpo::shard::ShardRuntime;
 use lpo_ir::function::Function;
 use lpo_ir::instruction::InstKind;
 use lpo_llm::strategies::{apply_strategy, Strategy};
-use lpo_tv::inputs::InputConfig;
+use lpo_tv::inputs::{InputCache, InputConfig};
 use lpo_tv::prelude::EvalArena;
 use lpo_tv::refine::{CompileCache, SourceCache, TvConfig};
 use std::time::{Duration, Instant};
@@ -93,23 +93,31 @@ fn crashes_on(func: &Function) -> Option<String> {
 pub fn superoptimize_batch(functions: &[Function], jobs: usize) -> Vec<MinotaurResult> {
     let jobs = ExecConfig::with_jobs(jobs).effective_jobs(functions.len());
     // One compiled-function cache per batch (template instantiations repeat
-    // structurally across similar cases); hits only save wall-clock time,
-    // never change outcomes, so jobs-invariance holds.
+    // structurally across similar cases) and one input-set cache (cases of
+    // one signature share their test inputs); hits only save wall-clock
+    // time, never change outcomes, so jobs-invariance holds.
     let cache = CompileCache::new();
+    let inputs = InputCache::new();
     ShardRuntime::new(jobs, Default::default()).run_cases(functions.len(), |index, arena| {
-        scan(&functions[index], &cache, arena)
+        scan(&functions[index], &cache, &inputs, arena)
     })
 }
 
 /// Runs the Minotaur baseline on one wrapped instruction sequence.
 pub fn superoptimize(func: &Function) -> MinotaurResult {
-    scan(func, &CompileCache::new(), &mut EvalArena::new())
+    scan(func, &CompileCache::new(), &InputCache::new(), &mut EvalArena::new())
 }
 
 /// The template scan of one case, evaluating on `arena`. The
-/// compiled-function cache is shared across a batch by
-/// [`superoptimize_batch`]; it only affects wall-clock time, never outcomes.
-fn scan(func: &Function, compile_cache: &CompileCache, arena: &mut EvalArena) -> MinotaurResult {
+/// compiled-function and input-set caches are shared across a batch by
+/// [`superoptimize_batch`]; they only affect wall-clock time, never
+/// outcomes.
+fn scan(
+    func: &Function,
+    compile_cache: &CompileCache,
+    input_cache: &InputCache,
+    arena: &mut EvalArena,
+) -> MinotaurResult {
     let start = Instant::now();
     if let Some(reason) = crashes_on(func) {
         return MinotaurResult {
@@ -127,7 +135,9 @@ fn scan(func: &Function, compile_cache: &CompileCache, arena: &mut EvalArena) ->
     let func = &canonical;
     // All templates verify against the same source: cache its per-input
     // outcomes and reuse one evaluation arena across the whole scan.
-    let case = SourceCache::new(func, minotaur_tv()).with_compile_cache(compile_cache);
+    let case = SourceCache::new(func, minotaur_tv())
+        .with_compile_cache(compile_cache)
+        .with_input_cache(input_cache);
     let mut templates_tried = 0usize;
     for template in templates() {
         templates_tried += 1;

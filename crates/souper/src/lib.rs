@@ -14,11 +14,14 @@
 //!   bounded size (`enum_depth`, the paper's `Enum` parameter, 0–3) over the
 //!   function arguments and a small constant pool;
 //! * verifies each candidate with the translation validator and accepts the
-//!   first strictly cheaper one — input 0 of every `op a, b` of a frontier
-//!   base is first screened in one plane step per op (a
-//!   [`RowScreen`]), a candidate that survives
-//!   is one plane step checked against the case's frozen source table, and
-//!   only one neither refutes is built as a function and verified;
+//!   first strictly cheaper one, CEGIS-style: every `op a, b` of a frontier
+//!   base is first screened in one plane step per op on input 0, then the
+//!   pairs input 0 passes in one more step on the last few inputs that
+//!   refuted a candidate of this search (a [`RowScreen`]); a candidate
+//!   that survives is one plane step checked against the case's frozen
+//!   source table, and only one neither refutes is built as a function and
+//!   verified. The cases of a batch share their compiled candidates and,
+//!   per signature, their test inputs;
 //! * models the cost of the search: enumerative synthesis time grows steeply
 //!   with `Enum`, so each run reports both the real elapsed time and a
 //!   *modelled* time derived from the number of candidates explored,
@@ -34,7 +37,7 @@ use lpo_ir::flags::IntFlags;
 use lpo_ir::function::Function;
 use lpo_ir::instruction::{BinOp, ICmpPred, InstId, InstKind, Instruction, Value};
 use lpo_ir::types::Type;
-use lpo_tv::inputs::InputConfig;
+use lpo_tv::inputs::{InputCache, InputConfig};
 use lpo_tv::prelude::{EvalArena, PlaneTape, RowScreen};
 use lpo_tv::refine::{CompileCache, SourceCache, TvConfig};
 use std::cell::RefCell;
@@ -195,26 +198,31 @@ pub fn superoptimize_batch(
     let jobs = ExecConfig::with_jobs(jobs).effective_jobs(functions.len());
     // One compiled-function cache per batch: candidates that survive the
     // verifier's probe (leaf replacements like `ret %x` recur across every
-    // case of a matching signature) compile once for the whole pool. Cache
-    // hits cannot change outcomes, so the jobs-invariance contract holds.
+    // case of a matching signature) compile once for the whole pool. One
+    // input-set cache per batch: every case of a signature draws the same
+    // test inputs. Cache hits cannot change outcomes, so the jobs-invariance
+    // contract holds.
     let cache = CompileCache::new();
+    let inputs = InputCache::new();
     ShardRuntime::new(jobs, Default::default()).run_cases(functions.len(), |index, arena| {
-        search(&functions[index], config, &cache, arena)
+        search(&functions[index], config, &cache, &inputs, arena)
     })
 }
 
 /// Runs the superoptimizer on one wrapped instruction sequence.
 pub fn superoptimize(func: &Function, config: &SouperConfig) -> SouperResult {
-    search(func, config, &CompileCache::new(), &mut EvalArena::new())
+    search(func, config, &CompileCache::new(), &InputCache::new(), &mut EvalArena::new())
 }
 
 /// The enumerative search of one case, evaluating on `arena`. The
-/// compiled-function cache is shared across a batch by
-/// [`superoptimize_batch`]; it only affects wall-clock time, never outcomes.
+/// compiled-function and input-set caches are shared across a batch by
+/// [`superoptimize_batch`]; they only affect wall-clock time, never
+/// outcomes.
 fn search(
     func: &Function,
     config: &SouperConfig,
     compile_cache: &CompileCache,
+    input_cache: &InputCache,
     arena: &mut EvalArena,
 ) -> SouperResult {
     let start = Instant::now();
@@ -239,7 +247,9 @@ fn search(
     // `candidate_budget` candidates against the same function, so the test
     // inputs and the source's per-input outcomes are computed exactly once,
     // and every evaluation reuses one register-file arena.
-    let case = SourceCache::new(func, quick_tv()).with_compile_cache(compile_cache);
+    let case = SourceCache::new(func, quick_tv())
+        .with_compile_cache(compile_cache)
+        .with_input_cache(input_cache);
     let original_cost = func.instruction_count();
     let mut tried = 0usize;
 
@@ -401,7 +411,7 @@ fn search(
                     // Input 0 of every `op a, b` of the base in one plane
                     // step; only candidates it passes reach the tape.
                     if let (Some(f), Some(_)) = (&mut filter, &base_planes) {
-                        f.row.screen(&case, op, arena);
+                        f.row.screen(&case, op, &f.tape, &f.counterexamples, arena);
                     }
                     for (a_index, a) in operands.clone().enumerate() {
                         let a_ty = match a {
@@ -498,15 +508,25 @@ thread_local! {
     static ROW_SCREEN: RefCell<RowScreen> = RefCell::default();
 }
 
+/// How many distinct counterexample inputs a search keeps for its row
+/// screen. Not a knob: on the Table 4 sequences a cap of 2, 4, 8 or 16
+/// left 9,447, 8,491, 8,483 and 8,483 per-candidate tape checks in an
+/// `Enum = 1` pass, and the four ran equally fast.
+const COUNTEREXAMPLES: usize = 4;
+
 /// The plane filter of one search. The tape holds one plane per argument,
 /// then one per pool constant, then the current frontier base's chain.
 struct PlaneFilter {
     tape: PlaneTape,
     args: usize,
     consts: Vec<Option<usize>>,
-    /// Input 0 of every `op a, b` of the current base, one pair per lane:
-    /// operand `i` of the level loop's operand order against leaf `j`.
+    /// Input 0 and the counterexample inputs of every `op a, b` of the
+    /// current base, one pair per lane: operand `i` of the level loop's
+    /// operand order against leaf `j`.
     row: RowScreen,
+    /// The last [`COUNTEREXAMPLES`] distinct inputs past input 0 that
+    /// refuted a candidate on the tape, oldest first.
+    counterexamples: Vec<usize>,
 }
 
 impl PlaneFilter {
@@ -516,7 +536,7 @@ impl PlaneFilter {
         let mut tape = case.plane_tape(arena)?;
         let args = tape.len();
         let consts = constants.iter().map(|c| tape.constant(c)).collect();
-        Some(Self { tape, args, consts, row: ROW_SCREEN.take() })
+        Some(Self { tape, args, consts, row: ROW_SCREEN.take(), counterexamples: Vec::new() })
     }
 
     /// The plane holding an argument or pool constant.
@@ -532,7 +552,8 @@ impl PlaneFilter {
 
     /// Whether the tape refutes the candidate whose value is the plane
     /// `push` returns — a leaf's plane, or one it records on the tape. A
-    /// recorded plane is truncated away again.
+    /// recorded plane is truncated away again. A refuting input past input
+    /// 0 becomes the newest counterexample.
     fn refutes(
         &mut self,
         case: &SourceCache,
@@ -541,9 +562,16 @@ impl PlaneFilter {
     ) -> bool {
         let len = self.tape.len();
         let plane = push(&mut self.tape);
-        let refuted = case.tape_refutes(&mut self.tape, plane, arena);
+        let refuting = case.tape_refutes(&mut self.tape, plane, arena);
         self.tape.truncate(len);
-        refuted
+        if let Some(input) = refuting.filter(|&input| input > 0) {
+            self.counterexamples.retain(|&k| k != input);
+            if self.counterexamples.len() == COUNTEREXAMPLES {
+                self.counterexamples.remove(0);
+            }
+            self.counterexamples.push(input);
+        }
+        refuting.is_some()
     }
 
     /// Replaces the tape's base chain with `chain`, evaluated on every lane,

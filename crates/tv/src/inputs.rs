@@ -36,6 +36,12 @@
 //! `generate_inputs(..)[i]`, so the few lanes that need a [`TestInput`] —
 //! the probe window, suspect or refuting lanes, the serial sweep of
 //! non-plane candidates — materialize one on demand.
+//!
+//! # Sharing
+//!
+//! A set depends only on the parameter types and the [`InputConfig`], so
+//! a batch of sources that repeats signatures can draw every set from one
+//! [`InputCache`] instead of generating it per source.
 
 use crate::buffers;
 use lpo_interp::memory::{Allocation, Memory};
@@ -46,7 +52,9 @@ use lpo_ir::types::Type;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 /// Size of the allocation bound to each pointer argument.
 pub const PTR_ALLOC_SIZE: usize = 64;
@@ -61,7 +69,7 @@ pub struct TestInput {
 }
 
 /// Configuration of the input generator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct InputConfig {
     /// If the total number of integer input bits is at most this, enumerate
     /// the entire input space.
@@ -289,6 +297,42 @@ impl InputSet {
     }
 }
 
+/// Input sets keyed by (parameter types, [`InputConfig`]): every source of
+/// one signature under one configuration shares one [`Arc<InputSet>`],
+/// generated on first sight.
+///
+/// A set is a pure function of its key, so sharing changes no lane. The
+/// cache is `Send + Sync` and never evicts: give it the lifetime of one
+/// batch of sources, whose signatures are bounded, not of a process that
+/// serves arbitrary ones.
+#[derive(Debug, Default)]
+pub struct InputCache {
+    sets: Mutex<HashMap<SignatureKey, Arc<InputSet>>>,
+}
+
+/// What an input set depends on: the parameter types and the generator's
+/// configuration.
+type SignatureKey = (Vec<Type>, InputConfig);
+
+impl InputCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The input set of `func`'s signature under `config`, equal lane for
+    /// lane to [`InputSet::generate`]. Generation runs outside the lock;
+    /// when two threads race on a key, both get the set stored first.
+    pub fn get(&self, func: &Function, config: &InputConfig) -> Arc<InputSet> {
+        let key: SignatureKey = (func.params.iter().map(|p| p.ty.clone()).collect(), config.clone());
+        if let Some(set) = self.sets.lock().expect("input cache poisoned").get(&key) {
+            return set.clone();
+        }
+        let set = Arc::new(InputSet::generate(func, config));
+        self.sets.lock().expect("input cache poisoned").entry(key).or_insert(set).clone()
+    }
+}
+
 /// All-ones mask of the low `w` bits (`w <= 64`).
 fn mask(w: u32) -> u64 {
     if w >= 64 {
@@ -441,6 +485,7 @@ fn bind_memory(func: &Function, mut args: Vec<EvalValue>, rng: &mut StdRng, salt
 mod tests {
     use super::*;
     use lpo_ir::parser::parse_function;
+    use lpo_ir::printer;
 
     #[test]
     fn small_signatures_are_exhaustive() {
@@ -545,10 +590,9 @@ mod tests {
         format!("{args:?}")
     }
 
-    /// Asserts that `InputSet::generate` reproduces `generate_inputs` lane
-    /// for lane, and picks columns exactly for all-`iN<=64` signatures.
-    fn assert_set_matches_rows(f: &Function, config: &InputConfig, what: &str) {
-        let set = InputSet::generate(f, config);
+    /// Asserts that `set` reproduces `generate_inputs` lane for lane, and
+    /// is in columns exactly for all-`iN<=64` signatures.
+    fn assert_set_matches_rows(set: &InputSet, f: &Function, config: &InputConfig, what: &str) {
         let rows = generate_inputs(f, config);
         assert_eq!(set.len(), rows.len(), "{what}: lane count");
         assert_eq!(set.exhaustive(), exhaustive_bits(f, config).is_some(), "{what}: exhaustive");
@@ -582,7 +626,7 @@ mod tests {
         for text in SIGNATURES {
             let f = parse_function(text).unwrap();
             for config in configs() {
-                assert_set_matches_rows(&f, &config, text);
+                assert_set_matches_rows(&InputSet::generate(&f, &config), &f, &config, text);
             }
         }
     }
@@ -598,8 +642,63 @@ mod tests {
                 random_samples: 8 + (seed % 24) as usize,
                 seed,
             };
-            assert_set_matches_rows(&f, &config, &format!("fuzz seed {seed:#x}"));
+            let what = format!("fuzz seed {seed:#x}");
+            assert_set_matches_rows(&InputSet::generate(&f, &config), &f, &config, &what);
         }
+    }
+
+    /// A function with `f`'s parameters and nothing else: another source of
+    /// the same signature.
+    fn twin_of(f: &Function) -> Function {
+        let mut twin = Function::new("twin", Type::Void);
+        twin.params = f.params.clone();
+        twin
+    }
+
+    /// An `InputCache` hands out, for the fixed and fuzz signatures (both
+    /// layouts, pointer parameters, exhaustive and sampled sets), sets equal
+    /// lane for lane to `InputSet::generate`; functions of one signature
+    /// share one `Arc`, also when two threads ask at once; different
+    /// configurations never share a set.
+    #[test]
+    fn input_set_cache_matches_generate_and_shares_per_signature() {
+        let cache = InputCache::new();
+        let mut functions: Vec<(Function, [InputConfig; 3])> = SIGNATURES
+            .iter()
+            .map(|text| {
+                let [a, b] = configs();
+                let reseeded = InputConfig { seed: b.seed + 1, ..b.clone() };
+                (parse_function(text).unwrap(), [a, b, reseeded])
+            })
+            .collect();
+        for seed in crate::fuzz_seeds::seed_block(60, 0x1a9c_ca5e, "input-set-cache") {
+            let config = InputConfig {
+                exhaustive_bits: (seed % 13) as u32,
+                random_samples: 8 + (seed % 24) as usize,
+                seed,
+            };
+            let other = InputConfig { exhaustive_bits: config.exhaustive_bits + 1, ..config.clone() };
+            let reseeded = InputConfig { seed: seed ^ 1, ..config.clone() };
+            functions.push((lpo_interp::fuzz::random_function(seed), [config, other, reseeded]));
+        }
+        for (f, configs) in &functions {
+            let what = printer::print_function(f);
+            let sets: Vec<Arc<InputSet>> = configs.iter().map(|config| cache.get(f, config)).collect();
+            for (set, config) in sets.iter().zip(configs) {
+                assert_set_matches_rows(set, f, config, &what);
+                assert_eq!(set.columns(), InputSet::generate(f, config).columns(), "{what}");
+                assert!(Arc::ptr_eq(set, &cache.get(&twin_of(f), config)), "{what}: one signature, one set");
+            }
+            for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+                assert!(!Arc::ptr_eq(&sets[i], &sets[j]), "{what}: configs {i} and {j} share a set");
+            }
+        }
+        let f = parse_function(SIGNATURES[1]).unwrap();
+        let racing = InputCache::new();
+        let [a, b] = std::thread::scope(|scope| {
+            [(); 2].map(|_| scope.spawn(|| racing.get(&f, &InputConfig::default()))).map(|h| h.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b), "racing threads get the set stored first");
     }
 
     #[test]

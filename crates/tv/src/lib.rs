@@ -66,7 +66,7 @@ pub mod prelude {
         FrozenCase, SerialDriver, SweepDriver, SweepOutcome, SweepShard, SweepSlot,
     };
     pub use crate::inputs::{
-        corner_values, generate_inputs, input_count, InputConfig, InputSet, TestInput,
+        corner_values, generate_inputs, input_count, InputCache, InputConfig, InputSet, TestInput,
     };
     pub use crate::refine::{
         verify_refinement, verify_refinement_reference, verify_refinement_with, CompileCache,

@@ -73,7 +73,7 @@
 
 use crate::buffers;
 use crate::frozen::{FrozenCase, SerialDriver, SweepDriver, SweepShard, SweepSlot};
-use crate::inputs::{InputConfig, InputSet, TestInput};
+use crate::inputs::{InputCache, InputConfig, InputSet, TestInput};
 use lpo_absint::{certificate, Certificate, FunctionAnalysis};
 use lpo_interp::compiled::{evaluate_direct, CompiledFunction, EvalArena};
 use lpo_interp::eval::Ub;
@@ -453,6 +453,7 @@ pub struct SourceCache<'a> {
     src: &'a Function,
     config: TvConfig,
     compile_cache: Option<&'a CompileCache>,
+    input_cache: Option<&'a InputCache>,
     inputs: OnceCell<Arc<InputSet>>,
     probe_window: OnceCell<Vec<TestInput>>,
     compiled_src: OnceCell<Arc<CompiledFunction>>,
@@ -660,6 +661,7 @@ impl<'a> SourceCache<'a> {
             src,
             config,
             compile_cache: None,
+            input_cache: None,
             inputs: OnceCell::new(),
             probe_window: OnceCell::new(),
             compiled_src: OnceCell::new(),
@@ -682,6 +684,14 @@ impl<'a> SourceCache<'a> {
     /// per pool instead of once per verification.
     pub fn with_compile_cache(mut self, cache: &'a CompileCache) -> Self {
         self.compile_cache = Some(cache);
+        self
+    }
+
+    /// Attaches a shared input-set cache: the case's inputs are then drawn
+    /// from it, so sources of one signature generate their set once per
+    /// cache instead of once per case. The lanes are the same either way.
+    pub fn with_input_cache(mut self, cache: &'a InputCache) -> Self {
+        self.input_cache = Some(cache);
         self
     }
 
@@ -761,7 +771,10 @@ impl<'a> SourceCache<'a> {
     }
 
     fn inputs(&self) -> &Arc<InputSet> {
-        self.inputs.get_or_init(|| Arc::new(InputSet::generate(self.src, &self.config.inputs)))
+        self.inputs.get_or_init(|| match self.input_cache {
+            Some(cache) => cache.get(self.src, &self.config.inputs),
+            None => Arc::new(InputSet::generate(self.src, &self.config.inputs)),
+        })
     }
 
     fn compiled_src(&self) -> &Arc<CompiledFunction> {
@@ -1167,15 +1180,19 @@ impl<'a> SourceCache<'a> {
     /// plane domain it is exact (see `DenseOutcomes::lane_refines`), and
     /// debug builds re-check each refuting lane on its materialized value.
     ///
-    /// `true` exactly when some input refutes the candidate — so
-    /// [`verify_outcome_only`](Self::verify_outcome_only) rejects it too —
-    /// and `false` decides nothing. Counts nothing and evaluates no source
-    /// input: a candidate is checked only once it reaches a verify entry
-    /// point.
-    pub fn tape_refutes(&self, tape: &mut PlaneTape, plane: usize, arena: &mut EvalArena) -> bool {
-        let Some(table) = self.dense_table() else {
-            return false;
-        };
+    /// The first input (in input order) that refutes the candidate, so
+    /// [`verify_outcome_only`](Self::verify_outcome_only) rejects it too;
+    /// `None` decides nothing. A search can try the refuting input first on
+    /// its next candidates (see [`RowScreen`](crate::screen::RowScreen)).
+    /// Counts nothing and evaluates no source input: a candidate is checked
+    /// only once it reaches a verify entry point.
+    pub fn tape_refutes(
+        &self,
+        tape: &mut PlaneTape,
+        plane: usize,
+        arena: &mut EvalArena,
+    ) -> Option<usize> {
+        let table = self.dense_table()?;
         let total = self.inputs().len();
         debug_assert_eq!(tape.lanes(), total, "the tape must come from this case");
         let mut start = 0;
@@ -1188,13 +1205,12 @@ impl<'a> SourceCache<'a> {
             start = end;
             tape.run(plane, window.clone());
             let lanes = tape.view(plane);
-            for index in window {
-                if self.lane_refutes(table, index, &lanes, index, arena) {
-                    return true;
-                }
+            let refuting = window.into_iter().find(|&index| self.lane_refutes(table, index, &lanes, index, arena));
+            if refuting.is_some() {
+                return refuting;
             }
         }
-        false
+        None
     }
 
     /// The frozen case's dense table, once the case is frozen in a shape
@@ -2096,18 +2112,18 @@ mod tests {
     }
 
     /// The reference answer for [`SourceCache::tape_refutes`]: runs `plane`
-    /// on every lane and checks each one against its source outcome,
-    /// without the dense table's clearing or any window schedule.
-    fn refutes_on_some_lane(
+    /// on every lane and returns the first whose value fails against its
+    /// source outcome, without the dense table or any window schedule.
+    fn first_refuting_lane(
         case: &SourceCache,
         tape: &mut PlaneTape,
         plane: usize,
         arena: &mut EvalArena,
-    ) -> bool {
+    ) -> Option<usize> {
         let total = tape.lanes();
         tape.run(plane, 0..total);
         let lanes = tape.view(plane);
-        (0..total).any(|index| {
+        (0..total).find(|&index| {
             let tgt_out = lanes.value(index).map(|v| (Some(v), case.inputs().memory(index).clone()));
             case.check_input(index, &tgt_out, arena).is_some()
         })
@@ -2133,8 +2149,9 @@ mod tests {
 
     /// Over plane-eligible sources, input sets from one lane up and every
     /// probe size, `tape_refutes` must agree with a check of every lane on
-    /// each `op a, b` candidate over the arguments and a few constants, and
-    /// a refuted candidate must be rejected by `verify_outcome_only`.
+    /// each `op a, b` candidate over the arguments and a few constants —
+    /// down to the first refuting input it reports — and a refuted
+    /// candidate must be rejected by `verify_outcome_only`.
     #[test]
     fn tape_window_schedule_agrees_with_every_lane() {
         let hand = [
@@ -2186,9 +2203,9 @@ mod tests {
                                 let src = printer::print_function(src);
                                 format!("{op:?} {a:?} {b:?}, probe {probe_inputs}, {total} lanes, source\n{src}")
                             };
-                            let naive = refutes_on_some_lane(&case, &mut tape, plane, &mut arena);
+                            let naive = first_refuting_lane(&case, &mut tape, plane, &mut arena);
                             assert_eq!(refuted, naive, "{}", context());
-                            if refuted {
+                            if refuted.is_some() {
                                 refuted_total += 1;
                                 let candidate = binary_candidate(src, op, a, b);
                                 assert!(!case.verify_outcome_only(&candidate, &mut arena), "{}", context());
@@ -2226,11 +2243,12 @@ mod tests {
                 let plane_k = tape.constant(&ApInt::new(8, k)).unwrap();
                 let fixed = tape.len();
                 let stale = tape.icmp(ICmpPred::Eq, 0, last);
-                assert!(case.tape_refutes(&mut tape, stale, &mut arena));
+                assert_eq!(case.tape_refutes(&mut tape, stale, &mut arena), Some(255));
                 tape.truncate(fixed);
                 let fresh = tape.icmp(ICmpPred::Eq, 0, plane_k);
                 assert_eq!(fresh, stale, "B must reuse A's plane storage");
-                assert!(case.tape_refutes(&mut tape, fresh, &mut arena), "input {k}, probe {probe_inputs}");
+                let refuting = case.tape_refutes(&mut tape, fresh, &mut arena);
+                assert_eq!(refuting, Some(k as usize), "input {k}, probe {probe_inputs}");
                 tape.truncate(fixed - 1);
             }
         }
