@@ -1713,6 +1713,27 @@ mod tests {
         assert_eq!(bits.zeros, 0b1100_0000 | 0b0000_0010);
         // Memoized: querying twice hits the cache and agrees.
         assert_eq!(ctx.known_bits(func.return_value().expect("ret")), bits);
+
+        // A 64-rung ladder where every rung uses the previous one twice: a
+        // walk without memoization takes ~2^64 steps here. The top rung
+        // queried on a fresh context must equal what one context reaches
+        // when the rungs are queried bottom-up.
+        let mut body = String::from("  %v0 = and i64 %x, 255\n");
+        for i in 1..=64 {
+            body.push_str(&format!("  %v{i} = add i64 %v{}, %v{}\n", i - 1, i - 1));
+        }
+        let ladder =
+            parse_function(&format!("define i64 @chain(i64 %x) {{\nentry:\n{body}  ret i64 %v64\n}}"))
+                .expect("parse");
+        let top = KnownBitsCtx::new(&ladder).known_bits(ladder.return_value().expect("ret"));
+        let bottom_up = KnownBitsCtx::new(&ladder);
+        let rungs: Vec<KnownBits> = ladder
+            .iter_insts()
+            .filter(|(_, inst)| !inst.kind.is_terminator())
+            .map(|(id, _)| bottom_up.known_bits(&Value::Inst(id)))
+            .collect();
+        assert_eq!(rungs.len(), 65);
+        assert_eq!(rungs.last(), Some(&top));
     }
 
     #[test]

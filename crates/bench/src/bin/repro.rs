@@ -144,13 +144,13 @@ const BENCHES: [&str; 5] = ["interp", "opt", "tv", "exec", "serve"];
 
 /// Runs the `bench-<name>` microbenchmark, prints its report and returns its
 /// `BENCH_results.json` section.
-fn run_bench(name: &str, jobs: usize, shard_size: usize) -> (String, Json) {
+fn run_bench(name: &str, exec: &ExecConfig) -> (String, Json) {
     let report = match name {
-        "interp" => harness::bench_interp(jobs).map(|run| (run.text, run.entry.to_json())),
-        "opt" => harness::bench_opt(jobs).map(|run| (run.text, run.entry.to_json())),
-        "tv" => harness::bench_tv(jobs).map(|run| (run.text, run.entry.to_json())),
-        "exec" => harness::bench_exec(jobs, shard_size).map(|run| (run.text, run.entry.to_json())),
-        "serve" => harness::bench_serve(jobs).map(|run| (run.text, run.entry.to_json())),
+        "interp" => harness::bench_interp(exec).map(|run| (run.text, run.entry.to_json())),
+        "opt" => harness::bench_opt(exec).map(|run| (run.text, run.entry.to_json())),
+        "tv" => harness::bench_tv(exec).map(|run| (run.text, run.entry.to_json())),
+        "exec" => harness::bench_exec(exec).map(|run| (run.text, run.entry.to_json())),
+        "serve" => harness::bench_serve(exec).map(|run| (run.text, run.entry.to_json())),
         _ => unreachable!("not a bench section: {name}"),
     };
     let (text, section) = measured(report);
@@ -215,12 +215,10 @@ fn main() {
             show("table4", harness::table4(samples, &run));
             show("table5", harness::table5(&run));
             show("figure5", harness::figure5(&run));
-            sections.extend(
-                BENCHES.iter().map(|name| run_bench(name, run.exec.jobs, run.exec.shard_size)),
-            );
+            sections.extend(BENCHES.iter().map(|name| run_bench(name, &run.exec)));
         }
         other => match other.strip_prefix("bench-").filter(|name| BENCHES.contains(name)) {
-            Some(name) => sections.push(run_bench(name, run.exec.jobs, run.exec.shard_size)),
+            Some(name) => sections.push(run_bench(name, &run.exec)),
             None => {
                 eprintln!(
                     "unknown experiment '{other}'; expected table1..table5, figure5, bench-interp, bench-opt, bench-tv, bench-exec, bench-serve, serve, serve-client or all"

@@ -3,7 +3,9 @@
 //! The benchmark harness: every table and figure of the paper's evaluation can
 //! be regenerated with the `repro` binary in this crate
 //! (`cargo run -p lpo-bench --release --bin repro -- <table1|table2|table3|table4|table5|figure5|all> [--jobs N]`),
-//! and the Criterion benches exercise the performance-sensitive components.
+//! and its `bench-interp|opt|tv|exec|serve` subcommands time each
+//! performance-sensitive layer on the rq1 suite against the gates in
+//! `BENCH_baseline.json` (see `BENCH.md`).
 //!
 //! Every experiment driver runs on the parallel execution engine of
 //! `lpo-core` (see `ARCHITECTURE.md` § Execution engine): one [`RunOptions`]
@@ -16,8 +18,8 @@
 //! [`ExecStats`], which the `repro` binary also serializes to
 //! `BENCH_results.json` for tracking the perf trajectory.
 //!
-//! The experiment drivers are library functions so that integration tests and
-//! benches can call them with scaled-down parameters.
+//! The experiment drivers are library functions so that integration tests can
+//! call them with scaled-down parameters.
 //!
 //! See `ARCHITECTURE.md` at the repository root for the workspace crate
 //! graph and where this crate sits in the three-stage verification flow.
@@ -39,9 +41,10 @@ use std::time::{Duration, Instant};
 /// How a table driver runs: the engine configuration (`--jobs`,
 /// `--shard-size`) and the durable store (`--store`, `--resume`). Every
 /// table driver and its experiment (`table2`–`table5`, `figure5`,
-/// `rq1_experiment`–`rq3_experiment`, `table5_experiment`) takes one
-/// `&RunOptions`; the default runs on every core at the default shard size
-/// without a store.
+/// `rq1_experiment`–`rq3_experiment`, `table5_experiment`,
+/// `figure5_experiment`) takes one `&RunOptions`; the default runs on every
+/// core at the default shard size without a store. The `bench_*`
+/// microbenchmarks take only its [`ExecConfig`].
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
     /// Worker count and Stage-3 sweep shard size.
@@ -189,10 +192,6 @@ pub struct TableRun {
     /// checkpointed work all replayed (`resumed_cases`, at most
     /// `unique_cases`).
     pub stats: ExecStats,
-}
-
-fn resolve_jobs(jobs: usize, work: usize) -> usize {
-    ExecConfig::with_jobs(jobs).effective_jobs(work)
 }
 
 /// Maps `f` over `items` on `jobs` workers of a fresh [`ShardRuntime`] —
@@ -861,39 +860,44 @@ pub struct SpeedupPoint {
 /// Runs the Figure 5 experiment: estimated-cycle speedups of each accepted
 /// patch on the SPEC-like module set, plus a "yearly" comparison that enables
 /// every patch at once. Each of the ten pipeline configurations is one work
-/// item on `jobs` workers.
-pub fn figure5_experiment(jobs: usize) -> Vec<SpeedupPoint> {
-    let benches = lpo_corpus::spec_benchmarks(20251201);
-    let cost = CostModel::new(Target::Btver2Like);
-    let figure_ids = ["128134", "142674", "143211", "143636", "157315", "157370", "157524", "163108 (1)", "163108 (2)"];
-    let base = Pipeline::new(OptLevel::O2);
-    let baseline_cycles: Vec<f64> = benches
-        .iter()
-        .map(|(_, m)| {
-            let mut m = m.clone();
-            base.run_module(&mut m);
-            m.functions.iter().map(|f| cost.estimate(f).total_cycles).sum::<f64>()
-        })
-        .collect();
-    let mut configs: Vec<(String, Vec<lpo_opt::patches::Patch>)> = figure_ids
-        .iter()
-        .map(|&id| (id.to_string(), all_patches().into_iter().filter(|p| p.id == id).collect()))
-        .collect();
-    configs.push(("Yearly".to_string(), all_patches()));
-    let jobs = resolve_jobs(jobs, configs.len());
-    map_on_runtime(&configs, jobs, |(label, patches), _| {
-        let pipeline = Pipeline::new(OptLevel::O2).with_patches(patches.clone());
-        let mut ratios = Vec::new();
-        for ((_, module), base_cycles) in benches.iter().zip(&baseline_cycles) {
-            let mut m = module.clone();
-            pipeline.run_module(&mut m);
-            let cycles: f64 = m.functions.iter().map(|f| cost.estimate(f).total_cycles).sum();
-            if cycles > 0.0 {
-                ratios.push(base_cycles / cycles);
+/// item on the run's workers; the figure has no store to use, so the
+/// accounting is the configuration count and the wall time.
+pub fn figure5_experiment(run: &RunOptions) -> (Vec<SpeedupPoint>, ExecStats) {
+    run.measured(|| {
+        let benches = lpo_corpus::spec_benchmarks(20251201);
+        let cost = CostModel::new(Target::Btver2Like);
+        let figure_ids = ["128134", "142674", "143211", "143636", "157315", "157370", "157524", "163108 (1)", "163108 (2)"];
+        let base = Pipeline::new(OptLevel::O2);
+        let baseline_cycles: Vec<f64> = benches
+            .iter()
+            .map(|(_, m)| {
+                let mut m = m.clone();
+                base.run_module(&mut m);
+                m.functions.iter().map(|f| cost.estimate(f).total_cycles).sum::<f64>()
+            })
+            .collect();
+        let mut configs: Vec<(String, Vec<lpo_opt::patches::Patch>)> = figure_ids
+            .iter()
+            .map(|&id| (id.to_string(), all_patches().into_iter().filter(|p| p.id == id).collect()))
+            .collect();
+        configs.push(("Yearly".to_string(), all_patches()));
+        let jobs = run.exec.effective_jobs(configs.len());
+        let points = map_on_runtime(&configs, jobs, |(label, patches), _| {
+            let pipeline = Pipeline::new(OptLevel::O2).with_patches(patches.clone());
+            let mut ratios = Vec::new();
+            for ((_, module), base_cycles) in benches.iter().zip(&baseline_cycles) {
+                let mut m = module.clone();
+                pipeline.run_module(&mut m);
+                let cycles: f64 = m.functions.iter().map(|f| cost.estimate(f).total_cycles).sum();
+                if cycles > 0.0 {
+                    ratios.push(base_cycles / cycles);
+                }
             }
-        }
-        let geo: f64 = ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len().max(1) as f64;
-        SpeedupPoint { label: label.clone(), speedup: geo.exp() }
+            let geo: f64 = ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len().max(1) as f64;
+            SpeedupPoint { label: label.clone(), speedup: geo.exp() }
+        });
+        let cases = points.len();
+        (points, ExecStats { jobs, cases, unique_cases: cases, ..ExecStats::default() })
     })
 }
 
@@ -910,12 +914,12 @@ pub struct InterpBenchRun {
 /// Measures concrete-evaluation throughput over the rq1 suite: every case's
 /// full translation-validation input set is evaluated on the register-file
 /// evaluator (compiled once per case per pass, the same shape as the TV hot
-/// path) and on the pre-change reference evaluator, on `jobs` workers each
-/// owning one [`lpo_tv::prelude::EvalArena`].
+/// path) and on the pre-change reference evaluator, on `exec.jobs` workers
+/// each owning one [`lpo_tv::prelude::EvalArena`].
 ///
 /// This is the workload behind `repro bench-interp` and the CI `bench-smoke`
 /// regression gate; measure with `--jobs 1` when comparing across builds.
-pub fn bench_interp(jobs: usize) -> Result<InterpBenchRun, String> {
+pub fn bench_interp(exec: &ExecConfig) -> Result<InterpBenchRun, String> {
     use lpo_interp::prelude::{evaluate_reference, CompiledFunction};
     use lpo_tv::prelude::{generate_inputs, InputConfig, TestInput};
 
@@ -931,7 +935,7 @@ pub fn bench_interp(jobs: usize) -> Result<InterpBenchRun, String> {
             (case.function.clone(), inputs)
         })
         .collect();
-    let jobs = resolve_jobs(jobs, workloads.len());
+    let jobs = exec.effective_jobs(workloads.len());
 
     /// Accumulated (evaluations, steps, wall) of one evaluator's passes.
     #[derive(Default)]
@@ -1135,7 +1139,7 @@ const COMPOSE_COPIES: usize = 8;
 ///
 /// This is the workload behind `repro bench-opt` and the CI `bench-smoke`
 /// regression gate; measure with `--jobs 1` when comparing across builds.
-pub fn bench_opt(jobs: usize) -> Result<OptBenchRun, String> {
+pub fn bench_opt(exec: &ExecConfig) -> Result<OptBenchRun, String> {
     use lpo_ir::function::Function;
     use lpo_opt::pipeline::{OptLevel, Pipeline};
 
@@ -1146,7 +1150,7 @@ pub fn bench_opt(jobs: usize) -> Result<OptBenchRun, String> {
     let cases: Vec<Function> = suite.iter().map(|case| case.function.clone()).collect();
     let composed: Vec<Function> =
         cases.iter().filter_map(|f| compose_module_scale(f, COMPOSE_COPIES)).collect();
-    let jobs = resolve_jobs(jobs, cases.len());
+    let jobs = exec.effective_jobs(cases.len());
     let pipeline = Pipeline::new(OptLevel::O2);
 
     /// Accumulated (canonicalizations, wall) of one engine's passes.
@@ -1371,7 +1375,7 @@ pub fn pin_return_bit(
 /// All checkers' passes are interleaved so host noise cancels. This is the
 /// workload behind `repro bench-tv` and the CI `bench-smoke` regression
 /// gate; measure with `--jobs 1` when comparing across builds.
-pub fn bench_tv(jobs: usize) -> Result<TvBenchRun, String> {
+pub fn bench_tv(exec: &ExecConfig) -> Result<TvBenchRun, String> {
     use lpo_ir::function::Function;
     use lpo_tv::prelude::{EvalArena, SerialDriver, SourceCache, TvConfig, VerdictTier};
 
@@ -1434,7 +1438,7 @@ pub fn bench_tv(jobs: usize) -> Result<TvBenchRun, String> {
         .iter()
         .filter(|(src, _)| lpo_interp::compiled::CompiledFunction::compile(src).plane().is_some())
         .count();
-    let jobs = resolve_jobs(jobs, workloads.len());
+    let jobs = exec.effective_jobs(workloads.len());
 
     /// Accumulated (verifications, wall) of one checker's passes. Only the
     /// verification loops are timed — per-case setup (input generation,
@@ -1666,12 +1670,12 @@ pub struct ExecBenchRun {
 /// Measures the shard engine's reason to exist: **single-case** scaling.
 /// The whole batch is one survivor verification over a 65,536-input
 /// exhaustive sweep (`i16` argument), split into [`SweepShard`]s of
-/// `shard_size` inputs. It is measured on the serial
+/// `exec.shard_size` inputs. It is measured on the serial
 /// [`SourceCache::verify_with`](lpo_tv::prelude::SourceCache::verify_with)
 /// walk (the reference), on the sharded walk at one worker (the
 /// machine-independent overhead ratio — the shard machinery must stay
-/// within a few percent of free), and on the sharded walk at `jobs` workers
-/// (the speedup an idle machine gets on one huge case).
+/// within a few percent of free), and on the sharded walk at `exec.jobs`
+/// workers (the speedup an idle machine gets on one huge case).
 ///
 /// The workload runs with the abstract tier off, like `bench-tv`'s concrete
 /// shapes: the tier proves this self-verification outright, and a proved
@@ -1685,7 +1689,7 @@ pub struct ExecBenchRun {
 /// `shard-smoke` job; measure with `--jobs 1` when comparing across builds.
 ///
 /// [`SweepShard`]: lpo_tv::frozen::SweepShard
-pub fn bench_exec(jobs: usize, shard_size: usize) -> Result<ExecBenchRun, String> {
+pub fn bench_exec(exec: &ExecConfig) -> Result<ExecBenchRun, String> {
     use lpo_ir::parser::parse_function;
     use lpo_tv::prelude::{input_count, EvalArena, SourceCache, TvConfig};
 
@@ -1694,9 +1698,9 @@ pub fn bench_exec(jobs: usize, shard_size: usize) -> Result<ExecBenchRun, String
     /// Survivor sweeps per pass.
     const SWEEP_REPEATS: usize = 4;
 
-    let shard_size = shard_size.max(1);
+    let shard_size = exec.shard_size.max(1);
     // Not bounded by the single case: the extra workers steal its shards.
-    let parallel_jobs = ExecConfig::with_jobs(jobs).effective_jobs(usize::MAX);
+    let parallel_jobs = exec.effective_jobs(usize::MAX);
 
     // One survivor case with a 65,536-input exhaustive sweep: wide enough
     // that shard-granular stealing matters, cheap enough per input that the
@@ -1842,15 +1846,9 @@ pub fn bench_exec(jobs: usize, shard_size: usize) -> Result<ExecBenchRun, String
     Ok(ExecBenchRun { text, entry })
 }
 
-/// Renders Figure 5 as text. It has no store to use: its accounting is
-/// the configuration count and the wall time.
+/// Renders Figure 5 (see [`figure5_experiment`]).
 pub fn figure5(run: &RunOptions) -> TableRun {
-    let (points, stats) = run.measured(|| {
-        let points = figure5_experiment(run.exec.jobs);
-        let jobs = run.exec.effective_jobs(points.len());
-        let cases = points.len();
-        (points, ExecStats { jobs, cases, unique_cases: cases, ..ExecStats::default() })
-    });
+    let (points, stats) = figure5_experiment(run);
     let mut out = String::from("Figure 5: geometric-mean speedup on the SPEC-like suite (1.00x = baseline)\n");
     for p in &points {
         let bar = "#".repeat(((p.speedup - 0.90).max(0.0) * 200.0) as usize);
@@ -1878,14 +1876,14 @@ pub struct ServeBenchRun {
 /// This is the workload behind `repro bench-serve` and the CI `serve-smoke`
 /// gate. The cache-hit rates come from store counter deltas, not timings, so
 /// they are exact: the `serve.cache_hit_rate` gate is an `exact_floor`.
-pub fn bench_serve(jobs: usize) -> Result<ServeBenchRun, String> {
+pub fn bench_serve(exec: &ExecConfig) -> Result<ServeBenchRun, String> {
     use lpo_serve::prelude::{ServeClient, ServeConfig, Server, SubmitOptions};
 
     /// Minimum time spent on warm submissions.
     const MIN_TIME: Duration = Duration::from_millis(900);
 
     let store = Arc::new(VerdictStore::in_memory());
-    let config = ServeConfig { jobs, ..ServeConfig::default() };
+    let config = ServeConfig { jobs: exec.jobs, shard_size: exec.shard_size, ..ServeConfig::default() };
     let server = Server::bind("127.0.0.1:0", config, store).expect("bind loopback server");
     let addr = server.local_addr().to_string();
     let server_thread = std::thread::spawn(move || server.run());
@@ -1951,7 +1949,8 @@ pub fn bench_serve(jobs: usize) -> Result<ServeBenchRun, String> {
         jobs: reported_jobs,
     };
     let mut text = format!(
-        "Serving-shell throughput: rq1 over the wire protocol on a loopback socket (jobs {jobs})\n"
+        "Serving-shell throughput: rq1 over the wire protocol on a loopback socket (jobs {})\n",
+        exec.jobs
     );
     let _ = writeln!(
         text,
@@ -2099,7 +2098,8 @@ mod tests {
 
     #[test]
     fn figure5_speedups_are_within_noise() {
-        let points = figure5_experiment(2);
+        let run = RunOptions { exec: ExecConfig::with_jobs(2), ..RunOptions::default() };
+        let (points, _) = figure5_experiment(&run);
         assert_eq!(points.len(), 10);
         for p in &points {
             assert!(

@@ -320,11 +320,6 @@ impl CompiledFunction {
             return Err(Ub::new("basic block fell through without a terminator"));
         }
     }
-
-    /// How many registers one evaluation of this function uses.
-    pub fn register_count(&self) -> usize {
-        self.num_regs
-    }
 }
 
 /// Evaluates `func` **directly**, with no [`CompiledFunction::compile`] step:

@@ -70,7 +70,7 @@ pub mod prelude {
     };
     pub use crate::refine::{
         verify_refinement, verify_refinement_reference, verify_refinement_with, CompileCache,
-        Counterexample, SourceCache, TvConfig, Validator, Verdict, VerdictTier,
+        Counterexample, SourceCache, TvConfig, Verdict, VerdictTier,
     };
     pub use crate::screen::RowScreen;
     pub use lpo_interp::compiled::EvalArena;

@@ -336,42 +336,6 @@ impl CompileCache {
     }
 }
 
-/// The translation validator (this reproduction's stand-in for Alive2).
-#[derive(Clone, Debug, Default)]
-pub struct Validator {
-    config: TvConfig,
-}
-
-impl Validator {
-    /// Creates a validator with the default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a validator with a specific configuration.
-    pub fn with_config(config: TvConfig) -> Self {
-        Self { config }
-    }
-
-    /// Checks whether the transformation from `src` to `tgt` is a refinement.
-    pub fn verify(&self, src: &Function, tgt: &Function) -> Verdict {
-        verify_refinement_with(src, tgt, &self.config)
-    }
-
-    /// Prepares a cached per-case checker for `src`: the generated test
-    /// inputs and the source's per-input outcomes are computed once and
-    /// shared by every candidate verified against it.
-    pub fn case<'a>(&self, src: &'a Function) -> SourceCache<'a> {
-        SourceCache::new(src, self.config.clone())
-    }
-
-    /// Checks refinement in both directions; `true` means the two functions
-    /// are observationally equivalent on every tested input.
-    pub fn equivalent(&self, a: &Function, b: &Function) -> bool {
-        self.verify(a, b).is_correct() && self.verify(b, a).is_correct()
-    }
-}
-
 /// Checks refinement with the default configuration (staged).
 pub fn verify_refinement(src: &Function, tgt: &Function) -> Verdict {
     verify_refinement_with(src, tgt, &TvConfig::default())
@@ -1697,14 +1661,16 @@ mod tests {
 
     #[test]
     fn equivalence_helper() {
-        let v = Validator::new();
+        let equivalent = |a: &Function, b: &Function| {
+            verify_refinement(a, b).is_correct() && verify_refinement(b, a).is_correct()
+        };
         let a = parse_function("define i32 @a(i32 %x) {\n %r = mul i32 %x, 2\n ret i32 %r\n}").unwrap();
         let b = parse_function("define i32 @b(i32 %x) {\n %r = shl i32 %x, 1\n ret i32 %r\n}").unwrap();
         let c = parse_function("define i32 @c(i32 %x) {\n %r = shl nuw i32 %x, 1\n ret i32 %r\n}").unwrap();
-        assert!(v.equivalent(&a, &b));
+        assert!(equivalent(&a, &b));
         // c is a refinement target of neither direction being equal: a ⇒ c adds poison.
-        assert!(!v.equivalent(&a, &c));
-        assert!(v.verify(&c, &a).is_correct());
+        assert!(!equivalent(&a, &c));
+        assert!(verify_refinement(&c, &a).is_correct());
     }
 
     #[test]
@@ -1904,16 +1870,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &other));
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 2, 2));
         assert!(format!("{cache:?}").contains("hits"));
-    }
-
-    #[test]
-    fn validator_case_builder_matches_direct_verify() {
-        let v = Validator::new();
-        let src = parse_function("define i32 @a(i32 %x) {\n %r = mul i32 %x, 2\n ret i32 %r\n}").unwrap();
-        let tgt = parse_function("define i32 @b(i32 %x) {\n %r = shl i32 %x, 1\n ret i32 %r\n}").unwrap();
-        let case = v.case(&src);
-        assert_eq!(case.source().name, "a");
-        assert_eq!(case.verify(&tgt), v.verify(&src, &tgt));
     }
 
     #[test]

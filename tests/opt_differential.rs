@@ -8,7 +8,9 @@
 //! * every sequence extracted from a synthesized corpus (the Table 4 shape),
 //!   including the raw, pre-filter sequences that are *not* fixpoints;
 //! * every synthesized whole function, which exercises multi-block control
-//!   flow, phis, vectors and memory traffic;
+//!   flow, phis, vectors and memory traffic, plus four hand-written Stage 1
+//!   shapes (a straight-line chain, a diamond, a phi-heavy loop and the
+//!   already-canonical Figure 1 clamp);
 //! * the same set under a pipeline extended with all accepted patches.
 
 use lpo_ir::function::Function;
@@ -50,6 +52,59 @@ fn worklist_matches_reference_on_rq_corpora() {
     assert_eq!(checked, 87, "the calibrated suites hold 25 + 62 cases");
 }
 
+/// The Stage 1 shapes: a straight-line chain with a foldable identity per
+/// step (the extracted-sequence shape), a diamond with per-arm redundancies,
+/// a phi-heavy counted loop (use lists must track phi and terminator
+/// operands) and the Figure 1 clamp, already canonical (the per-candidate
+/// confirmation pass).
+const STAGE1_SHAPES: [&str; 4] = [
+    "define i32 @straight(i32 %x, i32 %y) {\n\
+       %m0 = mul i32 %x, 3\n  %r0 = add i32 %m0, 0\n  %a0 = add i32 %r0, %y\n\
+       %m1 = mul i32 %a0, 3\n  %r1 = add i32 %m1, 0\n  %a1 = add i32 %r1, %y\n\
+       %m2 = mul i32 %a1, 3\n  %r2 = add i32 %m2, 0\n  %a2 = add i32 %r2, %y\n\
+       %m3 = mul i32 %a2, 3\n  %r3 = add i32 %m3, 0\n  %a3 = add i32 %r3, %y\n\
+       ret i32 %a3\n}",
+    "define i32 @branchy(i32 %x, i32 %y) {\n\
+     entry:\n\
+       %c = icmp slt i32 %x, 0\n\
+       br i1 %c, label %neg, label %pos\n\
+     neg:\n\
+       %n1 = sub i32 0, %x\n\
+       %n2 = add i32 %n1, 0\n\
+       %n3 = mul i32 %n2, 4\n\
+       br label %join\n\
+     pos:\n\
+       %p1 = mul i32 %x, 1\n\
+       %p2 = shl i32 %p1, 2\n\
+       br label %join\n\
+     join:\n\
+       %v = phi i32 [ %n3, %neg ], [ %p2, %pos ]\n\
+       %w = xor i32 %v, 0\n\
+       %out = add i32 %w, %y\n\
+       ret i32 %out\n}",
+    "define i32 @phis(i32 %n) {\n\
+     entry:\n  br label %header\n\
+     header:\n\
+       %i = phi i32 [ 0, %entry ], [ %i.next, %body ]\n\
+       %acc = phi i32 [ 0, %entry ], [ %acc.next, %body ]\n\
+       %aux = phi i32 [ 1, %entry ], [ %aux.next, %body ]\n\
+       %cmp = icmp slt i32 %i, %n\n\
+       br i1 %cmp, label %body, label %exit\n\
+     body:\n\
+       %t = add i32 %acc, 0\n\
+       %acc.next = add i32 %t, %i\n\
+       %aux.next = mul i32 %aux, 1\n\
+       %i.next = add i32 %i, 1\n\
+       br label %header\n\
+     exit:\n  ret i32 %acc\n}",
+    "define i8 @clamp(i32 %0) {\n\
+       %2 = icmp slt i32 %0, 0\n\
+       %3 = call i32 @llvm.umin.i32(i32 %0, i32 255)\n\
+       %4 = trunc nuw i32 %3 to i8\n\
+       %5 = select i1 %2, i8 0, i8 %4\n\
+       ret i8 %5\n}",
+];
+
 #[test]
 fn worklist_matches_reference_on_synthesized_functions() {
     let corpus = lpo_corpus::generate_corpus(&lpo_corpus::CorpusConfig {
@@ -68,6 +123,10 @@ fn worklist_matches_reference_on_synthesized_functions() {
         }
     }
     assert!(functions >= 32, "synthesized sweep looks too small: {functions}");
+    for text in STAGE1_SHAPES {
+        let func = lpo_ir::parser::parse_function(text).unwrap();
+        assert_differential(&pipeline, &func, "Stage 1 shape");
+    }
 }
 
 #[test]
