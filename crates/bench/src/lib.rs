@@ -144,7 +144,7 @@ fn footer(stats: &ExecStats) -> String {
     if tv.candidates > 0 {
         let _ = writeln!(
             out,
-            "[stage3] candidates: {}  proved: {}  refuted-abstract: {}  probe rejects: {}  survivors: {}  plane sweeps: {}  compiles: {}  compile-cache hits: {}",
+            "[stage3] candidates: {}  proved: {}  refuted-abstract: {}  probe rejects: {}  survivors: {}  plane sweeps: {}  compiles: {}  compile-cache hits: {}  source freezes: {}  freeze hits: {}",
             tv.candidates,
             tv.proved,
             tv.absint_refuted,
@@ -152,7 +152,9 @@ fn footer(stats: &ExecStats) -> String {
             tv.survivors,
             tv.plane_sweeps,
             tv.compiles,
-            tv.compile_cache_hits
+            tv.compile_cache_hits,
+            tv.source_freezes,
+            tv.freeze_hits
         );
     }
     if tv.shards_executed > 0 {

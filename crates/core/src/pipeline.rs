@@ -109,10 +109,11 @@ impl Drop for AbsorbTvCounters<'_, '_> {
 /// of scheduling);
 /// `compile_cache_hits` / `compiles` depend on worker interleaving (two
 /// workers can race to compile the same digest) and on what earlier batches
-/// already cached, and the `shards_*` counters depend on how the
-/// work-stealing scheduler interleaved (which worker ran a shard, how far
-/// the deque drained before a cut landed) — report them, never compare
-/// them across `--jobs` values.
+/// already cached, `source_freezes` / `freeze_hits` likewise (two workers
+/// can race to freeze the same source), and the `shards_*` counters depend
+/// on how the work-stealing scheduler interleaved (which worker ran a
+/// shard, how far the deque drained before a cut landed) — report them,
+/// never compare them across `--jobs` values.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TvSnapshot {
     /// Candidates Stage 3 fully checked (signature errors excluded).
@@ -135,6 +136,10 @@ pub struct TvSnapshot {
     pub compile_cache_hits: usize,
     /// Compiles performed (cache misses).
     pub compiles: usize,
+    /// Sources frozen for the survivor sweep: each one swept every input.
+    pub source_freezes: usize,
+    /// Freezes served from the pipeline's retained frozen cases instead.
+    pub freeze_hits: usize,
     /// Sweep shards executed by the work-stealing scheduler.
     pub shards_executed: usize,
     /// Executed shards that ran on a worker other than their forker.
@@ -155,6 +160,8 @@ impl TvSnapshot {
             plane_sweeps: self.plane_sweeps - earlier.plane_sweeps,
             compile_cache_hits: self.compile_cache_hits - earlier.compile_cache_hits,
             compiles: self.compiles - earlier.compiles,
+            source_freezes: self.source_freezes - earlier.source_freezes,
+            freeze_hits: self.freeze_hits - earlier.freeze_hits,
             shards_executed: self.shards_executed - earlier.shards_executed,
             shards_stolen: self.shards_stolen - earlier.shards_stolen,
             shard_cancellations: self.shard_cancellations - earlier.shard_cancellations,
@@ -172,6 +179,8 @@ impl TvSnapshot {
         self.plane_sweeps += other.plane_sweeps;
         self.compile_cache_hits += other.compile_cache_hits;
         self.compiles += other.compiles;
+        self.source_freezes += other.source_freezes;
+        self.freeze_hits += other.freeze_hits;
         self.shards_executed += other.shards_executed;
         self.shards_stolen += other.shards_stolen;
         self.shard_cancellations += other.shard_cancellations;
@@ -258,6 +267,8 @@ impl Lpo {
             plane_sweeps: self.tv_counters.plane_sweeps.load(Ordering::Relaxed),
             compile_cache_hits: self.tv_cache.hits(),
             compiles: self.tv_cache.misses(),
+            source_freezes: self.tv_cache.freezes(),
+            freeze_hits: self.tv_cache.freeze_hits(),
             shards_executed: shards.executed,
             shards_stolen: shards.stolen,
             shard_cancellations: shards.cancellations,

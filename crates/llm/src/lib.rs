@@ -56,5 +56,7 @@ pub mod prelude {
         rq1_models, Deployment, ModelProfile,
     };
     pub use crate::simulated::{SimulatedModel, SimulatedModelFactory};
-    pub use crate::strategies::{applicable, apply_strategy, first_applicable, library, Strategy};
+    pub use crate::strategies::{
+        applicable, apply_strategy, choose, first_applicable, library, Strategy,
+    };
 }

@@ -24,7 +24,7 @@
 use crate::corruption::{corrupt_semantics, corrupt_syntax, SyntaxCorruption};
 use crate::model::{Completion, ModelFactory, ModelSession, Prompt, TokenUsage};
 use crate::profiles::ModelProfile;
-use crate::strategies::{applicable, Strategy};
+use crate::strategies::choose;
 use lpo_ir::function::Function;
 use lpo_ir::parser::parse_function;
 use lpo_ir::printer::print_function;
@@ -178,13 +178,14 @@ impl ModelSession for SimulatedModel {
 
         // 1. Does the model spot a rewrite at all? (Case-level decision: it
         //    does not flip between attempts for the same sequence.)
-        let candidates: Vec<(Strategy, Function)> = applicable(&source);
+        //    One draw per applicable strategy, in library order, until one
+        //    succeeds; only that strategy's rewrite is built.
         let penalty = Self::feature_penalty(&source);
         let mut effective_skill = self.profile.skill;
         if prompt.attempt > 0 && prompt.feedback.is_some() {
             effective_skill += self.profile.feedback_skill_bonus;
         }
-        let chosen = candidates.into_iter().find(|(s, _)| {
+        let chosen = choose(&source, |s| {
             let p = self.find_probability(effective_skill, s.difficulty + penalty);
             case_rng.gen::<f64>() < p
         });

@@ -18,6 +18,7 @@ use lpo_opt::rewrite::{
     as_const_int, const_bool_of, defining_inst, is_all_ones, is_one, is_zero, mutate,
     replace_with, NamedRule, RewriteRule,
 };
+use std::sync::OnceLock;
 
 /// One rewrite family a model may know.
 #[derive(Clone, Copy, Debug)]
@@ -30,8 +31,13 @@ pub struct Strategy {
     pub rule: RewriteRule,
 }
 
-/// The full strategy library.
-pub fn library() -> Vec<Strategy> {
+/// The full strategy library, built on first use.
+pub fn library() -> &'static [Strategy] {
+    static LIBRARY: OnceLock<Vec<Strategy>> = OnceLock::new();
+    LIBRARY.get_or_init(build_library)
+}
+
+fn build_library() -> Vec<Strategy> {
     let mut lib = Vec::new();
     // Families corresponding to the accepted patches (Table 5).
     let difficulty_of = |name: &str| -> f64 {
@@ -74,7 +80,54 @@ pub fn library() -> Vec<Strategy> {
 
 /// Looks up a strategy by name.
 pub fn by_name(name: &str) -> Option<Strategy> {
-    library().into_iter().find(|s| s.name == name)
+    library().iter().find(|s| s.name == name).copied()
+}
+
+/// A position in one pass of a rule: block index, then instruction position
+/// within the block.
+type Cursor = (usize, usize);
+
+/// Runs one pass of `rule` over `func` from `from` to the end of the
+/// function. After the rule fires at a position, the same position is tried
+/// again, because the rule may have replaced the instruction there. With
+/// `stop_at_fire` the pass returns right after the first firing with the
+/// cursor to resume from; otherwise it runs to the end. `None` when the rule
+/// never fired.
+fn pass(rule: RewriteRule, func: &mut Function, from: Cursor, stop_at_fire: bool) -> Option<Cursor> {
+    let (mut block_idx, mut pos) = from;
+    let mut fired = None;
+    while block_idx < func.blocks().len() {
+        let block = BlockId(block_idx as u32);
+        while pos < func.block(block).insts.len() {
+            let id: InstId = func.block(block).insts[pos];
+            if rule(func, id, block, pos) {
+                pos = pos.min(func.block(block).insts.len());
+                fired = Some((block_idx, pos));
+                if stop_at_fire {
+                    return fired;
+                }
+            } else {
+                pos += 1;
+            }
+        }
+        block_idx += 1;
+        pos = 0;
+    }
+    fired
+}
+
+/// Completes a rewrite whose rule first fired on `func` just before
+/// `resume`: the rest of that pass, up to three more passes while the rule
+/// keeps firing, then dead-code cleanup.
+fn finish(rule: RewriteRule, func: &mut Function, resume: Cursor) {
+    pass(rule, func, resume, false);
+    for _ in 1..4 {
+        if pass(rule, func, (0, 0), false).is_none() {
+            break;
+        }
+    }
+    eliminate_dead_code(func);
+    func.compact();
 }
 
 /// Applies one strategy to a function: scans every instruction, applies the
@@ -82,49 +135,52 @@ pub fn by_name(name: &str) -> Option<Strategy> {
 /// function if anything changed.
 pub fn apply_strategy(strategy: &Strategy, func: &Function) -> Option<Function> {
     let mut out = func.clone();
-    let mut changed = false;
-    for _ in 0..4 {
-        let mut fired = false;
-        for block_idx in 0..out.blocks().len() {
-            let block = BlockId(block_idx as u32);
-            let mut pos = 0;
-            while pos < out.block(block).insts.len() {
-                let id: InstId = out.block(block).insts[pos];
-                if (strategy.rule)(&mut out, id, block, pos) {
-                    fired = true;
-                } else {
-                    pos += 1;
-                }
-                pos = pos.min(out.block(block).insts.len());
-            }
-        }
-        if !fired {
-            break;
-        }
-        changed = true;
-    }
-    if !changed {
-        return None;
-    }
-    eliminate_dead_code(&mut out);
-    out.compact();
+    let resume = pass(strategy.rule, &mut out, (0, 0), true)?;
+    finish(strategy.rule, &mut out, resume);
     Some(out)
+}
+
+/// Scans the library in order for the strategies that rewrite `func`, and
+/// builds the rewrite of the first one `take` accepts: the same function
+/// [`apply_strategy`] returns for it. `take` is asked once per applicable
+/// strategy, in library order, until it answers `true`.
+///
+/// Every rule runs on one scratch clone. A rule that does not fire leaves
+/// the function unchanged, so the scratch is cloned again only after a rule
+/// fires, and only the accepted strategy's rewrite is completed.
+pub fn choose(func: &Function, mut take: impl FnMut(&Strategy) -> bool) -> Option<(Strategy, Function)> {
+    let mut scratch = func.clone();
+    for strategy in library() {
+        let Some(resume) = pass(strategy.rule, &mut scratch, (0, 0), true) else {
+            continue;
+        };
+        if take(strategy) {
+            finish(strategy.rule, &mut scratch, resume);
+            return Some((*strategy, scratch));
+        }
+        scratch = func.clone();
+    }
+    None
 }
 
 /// Finds the first strategy in the library that rewrites the function, in
 /// library order. Returns the strategy and the rewritten function.
 pub fn first_applicable(func: &Function) -> Option<(Strategy, Function)> {
-    library()
-        .into_iter()
-        .find_map(|s| apply_strategy(&s, func).map(|f| (s, f)))
+    choose(func, |_| true)
 }
 
-/// All strategies that can rewrite the function.
+/// All strategies that can rewrite the function, each with the rewrite
+/// [`apply_strategy`] builds, scanned on one scratch clone as in [`choose`].
 pub fn applicable(func: &Function) -> Vec<(Strategy, Function)> {
-    library()
-        .into_iter()
-        .filter_map(|s| apply_strategy(&s, func).map(|f| (s, f)))
-        .collect()
+    let mut found = Vec::new();
+    let mut scratch = func.clone();
+    for strategy in library() {
+        if let Some(resume) = pass(strategy.rule, &mut scratch, (0, 0), true) {
+            finish(strategy.rule, &mut scratch, resume);
+            found.push((*strategy, std::mem::replace(&mut scratch, func.clone())));
+        }
+    }
+    found
 }
 
 /// The named-rule view of the extra (non-patch) strategies, for reuse in tests
@@ -474,5 +530,123 @@ mod tests {
         .unwrap();
         let hits = applicable(&func);
         assert!(hits.len() >= 2, "expected both the neg-compare and not-of-icmp strategies, got {}", hits.len());
+    }
+
+    /// The fixed fuzz seed block, plus a rotating block derived from
+    /// `LPO_FUZZ_SEED` (decimal or `0x` hex) when it is set, so a failure
+    /// replays with `LPO_FUZZ_SEED=<seed> cargo test --release -p lpo-llm
+    /// false_rule_calls`.
+    fn fuzz_seeds(count: u64) -> Vec<u64> {
+        let mut seeds: Vec<u64> = (0..count).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5747).collect();
+        if let Ok(raw) = std::env::var("LPO_FUZZ_SEED") {
+            let raw = raw.trim();
+            let rotating = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+                Some(hex) => u64::from_str_radix(hex, 16),
+                None => raw.parse(),
+            }
+            .unwrap_or_else(|_| panic!("LPO_FUZZ_SEED must be a u64 (decimal or 0x hex), got {raw:?}"));
+            eprintln!("strategy fuzz: appending {count} rotating seeds from LPO_FUZZ_SEED={rotating:#x}");
+            seeds.extend((0..count).map(|i| rotating.wrapping_add(i.wrapping_mul(0x9e37_79b9))));
+        }
+        seeds
+    }
+
+    /// The functions the strategy scan sees in practice and then some: the
+    /// RQ1/RQ2 suites, the corpus-discover extraction raw and canonical,
+    /// and random straight-line functions.
+    fn scan_inputs() -> Vec<Function> {
+        use lpo_corpus::cases::{rq1_suite, rq2_suite};
+        use lpo_corpus::{generate_corpus, CorpusConfig};
+        use lpo_extract::{ExtractConfig, Extractor};
+        let mut funcs: Vec<Function> =
+            rq1_suite().into_iter().chain(rq2_suite()).map(|case| case.function).collect();
+        let corpus = generate_corpus(&CorpusConfig {
+            modules_per_project: 5,
+            functions_per_module: 5,
+            ..CorpusConfig::default()
+        });
+        let opt = lpo_opt::pipeline::Pipeline::default();
+        for module in corpus.iter().flat_map(|project| &project.modules) {
+            let mut extractor = Extractor::new(ExtractConfig { min_instructions: 2, ..ExtractConfig::default() });
+            for seq in extractor.extract_module(module) {
+                let mut canonical = seq.function.clone();
+                opt.run(&mut canonical);
+                funcs.push(seq.function);
+                funcs.push(canonical);
+            }
+        }
+        funcs.extend(fuzz_seeds(2048).into_iter().map(lpo_interp::fuzz::random_function));
+        funcs
+    }
+
+    fn assert_same_use_lists(after: &Function, before: &Function, what: &str) {
+        assert_eq!(after.inst_arena_len(), before.inst_arena_len(), "{what}");
+        for slot in 0..before.inst_arena_len() {
+            let id = InstId(slot as u32);
+            assert_eq!(after.uses_of(id), before.uses_of(id), "{what}: use list of slot {slot}");
+        }
+    }
+
+    /// The scan in [`choose`] and [`applicable`] runs every rule on one
+    /// scratch clone, which is sound only if a rule that returns `false`
+    /// leaves the function exactly as it was: structurally equal, with the
+    /// same use lists in the same order. Checked for every strategy at every
+    /// instruction of every pass `apply_strategy` makes, and the scan's
+    /// results checked against a fresh `apply_strategy` per strategy.
+    #[test]
+    fn false_rule_calls_leave_the_function_unchanged() {
+        let funcs = scan_inputs();
+        let (mut calls, mut fired) = (0usize, 0usize);
+        for func in &funcs {
+            let text = print_function(func);
+            for strategy in library() {
+                let mut out = func.clone();
+                for _ in 0..4 {
+                    let mut any = false;
+                    for block_idx in 0..out.blocks().len() {
+                        let block = BlockId(block_idx as u32);
+                        let mut pos = 0;
+                        while pos < out.block(block).insts.len() {
+                            let id = out.block(block).insts[pos];
+                            let before = out.clone();
+                            calls += 1;
+                            if (strategy.rule)(&mut out, id, block, pos) {
+                                fired += 1;
+                                any = true;
+                            } else {
+                                let what = format!("{} at {id:?} of\n{text}", strategy.name);
+                                assert!(out == before, "{what}: a false return changed the function");
+                                assert_same_use_lists(&out, &before, &what);
+                                pos += 1;
+                            }
+                            pos = pos.min(out.block(block).insts.len());
+                        }
+                    }
+                    if !any {
+                        break;
+                    }
+                }
+                out.verify_use_lists().unwrap_or_else(|e| panic!("{}: {e}\n{text}", strategy.name));
+            }
+            let expected: Vec<(&str, Function)> = library()
+                .iter()
+                .filter_map(|s| apply_strategy(s, func).map(|f| (s.name, f)))
+                .collect();
+            let scanned: Vec<(&str, Function)> =
+                applicable(func).into_iter().map(|(s, f)| (s.name, f)).collect();
+            assert!(scanned == expected, "applicable differs from apply_strategy on\n{text}");
+            let first = first_applicable(func).map(|(s, f)| (s.name, f));
+            assert!(first == expected.first().cloned(), "first_applicable differs on\n{text}");
+            // Accepting only the last applicable strategy scans past (and
+            // re-clones after) every earlier one.
+            let last = expected.last().map(|(name, _)| *name);
+            let chosen = choose(func, |s| Some(s.name) == last).map(|(s, f)| (s.name, f));
+            assert!(chosen == expected.last().cloned(), "choose differs on\n{text}");
+        }
+        eprintln!(
+            "strategy scan: {} functions, {calls} rule calls ({fired} fired), no false call changed a function",
+            funcs.len()
+        );
+        assert!(fired > 0 && calls > 100_000, "the inputs must exercise the rules");
     }
 }

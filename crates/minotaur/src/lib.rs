@@ -64,8 +64,9 @@ fn templates() -> Vec<Strategy> {
         "patch-157370",   // not of icmp
     ];
     lpo_llm::strategies::library()
-        .into_iter()
+        .iter()
         .filter(|s| SUPPORTED.contains(&s.name))
+        .copied()
         .collect()
 }
 

@@ -751,6 +751,23 @@ mod tests {
     use lpo_ir::parser::parse_function;
 
     #[test]
+    fn quick_tv_and_default_tv_never_share_a_freeze() {
+        // One compile cache, one source: LPO's default configuration sweeps
+        // all 2^16 inputs and keeps the freeze; the search's quick one
+        // samples far fewer than `RETAIN_MIN_LANES`, so it freezes its own
+        // case every time and never picks up the other's.
+        let src = parse_function("define i16 @s(i16 %x) {\n %r = add i16 %x, 1\n ret i16 %r\n}").unwrap();
+        let cache = CompileCache::new();
+        let mut arena = EvalArena::new();
+        for config in [TvConfig::default(), quick_tv(), TvConfig::default(), quick_tv()] {
+            let config = TvConfig { absint: false, ..config };
+            let case = SourceCache::new(&src, config).with_compile_cache(&cache);
+            assert!(case.verify_with(&src, &mut arena).is_correct());
+        }
+        assert_eq!((cache.freezes(), cache.freeze_hits()), (3, 1));
+    }
+
+    #[test]
     fn batch_is_ordered_and_jobs_invariant() {
         let texts = [
             "define i32 @a(i32 %x) {\n %r = add i32 %x, 0\n ret i32 %r\n}",

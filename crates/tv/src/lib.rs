@@ -42,6 +42,14 @@
 //! # Ok::<(), lpo_ir::parser::ParseError>(())
 //! ```
 //!
+//! The [`refine::CompileCache`] also keeps each case's frozen source
+//! outcomes, keyed by the source's structural digest and the input and
+//! plane settings, so a structurally identical source verified later
+//! through the same cache — another batch, model or round of one pipeline —
+//! reuses them instead of sweeping every input again. Only cases of at
+//! least [`refine::CompileCache::RETAIN_MIN_LANES`] inputs are kept, up to
+//! [`refine::CompileCache::FREEZE_LANE_BUDGET`] inputs in all.
+//!
 //! The pre-staging checker is retained as
 //! [`refine::verify_refinement_reference`] and the two are proven
 //! outcome-identical (verdicts, counterexamples, UB messages) by

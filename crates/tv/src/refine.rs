@@ -33,7 +33,8 @@
 //!    syntactically distinct but structurally identical candidates compile
 //!    once per worker pool.
 //! 3. **Sweep** — the survivor freezes the case (every source outcome is
-//!    computed once, see [`SourceCache::frozen_case`]) and the remaining
+//!    computed once, see [`SourceCache::frozen_case`], or taken from a
+//!    freeze the attached [`CompileCache`] kept) and the remaining
 //!    inputs run as [`SweepShard`]s, merged in shard order; the serial
 //!    entry points hand the whole range to [`SerialDriver`] as one shard.
 //!    Within a shard, straight-line scalar-integer candidates, whose
@@ -254,10 +255,40 @@ impl fmt::Display for VerdictTier {
 /// (two workers can race to compile the same digest), but verdicts are not.
 /// Each shard is capped at [`CompileCache::SHARD_CAP`] entries; once full,
 /// new digests are compiled but not retained.
+///
+/// The cache also keeps the [`FrozenCase`]s of the sources verified through
+/// it, keyed by the source's digest, its [`InputConfig`] and
+/// [`TvConfig::plane_sweep`] (everything a freeze depends on), so a source
+/// that reaches Stage 3 again — in another batch, for another model or
+/// round — reuses its freeze instead of sweeping every input again (see
+/// [`SourceCache::frozen_case`]). A frozen case uses its source function
+/// only for the return type, and the digest covers that, so a shared freeze
+/// cannot change a verdict or a counterexample. Only cases of at least
+/// [`CompileCache::RETAIN_MIN_LANES`] inputs are looked up and kept, and
+/// retention stops once the kept freezes cover
+/// [`CompileCache::FREEZE_LANE_BUDGET`] inputs; other freezes are used once
+/// and dropped. [`freezes`](Self::freezes) and
+/// [`freeze_hits`](Self::freeze_hits) are scheduling-dependent like the
+/// compile counts: two workers can race to freeze the same source.
 pub struct CompileCache {
     shards: Vec<Mutex<HashMap<Digest, Arc<CompiledFunction>>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
+    frozen: Mutex<RetainedFreezes>,
+    freezes: AtomicUsize,
+    freeze_hits: AtomicUsize,
+}
+
+/// What a freeze depends on: the source's structural digest, the input
+/// generator's configuration and whether the plane tier is on.
+pub(crate) type FreezeKey = (Digest, InputConfig, bool);
+
+/// The frozen cases a [`CompileCache`] keeps, and how many inputs they
+/// cover between them.
+#[derive(Default)]
+struct RetainedFreezes {
+    cases: HashMap<FreezeKey, FrozenCase>,
+    lanes: usize,
 }
 
 impl Default for CompileCache {
@@ -272,6 +303,8 @@ impl fmt::Debug for CompileCache {
             .field("entries", &self.len())
             .field("hits", &self.hits())
             .field("misses", &self.misses())
+            .field("freezes", &self.freezes())
+            .field("freeze_hits", &self.freeze_hits())
             .finish()
     }
 }
@@ -281,6 +314,19 @@ impl CompileCache {
     pub const SHARD_CAP: usize = 1024;
     /// Number of shards (a power of two, so digest → shard is a mask).
     const SHARDS: usize = 8;
+    /// Inputs the retained frozen cases may cover between them: sixteen
+    /// exhaustive 16-bit sources. A dense case keeps about 9 bytes per
+    /// input plus its input columns (8 bytes per parameter), so the budget
+    /// bounds a long-lived pipeline's retained freezes to tens of MB.
+    pub const FREEZE_LANE_BUDGET: usize = 1 << 20;
+    /// The fewest inputs a case must have for its freeze to be looked up
+    /// and kept. Sweeping a smaller case again costs about as much as the
+    /// digest, lock and map entry that sharing it takes. The Souper and
+    /// Minotaur baselines verify against input sets of at most 2^10 lanes,
+    /// one search per source, and keeping all their freezes cut
+    /// corpus-discover's `baseline_cases_per_s` by about a fifth (median of
+    /// 5 runs, 2-vCPU host).
+    pub const RETAIN_MIN_LANES: usize = 1 << 12;
 
     /// Creates an empty cache.
     pub fn new() -> Self {
@@ -288,6 +334,9 @@ impl CompileCache {
             shards: (0..Self::SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
+            frozen: Mutex::new(RetainedFreezes::default()),
+            freezes: AtomicUsize::new(0),
+            freeze_hits: AtomicUsize::new(0),
         }
     }
 
@@ -333,6 +382,38 @@ impl CompileCache {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Sources frozen through this cache: each one swept every input.
+    pub fn freezes(&self) -> usize {
+        self.freezes.load(Ordering::Relaxed)
+    }
+
+    /// Freezes served from the retained frozen cases instead.
+    pub fn freeze_hits(&self) -> usize {
+        self.freeze_hits.load(Ordering::Relaxed)
+    }
+
+    /// The retained freeze for `key`, counted as a hit.
+    fn retained_freeze(&self, key: &FreezeKey) -> Option<FrozenCase> {
+        let hit = self.frozen.lock().expect("compile cache poisoned").cases.get(key).cloned();
+        if hit.is_some() {
+            self.freeze_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
+    /// Counts a fresh freeze and, given its key, retains it while the lane
+    /// budget allows.
+    fn record_freeze(&self, key: Option<FreezeKey>, frozen: &FrozenCase) {
+        self.freezes.fetch_add(1, Ordering::Relaxed);
+        let Some(key) = key else { return };
+        let mut retained = self.frozen.lock().expect("compile cache poisoned");
+        let lanes = retained.lanes + frozen.input_count();
+        if lanes <= Self::FREEZE_LANE_BUDGET && !retained.cases.contains_key(&key) {
+            retained.cases.insert(key, frozen.clone());
+            retained.lanes = lanes;
+        }
     }
 }
 
@@ -434,6 +515,9 @@ pub struct SourceCache<'a> {
     src_abs: OnceCell<Option<FunctionAnalysis>>,
     tgt_abs: RefCell<FunctionAnalysis>,
     frozen: OnceCell<FrozenCase>,
+    /// Whether `frozen` came from the compile cache's retained freezes, so
+    /// this case evaluated only its in-order prefix.
+    reused_freeze: Cell<bool>,
 }
 
 /// Source outcome tag: the source exhibited UB on this input.
@@ -640,12 +724,15 @@ impl<'a> SourceCache<'a> {
             src_abs: OnceCell::new(),
             tgt_abs: RefCell::new(FunctionAnalysis::default()),
             frozen: OnceCell::new(),
+            reused_freeze: Cell::new(false),
         }
     }
 
     /// Attaches a shared compiled-function cache: probe survivors are then
     /// compiled through it, so structurally identical candidates compile once
-    /// per pool instead of once per verification.
+    /// per pool instead of once per verification, and the case's freeze is
+    /// shared through it with every later case of a structurally identical
+    /// source (see [`frozen_case`](Self::frozen_case)).
     pub fn with_compile_cache(mut self, cache: &'a CompileCache) -> Self {
         self.compile_cache = Some(cache);
         self
@@ -715,8 +802,8 @@ impl<'a> SourceCache<'a> {
         self.last_tier.get()
     }
 
-    /// How many distinct inputs have had their source outcome computed, by
-    /// any evaluator — plane lanes included.
+    /// How many distinct inputs this case has computed the source outcome
+    /// of, by any evaluator — plane lanes included.
     ///
     /// At most one per (case, input), independent of the candidate count.
     /// Before the case is frozen this is the length of the in-order prefix
@@ -725,12 +812,15 @@ impl<'a> SourceCache<'a> {
     /// survivor freezes the case (see [`frozen_case`](Self::frozen_case)),
     /// which computes every outcome, so from then on this equals the input
     /// total, and rebuilding a suspect or refuting lane's outcome
-    /// afterwards does not count again. Tests use this as the cache-hit
-    /// oracle.
+    /// afterwards does not count again. A case that reuses a freeze
+    /// retained by its [`CompileCache`] computed only its prefix, so it
+    /// keeps counting the prefix; when two workers verify one source at
+    /// once, which of them froze it depends on scheduling. Tests use this
+    /// as the cache-hit oracle.
     pub fn source_eval_count(&self) -> usize {
         match self.frozen.get() {
-            Some(frozen) => frozen.input_count(),
-            None => self.prefix.borrow().len(),
+            Some(frozen) if !self.reused_freeze.get() => frozen.input_count(),
+            _ => self.prefix.borrow().len(),
         }
     }
 
@@ -1050,11 +1140,24 @@ impl<'a> SourceCache<'a> {
     /// snapshot. Either way every input's outcome has now been computed, so
     /// after this call [`source_eval_count`](Self::source_eval_count) equals
     /// the input count.
+    ///
+    /// With a [`CompileCache`] attached, a freeze it retains for a source of
+    /// the same digest, [`InputConfig`] and plane setting is reused instead,
+    /// and this case sweeps nothing; a fresh freeze is offered to the cache.
+    /// Both apply only to cases of at least
+    /// [`CompileCache::RETAIN_MIN_LANES`] inputs.
     pub fn frozen_case(&self, arena: &mut EvalArena) -> FrozenCase {
         if let Some(frozen) = self.frozen.get() {
             return frozen.clone();
         }
         let inputs = self.inputs();
+        let key = self.compile_cache.filter(|_| inputs.len() >= CompileCache::RETAIN_MIN_LANES).map(|_| {
+            (hash_function(self.src), self.config.inputs.clone(), self.config.plane_sweep)
+        });
+        if let Some(frozen) = key.as_ref().and_then(|key| self.compile_cache?.retained_freeze(key)) {
+            self.reused_freeze.set(true);
+            return self.frozen.get_or_init(|| frozen).clone();
+        }
         let compiled_src = self.compiled_src();
         let plane_table = match compiled_src.plane() {
             Some(plan) if self.config.plane_sweep => DenseOutcomes::from_planes(plan, inputs, arena),
@@ -1079,6 +1182,9 @@ impl<'a> SourceCache<'a> {
                 )
             }
         };
+        if let Some(cache) = self.compile_cache {
+            cache.record_freeze(key, &frozen);
+        }
         self.frozen.get_or_init(|| frozen).clone()
     }
 
@@ -1870,6 +1976,72 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &other));
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 2, 2));
         assert!(format!("{cache:?}").contains("hits"));
+    }
+
+    #[test]
+    fn retained_freezes_are_shared_up_to_the_lane_budget() {
+        // Exhaustive i16 sources: 2^16 inputs each, so the budget holds
+        // `fits` of them. The abstract tier is off so that verifying the
+        // source against itself reaches the sweep.
+        let lanes = 1 << 16;
+        let fits = CompileCache::FREEZE_LANE_BUDGET / lanes;
+        let config = TvConfig { absint: false, ..TvConfig::default() };
+        let source = |k: usize, x: &str| {
+            parse_function(&format!("define i16 @s(i16 %{x}) {{\n %r = add i16 %{x}, {k}\n ret i16 %r\n}}"))
+                .unwrap()
+        };
+        // Wrong only at the top of the range: survives the probe.
+        let late_wrong = |k: usize| {
+            parse_function(&format!(
+                "define i16 @t(i16 %x) {{\n %c = icmp ugt i16 %x, 60000\n %a = add i16 %x, {k}\n %b = add i16 %x, {}\n %r = select i1 %c, i16 %b, i16 %a\n ret i16 %r\n}}",
+                k + 1
+            ))
+            .unwrap()
+        };
+        let cache = CompileCache::new();
+        let mut arena = EvalArena::new();
+        for k in 1..=fits + 1 {
+            let src = source(k, "x");
+            let case = SourceCache::new(&src, config.clone()).with_compile_cache(&cache);
+            assert!(case.verify_with(&src, &mut arena).is_correct());
+            assert_eq!(case.source_eval_count(), lanes);
+        }
+        assert_eq!((cache.freezes(), cache.freeze_hits()), (fits + 1, 0));
+        assert_eq!(cache.frozen.lock().unwrap().lanes, fits * lanes, "the last freeze is past the budget");
+
+        // A retained freeze serves a renamed twin, which evaluates only its
+        // probe prefix and renders its own names in the counterexample.
+        let twin = source(1, "renamed");
+        let case = SourceCache::new(&twin, config.clone()).with_compile_cache(&cache);
+        let verdict = case.verify_with(&late_wrong(1), &mut arena);
+        assert_eq!(verdict, verify_refinement_reference(&twin, &late_wrong(1), &config));
+        assert!(verdict.counterexample().unwrap().to_string().contains("%renamed"));
+        assert_eq!((cache.freezes(), cache.freeze_hits()), (fits + 1, 1));
+        assert_eq!(case.source_eval_count(), config.probe_inputs);
+        assert_eq!(case.last_tier(), Some(VerdictTier::RefutedConcrete));
+
+        // Another input configuration or plane setting is another key, even
+        // where the inputs come out the same.
+        for other in [
+            TvConfig { inputs: InputConfig { seed: 7, ..InputConfig::default() }, ..config.clone() },
+            TvConfig { plane_sweep: false, ..config.clone() },
+        ] {
+            let case = SourceCache::new(&twin, other).with_compile_cache(&cache);
+            assert!(!case.verify_with(&late_wrong(1), &mut arena).is_correct());
+            assert_eq!(case.source_eval_count(), lanes);
+        }
+        assert_eq!((cache.freezes(), cache.freeze_hits()), (fits + 3, 1));
+
+        // The source past the budget was not retained: it freezes again and
+        // still decides right.
+        let last = source(fits + 1, "x");
+        let case = SourceCache::new(&last, config.clone()).with_compile_cache(&cache);
+        let verdict = case.verify_with(&late_wrong(fits + 1), &mut arena);
+        assert_eq!(verdict, verify_refinement_reference(&last, &late_wrong(fits + 1), &config));
+        assert!(!verdict.is_correct());
+        assert_eq!((cache.freezes(), cache.freeze_hits()), (fits + 4, 1));
+        assert_eq!(case.source_eval_count(), lanes);
+        assert_eq!(cache.frozen.lock().unwrap().lanes, fits * lanes);
     }
 
     #[test]

@@ -20,7 +20,14 @@
 //! (the dense pre-filter of the sweep's serial, non-plane tail), and
 //! sources whose outcomes mix UB, poison and undef lanes.
 //!
-//! The fuzz test walks a fixed seed block and appends a rotating block
+//! A frozen case is also shared: a [`CompileCache`] retains it for every
+//! later source of the same digest, input configuration and plane setting.
+//! The `reused_freezes_*` tests check the fuzz and corpus pairs once more
+//! against a freeze kept from the source and reused by a renamed twin,
+//! which must give the verdicts, counterexample text and tiers of a fresh
+//! cache.
+//!
+//! The fuzz tests walk a fixed seed block and append a rotating block
 //! derived from `LPO_FUZZ_SEED` when set — the CI fuzz-smoke step derives it
 //! from the commit hash and logs it, so any failure is replayable with
 //! `LPO_FUZZ_SEED=<seed> cargo test --test frozen_differential`.
@@ -31,7 +38,9 @@ use lpo_ir::function::Function;
 use lpo_ir::parser::parse_function;
 use lpo_ir::printer::print_function;
 use lpo_tv::inputs::InputConfig;
-use lpo_tv::prelude::{EvalArena, SerialDriver, SourceCache, TvConfig, Verdict};
+use lpo_tv::prelude::{
+    input_count, CompileCache, EvalArena, SerialDriver, SourceCache, TvConfig, Verdict,
+};
 
 /// The shard sizes every pair is swept at.
 const SHARD_SIZES: [usize; 4] = [1, 7, 256, usize::MAX];
@@ -129,6 +138,78 @@ fn check_pair(
             }
         }
     }
+}
+
+/// `src` with every parameter renamed: the same digest, but its own names
+/// in a rendered counterexample.
+fn renamed(src: &Function) -> Function {
+    let mut twin = src.clone();
+    for param in &mut twin.params {
+        param.name = format!("{}_twin", param.name);
+    }
+    twin
+}
+
+/// How often the reuse checks hit a retained freeze.
+#[derive(Default)]
+struct Reuse {
+    /// Cases that reused a retained freeze.
+    hits: usize,
+    /// Of those, cases whose target is refuted: its second check rendered
+    /// the counterexample with the reused freeze in place.
+    refuted: usize,
+}
+
+/// Verifies `tgt`, then `src` itself (a sure survivor, unless the probe
+/// window covers every input), then `tgt` again, on the source and on a
+/// renamed twin, sharing one [`CompileCache`] across both plane settings:
+/// the twin reuses the source's freeze when the case is large enough to
+/// keep, and the plane settings never share one. Each shared case must
+/// match a fresh cache's verdicts, rendered text and tiers, and a case that
+/// reused a freeze counts only its probe prefix as source evaluations.
+fn check_reuse(src: &Function, tgt: &Function, inputs: &InputConfig, arena: &mut EvalArena, reuse: &mut Reuse) {
+    let cache = CompileCache::new();
+    let twin = renamed(src);
+    let kept = input_count(src, inputs) >= CompileCache::RETAIN_MIN_LANES;
+    let mut froze = false;
+    for plane_sweep in [true, false] {
+        let config = TvConfig { inputs: inputs.clone(), plane_sweep, absint: false, ..TvConfig::default() };
+        for (source, is_twin) in [(src, false), (&twin, true)] {
+            let fresh = SourceCache::new(source, config.clone());
+            let shared = SourceCache::new(source, config.clone()).with_compile_cache(&cache);
+            let hits_before = cache.freeze_hits();
+            for candidate in [tgt, src, tgt] {
+                let expected = fresh.verify_with(candidate, arena);
+                let verdict = shared.verify_with_driver(candidate, arena, &SerialDriver, 7);
+                assert_eq!(
+                    rendered(&verdict),
+                    rendered(&expected),
+                    "a shared freeze changed the verdict (plane {plane_sweep}):\n{}\n{}",
+                    print_function(source),
+                    print_function(candidate)
+                );
+                assert_eq!(verdict, expected);
+                assert_eq!(shared.last_tier(), fresh.last_tier());
+            }
+            assert_eq!(shared.survivors(), fresh.survivors());
+            froze |= !is_twin && shared.survivors() > 0;
+            let hit = cache.freeze_hits() > hits_before;
+            assert_eq!(hit, is_twin && froze && kept, "only the twin reuses a kept freeze");
+            if hit {
+                reuse.hits += 1;
+                reuse.refuted += usize::from(!fresh.verify_with(tgt, arena).is_correct());
+                assert!(shared.source_eval_count() <= config.probe_inputs);
+            } else {
+                assert_eq!(shared.source_eval_count(), fresh.source_eval_count());
+            }
+        }
+    }
+    let (freezes, hits) = match (froze, kept) {
+        (false, _) => (0, 0),
+        (true, true) => (2, 2),
+        (true, false) => (4, 0),
+    };
+    assert_eq!((cache.freezes(), cache.freeze_hits()), (freezes, hits), "one freeze per plane setting");
 }
 
 fn parse(text: &str) -> Function {
@@ -251,4 +332,36 @@ fn ub_poison_and_undef_source_lanes_agree() {
     }
     assert!(coverage.dense_batched >= 4, "branchy targets missed the serial tail's pre-filter");
     assert!(coverage.refuted >= 5, "too few refutations: {}", coverage.refuted);
+}
+
+#[test]
+fn reused_freezes_match_fresh_caches_on_fuzz_pairs() {
+    let mut arena = EvalArena::new();
+    let mut reuse = Reuse::default();
+    // Enough samples that every case is large enough for its freeze to be
+    // kept, exhaustive or sampled.
+    for seed in seed_block(48, 0x5eed_f7ee) {
+        let (src, tgt) = random_pair(seed);
+        let inputs = InputConfig { exhaustive_bits: 12, random_samples: CompileCache::RETAIN_MIN_LANES, seed };
+        check_reuse(&src, &tgt, &inputs, &mut arena, &mut reuse);
+        if let Some(twisted) = twist_return(&src) {
+            check_reuse(&src, &twisted, &inputs, &mut arena, &mut reuse);
+        }
+    }
+    eprintln!("freeze reuse fuzz: {} hits, {} refuted from a reused freeze", reuse.hits, reuse.refuted);
+    assert!(reuse.refuted > 30, "too few refutations rendered from a reused freeze: {}", reuse.refuted);
+}
+
+#[test]
+fn reused_freezes_match_fresh_caches_on_the_corpora() {
+    let mut arena = EvalArena::new();
+    let mut reuse = Reuse::default();
+    for case in lpo_corpus::rq1_suite().iter().chain(lpo_corpus::rq2_suite().iter()) {
+        let src = &case.function;
+        let inputs = InputConfig { seed: u64::from(case.issue_id), ..InputConfig::default() };
+        let tgt = twist_return(src).unwrap_or_else(|| src.clone());
+        check_reuse(src, &tgt, &inputs, &mut arena, &mut reuse);
+    }
+    eprintln!("freeze reuse corpora: {} hits, {} refuted from a reused freeze", reuse.hits, reuse.refuted);
+    assert!(reuse.refuted > 10, "too few corpus refutations from a reused freeze: {}", reuse.refuted);
 }

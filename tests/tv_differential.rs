@@ -41,7 +41,7 @@ fn candidates_for(src: &Function) -> Vec<Function> {
     let mut out = vec![src.clone()];
     out.extend(twist_return(src));
     for strategy in library() {
-        if let Some(candidate) = apply_strategy(&strategy, src) {
+        if let Some(candidate) = apply_strategy(strategy, src) {
             out.push(candidate);
         }
     }
