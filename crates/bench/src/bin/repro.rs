@@ -195,8 +195,6 @@ fn main() {
             cache_hits: table.stats.cache_hits,
             failed: table.stats.failed_cases,
             resumed: table.stats.resumed_cases,
-            proved: table.stats.tv.proved,
-            absint_refuted: table.stats.tv.absint_refuted,
             jobs: table.stats.jobs,
         });
     };

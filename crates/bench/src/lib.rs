@@ -144,10 +144,8 @@ fn footer(stats: &ExecStats) -> String {
     if tv.candidates > 0 {
         let _ = writeln!(
             out,
-            "[stage3] candidates: {}  proved: {}  refuted-abstract: {}  probe rejects: {}  survivors: {}  plane sweeps: {}  compiles: {}  compile-cache hits: {}  source freezes: {}  freeze hits: {}",
+            "[stage3] candidates: {}  probe rejects: {}  survivors: {}  plane sweeps: {}  compiles: {}  compile-cache hits: {}  source freezes: {}  freeze hits: {}",
             tv.candidates,
-            tv.proved,
-            tv.absint_refuted,
             tv.probe_rejects,
             tv.survivors,
             tv.plane_sweeps,
@@ -1282,61 +1280,6 @@ pub fn twist_return(func: &lpo_ir::function::Function) -> Option<lpo_ir::functio
     Some(twisted)
 }
 
-/// Builds the abstract-refutation workload pair for a scalar-int-returning
-/// case: a source whose return value has its low bit cleared
-/// (`and ret, -2`) and a candidate that then forces the bit set
-/// (`or …, 1`). Bit 0 of the two return values is disjoint in the
-/// known-bits domain, so whenever the source body itself analyzes as
-/// provably concrete the abstract tier refutes the pair without a single
-/// concrete evaluation — the workload behind the `bench-tv` absint
-/// sub-section.
-pub fn pin_return_bit(
-    func: &lpo_ir::function::Function,
-) -> Option<(lpo_ir::function::Function, lpo_ir::function::Function)> {
-    use lpo_ir::flags::IntFlags;
-    use lpo_ir::instruction::{BinOp, InstId, InstKind, Instruction, Value};
-    let width = func.ret_ty.int_width()?;
-    let find_ret = |f: &lpo_ir::function::Function| -> Option<(InstId, Value)> {
-        f.iter_insts().find_map(|(id, inst)| match &inst.kind {
-            InstKind::Ret { value: Some(v) } => Some((id, v.clone())),
-            _ => None,
-        })
-    };
-    let mut low_clear = func.clone();
-    let (ret_id, ret_val) = find_ret(&low_clear)?;
-    let masked = low_clear.insert_before(
-        ret_id,
-        Instruction::new(
-            InstKind::Binary {
-                op: BinOp::And,
-                lhs: ret_val,
-                rhs: Value::int_signed(width, -2),
-                flags: IntFlags::none(),
-            },
-            func.ret_ty.clone(),
-            "low0",
-        ),
-    );
-    low_clear.set_operand(ret_id, 0, Value::Inst(masked));
-    let mut low_set = low_clear.clone();
-    let (ret_id, ret_val) = find_ret(&low_set)?;
-    let pinned = low_set.insert_before(
-        ret_id,
-        Instruction::new(
-            InstKind::Binary {
-                op: BinOp::Or,
-                lhs: ret_val,
-                rhs: Value::int(width, 1),
-                flags: IntFlags::none(),
-            },
-            func.ret_ty.clone(),
-            "low1",
-        ),
-    );
-    low_set.set_operand(ret_id, 0, Value::Inst(pinned));
-    Some((low_clear, low_set))
-}
-
 /// Measures Stage 3 (translation validation) throughput over the rq1 suite on
 /// the staged checker (probe → lazy compile → survivor sweep) and on the
 /// retained reference checker (unconditional compile + serial sweep):
@@ -1355,31 +1298,15 @@ pub fn pin_return_bit(
 ///   [`lpo_tv::prelude::SourceCache`] is built per pass and the survivor is
 ///   verified several times against it, so the source side amortizes the
 ///   way it does in a real case.
-///
-/// A third sub-section measures the Stage 3a₀ **abstract pre-verification
-/// tier** on its own workloads:
-///
-/// * **abstract refutation** — each case's [`pin_return_bit`] pair, whose
-///   return values are bit-disjoint in the known-bits domain: the tier
-///   refutes these with zero concrete evaluations. The same pairs are also
-///   run with the tier disabled (probe-refuted concretely), giving the
-///   machine-independent `absint_speedup` the baseline gate falls back to.
-/// * **proved survivors** — each case verified against itself with the tier
-///   on: the fraction the tier proves structurally (skipping the full
-///   concrete sweep entirely) is reported as `proved_fraction` and the
-///   count as `proved_survivors` (= sweeps skipped).
-///
-/// The refuted/survivor shapes above run with the abstract tier *disabled*
-/// so they keep measuring the concrete staged machinery (with the tier on,
-/// the self-verification survivors would be proved abstractly and never
-/// reach the sweep being measured).
+/// * **cold survivors** — the same self-verification on a fresh case per
+///   check, so each pays input generation and the source sweep.
 ///
 /// All checkers' passes are interleaved so host noise cancels. This is the
 /// workload behind `repro bench-tv` and the CI `bench-smoke` regression
 /// gate; measure with `--jobs 1` when comparing across builds.
 pub fn bench_tv(exec: &ExecConfig) -> Result<TvBenchRun, String> {
     use lpo_ir::function::Function;
-    use lpo_tv::prelude::{EvalArena, SerialDriver, SourceCache, TvConfig, VerdictTier};
+    use lpo_tv::prelude::{SerialDriver, SourceCache, TvConfig};
 
     /// Minimum measurement time per checker per shape.
     const MIN_TIME: Duration = Duration::from_millis(600);
@@ -1388,9 +1315,6 @@ pub fn bench_tv(exec: &ExecConfig) -> Result<TvBenchRun, String> {
     /// Survivor verifications per case per pass (first pays the source-side
     /// sweep, the rest amortize it — the real per-case shape).
     const SURVIVOR_REPEATS: usize = 4;
-    /// Abstract refutations per case per pass (each is a few hundred
-    /// nanoseconds of transfer functions, so repeats are cheap).
-    const ABSINT_REPEATS: usize = 256;
     /// Cold survivor verifications per case per pass (each pays the whole
     /// per-case source side, so a couple per pass is plenty).
     const COLD_REPEATS: usize = 2;
@@ -1411,27 +1335,6 @@ pub fn bench_tv(exec: &ExecConfig) -> Result<TvBenchRun, String> {
     // instead; the rq1 suite always has twistable scalar-int cases.
     if workloads.is_empty() {
         return Err("bench-tv workload is empty: no rq1 case has a twistable, refutable return".into());
-    }
-    // The concrete shapes run with the abstract tier off: with it on, the
-    // self-verification survivors below would be proved structurally and
-    // the sweep being measured would never run.
-    let concrete_tv = TvConfig { absint: false, ..TvConfig::default() };
-    // The abstract-refutation workload: bit-pinned pairs the tier actually
-    // certifies (kept only when a zero-eval abstract refutation engages, so
-    // the measured loop is purely the abstract path).
-    let absint_workloads: Vec<(Function, Function)> = suite
-        .iter()
-        .filter_map(|case| {
-            let (src, tgt) = pin_return_bit(&case.function)?;
-            let probe = SourceCache::new(&src, TvConfig::default());
-            let mut arena = EvalArena::new();
-            let correct = probe.verify_outcome_only(&tgt, &mut arena);
-            (!correct && probe.last_tier() == Some(VerdictTier::RefutedAbstract))
-                .then_some((src, tgt))
-        })
-        .collect();
-    if absint_workloads.is_empty() {
-        return Err("bench-tv absint workload is empty: no rq1 case yields an abstractly refutable pair".into());
     }
     // How many cases the type-specialized plane tier covers: the survivor
     // pass verifies the source against itself, so eligibility is the
@@ -1472,7 +1375,7 @@ pub fn bench_tv(exec: &ExecConfig) -> Result<TvBenchRun, String> {
     // counterexample.
     let refuted_pass = |staged: bool| -> (usize, Duration) {
         map_on_runtime(&workloads, jobs, |(src, wrong), arena| {
-            let case = SourceCache::new(src, concrete_tv.clone());
+            let case = SourceCache::new(src, TvConfig::default());
             // Warm the per-case state (inputs + the source outcomes the
             // refutation reaches) untimed.
             std::hint::black_box(case.verify_with(wrong, arena).is_correct());
@@ -1493,7 +1396,7 @@ pub fn bench_tv(exec: &ExecConfig) -> Result<TvBenchRun, String> {
 
     let survivor_pass = |staged: bool| -> (usize, Duration) {
         map_on_runtime(&workloads, jobs, |(src, _), arena| {
-            let case = SourceCache::new(src, concrete_tv.clone());
+            let case = SourceCache::new(src, TvConfig::default());
             // Warm inputs and the full source-outcome sweep untimed: the
             // timed loop then measures the candidate-side cost, which is
             // what every additional candidate of a case pays.
@@ -1522,7 +1425,7 @@ pub fn bench_tv(exec: &ExecConfig) -> Result<TvBenchRun, String> {
         map_on_runtime(&workloads, jobs, |(src, _), arena| {
             let start = Instant::now();
             for _ in 0..COLD_REPEATS {
-                let case = SourceCache::new(src, concrete_tv.clone());
+                let case = SourceCache::new(src, TvConfig::default());
                 let verdict = if staged {
                     case.verify_with_driver(src, arena, &SerialDriver, DEFAULT_SHARD_SIZE)
                 } else {
@@ -1531,29 +1434,6 @@ pub fn bench_tv(exec: &ExecConfig) -> Result<TvBenchRun, String> {
                 std::hint::black_box(verdict.is_correct());
             }
             (COLD_REPEATS, start.elapsed())
-        })
-        .into_iter()
-        .fold((0, Duration::ZERO), |(c, w), (pc, pw)| (c + pc, w + pw))
-    };
-
-    // The abstract-refutation shape: with the tier on (`abstract_on`) every
-    // verification is certified by the interpreter's transfer functions
-    // alone — zero concrete evaluations; with it off the same pairs are
-    // refuted concretely by the probe, giving the in-run reference for the
-    // machine-independent speedup.
-    let absint_pass = |abstract_on: bool| -> (usize, Duration) {
-        let config = if abstract_on { TvConfig::default() } else { concrete_tv.clone() };
-        map_on_runtime(&absint_workloads, jobs, |(src, tgt), arena| {
-            let case = SourceCache::new(src, config.clone());
-            // Warm the per-case state (the memoized source analysis on the
-            // abstract side; inputs + source outcomes on the concrete side)
-            // untimed.
-            std::hint::black_box(case.verify_outcome_only(tgt, arena));
-            let start = Instant::now();
-            for _ in 0..ABSINT_REPEATS {
-                std::hint::black_box(case.verify_outcome_only(tgt, arena));
-            }
-            (ABSINT_REPEATS, start.elapsed())
         })
         .into_iter()
         .fold((0, Duration::ZERO), |(c, w), (pc, pw)| (c + pc, w + pw))
@@ -1573,24 +1453,6 @@ pub fn bench_tv(exec: &ExecConfig) -> Result<TvBenchRun, String> {
     let (refuted_fast, refuted_slow) = measure(&refuted_pass)?;
     let (survivor_fast, survivor_slow) = measure(&survivor_pass)?;
     let (cold_fast, cold_slow) = measure(&cold_survivor_pass)?;
-    let (absint_fast, absint_slow) = measure(&absint_pass)?;
-
-    // Proved survivors: how many self-verifications the abstract tier
-    // settles structurally, skipping the full concrete sweep. Deterministic
-    // (a property of the tier and the suite, not of the host), so it is
-    // counted once rather than timed.
-    let proved_survivors = {
-        let mut arena = EvalArena::new();
-        workloads
-            .iter()
-            .filter(|(src, _)| {
-                let case = SourceCache::new(src, TvConfig::default());
-                let verdict = case.verify_with(src, &mut arena);
-                verdict.is_correct() && case.last_tier() == Some(VerdictTier::Proved)
-            })
-            .count()
-    };
-    let proved_fraction = proved_survivors as f64 / workloads.len() as f64;
 
     let per_second = |tally: &Tally| tally.checks as f64 / tally.wall.as_secs_f64();
     let ratio = |fast: f64, slow: f64| if slow > 0.0 { fast / slow } else { 0.0 };
@@ -1600,8 +1462,6 @@ pub fn bench_tv(exec: &ExecConfig) -> Result<TvBenchRun, String> {
     let reference_survivor_per_second = per_second(&survivor_slow);
     let cold_survivor_per_second = per_second(&cold_fast);
     let reference_cold_survivor_per_second = per_second(&cold_slow);
-    let absint_refuted_per_second = per_second(&absint_fast);
-    let absint_reference_per_second = per_second(&absint_slow);
 
     let entry = results::TvEntry {
         refuted_per_second,
@@ -1613,12 +1473,6 @@ pub fn bench_tv(exec: &ExecConfig) -> Result<TvBenchRun, String> {
         cold_survivor_per_second,
         reference_cold_survivor_per_second,
         cold_survivor_speedup: ratio(cold_survivor_per_second, reference_cold_survivor_per_second),
-        absint_refuted_per_second,
-        absint_reference_per_second,
-        absint_speedup: ratio(absint_refuted_per_second, absint_reference_per_second),
-        absint_cases: absint_workloads.len(),
-        proved_survivors,
-        proved_fraction,
         cases: workloads.len(),
         plane_cases,
         jobs,
@@ -1641,20 +1495,6 @@ pub fn bench_tv(exec: &ExecConfig) -> Result<TvBenchRun, String> {
         text,
         "  cold survivor       staged: {:>9.0} checks/s   reference: {:>9.0} checks/s   speedup: {:.2}x  (fresh case per check)",
         cold_survivor_per_second, reference_cold_survivor_per_second, entry.cold_survivor_speedup
-    );
-    let _ = writeln!(
-        text,
-        "  abstract refutation tier:   {:>9.0} checks/s   concrete:  {:>9.0} checks/s   speedup: {:.2}x  ({} pairs, zero evals)",
-        absint_refuted_per_second,
-        absint_reference_per_second,
-        entry.absint_speedup,
-        entry.absint_cases
-    );
-    let _ = writeln!(
-        text,
-        "  proved survivors:  {proved_survivors}/{} ({:.0}% of sweeps skipped by the abstract tier)",
-        entry.cases,
-        proved_fraction * 100.0
     );
     Ok(TvBenchRun { text, entry })
 }
@@ -1679,10 +1519,8 @@ pub struct ExecBenchRun {
 /// within a few percent of free), and on the sharded walk at `exec.jobs`
 /// workers (the speedup an idle machine gets on one huge case).
 ///
-/// The workload runs with the abstract tier off, like `bench-tv`'s concrete
-/// shapes: the tier proves this self-verification outright, and a proved
-/// candidate never reaches the sweep being measured. A timed round that
-/// evaluates nothing fails the bench instead of yielding a number.
+/// A timed round that evaluates nothing fails the bench instead of yielding
+/// a number.
 ///
 /// Parallel speedups are wall-clock and only meaningful on multi-core hosts;
 /// the `exec.sweep_speedup` gate (kind `scaling`) binds only at `--jobs` ≥ 4
@@ -1712,7 +1550,7 @@ pub fn bench_exec(exec: &ExecConfig) -> Result<ExecBenchRun, String> {
     )
     .expect("bench-exec sweep function parses");
     let sweep_tv = {
-        let mut config = TvConfig { absint: false, ..TvConfig::default() };
+        let mut config = TvConfig::default();
         config.inputs.exhaustive_bits = 16;
         config
     };

@@ -46,12 +46,6 @@ pub struct TableEntry {
     pub failed: usize,
     /// Unique cases replayed from a checkpoint store (`--resume`).
     pub resumed: usize,
-    /// Stage-3 candidates settled by the abstract pre-verification tier as
-    /// proved (full concrete sweeps skipped). Zero for engineless drivers.
-    pub proved: usize,
-    /// Stage-3 candidates refuted abstractly (certified wrong before any
-    /// concrete evaluation). Zero for engineless drivers.
-    pub absint_refuted: usize,
     /// Worker threads used.
     pub jobs: usize,
 }
@@ -67,8 +61,6 @@ impl TableEntry {
             ("cache_hits".into(), Json::Num(self.cache_hits as f64)),
             ("failed".into(), Json::Num(self.failed as f64)),
             ("resumed".into(), Json::Num(self.resumed as f64)),
-            ("proved".into(), Json::Num(self.proved as f64)),
-            ("absint_refuted".into(), Json::Num(self.absint_refuted as f64)),
             ("jobs".into(), Json::Num(self.jobs as f64)),
         ])
     }
@@ -181,21 +173,6 @@ pub struct TvEntry {
     pub reference_cold_survivor_per_second: f64,
     /// `cold_survivor_per_second / reference_cold_survivor_per_second`.
     pub cold_survivor_speedup: f64,
-    /// Abstract refutations per second on the Stage 3a₀ tier (bit-pinned
-    /// pairs certified with zero concrete evaluations).
-    pub absint_refuted_per_second: f64,
-    /// The same pairs refuted concretely with the tier disabled — the
-    /// in-run reference for the machine-independent fallback.
-    pub absint_reference_per_second: f64,
-    /// `absint_refuted_per_second / absint_reference_per_second`.
-    pub absint_speedup: f64,
-    /// Pairs in the abstract-refutation workload.
-    pub absint_cases: usize,
-    /// Self-verification survivors the abstract tier proved structurally —
-    /// i.e. full concrete sweeps skipped.
-    pub proved_survivors: usize,
-    /// `proved_survivors / cases` (deterministic; gated as a floor).
-    pub proved_fraction: f64,
     /// rq1 cases in the workload (scalar-int returns only).
     pub cases: usize,
     /// Workload cases whose compiled form carries a plane plan — i.e. how
@@ -227,12 +204,6 @@ impl TvEntry {
                 Json::Num(self.reference_cold_survivor_per_second),
             ),
             ("cold_survivor_speedup".into(), Json::Num(self.cold_survivor_speedup)),
-            ("absint_refuted_per_second".into(), Json::Num(self.absint_refuted_per_second)),
-            ("absint_reference_per_second".into(), Json::Num(self.absint_reference_per_second)),
-            ("absint_speedup".into(), Json::Num(self.absint_speedup)),
-            ("absint_cases".into(), Json::Num(self.absint_cases as f64)),
-            ("proved_survivors".into(), Json::Num(self.proved_survivors as f64)),
-            ("proved_fraction".into(), Json::Num(self.proved_fraction)),
             ("cases".into(), Json::Num(self.cases as f64)),
             ("plane_cases".into(), Json::Num(self.plane_cases as f64)),
             ("jobs".into(), Json::Num(self.jobs as f64)),
@@ -657,8 +628,6 @@ mod tests {
             cache_hits: 0,
             failed: 0,
             resumed: 0,
-            proved: 0,
-            absint_refuted: 0,
             jobs: 1,
         }
     }
@@ -695,12 +664,6 @@ mod tests {
             cold_survivor_per_second: 300.0,
             reference_cold_survivor_per_second: 150.0,
             cold_survivor_speedup: 2.0,
-            absint_refuted_per_second: 4.2e6,
-            absint_reference_per_second: 5e5,
-            absint_speedup: 8.4,
-            absint_cases: 19,
-            proved_survivors: 17,
-            proved_fraction: 0.85,
             cases: 20,
             plane_cases: 18,
             jobs: 1,
@@ -1032,7 +995,7 @@ mod tests {
         let baseline = Json::parse(include_str!("../../../BENCH_baseline.json")).unwrap();
         let records = baseline.get("gates").and_then(Json::as_arr).unwrap();
         let gates: Vec<Gate> = records.iter().map(|r| Gate::parse(r).unwrap()).collect();
-        assert_eq!(gates.len(), 11);
+        assert_eq!(gates.len(), 9);
         let sections = sample_sections();
         for gate in &gates {
             let paths = std::iter::once(&gate.metric).chain(gate.fallback.as_ref().map(|(f, _)| f));
@@ -1047,7 +1010,7 @@ mod tests {
         }
         // Every sample section is gated, and every gate line resolves.
         let lines = check_gates(&baseline, &sections, 1).unwrap();
-        assert_eq!(lines.len(), 11);
+        assert_eq!(lines.len(), 9);
         assert!(lines
             .iter()
             .all(|line| !line.as_ref().unwrap_or_else(|e| e).starts_with("failed")));

@@ -46,7 +46,11 @@ use lpo_tv::refine::{Counterexample, Verdict, VerdictTier};
 /// divides by one no longer refines a source, and the constant folder no
 /// longer folds such a division. Records stored under r2 may hold the old
 /// verdict.
-pub const PIPELINE_REVISION: u32 = 3;
+///
+/// r4: the abstract pre-verification tier is gone, and with it the
+/// `refuted-abstract` tier name. An r3 record carrying that name would no
+/// longer decode; under r4 no r3 record is read.
+pub const PIPELINE_REVISION: u32 = 4;
 
 /// The version string store records carry: pipeline revision + model profile.
 pub fn store_version(model_profile: &str) -> String {
@@ -183,7 +187,6 @@ mod tests {
             None,
             Some(VerdictTier::Proved),
             Some(VerdictTier::Tested),
-            Some(VerdictTier::RefutedAbstract),
             Some(VerdictTier::RefutedConcrete),
         ];
         for verdict in verdicts {
@@ -214,6 +217,7 @@ mod tests {
             "incorrect\u{1f}a",
             // An unknown tier name is malformed, never silently dropped.
             "correct\u{1f}5\u{1f}true\u{1f}tier=solved",
+            "correct\u{1f}5\u{1f}true\u{1f}tier=refuted-abstract",
         ] {
             assert_eq!(decode_verdict(blob), None, "blob: {blob:?}");
         }

@@ -74,8 +74,6 @@ struct TvCounters {
     probe_rejects: AtomicUsize,
     survivors: AtomicUsize,
     plane_sweeps: AtomicUsize,
-    proved: AtomicUsize,
-    absint_refuted: AtomicUsize,
 }
 
 /// Drop guard that folds one case's [`SourceCache`] accounting into the
@@ -95,8 +93,6 @@ impl Drop for AbsorbTvCounters<'_, '_> {
         self.counters.probe_rejects.fetch_add(self.case.probe_rejects(), Ordering::Relaxed);
         self.counters.survivors.fetch_add(self.case.survivors(), Ordering::Relaxed);
         self.counters.plane_sweeps.fetch_add(self.case.plane_sweeps(), Ordering::Relaxed);
-        self.counters.proved.fetch_add(self.case.proved(), Ordering::Relaxed);
-        self.counters.absint_refuted.fetch_add(self.case.absint_refuted(), Ordering::Relaxed);
     }
 }
 
@@ -118,13 +114,6 @@ impl Drop for AbsorbTvCounters<'_, '_> {
 pub struct TvSnapshot {
     /// Candidates Stage 3 fully checked (signature errors excluded).
     pub candidates: usize,
-    /// Candidates accepted on an abstract proof certificate (Stage 3a₀):
-    /// no probe, no compile, no sweep.
-    pub proved: usize,
-    /// Candidates rejected on an abstract refutation certificate. Disjoint
-    /// from `probe_rejects` even when the verdict-rendering path let the
-    /// probe materialize the concrete counterexample.
-    pub absint_refuted: usize,
     /// Candidates refuted inside the probe window — no compile paid.
     pub probe_rejects: usize,
     /// Candidates that survived the probe into compile + survivor sweep.
@@ -153,8 +142,6 @@ impl TvSnapshot {
     pub fn since(self, earlier: TvSnapshot) -> TvSnapshot {
         TvSnapshot {
             candidates: self.candidates - earlier.candidates,
-            proved: self.proved - earlier.proved,
-            absint_refuted: self.absint_refuted - earlier.absint_refuted,
             probe_rejects: self.probe_rejects - earlier.probe_rejects,
             survivors: self.survivors - earlier.survivors,
             plane_sweeps: self.plane_sweeps - earlier.plane_sweeps,
@@ -172,8 +159,6 @@ impl TvSnapshot {
     /// several batches).
     pub fn absorb(&mut self, other: TvSnapshot) {
         self.candidates += other.candidates;
-        self.proved += other.proved;
-        self.absint_refuted += other.absint_refuted;
         self.probe_rejects += other.probe_rejects;
         self.survivors += other.survivors;
         self.plane_sweeps += other.plane_sweeps;
@@ -260,8 +245,6 @@ impl Lpo {
         let shards = self.shard_counters.snapshot();
         TvSnapshot {
             candidates: self.tv_counters.candidates.load(Ordering::Relaxed),
-            proved: self.tv_counters.proved.load(Ordering::Relaxed),
-            absint_refuted: self.tv_counters.absint_refuted.load(Ordering::Relaxed),
             probe_rejects: self.tv_counters.probe_rejects.load(Ordering::Relaxed),
             survivors: self.tv_counters.survivors.load(Ordering::Relaxed),
             plane_sweeps: self.tv_counters.plane_sweeps.load(Ordering::Relaxed),

@@ -277,7 +277,6 @@ mod tests {
             None,
             Some(VerdictTier::Proved),
             Some(VerdictTier::Tested),
-            Some(VerdictTier::RefutedAbstract),
             Some(VerdictTier::RefutedConcrete),
         ] {
             let original = CaseReport { tier, ..report(CaseOutcome::Rejected, 2.0) };
@@ -292,8 +291,12 @@ mod tests {
         assert_eq!(parsed.tier, None);
         assert_eq!(parsed.attempts, 1);
         // A tier line with an unknown name is malformed, not ignored.
-        let bad = "attempts=1\nmodeled_ns=5\ncost_bits=0x0000000000000000\ntier=solved\noutcome=rejected\n";
-        assert!(CaseReport::from_checkpoint_blob(bad).is_none());
+        for name in ["solved", "refuted-abstract"] {
+            let bad = format!(
+                "attempts=1\nmodeled_ns=5\ncost_bits=0x0000000000000000\ntier={name}\noutcome=rejected\n"
+            );
+            assert!(CaseReport::from_checkpoint_blob(&bad).is_none(), "tier={name}");
+        }
     }
 
     #[test]

@@ -310,8 +310,8 @@ impl Generator<'_> {
 /// adding an identity operation, swapping commutative operands, dropping
 /// poison flags) and semantics-changing ones (twisting the returned value,
 /// nudging a constant, adding poison flags, returning a constant), so a
-/// differential harness sees proved, refuted and inconclusive candidates
-/// from the same stream.
+/// differential harness sees correct and refuted candidates from the same
+/// stream.
 ///
 /// Both functions always share a signature, stay in the straight-line
 /// scalar-int fragment, and are deterministic in the seed.
@@ -339,8 +339,8 @@ fn mutate_once(f: &mut Function, rng: &mut StdRng) {
         5 => nudge_constant(f, rng),
         6 => replace_ret_with_constant(f, rng),
         _ => {
-            // A double-width arm for the proof-heavy rewrites, so proved
-            // candidates stay a healthy fraction of the stream.
+            // A double-width arm for the semantics-preserving rewrites, so
+            // correct candidates stay a healthy fraction of the stream.
             alpha_rename(f);
             insert_identity(f, rng);
         }
@@ -553,8 +553,8 @@ mod tests {
     fn pair_candidates_stay_plane_eligible() {
         // Mutations only rename, insert scalar-int binaries or rewrite
         // operands in place, so the candidate stays in the same fragment as
-        // the source — the property that lets one stream drive both the
-        // plane and the abstract differential harnesses.
+        // the source — the property that lets the pair stream drive the
+        // plane-tier paths of the frozen-case differential harness.
         for seed in 0..200 {
             let (_, tgt) = random_pair(seed);
             assert!(

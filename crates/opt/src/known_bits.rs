@@ -1,18 +1,250 @@
 //! A small known-bits analysis used by InstCombine rules.
 //!
-//! The [`KnownBits`] domain and the memoized per-function analysis now live
-//! in `lpo-absint` (re-exported here); rules query a [`KnownBitsCtx`] so
-//! shared def chains are walked once per function instead of once per use.
-//! The recursive depth-capped query below is kept as a **reference oracle**:
-//! its tests pin the transfer rules, and `memoized_context_is_at_least_as_precise`
-//! checks the context subsumes it on fuzzed functions.
+//! Rules query a [`KnownBitsCtx`], which memoizes per instruction, so shared
+//! def chains are walked once per function instead of once per use. The
+//! recursive depth-capped [`known_bits`] query is kept as a **reference
+//! oracle**: its tests pin the transfer rules, and
+//! `memoized_context_is_at_least_as_precise_as_the_oracle` checks the
+//! context subsumes it on fuzzed functions.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 use lpo_ir::apint::ApInt;
 use lpo_ir::constant::Constant;
 use lpo_ir::function::Function;
-use lpo_ir::instruction::{BinOp, CastOp, InstKind, Intrinsic, Value};
+use lpo_ir::instruction::{BinOp, CastOp, InstId, InstKind, Intrinsic, Value};
+use lpo_ir::types::Type;
 
-pub use lpo_absint::{mask_of, KnownBits, KnownBitsCtx};
+/// Known-zero / known-one bit masks for one integer value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KnownBits {
+    /// Bits known to be zero.
+    pub zeros: u128,
+    /// Bits known to be one.
+    pub ones: u128,
+    /// The value's bit width.
+    pub width: u32,
+}
+
+impl KnownBits {
+    /// Nothing known for a value of the given width.
+    pub fn unknown(width: u32) -> Self {
+        Self { zeros: 0, ones: 0, width }
+    }
+
+    /// Everything known: the value is exactly `v`.
+    pub fn constant(v: &ApInt) -> Self {
+        let mask = mask_of(v.width());
+        Self { zeros: !v.zext_value() & mask, ones: v.zext_value(), width: v.width() }
+    }
+
+    /// Returns the exact value if every bit is known.
+    pub fn as_constant(&self) -> Option<ApInt> {
+        if self.zeros | self.ones == mask_of(self.width) {
+            Some(ApInt::new(self.width, self.ones))
+        } else {
+            None
+        }
+    }
+
+    /// True when the sign bit is known zero.
+    pub fn is_non_negative(&self) -> bool {
+        self.zeros >> (self.width - 1) & 1 == 1
+    }
+
+    /// True when the sign bit is known one.
+    pub fn is_negative(&self) -> bool {
+        self.ones >> (self.width - 1) & 1 == 1
+    }
+
+    /// The largest value consistent with the known bits.
+    pub fn umax(&self) -> u128 {
+        !self.zeros & mask_of(self.width)
+    }
+
+    /// The smallest value consistent with the known bits.
+    pub fn umin(&self) -> u128 {
+        self.ones
+    }
+
+    /// Number of high bits known to be zero.
+    pub fn leading_zeros(&self) -> u32 {
+        let significant = 128 - self.width;
+        (self.zeros << significant).leading_ones()
+    }
+}
+
+/// All-ones mask for a value of `width` bits.
+pub fn mask_of(width: u32) -> u128 {
+    if width >= 128 {
+        u128::MAX
+    } else {
+        (1u128 << width) - 1
+    }
+}
+
+/// Memoized per-function known-bits analysis.
+///
+/// Construct once per function, then query any number of values: each
+/// instruction's bits are computed at most once, so a query over a def chain
+/// with heavy sharing costs O(chain size) total instead of O(paths). The
+/// transfer rules are a superset of the depth-capped [`known_bits`] query
+/// (which remains as a reference oracle in the tests), so every bit that
+/// query proves, the context proves too.
+pub struct KnownBitsCtx<'f> {
+    func: &'f Function,
+    cache: RefCell<HashMap<u32, KnownBits>>,
+}
+
+impl<'f> KnownBitsCtx<'f> {
+    /// A fresh context for `func`; nothing is computed until queried.
+    pub fn new(func: &'f Function) -> Self {
+        Self { func, cache: RefCell::new(HashMap::new()) }
+    }
+
+    /// Known bits of `value`, memoized per instruction.
+    pub fn known_bits(&self, value: &Value) -> KnownBits {
+        let ty = self.func.value_type(value);
+        let width = match ty {
+            Type::Int(w) => w,
+            _ => return KnownBits::unknown(ty.int_width().unwrap_or(1)),
+        };
+        match value {
+            Value::Const(Constant::Int(v)) => KnownBits::constant(v),
+            Value::Const(_) | Value::Arg(_) => KnownBits::unknown(width),
+            Value::Inst(id) => {
+                if let Some(known) = self.cache.borrow().get(&id.0) {
+                    return *known;
+                }
+                // Seed the cache with ⊤ before descending: a (malformed)
+                // cyclic def chain then terminates at ⊤ instead of
+                // recursing forever.
+                self.cache.borrow_mut().insert(id.0, KnownBits::unknown(width));
+                let known = self.compute(*id, width);
+                self.cache.borrow_mut().insert(id.0, known);
+                known
+            }
+        }
+    }
+
+    fn compute(&self, id: InstId, width: u32) -> KnownBits {
+        let mask = mask_of(width);
+        let inst = self.func.inst(id);
+        match &inst.kind {
+            InstKind::Binary { op, lhs, rhs, .. } => {
+                let l = self.known_bits(lhs);
+                let r = self.known_bits(rhs);
+                match op {
+                    BinOp::And => KnownBits {
+                        zeros: (l.zeros | r.zeros) & mask,
+                        ones: l.ones & r.ones,
+                        width,
+                    },
+                    BinOp::Or => KnownBits {
+                        zeros: l.zeros & r.zeros,
+                        ones: (l.ones | r.ones) & mask,
+                        width,
+                    },
+                    BinOp::Xor => {
+                        let known = (l.zeros | l.ones) & (r.zeros | r.ones);
+                        let value = (l.ones ^ r.ones) & known;
+                        KnownBits { zeros: known & !value & mask, ones: value, width }
+                    }
+                    BinOp::Shl => match const_shift_amount(rhs, width) {
+                        Some(amount) => KnownBits {
+                            zeros: ((l.zeros << amount) | (mask_of(amount)) ) & mask,
+                            ones: (l.ones << amount) & mask,
+                            width,
+                        },
+                        None => KnownBits::unknown(width),
+                    },
+                    BinOp::LShr => match const_shift_amount(rhs, width) {
+                        Some(amount) => {
+                            let high = mask & !(mask >> amount);
+                            KnownBits {
+                                zeros: ((l.zeros & mask) >> amount) | high,
+                                ones: (l.ones & mask) >> amount,
+                                width,
+                            }
+                        }
+                        None => KnownBits::unknown(width),
+                    },
+                    BinOp::AShr => match const_shift_amount(rhs, width) {
+                        Some(amount) => {
+                            let high = mask & !(mask >> amount);
+                            let mut zeros = (l.zeros & mask) >> amount;
+                            let mut ones = (l.ones & mask) >> amount;
+                            if l.is_non_negative() {
+                                zeros |= high;
+                            } else if l.is_negative() {
+                                ones |= high;
+                            }
+                            KnownBits { zeros: zeros & mask, ones: ones & mask, width }
+                        }
+                        None => KnownBits::unknown(width),
+                    },
+                    BinOp::URem => match constant_of(rhs) {
+                        Some(c) if c.is_power_of_two() => KnownBits {
+                            zeros: !(c.zext_value() - 1) & mask,
+                            ones: 0,
+                            width,
+                        },
+                        _ => KnownBits::unknown(width),
+                    },
+                    _ => KnownBits::unknown(width),
+                }
+            }
+            InstKind::Cast { op: CastOp::ZExt, value, .. } => {
+                let v = self.known_bits(value);
+                let low = mask_of(v.width);
+                KnownBits { zeros: (v.zeros & low) | (mask & !low), ones: v.ones & low, width }
+            }
+            InstKind::Cast { op: CastOp::SExt, value, .. } => {
+                let v = self.known_bits(value);
+                let low = mask_of(v.width);
+                let high = mask & !low;
+                let mut zeros = v.zeros & low;
+                let mut ones = v.ones & low;
+                if v.is_non_negative() {
+                    zeros |= high;
+                } else if v.is_negative() {
+                    ones |= high;
+                }
+                KnownBits { zeros, ones, width }
+            }
+            InstKind::Cast { op: CastOp::Trunc, value, .. } => {
+                let v = self.known_bits(value);
+                KnownBits { zeros: v.zeros & mask, ones: v.ones & mask, width }
+            }
+            InstKind::Call { intrinsic: Intrinsic::Umin, args, .. } if args.len() == 2 => {
+                let l = self.known_bits(&args[0]);
+                let r = self.known_bits(&args[1]);
+                // The result is no larger than either operand: high bits
+                // known zero in either operand are known zero in the result.
+                let lead = l.leading_zeros().max(r.leading_zeros());
+                let zeros = if lead == 0 { 0 } else { mask & !(mask >> lead) };
+                KnownBits { zeros, ones: 0, width }
+            }
+            InstKind::Call { intrinsic: Intrinsic::Smax, args, .. } if args.len() == 2 => {
+                let l = self.known_bits(&args[0]);
+                let r = self.known_bits(&args[1]);
+                if l.is_non_negative() || r.is_non_negative() {
+                    KnownBits { zeros: 1 << (width - 1), ones: 0, width }
+                } else {
+                    KnownBits::unknown(width)
+                }
+            }
+            InstKind::Select { on_true, on_false, .. } => {
+                let t = self.known_bits(on_true);
+                let f = self.known_bits(on_false);
+                KnownBits { zeros: t.zeros & f.zeros, ones: t.ones & f.ones, width }
+            }
+            _ => KnownBits::unknown(width),
+        }
+    }
+}
+
 
 /// Computes known bits for `value` inside `func`, recursing up to `depth`
 /// levels through instruction operands.
@@ -331,5 +563,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn memoized_known_bits_match_spot_checks() {
+        let func = parse_function(
+            "define i8 @f(i8 %x) {\nentry:\n  %a = and i8 %x, 15\n  %b = shl i8 %a, 2\n  %c = or i8 %b, 1\n  ret i8 %c\n}",
+        )
+        .expect("parse");
+        let ctx = KnownBitsCtx::new(&func);
+        let bits = ctx.known_bits(func.return_value().expect("ret"));
+        assert_eq!(bits.ones, 0b0000_0001);
+        assert_eq!(bits.zeros, 0b1100_0000 | 0b0000_0010);
+        // Memoized: querying twice hits the cache and agrees.
+        assert_eq!(ctx.known_bits(func.return_value().expect("ret")), bits);
+
+        // A 64-rung ladder where every rung uses the previous one twice: a
+        // walk without memoization takes ~2^64 steps here. The top rung
+        // queried on a fresh context must equal what one context reaches
+        // when the rungs are queried bottom-up.
+        let mut body = String::from("  %v0 = and i64 %x, 255\n");
+        for i in 1..=64 {
+            body.push_str(&format!("  %v{i} = add i64 %v{}, %v{}\n", i - 1, i - 1));
+        }
+        let ladder =
+            parse_function(&format!("define i64 @chain(i64 %x) {{\nentry:\n{body}  ret i64 %v64\n}}"))
+                .expect("parse");
+        let top = KnownBitsCtx::new(&ladder).known_bits(ladder.return_value().expect("ret"));
+        let bottom_up = KnownBitsCtx::new(&ladder);
+        let rungs: Vec<KnownBits> = ladder
+            .iter_insts()
+            .filter(|(_, inst)| !inst.kind.is_terminator())
+            .map(|(id, _)| bottom_up.known_bits(&Value::Inst(id)))
+            .collect();
+        assert_eq!(rungs.len(), 65);
+        assert_eq!(rungs.last(), Some(&top));
     }
 }

@@ -760,7 +760,6 @@ mod tests {
         let cache = CompileCache::new();
         let mut arena = EvalArena::new();
         for config in [TvConfig::default(), quick_tv(), TvConfig::default(), quick_tv()] {
-            let config = TvConfig { absint: false, ..config };
             let case = SourceCache::new(&src, config).with_compile_cache(&cache);
             assert!(case.verify_with(&src, &mut arena).is_correct());
         }

@@ -45,26 +45,11 @@
 //!    [`SourceCache::verify_reference`] makes. The plane tier can be
 //!    switched off with [`TvConfig::plane_sweep`].
 //!
-//! Ahead of the probe sits **Stage 3a₀, abstract pre-verification**
-//! ([`TvConfig::absint`]): source and candidate are pushed through
-//! `lpo_absint`'s known-bits × interval product domain. A *refutation*
-//! certificate (source provably concrete, return ranges provably disjoint)
-//! means every input refutes — outcome-only callers reject with **zero**
-//! concrete evaluations, while verdict-rendering callers fall through and
-//! let the probe refute concretely on the first input so counterexamples
-//! stay byte-identical to the reference. A *proof* certificate (same
-//! singleton constant, or structurally equal return DAGs under constant
-//! folding, with no possible UB/poison divergence) accepts without the
-//! sweep. Inconclusive candidates proceed unchanged, so the tier can only
-//! remove work, never change a verdict — `tests/absint_differential.rs`
-//! fuzzes exactly that.
-//!
 //! There is one staged walk: every entry point runs it, and only the sweep
-//! driver, the shard size and whether an abstract refutation may skip the
-//! concrete counterexample differ. It is **outcome-identical** to the
-//! retained single-stage path ([`verify_refinement_reference`] /
-//! [`SourceCache::verify_reference`]): same verdicts, same counterexamples,
-//! same UB messages. A probe reject costs the reference's source-side
+//! driver, the shard size and whether a counterexample is rendered differ.
+//! It is **outcome-identical** to the retained single-stage path
+//! ([`verify_refinement_reference`] / [`SourceCache::verify_reference`]):
+//! same verdicts, same counterexamples, same UB messages. A probe reject costs the reference's source-side
 //! evaluations; a survivor freezes the case, so
 //! [`SourceCache::source_eval_count`] reaches the input total.
 //! `tests/tv_differential.rs` checks this differentially over the rq1/rq2
@@ -75,7 +60,6 @@
 use crate::buffers;
 use crate::frozen::{FrozenCase, SerialDriver, SweepDriver, SweepShard, SweepSlot};
 use crate::inputs::{InputCache, InputConfig, InputSet, TestInput};
-use lpo_absint::{certificate, Certificate, FunctionAnalysis};
 use lpo_interp::compiled::{evaluate_direct, CompiledFunction, EvalArena};
 use lpo_interp::eval::Ub;
 use lpo_interp::memory::Memory;
@@ -179,17 +163,11 @@ pub struct TvConfig {
     /// plane evaluator. Off, every survivor sweeps one input at a time on
     /// the compiled evaluator; verdicts are identical either way.
     pub plane_sweep: bool,
-    /// Whether candidates run through the abstract pre-verification tier
-    /// (Stage 3a₀) before any concrete evaluation: `lpo_absint` certificates
-    /// prove correct candidates without a sweep and refute provably-disjoint
-    /// ones without a single evaluation. Off, every candidate goes straight
-    /// to the probe; verdicts are identical either way.
-    pub absint: bool,
 }
 
 impl Default for TvConfig {
     fn default() -> Self {
-        Self { inputs: InputConfig::default(), probe_inputs: 16, plane_sweep: true, absint: true }
+        Self { inputs: InputConfig::default(), probe_inputs: 16, plane_sweep: true }
     }
 }
 
@@ -198,14 +176,12 @@ impl Default for TvConfig {
 /// the tier says *how much work* deciding it took.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum VerdictTier {
-    /// Accepted by an abstract proof certificate — no concrete sweep ran.
+    /// Accepted by a proof rather than a sweep. Nothing produces it yet: the
+    /// slot (and its store name `proved`) is kept for a solver-backed tier.
     Proved,
     /// Accepted by the concrete sweep over every generated input.
     Tested,
-    /// Rejected on an abstract refutation certificate (the verdict-rendering
-    /// paths still materialize the counterexample concretely).
-    RefutedAbstract,
-    /// Rejected by a concrete counterexample with no abstract certificate.
+    /// Rejected by a concrete counterexample.
     RefutedConcrete,
 }
 
@@ -216,7 +192,6 @@ impl VerdictTier {
         match self {
             VerdictTier::Proved => "proved",
             VerdictTier::Tested => "tested",
-            VerdictTier::RefutedAbstract => "refuted-abstract",
             VerdictTier::RefutedConcrete => "refuted-concrete",
         }
     }
@@ -226,7 +201,6 @@ impl VerdictTier {
         match s {
             "proved" => Some(VerdictTier::Proved),
             "tested" => Some(VerdictTier::Tested),
-            "refuted-abstract" => Some(VerdictTier::RefutedAbstract),
             "refuted-concrete" => Some(VerdictTier::RefutedConcrete),
             _ => None,
         }
@@ -460,11 +434,6 @@ enum StagedVerdict {
     Correct { inputs_checked: usize, exhaustive: bool },
     /// Input `index` refutes the candidate.
     Refuted { index: usize, tgt_out: TargetOutcome, refutation: Refutation },
-    /// An abstract refutation certificate rejected the candidate with zero
-    /// concrete evaluations. Only produced on the outcome-only entry points
-    /// (`abstract_refute_shortcut`); the verdict-rendering paths instead let
-    /// the probe find the concrete counterexample.
-    RefutedAbstract,
 }
 
 /// Per-case verification state, cached across candidate rewrites.
@@ -509,11 +478,7 @@ pub struct SourceCache<'a> {
     probe_rejects: Cell<usize>,
     survivors: Cell<usize>,
     plane_sweeps: Cell<usize>,
-    proved: Cell<usize>,
-    absint_refuted: Cell<usize>,
     last_tier: Cell<Option<VerdictTier>>,
-    src_abs: OnceCell<Option<FunctionAnalysis>>,
-    tgt_abs: RefCell<FunctionAnalysis>,
     frozen: OnceCell<FrozenCase>,
     /// Whether `frozen` came from the compile cache's retained freezes, so
     /// this case evaluated only its in-order prefix.
@@ -718,11 +683,7 @@ impl<'a> SourceCache<'a> {
             probe_rejects: Cell::new(0),
             survivors: Cell::new(0),
             plane_sweeps: Cell::new(0),
-            proved: Cell::new(0),
-            absint_refuted: Cell::new(0),
             last_tier: Cell::new(None),
-            src_abs: OnceCell::new(),
-            tgt_abs: RefCell::new(FunctionAnalysis::default()),
             frozen: OnceCell::new(),
             reused_freeze: Cell::new(false),
         }
@@ -778,21 +739,18 @@ impl<'a> SourceCache<'a> {
         self.plane_sweeps.get()
     }
 
-    /// Candidates accepted on an abstract proof certificate — they paid no
-    /// probe, no compile and no sweep, and are *not* counted in
-    /// [`survivors`](Self::survivors).
+    /// Always 0. The benchmark harness reads it as `tv.proved`; it goes
+    /// together with `perfbench/src/replay.rs` once the engine records its
+    /// own spans.
     pub fn proved(&self) -> usize {
-        self.proved.get()
+        0
     }
 
-    /// Candidates rejected on an abstract refutation certificate. Counted at
-    /// certificate time on every entry point, so the total is identical
-    /// whether the caller took the zero-evaluation shortcut
-    /// ([`verify_outcome_only`](Self::verify_outcome_only)) or rendered a
-    /// concrete counterexample; these are *not* counted in
-    /// [`probe_rejects`](Self::probe_rejects).
+    /// Always 0. The benchmark harness reads it as `tv.absint_refuted`; it
+    /// goes together with `perfbench/src/replay.rs` once the engine records
+    /// its own spans.
     pub fn absint_refuted(&self) -> usize {
-        self.absint_refuted.get()
+        0
     }
 
     /// Which tier decided the most recently verified candidate, or `None` if
@@ -899,54 +857,6 @@ impl<'a> SourceCache<'a> {
         self.with_source_outcome(index, arena, |src_out| refutation(initial, src_out, tgt_out))
     }
 
-    /// Runs a candidate through the abstract domains: the source analysis is
-    /// computed once per case (and cached, including "out of fragment"), the
-    /// candidate analyzes into a reusable scratch buffer. `None` when the
-    /// tier is disabled, either side falls outside the straight-line
-    /// scalar-int fragment, or the domains are inconclusive.
-    fn absint_certificate(&self, tgt: &Function) -> Option<Certificate> {
-        if !self.config.absint {
-            return None;
-        }
-        let src_abs = self.src_abs.get_or_init(|| FunctionAnalysis::analyze(self.src)).as_ref()?;
-        let mut tgt_abs = self.tgt_abs.borrow_mut();
-        if !tgt_abs.run(tgt) {
-            return None;
-        }
-        certificate(self.src, src_abs, tgt, &tgt_abs)
-    }
-
-    /// Stage 3a₀: the staged walk's abstract pre-verification gate. A proof
-    /// certificate yields the full-sweep `Correct` verdict
-    /// (every input provably refines, so `inputs_checked` is the input
-    /// total) with zero concrete evaluations. A refutation certificate is
-    /// *counted* here — so the counter is path-independent — and either
-    /// short-circuits (outcome-only callers) or returns `None` so the probe
-    /// can refute concretely on the first input, which an abstract
-    /// refutation guarantees is a counterexample.
-    fn absint_prefilter(
-        &self,
-        tgt: &Function,
-        abstract_refute_shortcut: bool,
-    ) -> Option<StagedVerdict> {
-        match self.absint_certificate(tgt)? {
-            Certificate::Proved => {
-                self.proved.set(self.proved.get() + 1);
-                self.last_tier.set(Some(VerdictTier::Proved));
-                let inputs = self.inputs();
-                Some(StagedVerdict::Correct {
-                    inputs_checked: inputs.len(),
-                    exhaustive: inputs.exhaustive(),
-                })
-            }
-            Certificate::Refuted => {
-                self.absint_refuted.set(self.absint_refuted.get() + 1);
-                self.last_tier.set(Some(VerdictTier::RefutedAbstract));
-                abstract_refute_shortcut.then_some(StagedVerdict::RefutedAbstract)
-            }
-        }
-    }
-
     /// The probe window's inputs as [`TestInput`]s, materialized once per
     /// case: the direct evaluator takes argument lists, and every candidate
     /// walks these lanes.
@@ -968,31 +878,17 @@ impl<'a> SourceCache<'a> {
                 evaluate_direct(tgt, arena, &input.args, input.memory.clone(), STEP_LIMIT)
                     .map(|o| (o.result, o.memory));
             if let Some(refutation) = self.check_input(index, &tgt_out, arena) {
-                // Abstractly-refuted candidates keep their certificate tag
-                // and don't count as probe rejects: the probe only supplies
-                // their diagnostic, it didn't decide them.
-                if self.last_tier.get().is_none() {
-                    self.probe_rejects.set(self.probe_rejects.get() + 1);
-                    self.last_tier.set(Some(VerdictTier::RefutedConcrete));
-                }
+                self.probe_rejects.set(self.probe_rejects.get() + 1);
+                self.last_tier.set(Some(VerdictTier::RefutedConcrete));
                 return Some(StagedVerdict::Refuted { index, tgt_out, refutation });
             }
         }
         None
     }
 
-    /// Records which tier decided the current candidate, unless the abstract
-    /// gate already tagged it (an abstract refutation that fell through to a
-    /// concrete probe/sweep rejection keeps its `RefutedAbstract` tag).
-    fn settle_tier(&self, tier: VerdictTier) {
-        if self.last_tier.get().is_none() {
-            self.last_tier.set(Some(tier));
-        }
-    }
-
     /// The one staged walk behind every verify entry point: signature check
-    /// → abstract gate → probe → lazy (cached) compile → freeze the case →
-    /// Stage-3 survivor sweep. The sweep `[probe_n, total)` is split into
+    /// → probe → lazy (cached) compile → freeze the case → Stage-3 survivor
+    /// sweep. The sweep `[probe_n, total)` is split into
     /// `shard_size`-input [`SweepShard`]s handed to `driver`; the ordered
     /// merge takes the first executed shard with a finding, which the
     /// cancellation contract (see [`crate::frozen`]) proves is the
@@ -1001,16 +897,13 @@ impl<'a> SourceCache<'a> {
     /// count. The serial entry points pass [`SerialDriver`] and `usize::MAX`
     /// (one shard).
     ///
-    /// `abstract_refute_shortcut` lets an abstract refutation certificate
-    /// reject with zero concrete evaluations (outcome-only callers). On
-    /// refutation the walk returns the failing input index, the target
+    /// On refutation the walk returns the failing input index, the target
     /// outcome and the refutation descriptor — everything needed to render
     /// the counterexample, without rendering it.
     fn verify_staged(
         &self,
         tgt: &Function,
         arena: &mut EvalArena,
-        abstract_refute_shortcut: bool,
         driver: &dyn SweepDriver,
         shard_size: usize,
     ) -> Result<StagedVerdict, Verdict> {
@@ -1019,11 +912,6 @@ impl<'a> SourceCache<'a> {
             return Err(error);
         }
         self.candidates.set(self.candidates.get() + 1);
-
-        // Stage 3a₀: abstract pre-verification (see module docs).
-        if let Some(verdict) = self.absint_prefilter(tgt, abstract_refute_shortcut) {
-            return Ok(verdict);
-        }
 
         // Stage 1: probe, no compile (in-order prefix outcomes), so probe
         // rejects cost the reference path's few source evaluations.
@@ -1034,7 +922,7 @@ impl<'a> SourceCache<'a> {
         let probe_n = self.probe_window().len();
         let (total, exhaustive) = (inputs.len(), inputs.exhaustive());
         if probe_n == total {
-            self.settle_tier(VerdictTier::Tested);
+            self.last_tier.set(Some(VerdictTier::Tested));
             return Ok(StagedVerdict::Correct { inputs_checked: total, exhaustive });
         }
 
@@ -1069,7 +957,7 @@ impl<'a> SourceCache<'a> {
         for slot in slots {
             if let SweepSlot::Executed(out) = slot {
                 if let Some(finding) = out.finding {
-                    self.settle_tier(VerdictTier::RefutedConcrete);
+                    self.last_tier.set(Some(VerdictTier::RefutedConcrete));
                     return Ok(StagedVerdict::Refuted {
                         index: finding.index,
                         tgt_out: finding.tgt_out,
@@ -1078,7 +966,7 @@ impl<'a> SourceCache<'a> {
                 }
             }
         }
-        self.settle_tier(VerdictTier::Tested);
+        self.last_tier.set(Some(VerdictTier::Tested));
         Ok(StagedVerdict::Correct { inputs_checked: total, exhaustive })
     }
 
@@ -1114,9 +1002,6 @@ impl<'a> SourceCache<'a> {
             Err(error) => error,
             Ok(StagedVerdict::Correct { inputs_checked, exhaustive }) => {
                 Verdict::Correct { inputs_checked, exhaustive }
-            }
-            Ok(StagedVerdict::RefutedAbstract) => {
-                unreachable!("shortcut verdicts only arise on the outcome-only entry points")
             }
             Ok(StagedVerdict::Refuted { index, tgt_out, refutation }) => {
                 let input = self.inputs().input(index);
@@ -1199,7 +1084,7 @@ impl<'a> SourceCache<'a> {
         driver: &dyn SweepDriver,
         shard_size: usize,
     ) -> Verdict {
-        let staged = self.verify_staged(tgt, arena, false, driver, shard_size);
+        let staged = self.verify_staged(tgt, arena, driver, shard_size);
         self.render_staged(staged, arena)
     }
 
@@ -1215,7 +1100,7 @@ impl<'a> SourceCache<'a> {
     /// entry point is the hot path for accept/reject-only verification.
     pub fn verify_outcome_only(&self, tgt: &Function, arena: &mut EvalArena) -> bool {
         matches!(
-            self.verify_staged(tgt, arena, true, &SerialDriver, usize::MAX),
+            self.verify_staged(tgt, arena, &SerialDriver, usize::MAX),
             Ok(StagedVerdict::Correct { .. })
         )
     }
@@ -1981,11 +1866,10 @@ mod tests {
     #[test]
     fn retained_freezes_are_shared_up_to_the_lane_budget() {
         // Exhaustive i16 sources: 2^16 inputs each, so the budget holds
-        // `fits` of them. The abstract tier is off so that verifying the
-        // source against itself reaches the sweep.
+        // `fits` of them.
         let lanes = 1 << 16;
         let fits = CompileCache::FREEZE_LANE_BUDGET / lanes;
-        let config = TvConfig { absint: false, ..TvConfig::default() };
+        let config = TvConfig::default();
         let source = |k: usize, x: &str| {
             parse_function(&format!("define i16 @s(i16 %{x}) {{\n %r = add i16 %{x}, {k}\n ret i16 %r\n}}"))
                 .unwrap()
@@ -2045,57 +1929,6 @@ mod tests {
     }
 
     #[test]
-    fn absint_refutes_disjoint_candidates_with_zero_evaluations() {
-        // Source pins bit 0 to zero, candidate pins it to one: the abstract
-        // tier proves the return ranges disjoint, so the outcome-only path
-        // rejects without generating a single concrete evaluation.
-        let src = parse_function("define i8 @s(i8 %x) {\n %r = and i8 %x, -2\n ret i8 %r\n}").unwrap();
-        let tgt = parse_function("define i8 @t(i8 %x) {\n %r = or i8 %x, 1\n ret i8 %r\n}").unwrap();
-        let case = SourceCache::new(&src, TvConfig::default());
-        let mut arena = EvalArena::new();
-        assert!(!case.verify_outcome_only(&tgt, &mut arena));
-        assert_eq!(case.source_eval_count(), 0, "abstract refutation must not evaluate");
-        assert_eq!(case.absint_refuted(), 1);
-        assert_eq!(case.probe_rejects(), 0, "certificate rejections are not probe rejects");
-        assert_eq!(case.survivors(), 0);
-        assert_eq!(case.last_tier(), Some(VerdictTier::RefutedAbstract));
-    }
-
-    #[test]
-    fn absint_refutation_still_renders_the_reference_counterexample() {
-        let src = parse_function("define i8 @s(i8 %x) {\n %r = and i8 %x, -2\n ret i8 %r\n}").unwrap();
-        let tgt = parse_function("define i8 @t(i8 %x) {\n %r = or i8 %x, 1\n ret i8 %r\n}").unwrap();
-        let case = SourceCache::new(&src, TvConfig::default());
-        let mut arena = EvalArena::new();
-        let verdict = case.verify_with(&tgt, &mut arena);
-        assert_eq!(verdict, verify_refinement_reference(&src, &tgt, &TvConfig::default()));
-        assert!(!verdict.is_correct());
-        // The certificate tags the candidate; the probe merely supplies the
-        // concrete diagnostic on the first input.
-        assert_eq!(case.absint_refuted(), 1);
-        assert_eq!(case.probe_rejects(), 0);
-        assert_eq!(case.source_eval_count(), 1);
-        assert_eq!(case.last_tier(), Some(VerdictTier::RefutedAbstract));
-    }
-
-    #[test]
-    fn absint_proves_commuted_twins_without_a_sweep() {
-        let src =
-            parse_function("define i8 @s(i8 %x, i8 %y) {\n %r = add i8 %x, %y\n ret i8 %r\n}").unwrap();
-        let tgt =
-            parse_function("define i8 @t(i8 %a, i8 %b) {\n %q = add i8 %b, %a\n ret i8 %q\n}").unwrap();
-        let case = SourceCache::new(&src, TvConfig::default());
-        let mut arena = EvalArena::new();
-        let verdict = case.verify_with(&tgt, &mut arena);
-        assert_eq!(verdict, verify_refinement_reference(&src, &tgt, &TvConfig::default()));
-        assert!(verdict.is_correct());
-        assert_eq!(case.proved(), 1);
-        assert_eq!(case.survivors(), 0, "a proved candidate never reaches the sweep");
-        assert_eq!(case.source_eval_count(), 0, "a proved candidate costs no evaluation");
-        assert_eq!(case.last_tier(), Some(VerdictTier::Proved));
-    }
-
-    #[test]
     fn tiers_tag_concrete_outcomes() {
         let src = parse_function("define i8 @s(i8 %x) {\n %r = mul i8 %x, 2\n ret i8 %r\n}").unwrap();
         let right = parse_function("define i8 @t(i8 %x) {\n %r = shl i8 %x, 1\n ret i8 %r\n}").unwrap();
@@ -2106,7 +1939,6 @@ mod tests {
         assert_eq!(case.last_tier(), Some(VerdictTier::Tested));
         assert!(!case.verify_with(&wrong, &mut arena).is_correct());
         assert_eq!(case.last_tier(), Some(VerdictTier::RefutedConcrete));
-        assert_eq!((case.proved(), case.absint_refuted()), (0, 0));
         assert_eq!((case.probe_rejects(), case.survivors()), (1, 1));
 
         // Signature errors clear the tag.
@@ -2117,61 +1949,51 @@ mod tests {
     }
 
     #[test]
-    fn absint_tier_preserves_verdicts_when_disabled() {
-        let src = parse_function("define i8 @s(i8 %x) {\n %r = and i8 %x, -2\n ret i8 %r\n}").unwrap();
-        let candidates = [
-            "define i8 @t(i8 %x) {\n %r = or i8 %x, 1\n ret i8 %r\n}", // abstractly refutable
-            "define i8 @t(i8 %y) {\n %q = and i8 %y, -2\n ret i8 %q\n}", // provable twin
-            "define i8 @t(i8 %x) {\n %r = and i8 %x, -4\n ret i8 %r\n}", // needs concrete evidence
-        ];
-        let mut arena = EvalArena::new();
-        let off = TvConfig { absint: false, ..TvConfig::default() };
-        for text in candidates {
-            let tgt = parse_function(text).unwrap();
-            let with_absint = SourceCache::new(&src, TvConfig::default());
-            let without = SourceCache::new(&src, off.clone());
-            assert_eq!(
-                with_absint.verify_with(&tgt, &mut arena),
-                without.verify_with(&tgt, &mut arena),
-                "absint on/off diverged for {text}"
-            );
-            assert_eq!((without.proved(), without.absint_refuted()), (0, 0));
-            assert_eq!(without.last_tier().map(|t| t.as_str().contains("abstract")), Some(false));
-        }
-    }
-
-    #[test]
     fn verdict_tier_names_round_trip() {
-        for tier in [
-            VerdictTier::Proved,
-            VerdictTier::Tested,
-            VerdictTier::RefutedAbstract,
-            VerdictTier::RefutedConcrete,
-        ] {
+        for tier in [VerdictTier::Proved, VerdictTier::Tested, VerdictTier::RefutedConcrete] {
             assert_eq!(VerdictTier::parse(tier.as_str()), Some(tier));
             assert_eq!(tier.to_string(), tier.as_str());
         }
-        assert_eq!(VerdictTier::parse("solved"), None);
+        for retired in ["solved", "refuted-abstract"] {
+            assert_eq!(VerdictTier::parse(retired), None);
+        }
     }
 
     #[test]
     fn correct_verdict_reports_exhaustiveness() {
-        match check(
-            "define i8 @src(i8 %x) {\n ret i8 %x\n}",
-            "define i8 @tgt(i8 %x) {\n ret i8 %x\n}",
-        ) {
-            Verdict::Correct { inputs_checked, exhaustive } => {
-                assert_eq!(inputs_checked, 256);
-                assert!(exhaustive);
+        // (source, target, inputs checked, exhaustive); `None` leaves the
+        // count unchecked.
+        let cases = [
+            (
+                "define i8 @src(i8 %x) {\n ret i8 %x\n}",
+                "define i8 @tgt(i8 %x) {\n ret i8 %x\n}",
+                Some(256),
+                true,
+            ),
+            (
+                "define i64 @src(i64 %x) {\n ret i64 %x\n}",
+                "define i64 @tgt(i64 %x) {\n ret i64 %x\n}",
+                None,
+                false,
+            ),
+            // srem(i64 MAX, i64 MIN) keeps the dividend: q = 0, r = MAX.
+            (
+                "define i64 @src() {\n ret i64 9223372036854775807\n}",
+                "define i64 @tgt() {\n %r = srem i64 9223372036854775807, -9223372036854775808\n ret i64 %r\n}",
+                Some(1),
+                true,
+            ),
+        ];
+        for (src, tgt, count, want_exhaustive) in cases {
+            match check(src, tgt) {
+                Verdict::Correct { inputs_checked, exhaustive } => {
+                    assert_eq!(exhaustive, want_exhaustive, "{tgt}");
+                    if let Some(count) = count {
+                        assert_eq!(inputs_checked, count, "{tgt}");
+                    }
+                }
+                other => panic!("unexpected verdict {other:?} for {tgt}"),
             }
-            other => panic!("unexpected verdict {other:?}"),
-        }
-        match check(
-            "define i64 @src(i64 %x) {\n ret i64 %x\n}",
-            "define i64 @tgt(i64 %x) {\n ret i64 %x\n}",
-        ) {
-            Verdict::Correct { exhaustive, .. } => assert!(!exhaustive),
-            other => panic!("unexpected verdict {other:?}"),
         }
     }
 

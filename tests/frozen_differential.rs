@@ -101,7 +101,6 @@ struct Coverage {
 }
 
 /// Checks `tgt` against `src` every way and records the frozen layouts.
-/// The abstract tier is off so provable pairs still reach the sweep.
 fn check_pair(
     src: &Function,
     tgt: &Function,
@@ -109,8 +108,7 @@ fn check_pair(
     arena: &mut EvalArena,
     coverage: &mut Coverage,
 ) {
-    let config =
-        |plane_sweep| TvConfig { inputs: inputs.clone(), plane_sweep, absint: false, ..TvConfig::default() };
+    let config = |plane_sweep| TvConfig { inputs: inputs.clone(), plane_sweep, ..TvConfig::default() };
     let reference = SourceCache::new(src, config(true)).verify_reference(tgt, arena);
     let expected = rendered(&reference);
     coverage.refuted += usize::from(matches!(reference, Verdict::Incorrect(_)));
@@ -173,7 +171,7 @@ fn check_reuse(src: &Function, tgt: &Function, inputs: &InputConfig, arena: &mut
     let kept = input_count(src, inputs) >= CompileCache::RETAIN_MIN_LANES;
     let mut froze = false;
     for plane_sweep in [true, false] {
-        let config = TvConfig { inputs: inputs.clone(), plane_sweep, absint: false, ..TvConfig::default() };
+        let config = TvConfig { inputs: inputs.clone(), plane_sweep, ..TvConfig::default() };
         for (source, is_twin) in [(src, false), (&twin, true)] {
             let fresh = SourceCache::new(source, config.clone());
             let shared = SourceCache::new(source, config.clone()).with_compile_cache(&cache);

@@ -187,16 +187,11 @@ fn batched_lanes_match_isolated_lanes() {
 }
 
 /// Quick TV configuration with the plane tier on or off; everything else
-/// (inputs, probe window) identical. The abstract pre-verification tier is
-/// disabled so the engagement assertions below keep measuring the *plane*
-/// tier: with it on, src-vs-src survivors are proved abstractly and never
-/// reach a concrete sweep (`tests/absint_differential.rs` owns that tier's
-/// verdict parity).
+/// (inputs, probe window) identical.
 fn tv_config(plane_sweep: bool, seed: u64) -> TvConfig {
     TvConfig {
         inputs: InputConfig { exhaustive_bits: 8, random_samples: 24, seed },
         plane_sweep,
-        absint: false,
         ..TvConfig::default()
     }
 }

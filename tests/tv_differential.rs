@@ -183,23 +183,18 @@ fn staged_matches_reference_on_ub_memory_and_control_flow() {
             let staged = verify_refinement_with(&src, &tgt, &config);
             let reference = verify_refinement_reference(&src, &tgt, &config);
             assert_eq!(staged, reference, "pair diverged (probe {probe}):\n{src_text}\n→\n{tgt_text}");
-            // The sharded walk on the in-order driver, with the abstract
-            // tier off too so provable pairs still reach the sweep.
-            for absint in [true, false] {
-                let config = TvConfig { absint, ..config.clone() };
-                let reference = SourceCache::new(&src, config.clone()).verify_reference(&tgt, &mut arena);
-                for shard_size in [1, 7, 256, usize::MAX] {
-                    let sharded = SourceCache::new(&src, config.clone()).verify_with_driver(
-                        &tgt,
-                        &mut arena,
-                        &SerialDriver,
-                        shard_size,
-                    );
-                    assert_eq!(
-                        sharded, reference,
-                        "sharded walk diverged (probe {probe}, absint {absint}, shard {shard_size}):\n{src_text}\n→\n{tgt_text}"
-                    );
-                }
+            // The sharded walk on the in-order driver.
+            for shard_size in [1, 7, 256, usize::MAX] {
+                let sharded = SourceCache::new(&src, config.clone()).verify_with_driver(
+                    &tgt,
+                    &mut arena,
+                    &SerialDriver,
+                    shard_size,
+                );
+                assert_eq!(
+                    sharded, reference,
+                    "sharded walk diverged (probe {probe}, shard {shard_size}):\n{src_text}\n→\n{tgt_text}"
+                );
             }
         }
     }
@@ -257,11 +252,7 @@ fn compile_cache_compiles_each_structural_digest_once() {
     let c = parse_function("define i8 @u(i8 %x) {\n %r = add i8 %x, 1\n ret i8 %r\n}").unwrap();
 
     let cache = CompileCache::new();
-    // Abstract pre-verification off: this test pins the *compile cache*
-    // traffic of surviving candidates, and with the tier on these survivors
-    // are proved without ever compiling or sweeping.
-    let config = TvConfig { absint: false, ..TvConfig::default() };
-    let case = SourceCache::new(&src, config).with_compile_cache(&cache);
+    let case = SourceCache::new(&src, TvConfig::default()).with_compile_cache(&cache);
     let mut arena = EvalArena::new();
 
     for _ in 0..3 {
