@@ -69,13 +69,6 @@ fn jobs_1_and_jobs_4_are_byte_identical_on_the_rq1_suite() {
             assert_eq!(serial.stats.cache_hits, parallel.stats.cache_hits);
             assert_eq!(serial.stats.cache_hits, 4, "the 4 appended duplicates must replay");
             assert_eq!(serial.stats.unique_cases, sequences.len() - 4);
-            // Stage 3's per-case counts don't depend on worker scheduling.
-            let (s, p) = (serial.stats.tv, parallel.stats.tv);
-            assert_eq!(
-                (s.candidates, s.probe_rejects, s.survivors),
-                (p.candidates, p.probe_rejects, p.survivors),
-                "stage-3 counts diverged (round {round})"
-            );
         }
     }
 }
