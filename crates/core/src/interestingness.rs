@@ -19,7 +19,11 @@ pub enum InterestVerdict {
     FewerCycles,
     /// Same instruction count and cycles, but a syntactically different form.
     DifferentForm,
-    /// Identical to the original (the most common uninteresting case).
+    /// Identical to the original. In the LPO loop the most common source
+    /// of it, a completion that echoes the prompt's source text byte for
+    /// byte, is settled before parsing and never reaches this check (see
+    /// [`crate::pipeline`]); what still classifies here is a candidate that
+    /// differs from the source text but canonicalizes back to the source.
     Identical,
     /// Strictly worse in both metrics.
     Worse,

@@ -2,9 +2,15 @@
 //!
 //! Stage 1 here is **text-free**: the LLM boundary is the only place text
 //! crosses (the prompt out, the completion in). The source side of each case
-//! is canonicalized once per case; each candidate is parsed once and then
-//! verified/canonicalized as a [`Function`] value via
-//! [`lpo_opt::pipeline::optimize_function`] — no per-candidate re-printing.
+//! is canonicalized once per case. A completion that echoes the prompt's
+//! source text byte for byte is settled as uninteresting right at that
+//! boundary — no parse, no `-O2` run, no cost estimate — whenever the
+//! canonical source verifies and its canonicalization reached a fixpoint,
+//! which is exactly when the full path would classify it
+//! [`Identical`](crate::interestingness::InterestVerdict::Identical). Every
+//! other candidate is parsed once and then verified/canonicalized as a
+//! [`Function`] value via [`lpo_opt::pipeline::optimize_function`] — no
+//! per-candidate re-printing.
 
 use crate::interestingness::SourceCost;
 use crate::persist::{decode_verdict, encode_verdict, store_version};
@@ -15,6 +21,7 @@ use lpo_ir::hash::hash_function;
 use lpo_ir::module::Module;
 use lpo_ir::parser::parse_function;
 use lpo_ir::printer::print_function;
+use lpo_ir::verifier::verify_function;
 use lpo_llm::model::{ModelFactory, ModelSession, Prompt};
 use lpo_mca::Target;
 use lpo_opt::pipeline::{optimize_function, OptLevel, Pipeline};
@@ -24,6 +31,7 @@ use lpo_store::VerdictStore;
 use lpo_tv::frozen::{SerialDriver, SweepDriver};
 use lpo_tv::prelude::EvalArena;
 use lpo_tv::refine::{CompileCache, SourceCache, TvConfig, Verdict};
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -307,9 +315,14 @@ impl Lpo {
         // interestingness baseline and the TV source cache all agree on one
         // canonical source, no matter how many candidates the loop verifies.
         let mut canonical = source.clone();
-        self.opt.run(&mut canonical);
+        let canonicalized = self.opt.run(&mut canonical);
         let source = &canonical;
-        let source_cost = SourceCost::new(source, self.config.target);
+        // Lazy: built the first time a candidate reaches step ④, so a case
+        // whose every completion is an echo never estimates the source.
+        let source_cost = OnceCell::new();
+        // Whether an echo of the source text settles at the text boundary:
+        // decided at the first echo, once per case (see step ③).
+        let echo_settles = OnceCell::new();
         let source_text = print_function(source);
         let mut prompt = Prompt::initial(source_text);
         let mut modeled = Duration::ZERO;
@@ -356,6 +369,22 @@ impl Lpo {
             modeled += completion.latency + self.config.verification_overhead;
             cost += completion.cost_usd;
 
+            // Step ③ at the text boundary: a completion that echoes the
+            // prompt's source text is the source itself. When the source
+            // verifies and its canonicalization stopped at a fixpoint, the
+            // echo would parse back to it, pass the verifier, leave `-O2`
+            // unchanged and classify `Identical` at step ④, so it ends the
+            // case as uninteresting here. Otherwise it takes the full path:
+            // a source that fails the verifier yields a syntax error with
+            // the verifier's message as feedback, as for any candidate.
+            if completion.text == prompt.source_text
+                && *echo_settles
+                    .get_or_init(|| canonicalized.fixpoint && verify_function(source).is_ok())
+            {
+                last_outcome = CaseOutcome::NotInteresting;
+                break;
+            }
+
             // Step ③: the `opt` preprocessing — parse once at the LLM text
             // boundary, then verify + canonicalize the `Function` value
             // directly (no re-print round-trip).
@@ -374,9 +403,11 @@ impl Lpo {
                 Ok(func) => func,
             };
 
-            // Step ④: interestingness against the cached source estimate. An
-            // uninteresting candidate abandons the sequence (no retry), as in
-            // Algorithm 1 line 16.
+            // Step ④: interestingness against the source estimate, built
+            // once per case on first use. An uninteresting candidate
+            // abandons the sequence (no retry), as in Algorithm 1 line 16.
+            let source_cost =
+                source_cost.get_or_init(|| SourceCost::new(source, self.config.target));
             if !source_cost.is_interesting(&candidate) {
                 last_outcome = CaseOutcome::NotInteresting;
                 break;

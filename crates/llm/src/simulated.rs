@@ -190,8 +190,11 @@ impl ModelSession for SimulatedModel {
             case_rng.gen::<f64>() < p
         });
         let Some((_, rewritten)) = chosen else {
-            // Nothing found: echo the input (an uninteresting candidate).
-            return self.finish(prompt, print_function(&source));
+            // Nothing found: echo the prompt's function verbatim. The
+            // pipeline prints its prompt from the canonical source, so the
+            // echo is byte-identical to the source text and settles as
+            // uninteresting at the text boundary, before any parse.
+            return self.finish(prompt, prompt.source_text.clone());
         };
         let correct_text = print_function(&rewritten);
 

@@ -60,6 +60,12 @@ pub struct OptStats {
     /// behind-cursor re-dirtying, which erasures of already-visited dead
     /// code can trigger).
     pub iterations: usize,
+    /// Whether the engine stopped because no work was left: the worklist
+    /// drained, or a rescan pass changed nothing (always true at `-O0`,
+    /// which has no rules). False when the sweep cap, the visit budget or
+    /// `-O1`'s single pass cut the run short, so running the pipeline again
+    /// on the result might still change it.
+    pub fixpoint: bool,
     /// Interned rule-name table, in pipeline rule order.
     names: Vec<&'static str>,
     /// Dense hit counters, parallel to `names`.
@@ -72,6 +78,7 @@ impl OptStats {
         Self {
             changed: false,
             iterations: 0,
+            fixpoint: false,
             names: rules.iter().map(|r| r.name).collect(),
             hits: vec![0; rules.len()],
         }
@@ -109,6 +116,7 @@ impl OptStats {
     fn absorb(&mut self, other: &OptStats) {
         self.changed |= other.changed;
         self.iterations = self.iterations.max(other.iterations);
+        self.fixpoint &= other.fixpoint;
         if self.names == other.names {
             for (mine, theirs) in self.hits.iter_mut().zip(&other.hits) {
                 *mine += theirs;
@@ -204,6 +212,7 @@ impl Pipeline {
 
     fn run_rescan_with(&self, func: &mut Function, dce: fn(&mut Function) -> bool) -> OptStats {
         let mut stats = OptStats::for_rules(&self.rules);
+        stats.fixpoint = self.max_iterations == 0;
         for iteration in 0..self.max_iterations {
             let mut changed_this_round = false;
             // Scan blocks positionally so rules always see a fresh (block, pos).
@@ -236,6 +245,7 @@ impl Pipeline {
             }
             stats.iterations = iteration + 1;
             if !changed_this_round {
+                stats.fixpoint = true;
                 break;
             }
             stats.changed = true;
@@ -358,6 +368,7 @@ impl Pipeline {
                 }
             }
         }
+        stats.fixpoint = worklist.is_empty();
         if stats.changed {
             func.compact();
         }
@@ -367,6 +378,7 @@ impl Pipeline {
     /// Optimizes every function of a module in place.
     pub fn run_module(&self, module: &mut Module) -> OptStats {
         let mut total = OptStats::for_rules(&self.rules);
+        total.fixpoint = true;
         for func in &mut module.functions {
             let stats = self.run(func);
             total.absorb(&stats);
@@ -489,6 +501,36 @@ mod tests {
         let (f, stats) = optimize(src);
         assert!(!stats.changed);
         assert_eq!(f.instruction_count(), 3);
+    }
+
+    #[test]
+    fn fixpoint_reports_whether_work_was_left() {
+        let src = "define i32 @f(i32 %x) {\n\
+             %a = add i32 %x, 3\n\
+             %b = add i32 %a, 4\n\
+             %c = add i32 %b, 0\n\
+             ret i32 %c\n}";
+        let run = |level: OptLevel, text: &str| {
+            let mut f = parse_function(text).unwrap();
+            let stats = Pipeline::new(level).run(&mut f);
+            (stats, print_function(&f))
+        };
+        // The worklist drains, and -O0 has no rules to run.
+        let (stats, optimized) = run(OptLevel::O2, src);
+        assert!(stats.changed && stats.fixpoint);
+        assert!(run(OptLevel::O0, src).0.fixpoint);
+        // -O1's single pass changed the function, so it cannot tell whether
+        // another pass would; a pass that changes nothing can.
+        let (stats, _) = run(OptLevel::O1, src);
+        assert!(stats.changed && !stats.fixpoint);
+        let (stats, _) = run(OptLevel::O1, &optimized);
+        assert!(!stats.changed && stats.fixpoint);
+        // A module is at a fixpoint when all its functions are.
+        let mut module = lpo_ir::module::Module::new("m");
+        module.add_function(parse_function(src).unwrap());
+        module.add_function(parse_function(&optimized).unwrap());
+        assert!(!Pipeline::new(OptLevel::O1).run_module(&mut module).fixpoint);
+        assert!(Pipeline::new(OptLevel::O1).run_module(&mut module).fixpoint);
     }
 
     #[test]

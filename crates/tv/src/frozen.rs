@@ -193,6 +193,11 @@ impl FrozenCase {
         &self.inner.src
     }
 
+    /// The case's test inputs.
+    pub(crate) fn inputs(&self) -> &Arc<InputSet> {
+        &self.inner.inputs
+    }
+
     /// How many test inputs the case covers.
     pub fn input_count(&self) -> usize {
         self.inner.inputs.len()

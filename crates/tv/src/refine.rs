@@ -59,7 +59,7 @@
 
 use crate::buffers;
 use crate::frozen::{FrozenCase, SerialDriver, SweepDriver, SweepShard, SweepSlot};
-use crate::inputs::{InputCache, InputConfig, InputSet, TestInput};
+use crate::inputs::{input_count, InputCache, InputConfig, InputSet, TestInput};
 use lpo_interp::compiled::{evaluate_direct, CompiledFunction, EvalArena};
 use lpo_interp::eval::Ub;
 use lpo_interp::memory::Memory;
@@ -235,7 +235,8 @@ impl fmt::Display for VerdictTier {
 /// [`TvConfig::plane_sweep`] (everything a freeze depends on), so a source
 /// that reaches Stage 3 again — in another batch, for another model or
 /// round — reuses its freeze instead of sweeping every input again (see
-/// [`SourceCache::frozen_case`]). A frozen case uses its source function
+/// [`SourceCache::frozen_case`]), and runs its probe on that freeze's inputs
+/// instead of generating them. A frozen case uses its source function
 /// only for the return type, and the digest covers that, so a shared freeze
 /// cannot change a verdict or a counterexample. Only cases of at least
 /// [`CompileCache::RETAIN_MIN_LANES`] inputs are looked up and kept, and
@@ -377,15 +378,23 @@ impl CompileCache {
         hit
     }
 
+    /// The inputs of the retained freeze for `key`. Not counted as a hit:
+    /// the case only borrows the lanes, and still freezes or reuses through
+    /// [`retained_freeze`](Self::retained_freeze) if a candidate survives.
+    fn retained_inputs(&self, key: &FreezeKey) -> Option<Arc<InputSet>> {
+        let retained = self.frozen.lock().expect("compile cache poisoned");
+        retained.cases.get(key).map(|frozen| frozen.inputs().clone())
+    }
+
     /// Counts a fresh freeze and, given its key, retains it while the lane
     /// budget allows.
-    fn record_freeze(&self, key: Option<FreezeKey>, frozen: &FrozenCase) {
+    fn record_freeze(&self, key: Option<&FreezeKey>, frozen: &FrozenCase) {
         self.freezes.fetch_add(1, Ordering::Relaxed);
         let Some(key) = key else { return };
         let mut retained = self.frozen.lock().expect("compile cache poisoned");
         let lanes = retained.lanes + frozen.input_count();
-        if lanes <= Self::FREEZE_LANE_BUDGET && !retained.cases.contains_key(&key) {
-            retained.cases.insert(key, frozen.clone());
+        if lanes <= Self::FREEZE_LANE_BUDGET && !retained.cases.contains_key(key) {
+            retained.cases.insert(key.clone(), frozen.clone());
             retained.lanes = lanes;
         }
     }
@@ -469,6 +478,9 @@ pub struct SourceCache<'a> {
     compile_cache: Option<&'a CompileCache>,
     input_cache: Option<&'a InputCache>,
     inputs: OnceCell<Arc<InputSet>>,
+    /// The key the case's freeze is shared under; see
+    /// [`freeze_key`](Self::freeze_key).
+    freeze_key: OnceCell<Option<FreezeKey>>,
     probe_window: OnceCell<Vec<TestInput>>,
     compiled_src: OnceCell<Arc<CompiledFunction>>,
     /// Source outcomes of inputs `[0, len)`, filled in input order by the
@@ -676,6 +688,7 @@ impl<'a> SourceCache<'a> {
             compile_cache: None,
             input_cache: None,
             inputs: OnceCell::new(),
+            freeze_key: OnceCell::new(),
             probe_window: OnceCell::new(),
             compiled_src: OnceCell::new(),
             prefix: RefCell::new(Vec::new()),
@@ -782,11 +795,34 @@ impl<'a> SourceCache<'a> {
         }
     }
 
+    /// The case's inputs: those of a freeze the attached [`CompileCache`]
+    /// retains under this case's key (the same lanes, generated from a
+    /// source of the same digest and configuration), else drawn from the
+    /// attached [`InputCache`] or generated.
     fn inputs(&self) -> &Arc<InputSet> {
-        self.inputs.get_or_init(|| match self.input_cache {
-            Some(cache) => cache.get(self.src, &self.config.inputs),
-            None => Arc::new(InputSet::generate(self.src, &self.config.inputs)),
+        self.inputs.get_or_init(|| {
+            let retained =
+                self.freeze_key().and_then(|key| self.compile_cache?.retained_inputs(key));
+            retained.unwrap_or_else(|| match self.input_cache {
+                Some(cache) => cache.get(self.src, &self.config.inputs),
+                None => Arc::new(InputSet::generate(self.src, &self.config.inputs)),
+            })
         })
+    }
+
+    /// The key this case's freeze is looked up and kept under in the
+    /// attached [`CompileCache`]: `None` without one, and for cases of
+    /// fewer than [`CompileCache::RETAIN_MIN_LANES`] inputs.
+    fn freeze_key(&self) -> Option<&FreezeKey> {
+        self.freeze_key
+            .get_or_init(|| {
+                self.compile_cache?;
+                let lanes = input_count(self.src, &self.config.inputs);
+                (lanes >= CompileCache::RETAIN_MIN_LANES).then(|| {
+                    (hash_function(self.src), self.config.inputs.clone(), self.config.plane_sweep)
+                })
+            })
+            .as_ref()
     }
 
     fn compiled_src(&self) -> &Arc<CompiledFunction> {
@@ -1036,10 +1072,8 @@ impl<'a> SourceCache<'a> {
             return frozen.clone();
         }
         let inputs = self.inputs();
-        let key = self.compile_cache.filter(|_| inputs.len() >= CompileCache::RETAIN_MIN_LANES).map(|_| {
-            (hash_function(self.src), self.config.inputs.clone(), self.config.plane_sweep)
-        });
-        if let Some(frozen) = key.as_ref().and_then(|key| self.compile_cache?.retained_freeze(key)) {
+        let key = self.freeze_key();
+        if let Some(frozen) = key.and_then(|key| self.compile_cache?.retained_freeze(key)) {
             self.reused_freeze.set(true);
             return self.frozen.get_or_init(|| frozen).clone();
         }
@@ -1884,17 +1918,21 @@ mod tests {
         };
         let cache = CompileCache::new();
         let mut arena = EvalArena::new();
+        let mut first_inputs = None;
         for k in 1..=fits + 1 {
             let src = source(k, "x");
             let case = SourceCache::new(&src, config.clone()).with_compile_cache(&cache);
             assert!(case.verify_with(&src, &mut arena).is_correct());
             assert_eq!(case.source_eval_count(), lanes);
+            first_inputs.get_or_insert_with(|| case.inputs().clone());
         }
+        let first_inputs = first_inputs.unwrap();
         assert_eq!((cache.freezes(), cache.freeze_hits()), (fits + 1, 0));
         assert_eq!(cache.frozen.lock().unwrap().lanes, fits * lanes, "the last freeze is past the budget");
 
         // A retained freeze serves a renamed twin, which evaluates only its
-        // probe prefix and renders its own names in the counterexample.
+        // probe prefix, draws its inputs from the freeze and renders its own
+        // names in the counterexample.
         let twin = source(1, "renamed");
         let case = SourceCache::new(&twin, config.clone()).with_compile_cache(&cache);
         let verdict = case.verify_with(&late_wrong(1), &mut arena);
@@ -1903,6 +1941,17 @@ mod tests {
         assert_eq!((cache.freezes(), cache.freeze_hits()), (fits + 1, 1));
         assert_eq!(case.source_eval_count(), config.probe_inputs);
         assert_eq!(case.last_tier(), Some(VerdictTier::RefutedConcrete));
+        assert!(Arc::ptr_eq(case.inputs(), &first_inputs), "the twin generated its own inputs");
+
+        // A probe reject never freezes, but its probe still runs on the
+        // retained freeze's inputs, and taking them is not a freeze hit.
+        let early_wrong = parse_function("define i16 @t(i16 %x) {\n ret i16 0\n}").unwrap();
+        let case = SourceCache::new(&twin, config.clone()).with_compile_cache(&cache);
+        let verdict = case.verify_with(&early_wrong, &mut arena);
+        assert_eq!(verdict, verify_refinement_reference(&twin, &early_wrong, &config));
+        assert_eq!(case.probe_rejects(), 1);
+        assert!(Arc::ptr_eq(case.inputs(), &first_inputs), "the probe generated its own inputs");
+        assert_eq!((cache.freezes(), cache.freeze_hits()), (fits + 1, 1));
 
         // Another input configuration or plane setting is another key, even
         // where the inputs come out the same.
@@ -1913,11 +1962,12 @@ mod tests {
             let case = SourceCache::new(&twin, other).with_compile_cache(&cache);
             assert!(!case.verify_with(&late_wrong(1), &mut arena).is_correct());
             assert_eq!(case.source_eval_count(), lanes);
+            assert!(!Arc::ptr_eq(case.inputs(), &first_inputs));
         }
         assert_eq!((cache.freezes(), cache.freeze_hits()), (fits + 3, 1));
 
-        // The source past the budget was not retained: it freezes again and
-        // still decides right.
+        // The source past the budget was not retained: it generates its
+        // inputs, freezes again and still decides right.
         let last = source(fits + 1, "x");
         let case = SourceCache::new(&last, config.clone()).with_compile_cache(&cache);
         let verdict = case.verify_with(&late_wrong(fits + 1), &mut arena);
@@ -1925,6 +1975,7 @@ mod tests {
         assert!(!verdict.is_correct());
         assert_eq!((cache.freezes(), cache.freeze_hits()), (fits + 4, 1));
         assert_eq!(case.source_eval_count(), lanes);
+        assert!(!Arc::ptr_eq(case.inputs(), &first_inputs));
         assert_eq!(cache.frozen.lock().unwrap().lanes, fits * lanes);
     }
 
