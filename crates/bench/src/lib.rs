@@ -58,8 +58,9 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// `lpo` with its Stage-3 verdicts recorded in and replayed from the
-    /// store (unchanged without one).
+    /// `lpo` with the store as its verdict table, so its Stage-3 verdicts
+    /// are recorded in and replayed from it (unchanged without one: the
+    /// pipeline keeps its own in-memory table).
     fn attach(&self, lpo: Lpo) -> Lpo {
         match &self.store {
             Some(store) => lpo.with_verdict_store(store.clone()),

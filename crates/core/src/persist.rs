@@ -12,18 +12,21 @@
 //!
 //! # Versioning
 //!
-//! A stored verdict is replayed only under the exact
-//! `(pipeline revision, model profile)` it was recorded under:
+//! A stored verdict is replayed only under the exact pipeline revision it
+//! was recorded under, and only for the exact `(source, candidate)` pair:
 //!
 //! * [`PIPELINE_REVISION`] must be bumped by any change that can alter a
 //!   Stage-3 verdict or a case report (verifier semantics, input generation,
 //!   canonicalization, prompt construction, ...). Old records then simply
 //!   stop matching — they are never migrated, never trusted.
-//! * the model profile is part of the key so one store file can serve
-//!   many-model experiments without cross-talk. Verdicts are in principle
-//!   model-independent (they relate a source/candidate digest pair), but
-//!   sharing them across profiles buys little and versioning them per
-//!   profile keeps the replay path trivially byte-identical per run key.
+//! * the pair is keyed by [`hash_function_named`](lpo_ir::hash::hash_function_named)
+//!   digests, which cover every printed name. A counterexample prints the
+//!   source's parameter names and a signature error prints both
+//!   signatures, so a renamed twin must miss rather than replay the other
+//!   function's names.
+//! * the model profile is not part of the key. A verdict relates a source
+//!   and a candidate and nothing else, so every model of a run (Table 2's
+//!   six) shares one table.
 //!
 //! # Determinism
 //!
@@ -50,11 +53,15 @@ use lpo_tv::refine::{Counterexample, Verdict, VerdictTier};
 /// r4: the abstract pre-verification tier is gone, and with it the
 /// `refuted-abstract` tier name. An r3 record carrying that name would no
 /// longer decode; under r4 no r3 record is read.
-pub const PIPELINE_REVISION: u32 = 4;
+///
+/// r5: verdict keys are name-exact digests and carry no model profile. An
+/// r4 key could hand a renamed twin a counterexample naming the other
+/// function's parameters.
+pub const PIPELINE_REVISION: u32 = 5;
 
-/// The version string store records carry: pipeline revision + model profile.
-pub fn store_version(model_profile: &str) -> String {
-    format!("r{PIPELINE_REVISION}/{model_profile}")
+/// The version string verdict records carry: the pipeline revision.
+pub fn store_version() -> String {
+    format!("r{PIPELINE_REVISION}")
 }
 
 /// The store key of one case inside one run: round, input position, and the
@@ -224,11 +231,8 @@ mod tests {
     }
 
     #[test]
-    fn versioning_covers_revision_and_profile() {
-        let v = store_version("Gemini2.0T");
-        assert!(v.starts_with(&format!("r{PIPELINE_REVISION}/")));
-        assert!(v.ends_with("Gemini2.0T"));
-        assert_ne!(store_version("A"), store_version("B"));
+    fn versioning_covers_the_revision_only() {
+        assert_eq!(store_version(), format!("r{PIPELINE_REVISION}"));
         assert_eq!(case_key(2, 17, 0xabcd), "round2/case17/000000000000abcd");
     }
 }

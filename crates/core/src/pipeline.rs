@@ -1,23 +1,38 @@
 //! Algorithm 1: the closed-loop optimize–verify–feedback workflow.
 //!
 //! Stage 1 here is **text-free**: the LLM boundary is the only place text
-//! crosses (the prompt out, the completion in). The source side of each case
-//! is canonicalized once per case. A completion that echoes the prompt's
-//! source text byte for byte is settled as uninteresting right at that
-//! boundary — no parse, no `-O2` run, no cost estimate — whenever the
+//! crosses (the prompt out, the completion in). A completion that echoes the
+//! prompt's source text byte for byte is settled as uninteresting right at
+//! that boundary — no parse, no `-O2` run, no cost estimate — whenever the
 //! canonical source verifies and its canonicalization reached a fixpoint,
 //! which is exactly when the full path would classify it
 //! [`Identical`](crate::interestingness::InterestVerdict::Identical). Every
 //! other candidate is parsed once and then verified/canonicalized as a
 //! [`Function`] value via [`lpo_opt::pipeline::optimize_function`] — no
 //! per-candidate re-printing.
+//!
+//! Each deterministic piece of a case is done **once per pipeline**, not
+//! once per case. Two tables, both shared by every worker and batch of one
+//! [`Lpo`] and keyed by what they render, make that so:
+//!
+//! * the **source table** settles Stage 1's source side once per exact
+//!   source: the canonical function, the prompt text, the fixpoint flag and,
+//!   on first use, the echo check and the step-④ cost estimate;
+//! * the **verdict table** settles step ⑤ once per (source, candidate)
+//!   pair. It is a [`VerdictStore`]: an in-memory one by default, the durable
+//!   one `--store` opens when attached. Lookups are single-flight, so the
+//!   Stage-3 counters count distinct pairs at any `--jobs`.
+//!
+//! Both are pure memos: a hit is byte-identical to computing afresh, which
+//! is why their keys cover every printed name
+//! ([`hash_function_named`]).
 
 use crate::interestingness::SourceCost;
 use crate::persist::{decode_verdict, encode_verdict, store_version};
 use crate::report::{CaseOutcome, CaseReport, RunSummary};
 use lpo_extract::{ExtractConfig, ExtractedSequence, Extractor};
 use lpo_ir::function::Function;
-use lpo_ir::hash::hash_function;
+use lpo_ir::hash::hash_function_named;
 use lpo_ir::module::Module;
 use lpo_ir::parser::parse_function;
 use lpo_ir::printer::print_function;
@@ -31,9 +46,9 @@ use lpo_store::VerdictStore;
 use lpo_tv::frozen::{SerialDriver, SweepDriver};
 use lpo_tv::prelude::EvalArena;
 use lpo_tv::refine::{CompileCache, SourceCache, TvConfig, Verdict};
-use std::cell::OnceCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Configuration of the LPO pipeline.
@@ -108,9 +123,13 @@ impl Drop for AbsorbTvCounters<'_, '_> {
 /// staged checker's work split between the cheap probe and the compiled
 /// survivor sweep, and what the shared compiled-function cache did.
 ///
-/// `candidates`, `probe_rejects`, `survivors` and `plane_sweeps` are
-/// deterministic for a given batch (they are per-case counts, independent
-/// of scheduling);
+/// `candidates`, `probe_rejects`, `survivors` and `plane_sweeps` count the
+/// pairs this pipeline verified afresh. The verdict table's lookups are
+/// single-flight, so each distinct pair is counted once, whatever the
+/// scheduling: the counts are deterministic for a given batch and the
+/// pairs earlier batches already settled. (Pipelines that share one
+/// attached store split the pairs between them by scheduling; their sum is
+/// deterministic.)
 /// `compile_cache_hits` / `compiles` depend on worker interleaving (two
 /// workers can race to compile the same digest) and on what earlier batches
 /// already cached, `source_freezes` / `freeze_hits` likewise (two workers
@@ -180,11 +199,91 @@ impl TvSnapshot {
     }
 }
 
+/// Most sources a pipeline's source table keeps. An entry holds the raw and
+/// canonical function, the prompt text and, once built, the cost estimate:
+/// a few kilobytes for the sequences LPO serves, so a full table stays in
+/// the tens of megabytes. A corpus-discover pass settles 545 sources and
+/// Table 2 settles 25. Past the bound, a new source is settled per case, as
+/// if the table were not there.
+const SOURCE_CAPACITY: usize = 1 << 12;
+
+/// Stage 1's source side, settled once per exact source and shared by every
+/// case of that source.
+#[derive(Debug)]
+struct SettledSource {
+    /// The source as submitted: a table hit must equal it exactly.
+    raw: Function,
+    /// The canonical source — what the prompt prints, what step ④ costs
+    /// and what Stage 3 verifies against.
+    canonical: Function,
+    /// The prompt's source text, printed from `canonical`.
+    text: String,
+    /// Whether the canonicalization reached a fixpoint.
+    fixpoint: bool,
+    /// The canonical source's name-exact digest: the source half of every
+    /// verdict key, computed when a first candidate reaches step ⑤.
+    digest: OnceLock<u64>,
+    /// Whether an echo of `text` settles at the text boundary (see step
+    /// ③), decided at the first echo.
+    echo_settles: OnceLock<bool>,
+    /// The step-④ estimate, built the first time a candidate reaches it.
+    cost: OnceLock<SourceCost>,
+}
+
+/// The source table: raw source → its [`SettledSource`], keyed by the raw
+/// source's name-exact digest and confirmed by equality on every hit.
+#[derive(Default)]
+struct SourceTable {
+    entries: Mutex<HashMap<u64, Arc<SettledSource>>>,
+}
+
+impl std::fmt::Debug for SourceTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let entries = self.entries.lock().map(|entries| entries.len()).unwrap_or(0);
+        f.debug_struct("SourceTable").field("entries", &entries).finish()
+    }
+}
+
+impl SourceTable {
+    /// The settled form of `source`, canonicalized by `opt` on a miss.
+    /// Two workers missing on one source both canonicalize it and the first
+    /// to finish is kept: the results are equal, so nothing observable
+    /// depends on which.
+    fn settle(&self, source: &Function, opt: &Pipeline) -> Arc<SettledSource> {
+        let key = hash_function_named(source).0;
+        let held = |entries: &HashMap<u64, Arc<SettledSource>>| {
+            entries.get(&key).filter(|entry| entry.raw == *source).cloned()
+        };
+        if let Some(entry) = held(&self.entries.lock().expect("source table poisoned")) {
+            return entry;
+        }
+        let mut canonical = source.clone();
+        let fixpoint = opt.run(&mut canonical).fixpoint;
+        let entry = Arc::new(SettledSource {
+            raw: source.clone(),
+            text: print_function(&canonical),
+            canonical,
+            digest: OnceLock::new(),
+            fixpoint,
+            echo_settles: OnceLock::new(),
+            cost: OnceLock::new(),
+        });
+        let mut entries = self.entries.lock().expect("source table poisoned");
+        if let Some(raced) = held(&entries) {
+            return raced;
+        }
+        if entries.len() < SOURCE_CAPACITY && !entries.contains_key(&key) {
+            entries.insert(key, entry.clone());
+        }
+        entry
+    }
+}
+
 /// The LPO pipeline.
 ///
-/// Cloning an `Lpo` shares its Stage 3 compiled-function cache and counters
-/// (they live behind `Arc`s), so a cloned pipeline keeps benefitting from
-/// candidates the original already compiled.
+/// Cloning an `Lpo` shares its tables, its Stage 3 compiled-function cache
+/// and its counters (they live behind `Arc`s), so a cloned pipeline keeps
+/// every source and verdict the original already settled.
 #[derive(Clone, Debug)]
 pub struct Lpo {
     config: LpoConfig,
@@ -192,10 +291,11 @@ pub struct Lpo {
     tv_cache: Arc<CompileCache>,
     tv_counters: Arc<TvCounters>,
     shard_counters: Arc<ShardCounters>,
-    /// Durable verdict store, when attached: Stage-3 verdicts are replayed
-    /// from it (keyed by source/candidate digests, versioned by pipeline
-    /// revision + model profile) and fresh verdicts are recorded into it.
-    store: Option<Arc<VerdictStore>>,
+    /// Stage 1's source side, once per exact source.
+    sources: Arc<SourceTable>,
+    /// The verdict table: step ⑤ once per (source, candidate) pair. An
+    /// in-memory store unless a durable one is attached.
+    verdicts: Arc<VerdictStore>,
 }
 
 impl Default for Lpo {
@@ -214,25 +314,28 @@ impl Lpo {
             tv_cache: Arc::new(CompileCache::new()),
             tv_counters: Arc::new(TvCounters::default()),
             shard_counters: Arc::new(ShardCounters::new()),
-            store: None,
+            sources: Arc::new(SourceTable::default()),
+            verdicts: Arc::new(VerdictStore::in_memory()),
         }
     }
 
-    /// Attaches a durable [`VerdictStore`]: every Stage-3 verdict this
-    /// pipeline computes is recorded, and a candidate whose verdict is
-    /// already stored (same digests, same pipeline revision, same model
-    /// profile) replays it without re-sweeping. Replayed verdicts are
-    /// byte-identical to fresh ones — including counterexample feedback —
-    /// so results do not depend on the store being warm, cold, or absent
-    /// (`tests/determinism.rs` pins this).
+    /// Makes a durable [`VerdictStore`] this pipeline's verdict table, in
+    /// place of its in-memory one: every Stage-3 verdict the pipeline
+    /// computes is recorded there, and a pair whose verdict is already
+    /// stored (same name-exact digests, same pipeline revision) replays it
+    /// without re-sweeping. Replayed verdicts are byte-identical to fresh
+    /// ones — including counterexample feedback — so results do not depend
+    /// on the store being warm, cold, or absent (`tests/determinism.rs`
+    /// pins this). Pipelines sharing one store share its verdicts.
     pub fn with_verdict_store(mut self, store: Arc<VerdictStore>) -> Self {
-        self.store = Some(store);
+        self.verdicts = store;
         self
     }
 
-    /// The attached verdict store, if any.
-    pub fn verdict_store(&self) -> Option<&Arc<VerdictStore>> {
-        self.store.as_ref()
+    /// The verdict table: the attached store, or the pipeline's own
+    /// in-memory one.
+    pub fn verdict_store(&self) -> &Arc<VerdictStore> {
+        &self.verdicts
     }
 
     /// The active configuration.
@@ -308,34 +411,26 @@ impl Lpo {
         shard_size: usize,
     ) -> CaseReport {
         let start = Instant::now();
-        // Stage 1, source side, **once per case**: canonicalize the sequence
-        // the way `opt` would before anything downstream sees it. Extracted
-        // corpus sequences are pre-filtered to canonical fixpoints, so this
-        // is a cheap confirmation pass there; it guarantees the prompt, the
+        // Stage 1, source side, **once per source**: canonicalize the
+        // sequence the way `opt` would before anything downstream sees it,
+        // and print the prompt from the canonical form. Extracted corpus
+        // sequences are pre-filtered to canonical fixpoints, so this is a
+        // cheap confirmation pass there; it guarantees the prompt, the
         // interestingness baseline and the TV source cache all agree on one
         // canonical source, no matter how many candidates the loop verifies.
-        let mut canonical = source.clone();
-        let canonicalized = self.opt.run(&mut canonical);
-        let source = &canonical;
-        // Lazy: built the first time a candidate reaches step ④, so a case
-        // whose every completion is an echo never estimates the source.
-        let source_cost = OnceCell::new();
-        // Whether an echo of the source text settles at the text boundary:
-        // decided at the first echo, once per case (see step ③).
-        let echo_settles = OnceCell::new();
-        let source_text = print_function(source);
-        let mut prompt = Prompt::initial(source_text);
+        let settled = self.sources.settle(source, &self.opt);
+        let source = &settled.canonical;
+        let mut prompt = Prompt::initial(settled.text.clone());
         let mut modeled = Duration::ZERO;
         let mut cost = 0.0;
         let mut attempts = 0;
         let mut last_outcome = CaseOutcome::NotInteresting;
         let mut last_tier = None;
         let mut store_hits = 0;
-        // Lazy: cases that never reach step ⑤ (syntax errors, uninteresting
-        // candidates) pay nothing for input generation or source evaluation.
-        // Probe survivors compile through the pipeline-wide cache, so a
-        // candidate structurally identical to one verified anywhere else on
-        // this pipeline (any case, any worker, any batch) compiles once.
+        // Lazy: cases that never reach a fresh step ⑤ (syntax errors,
+        // uninteresting candidates, verdict-table hits) pay nothing for input
+        // generation or source evaluation. Probe survivors compile through
+        // the pipeline-wide cache.
         let tv_case =
             SourceCache::new(source, self.config.tv.clone()).with_compile_cache(&self.tv_cache);
         // Absorb the case's TV accounting into the pipeline-wide counters on
@@ -343,13 +438,7 @@ impl Lpo {
         // a panicking model session (the engine's per-case `catch_unwind`
         // catches those *outside* this frame, so only a drop guard runs).
         let _absorb = AbsorbTvCounters { counters: &self.tv_counters, case: &tv_case };
-        // With a store attached: verdicts replay by (version, source digest,
-        // candidate digest). The version pins pipeline revision + model
-        // profile, so records from older code or other models never match.
-        let store = self
-            .store
-            .as_deref()
-            .map(|store| (store, store_version(model.name()), hash_function(source).0));
+        let version = store_version();
 
         while attempts < self.config.attempt_limit {
             attempts += 1;
@@ -378,8 +467,9 @@ impl Lpo {
             // a source that fails the verifier yields a syntax error with
             // the verifier's message as feedback, as for any candidate.
             if completion.text == prompt.source_text
-                && *echo_settles
-                    .get_or_init(|| canonicalized.fixpoint && verify_function(source).is_ok())
+                && *settled
+                    .echo_settles
+                    .get_or_init(|| settled.fixpoint && verify_function(source).is_ok())
             {
                 last_outcome = CaseOutcome::NotInteresting;
                 break;
@@ -404,54 +494,38 @@ impl Lpo {
             };
 
             // Step ④: interestingness against the source estimate, built
-            // once per case on first use. An uninteresting candidate
+            // once per source on first use. An uninteresting candidate
             // abandons the sequence (no retry), as in Algorithm 1 line 16.
             let source_cost =
-                source_cost.get_or_init(|| SourceCost::new(source, self.config.target));
+                settled.cost.get_or_init(|| SourceCost::new(source, self.config.target));
             if !source_cost.is_interesting(&candidate) {
                 last_outcome = CaseOutcome::NotInteresting;
                 break;
             }
 
-            // Step ⑤: correctness via translation validation — replayed from
-            // the verdict store when it already holds this (source, candidate)
-            // pair under the current version, recorded into it when not.
-            // Stored verdicts round-trip exactly (counterexamples included),
-            // so the feedback loop below cannot tell a replay from a sweep.
-            let verify = |arena: &mut EvalArena| {
-                tv_case.verify_with_driver(&candidate, arena, driver, shard_size)
+            // Step ⑤: correctness via translation validation, once per
+            // (source, candidate) pair on this pipeline. The verdict table
+            // replays a pair any case, worker or batch already settled, and
+            // records a fresh verdict as it is swept. Stored verdicts
+            // round-trip exactly (counterexamples included), so the feedback
+            // loop below cannot tell a replay from a sweep.
+            let src_digest = *settled.digest.get_or_init(|| hash_function_named(source).0);
+            let tgt_digest = hash_function_named(&candidate).0;
+            let sweep = |arena: &mut EvalArena| {
+                let fresh = tv_case.verify_with_driver(&candidate, arena, driver, shard_size);
+                encode_verdict(&fresh, tv_case.last_tier())
             };
-            let verdict = match &store {
-                Some((store, version, src_digest)) => {
-                    let tgt_digest = hash_function(&candidate).0;
-                    match store
-                        .verdict(version, *src_digest, tgt_digest)
-                        .and_then(|blob| decode_verdict(&blob))
-                    {
-                        Some((stored, tier)) => {
-                            store_hits += 1;
-                            last_tier = tier;
-                            stored
-                        }
-                        None => {
-                            let fresh = verify(arena);
-                            last_tier = tv_case.last_tier();
-                            store.record_verdict(
-                                version,
-                                *src_digest,
-                                tgt_digest,
-                                &encode_verdict(&fresh, last_tier),
-                            );
-                            fresh
-                        }
-                    }
-                }
-                None => {
-                    let fresh = verify(arena);
-                    last_tier = tv_case.last_tier();
-                    fresh
-                }
-            };
+            let (blob, hit) =
+                self.verdicts.verdict_or_record(&version, src_digest, tgt_digest, || sweep(arena));
+            store_hits += usize::from(hit);
+            // A stored blob that does not decode is never trusted: sweep
+            // again and overwrite it.
+            let (verdict, tier) = decode_verdict(&blob).unwrap_or_else(|| {
+                let fresh = sweep(arena);
+                self.verdicts.record_verdict(&version, src_digest, tgt_digest, &fresh);
+                decode_verdict(&fresh).expect("fresh verdict blobs round-trip")
+            });
+            last_tier = tier;
             match verdict {
                 Verdict::Correct { .. } => {
                     last_outcome = CaseOutcome::Found { candidate };

@@ -63,9 +63,10 @@ pub struct CaseReport {
     /// [`fingerprint`](Self::fingerprint), which pins behaviour, not
     /// machinery.
     pub tier: Option<VerdictTier>,
-    /// How many of this case's Stage-3 verdicts replayed from the attached
-    /// [`VerdictStore`](lpo_store::VerdictStore) instead of being computed
-    /// (0 without a store, or when every lookup missed). Like `tier` this is
+    /// How many of this case's Stage-3 verdicts replayed from the
+    /// pipeline's verdict table (its in-memory
+    /// [`VerdictStore`](lpo_store::VerdictStore) or the attached durable
+    /// one) instead of being computed. Like `tier` this is
     /// machinery, not behaviour: excluded from
     /// [`fingerprint`](Self::fingerprint) and from
     /// [`checkpoint_blob`](Self::checkpoint_blob) (a replayed checkpoint

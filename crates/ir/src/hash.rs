@@ -150,6 +150,35 @@ pub fn hash_function(func: &Function) -> Digest {
     Digest(h.finish())
 }
 
+/// [`hash_function`] extended with everything else the printer renders:
+/// the function name, parameter names, block labels, instruction result
+/// names, call fast-math flags and memory alignments.
+///
+/// Two functions with equal named digests print the same text (modulo hash
+/// collision). Memos whose results render names — a prompt prints every
+/// name, a counterexample prints the source's parameter names — key on this
+/// digest, so a renamed twin never replays text carrying the other
+/// function's names.
+pub fn hash_function_named(func: &Function) -> Digest {
+    let mut h = Fnv(hash_function(func).0);
+    func.name.hash(&mut h);
+    for p in &func.params {
+        p.name.hash(&mut h);
+    }
+    for block in func.blocks() {
+        block.name.hash(&mut h);
+    }
+    for (_, inst) in func.iter_insts() {
+        inst.name.hash(&mut h);
+        match &inst.kind {
+            InstKind::Call { fmf, .. } => fmf.to_string().hash(&mut h),
+            InstKind::Load { align, .. } | InstKind::Store { align, .. } => align.hash(&mut h),
+            _ => {}
+        }
+    }
+    Digest(h.finish())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +200,21 @@ mod tests {
         let a = simple("alpha", 4, BinOp::Add);
         let b = simple("beta", 4, BinOp::Add);
         assert_eq!(hash_function(&a), hash_function(&b));
+    }
+
+    #[test]
+    fn named_digests_tell_renamed_twins_apart() {
+        let a = simple("alpha", 4, BinOp::Add);
+        let b = simple("beta", 4, BinOp::Add);
+        assert_ne!(hash_function_named(&a), hash_function_named(&b));
+        assert_eq!(hash_function_named(&a), hash_function_named(&simple("alpha", 4, BinOp::Add)));
+        // Every printed name counts, not just the function's.
+        let x = parse_function("define i32 @f(i32 %x) {\n %r = add i32 %x, 1\n ret i32 %r\n}").unwrap();
+        let y = parse_function("define i32 @f(i32 %y) {\n %r = add i32 %y, 1\n ret i32 %r\n}").unwrap();
+        let s = parse_function("define i32 @f(i32 %x) {\n %s = add i32 %x, 1\n ret i32 %s\n}").unwrap();
+        assert_eq!(hash_function(&x), hash_function(&y));
+        assert_ne!(hash_function_named(&x), hash_function_named(&y));
+        assert_ne!(hash_function_named(&x), hash_function_named(&s));
     }
 
     #[test]

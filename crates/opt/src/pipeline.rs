@@ -534,6 +534,33 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_trapping_division_does_not_spin_the_rules() {
+        // The constant fold of the dead `sdiv` cannot erase it (a division
+        // may trap), so it changes nothing and must say so: -O1's rescan
+        // used to re-examine it forever, and -O2 spent its visit budget on
+        // it and stopped short of a fixpoint.
+        let src = "define i22 @f(i61 %p0, i64 %p1) {\n\
+             %t0 = sdiv i64 undef, 63\n\
+             %t2 = trunc nuw nsw i61 %p0 to i22\n\
+             ret i22 %t2\n}";
+        for level in [OptLevel::O1, OptLevel::O2] {
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut f = parse_function(src).unwrap();
+                let stats = Pipeline::new(level).run(&mut f);
+                let _ = done.send((stats, print_function(&f)));
+            });
+            let (stats, optimized) = finished
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{level:?} did not return within 10 s"));
+            assert!(optimized.contains("sdiv i64 undef, 63"), "{level:?}: {optimized}");
+            if level == OptLevel::O2 {
+                assert!(stats.fixpoint, "-O2 stopped short of a fixpoint");
+            }
+        }
+    }
+
+    #[test]
     fn optimize_text_round_trips_and_reports_errors() {
         let pipeline = Pipeline::default();
         let ok = optimize_text(

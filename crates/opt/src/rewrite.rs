@@ -60,13 +60,18 @@ impl std::fmt::Debug for NamedRule {
 }
 
 /// Replaces every use of `id` with `value` and erases `id` when it has no side
-/// effects. Returns `true` (for use as a rule tail call).
+/// effects. Returns whether the function changed (for use as a rule tail
+/// call): `false` only when `id` had no uses to replace and its side effects
+/// (a division that may trap) keep it in place. A rule reporting a change
+/// there would re-fire at the same position forever.
 pub fn replace_with(func: &mut Function, id: InstId, value: Value) -> bool {
+    let replaced = !func.is_unused(id) && value != Value::Inst(id);
     func.replace_all_uses_with(id, &value);
-    if !func.inst(id).kind.has_side_effects() {
+    let erased = !func.inst(id).kind.has_side_effects();
+    if erased {
         func.erase_inst(id);
     }
-    true
+    replaced || erased
 }
 
 /// Rewrites the instruction in place, keeping its name and position. Routed
@@ -224,6 +229,31 @@ mod tests {
             Type::i32()
         ));
         assert_eq!(f.inst(mul_id).kind.opcode_name(), "shl");
+    }
+
+    #[test]
+    fn replace_with_reports_whether_the_function_changed() {
+        use lpo_ir::parser::parse_function;
+        use lpo_ir::printer::print_function;
+        // A dead division that may trap: no use to replace, and its side
+        // effects keep it in place, so nothing changes.
+        let mut f = parse_function(
+            "define i8 @f(i8 %x, i8 %y) {\n %d = sdiv i8 %x, %y\n ret i8 %x\n}",
+        )
+        .unwrap();
+        let before = print_function(&f);
+        let div = f.block(f.entry()).insts[0];
+        assert!(!replace_with(&mut f, div, Value::int(8, 0)));
+        assert_eq!(print_function(&f), before);
+        assert!(f.verify_use_lists().is_ok());
+        // A used division changes through its uses even though it stays.
+        let mut g = parse_function(
+            "define i8 @f(i8 %x, i8 %y) {\n %d = sdiv i8 %x, %y\n ret i8 %d\n}",
+        )
+        .unwrap();
+        let div = g.block(g.entry()).insts[0];
+        assert!(replace_with(&mut g, div, Value::int(8, 0)));
+        assert_eq!(g.describe_value(g.return_value().unwrap()), "0");
     }
 
     #[test]

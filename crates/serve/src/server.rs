@@ -17,18 +17,23 @@
 //! cases instantly instead of computing into a dead socket, and the job
 //! releases its run slot as soon as it is done.
 //!
-//! # Determinism and the shared store
+//! # Determinism and the shared tables
 //!
-//! Every job runs on one shared [`Lpo`] pipeline with one shared
-//! [`VerdictStore`]: Stage-3 verdicts recorded by any job replay for every
-//! later job, so resubmitting a module is almost entirely store cache hits.
-//! Replayed verdicts are byte-identical to fresh ones, so a served job's
-//! case fingerprints equal a batch-mode `run_batch_persisted` run of the
-//! same corpus — cold store, warm store, any `--jobs` value
-//! (`tests/serve_protocol.rs` pins this). Checkpoints are content-keyed
-//! (model, seed, corpus digest), so a server restarted on the same
-//! `--store` resumes a killed job's completed cases when the client
-//! resubmits with `"resume": true`.
+//! Every job runs on one shared [`Lpo`] pipeline whose verdict table is the
+//! server's [`VerdictStore`]. A server holds that pipeline for its whole
+//! life, so each deterministic piece of a case is done once per server
+//! process: Stage 1's source side once per exact source, each Stage-3
+//! verdict once per (source, candidate) pair, whichever job, model or
+//! worker asked first. Resubmitting a module is therefore almost entirely
+//! table hits, and a resubmitted job that settles every case as before
+//! appends no checkpoint bytes. The built-in corpora are parsed once per
+//! process, on their first submission. Every table hit is byte-identical to
+//! a fresh computation, so a served job's case fingerprints equal a
+//! batch-mode `run_batch_persisted` run of the same corpus — cold store,
+//! warm store, any `--jobs` value (`tests/serve_protocol.rs` pins this).
+//! Checkpoints are content-keyed (model, seed, corpus digest), so a server
+//! restarted on the same `--store` resumes a killed job's completed cases
+//! when the client resubmits with `"resume": true`.
 
 use crate::json::Json;
 use crate::protocol::{
@@ -51,7 +56,7 @@ use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// How a server instance runs.
@@ -579,12 +584,19 @@ fn handle_submit(
     }
 }
 
-/// Resolves a submission source to the job's case list.
-fn resolve_functions(source: &SubmitSource) -> Result<Vec<Function>, String> {
+/// Resolves a submission source to the job's case list. A built-in corpus
+/// is parsed on its first submission and shared by every later one.
+fn resolve_functions(source: &SubmitSource) -> Result<Arc<[Function]>, String> {
+    static RQ1: OnceLock<Arc<[Function]>> = OnceLock::new();
+    static RQ2: OnceLock<Arc<[Function]>> = OnceLock::new();
     match source {
         SubmitSource::Corpus(name) => match name.as_str() {
-            "rq1" => Ok(rq1_suite().into_iter().map(|case| case.function).collect()),
-            "rq2" => Ok(rq2_suite().into_iter().map(|case| case.function).collect()),
+            "rq1" => Ok(RQ1
+                .get_or_init(|| rq1_suite().into_iter().map(|case| case.function).collect())
+                .clone()),
+            "rq2" => Ok(RQ2
+                .get_or_init(|| rq2_suite().into_iter().map(|case| case.function).collect())
+                .clone()),
             other => Err(format!("unknown corpus {other:?} (expected rq1 or rq2)")),
         },
         SubmitSource::Module(text) => {
@@ -592,7 +604,7 @@ fn resolve_functions(source: &SubmitSource) -> Result<Vec<Function>, String> {
             if module.functions.is_empty() {
                 return Err("module defines no functions".to_string());
             }
-            Ok(module.functions)
+            Ok(module.functions.into())
         }
     }
 }

@@ -9,9 +9,9 @@
 //! Two record namespaces share one append-only log file:
 //!
 //! * **verdict records** — the outcome of one Stage-3 refinement check, keyed
-//!   by the `(source digest, candidate digest)` pair of
-//!   `lpo_ir::hash::hash_function` and versioned by a caller-supplied version
-//!   string (pipeline revision + model profile). A verdict is verified once
+//!   by a `(source digest, candidate digest)` pair (the pipeline uses
+//!   `lpo_ir::hash::hash_function_named`) and versioned by a caller-supplied
+//!   version string (the pipeline revision). A verdict is verified once
 //!   *ever*: later runs replay the stored verdict instead of re-sweeping.
 //! * **case records** — one opaque per-case completion blob keyed by
 //!   `(run key, case key)`. Drivers checkpoint each finished case here so a
@@ -39,7 +39,18 @@
 //! torn one being absent).
 //!
 //! Within one log, the latest record for a key wins, so re-recording a key is
-//! an append, not a rewrite.
+//! an append, not a rewrite. Re-recording a key with the blob it already
+//! holds appends nothing: a resubmitted run that settles every case as
+//! before leaves the log as it was.
+//!
+//! ## The verdict table
+//!
+//! The in-memory verdict map is the pipeline's verdict table: one
+//! [`verdict_or_record`](VerdictStore::verdict_or_record) call per Stage-3
+//! lookup, single-flight per key, so every pair is verified once however
+//! many workers ask for it at once. A durable store only adds the log
+//! behind it. The map holds at most [`VERDICT_CAPACITY`] verdicts; past
+//! that, new verdicts still append to the log but are not kept in memory.
 //!
 //! ## Single-writer locking
 //!
@@ -49,13 +60,19 @@
 //! is no longer alive (the SIGKILL'd run the store exists to survive) is
 //! detected via `/proc/<pid>` and stolen with a logged warning.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
+
+/// Most verdicts a store keeps in memory. A blob is a verdict's rendered
+/// text, at most a few hundred bytes, so a full table stays in the tens of
+/// megabytes; a Table 2 run settles under two hundred distinct pairs and a
+/// corpus-discover pass a few dozen, far below it.
+pub const VERDICT_CAPACITY: usize = 1 << 16;
 
 /// Magic bytes opening every record.
 pub const RECORD_MAGIC: [u8; 4] = *b"LPOR";
@@ -173,7 +190,28 @@ struct Inner {
     /// Where the lazy append handle opens; `None` = in-memory / degraded.
     append_path: Option<PathBuf>,
     verdicts: HashMap<(String, u64, u64), String>,
+    /// Verdict keys some thread is verifying right now (single flight).
+    pending: HashSet<(String, u64, u64)>,
     cases: HashMap<(String, String), String>,
+}
+
+impl Inner {
+    fn new(append_path: Option<PathBuf>) -> Self {
+        Self {
+            file: None,
+            append_path,
+            verdicts: HashMap::new(),
+            pending: HashSet::new(),
+            cases: HashMap::new(),
+        }
+    }
+
+    /// Keeps `blob` under `key` unless the table is full of other keys.
+    fn remember_verdict(&mut self, key: (String, u64, u64), blob: String) {
+        if self.verdicts.len() < VERDICT_CAPACITY || self.verdicts.contains_key(&key) {
+            self.verdicts.insert(key, blob);
+        }
+    }
 }
 
 /// The durable verdict + checkpoint store. See the crate docs for the format
@@ -182,6 +220,8 @@ pub struct VerdictStore {
     path: Option<PathBuf>,
     lock_path: Option<PathBuf>,
     inner: Mutex<Inner>,
+    /// Signalled whenever a pending verdict key settles.
+    settled: Condvar,
     verdict_hits: AtomicUsize,
     verdict_misses: AtomicUsize,
     case_replays: AtomicUsize,
@@ -216,12 +256,8 @@ impl VerdictStore {
         let mut store = Self {
             path: Some(path.clone()),
             lock_path: Some(lock_path),
-            inner: Mutex::new(Inner {
-                file: None,
-                append_path: Some(path.clone()),
-                verdicts: HashMap::new(),
-                cases: HashMap::new(),
-            }),
+            inner: Mutex::new(Inner::new(Some(path.clone()))),
+            settled: Condvar::new(),
             verdict_hits: AtomicUsize::new(0),
             verdict_misses: AtomicUsize::new(0),
             case_replays: AtomicUsize::new(0),
@@ -231,18 +267,14 @@ impl VerdictStore {
         Ok(store)
     }
 
-    /// A store with no backing file: same semantics, nothing durable. Used by
-    /// tests comparing store-on/off behaviour without touching disk.
+    /// A store with no backing file: same semantics, nothing durable. It is
+    /// the verdict table of every pipeline run without `--store`.
     pub fn in_memory() -> Self {
         Self {
             path: None,
             lock_path: None,
-            inner: Mutex::new(Inner {
-                file: None,
-                append_path: None,
-                verdicts: HashMap::new(),
-                cases: HashMap::new(),
-            }),
+            inner: Mutex::new(Inner::new(None)),
+            settled: Condvar::new(),
             verdict_hits: AtomicUsize::new(0),
             verdict_misses: AtomicUsize::new(0),
             case_replays: AtomicUsize::new(0),
@@ -283,7 +315,7 @@ impl VerdictStore {
                     Ok((record, consumed)) => {
                         match record {
                             Record::Verdict { version, src, tgt, blob } => {
-                                inner.verdicts.insert((version, src, tgt), blob);
+                                inner.remember_verdict((version, src, tgt), blob);
                             }
                             Record::Case { run_key, case_key, blob } => {
                                 inner.cases.insert((run_key, case_key), blob);
@@ -342,7 +374,47 @@ impl VerdictStore {
         };
         let mut inner = self.inner.lock().expect("store lock poisoned");
         self.append(&mut inner, &record);
-        inner.verdicts.insert((version.to_string(), src, tgt), blob.to_string());
+        inner.remember_verdict((version.to_string(), src, tgt), blob.to_string());
+    }
+
+    /// The verdict for a `(source, candidate)` digest pair under `version`:
+    /// the stored blob on a hit, else the blob `verify` computes, recorded
+    /// before it is returned. The second half says whether it was a hit.
+    ///
+    /// Single flight: while one caller verifies a key, every other caller
+    /// of the same key waits for that result and counts a hit, so the
+    /// misses of a batch are its distinct pairs whatever the worker count.
+    /// A `verify` that unwinds releases the key, and the next waiter
+    /// verifies it instead.
+    pub fn verdict_or_record(
+        &self,
+        version: &str,
+        src: u64,
+        tgt: u64,
+        verify: impl FnOnce() -> String,
+    ) -> (String, bool) {
+        let key = (version.to_string(), src, tgt);
+        let mut inner = self.inner.lock().expect("store lock poisoned");
+        loop {
+            if let Some(blob) = inner.verdicts.get(&key) {
+                let blob = blob.clone();
+                drop(inner);
+                self.verdict_hits.fetch_add(1, Ordering::Relaxed);
+                return (blob, true);
+            }
+            if !inner.pending.contains(&key) {
+                break;
+            }
+            inner = self.settled.wait(inner).expect("store lock poisoned");
+        }
+        inner.pending.insert(key.clone());
+        drop(inner);
+        self.verdict_misses.fetch_add(1, Ordering::Relaxed);
+        let claim = Claim { store: self, key };
+        let blob = verify();
+        self.record_verdict(version, src, tgt, &blob);
+        drop(claim);
+        (blob, false)
     }
 
     /// Looks up the checkpointed completion blob for one case of one run,
@@ -357,16 +429,21 @@ impl VerdictStore {
         found
     }
 
-    /// Records (and durably appends) one completed case.
+    /// Records (and durably appends) one completed case. A key that already
+    /// holds this exact blob is left alone: nothing is appended.
     pub fn record_case(&self, run_key: &str, case_key: &str, blob: &str) {
+        let key = (run_key.to_string(), case_key.to_string());
+        let mut inner = self.inner.lock().expect("store lock poisoned");
+        if inner.cases.get(&key).is_some_and(|held| held == blob) {
+            return;
+        }
         let record = Record::Case {
-            run_key: run_key.to_string(),
-            case_key: case_key.to_string(),
+            run_key: key.0.clone(),
+            case_key: key.1.clone(),
             blob: blob.to_string(),
         };
-        let mut inner = self.inner.lock().expect("store lock poisoned");
         self.append(&mut inner, &record);
-        inner.cases.insert((run_key.to_string(), case_key.to_string()), blob.to_string());
+        inner.cases.insert(key, blob.to_string());
     }
 
     fn append(&self, inner: &mut Inner, record: &Record) {
@@ -418,6 +495,23 @@ impl VerdictStore {
     fn warn(&self, message: String) {
         eprintln!("[lpo-store] {message}");
         self.warnings.lock().expect("warnings lock poisoned").push(message);
+    }
+}
+
+/// A verdict key one caller is verifying. Dropping it — after the verdict
+/// is recorded, or while `verify` unwinds — releases the key and wakes the
+/// callers waiting on it.
+struct Claim<'a> {
+    store: &'a VerdictStore,
+    key: (String, u64, u64),
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut inner = self.store.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        inner.pending.remove(&self.key);
+        drop(inner);
+        self.store.settled.notify_all();
     }
 }
 
@@ -785,6 +879,96 @@ mod tests {
             verdict_misses: 0,
             case_replays: 0
         });
+    }
+
+    #[test]
+    fn rerecording_a_case_with_its_blob_appends_nothing() {
+        let path = scratch("case-dedup");
+        clean(&path);
+        let store = VerdictStore::open(&path).unwrap();
+        store.record_case("run", "case-0", "settled");
+        let once = fs::metadata(&path).unwrap().len();
+        store.record_case("run", "case-0", "settled");
+        assert_eq!(fs::metadata(&path).unwrap().len(), once, "the same blob appended again");
+        // A changed blob still appends, and the latest one wins on reopen.
+        store.record_case("run", "case-0", "settled differently");
+        assert!(fs::metadata(&path).unwrap().len() > once);
+        drop(store);
+        let store = VerdictStore::open(&path).unwrap();
+        assert_eq!(store.case("run", "case-0").as_deref(), Some("settled differently"));
+        clean(&path);
+    }
+
+    #[test]
+    fn verdict_or_record_verifies_each_key_once() {
+        use std::sync::mpsc;
+        let store = VerdictStore::in_memory();
+        let (verifying, verifier_started) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let (calling, caller_started) = mpsc::channel();
+        let late_calls = AtomicUsize::new(0);
+        let results: Vec<(String, bool)> = std::thread::scope(|scope| {
+            // The first caller claims the key and holds it until released.
+            let store = &store;
+            let first = scope.spawn(move || {
+                store.verdict_or_record("v", 1, 2, || {
+                    verifying.send(()).unwrap();
+                    released.recv().unwrap();
+                    "blob".to_string()
+                })
+            });
+            verifier_started.recv().unwrap();
+            // Three more callers arrive while the key is pending.
+            let others: Vec<_> = (0..3)
+                .map(|_| {
+                    let calling = calling.clone();
+                    let late_calls = &late_calls;
+                    scope.spawn(move || {
+                        calling.send(()).unwrap();
+                        store.verdict_or_record("v", 1, 2, || {
+                            late_calls.fetch_add(1, Ordering::SeqCst);
+                            "another blob".to_string()
+                        })
+                    })
+                })
+                .collect();
+            for _ in 0..3 {
+                caller_started.recv().unwrap();
+            }
+            release.send(()).unwrap();
+            std::iter::once(first).chain(others).map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(late_calls.load(Ordering::SeqCst), 0, "a second caller verified a pending key");
+        assert_eq!(results[0], ("blob".to_string(), false));
+        assert!(results[1..].iter().all(|result| *result == ("blob".to_string(), true)));
+        assert_eq!(store.stats().verdict_misses, 1);
+        assert_eq!(store.stats().verdict_hits, 3);
+    }
+
+    #[test]
+    fn an_unwinding_verifier_releases_its_key() {
+        let store = VerdictStore::in_memory();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.verdict_or_record("v", 1, 2, || panic!("verifier failed"))
+        }));
+        assert!(panicked.is_err());
+        // The key is free again: the next caller verifies it.
+        assert_eq!(store.verdict_or_record("v", 1, 2, || "blob".to_string()), ("blob".to_string(), false));
+        assert_eq!(store.verdict_or_record("v", 1, 2, || unreachable!()), ("blob".to_string(), true));
+    }
+
+    #[test]
+    fn the_verdict_table_stops_admitting_at_capacity() {
+        let store = VerdictStore::in_memory();
+        for tgt in 0..VERDICT_CAPACITY as u64 {
+            store.record_verdict("v", 0, tgt, "b");
+        }
+        store.record_verdict("v", 1, 0, "past the bound");
+        assert_eq!(store.counts().0, VERDICT_CAPACITY);
+        assert_eq!(store.verdict("v", 1, 0), None);
+        // A key the table holds is still updated in place.
+        store.record_verdict("v", 0, 0, "updated");
+        assert_eq!(store.verdict("v", 0, 0).as_deref(), Some("updated"));
     }
 
     #[test]

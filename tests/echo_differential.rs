@@ -29,8 +29,6 @@
 
 use lpo::interestingness::{InterestVerdict, SourceCost};
 use lpo::prelude::*;
-use lpo_corpus::{generate_corpus, rq1_suite, rq2_suite, CorpusConfig};
-use lpo_extract::{ExtractConfig, Extractor};
 use lpo_ir::function::Function;
 use lpo_ir::parser::{parse_function, parse_module};
 use lpo_ir::printer::print_function;
@@ -43,6 +41,9 @@ use lpo_opt::pipeline::{optimize_function, OptLevel, Pipeline};
 use lpo_serve::prelude::{Json, ServeClient, ServeConfig, Server, SubmitOptions};
 use std::sync::Arc;
 use std::thread;
+
+mod common;
+use common::{fuzz_seeds, suites};
 
 /// A session whose completions carry one extra trailing newline: the same
 /// function, latency and cost, but never the prompt's exact bytes.
@@ -83,51 +84,6 @@ impl ModelFactory for TrailingNewlineFactory<'_> {
     }
 }
 
-/// Table 4's sampled sequences, built as `lpo_bench::rq3_experiment` does.
-fn table4_samples(samples: usize) -> Vec<Function> {
-    let corpus = generate_corpus(&CorpusConfig {
-        modules_per_project: 4,
-        functions_per_module: 4,
-        ..CorpusConfig::default()
-    });
-    let mut sequences = Vec::new();
-    for module in corpus.iter().flat_map(|project| &project.modules) {
-        let mut extractor = Extractor::new(ExtractConfig { min_instructions: 2, ..ExtractConfig::default() });
-        for seq in extractor.extract_module(module) {
-            sequences.push(seq.function);
-            if sequences.len() == samples {
-                return sequences;
-            }
-        }
-    }
-    sequences
-}
-
-/// The corpus-discover sequence list: a 5×5 corpus, one extractor per
-/// module.
-fn corpus_discover() -> Vec<Function> {
-    let corpus = generate_corpus(&CorpusConfig {
-        modules_per_project: 5,
-        functions_per_module: 5,
-        ..CorpusConfig::default()
-    });
-    let mut sequences = Vec::new();
-    for module in corpus.iter().flat_map(|project| &project.modules) {
-        let mut extractor = Extractor::new(ExtractConfig { min_instructions: 2, ..ExtractConfig::default() });
-        sequences.extend(extractor.extract_module(module).into_iter().map(|seq| seq.function));
-    }
-    sequences
-}
-
-fn suites() -> Vec<(&'static str, Vec<Function>)> {
-    vec![
-        ("rq1", rq1_suite().into_iter().map(|case| case.function).collect()),
-        ("rq2", rq2_suite().into_iter().map(|case| case.function).collect()),
-        ("table4", table4_samples(60)),
-        ("corpus-discover", corpus_discover()),
-    ]
-}
-
 fn fingerprints(batch: &BatchResult) -> Vec<String> {
     batch.reports.iter().map(CaseReport::fingerprint).collect()
 }
@@ -160,33 +116,13 @@ fn echoes_settled_at_the_text_boundary_match_the_full_path() {
     assert!(settled > 1000, "only {settled} uninteresting cases: the shortcut went unexercised");
 }
 
-/// The fixed seed block of random functions, plus a rotating block derived
-/// from `LPO_FUZZ_SEED` (decimal or `0x` hex) when it is set.
-fn fuzz_seeds(count: u64) -> Vec<u64> {
-    let mut seeds: Vec<u64> = (0..count).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xec40).collect();
-    if let Ok(raw) = std::env::var("LPO_FUZZ_SEED") {
-        let raw = raw.trim();
-        let rotating = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => raw.parse(),
-        }
-        .unwrap_or_else(|_| panic!("LPO_FUZZ_SEED must be a u64 (decimal or 0x hex), got {raw:?}"));
-        eprintln!("echo premise fuzz: appending {count} rotating seeds from LPO_FUZZ_SEED={rotating:#x}");
-        seeds.extend((0..count).map(|i| rotating.wrapping_add(i.wrapping_mul(0x9e37_79b9))));
-    }
-    seeds
-}
-
 #[test]
 fn echo_premise_holds_for_every_settled_source() {
     let traffic: Vec<Function> = suites().into_iter().flat_map(|(_, sequences)| sequences).collect();
-    let random: Vec<Function> = fuzz_seeds(2048).into_iter().map(lpo_interp::fuzz::random_function).collect();
-    // Random functions skip `-O1`: its rescan pass does not terminate on
-    // some of them (a constant fold that reports a hit without a change
-    // re-fires at the same position forever).
+    let random: Vec<Function> = fuzz_seeds(2048, 0xec40, "echo premise fuzz").into_iter().map(lpo_interp::fuzz::random_function).collect();
     for (level, sources) in [
         (OptLevel::O2, [&traffic[..], &random[..]]),
-        (OptLevel::O1, [&traffic[..], &[]]),
+        (OptLevel::O1, [&traffic[..], &random[..]]),
         (OptLevel::O0, [&traffic[..], &random[..]]),
     ] {
         let pipeline = Pipeline::new(level);
@@ -222,8 +158,11 @@ fn echo_premise_holds_for_every_settled_source() {
             "echo premise {level:?}: {traffic_guarded} of {} served and {random_guarded} random sources guarded",
             traffic.len()
         );
+        // `-O1`'s single pass reaches a fixpoint only where it changes
+        // nothing, so few random functions meet the guards there; the
+        // premise is still checked on every one that does.
         assert!(
-            sources[1].is_empty() || random_guarded * 2 >= random.len(),
+            level == OptLevel::O1 || random_guarded * 2 >= random.len(),
             "{level:?}: only {random_guarded} of {} random functions meet the shortcut's guards",
             random.len()
         );
